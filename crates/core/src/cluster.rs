@@ -16,6 +16,7 @@ use shadowfax_storage::{LogId, SharedBlobTier, TierRecord, TierService};
 
 use crate::client::ShadowfaxClient;
 use crate::config::{ClientConfig, ServerConfig};
+use crate::dispatch::DispatchHandle;
 use crate::hash_range::{HashRange, RangeSet};
 use crate::layout::{ClusterLayout, LayoutError, PeerOwns};
 use crate::meta::{MergeOutcome, MetaReplica, MetadataStore};
@@ -432,6 +433,23 @@ impl Cluster {
             }
         }
         outcome
+    }
+
+    /// The dispatch thread listening at fabric address `fabric_addr`
+    /// (`"sv0/t1"`), as the hand-off point for a client connection accepted
+    /// by the TCP front end.  `None` if no local server has such a thread.
+    pub fn dispatch_thread(&self, fabric_addr: &str) -> Option<DispatchHandle> {
+        self.handles.iter().map(|h| h.server()).find_map(|s| {
+            (0..s.config().threads)
+                .find(|t| s.thread_address(*t) == fabric_addr)
+                .map(|t| s.dispatch_handle(t))
+        })
+    }
+
+    /// Dispatch thread `thread` of local server `server`, as the hand-off
+    /// point for an incoming TCP migration connection.
+    pub fn migration_thread(&self, server: ServerId, thread: usize) -> Option<DispatchHandle> {
+        self.server(server).map(|s| s.dispatch_handle(thread))
     }
 
     /// The client/server fabric (used to build additional clients).

@@ -43,6 +43,7 @@ mod client;
 mod cluster;
 mod compaction;
 mod config;
+mod dispatch;
 mod hash_range;
 mod indirection;
 mod layout;
@@ -60,6 +61,7 @@ pub use cluster::{
 };
 pub use compaction::CompactionOutcome;
 pub use config::{ClientConfig, MigrationConfig, MigrationMode, OwnershipCheck, ServerConfig};
+pub use dispatch::DispatchHandle;
 pub use hash_range::{partition_space, partition_space_among, HashRange, RangeSet};
 pub use indirection::{IndirectionRecord, INDIRECTION_VALUE_BYTES};
 pub use layout::{

@@ -451,6 +451,9 @@ impl Server {
             migration_id,
         );
         *self.outgoing.write() = Some(outgoing);
+        // Every dispatch thread has a share of the migration; parked ones
+        // must come back to the spin cadence the protocol's cuts assume.
+        self.wake_all();
         Ok(migration_id)
     }
 
@@ -938,7 +941,7 @@ impl Server {
         // while `owned` still held the ranges would let it scan, reject
         // nothing, and later answer an orphaned batch from a store that only
         // received part of the data.
-        self.pend_flush_epoch.fetch_add(1, Ordering::SeqCst);
+        self.bump_pend_flush();
         let cp = take_checkpoint(&self.store, session);
         *self.latest_checkpoint.lock() = Some(cp);
         self.note_cancellation(migration_id, incoming.items_received, 0, reason);
@@ -1387,6 +1390,9 @@ impl Server {
                 });
                 drop(incoming);
                 self.incoming_active.store(true, Ordering::SeqCst);
+                // The server holds a migration role now: sibling threads
+                // stop parking until it is over.
+                self.wake_all();
                 // Adopt the view the metadata store assigned us at transfer
                 // time and take responsibility for the ranges.
                 self.serving_view.fetch_max(target_view, Ordering::SeqCst);

@@ -103,8 +103,7 @@ impl Server {
             // range this server just gave back must be rejected, not
             // answered).  Raised after `owned` is updated so the check can
             // never run against the stale map.
-            self.pend_flush_epoch
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.bump_pend_flush();
         }
     }
 
@@ -217,6 +216,10 @@ impl Server {
             records_rolled_back: instruments.records_rolled_back,
             heartbeats_missed: instruments.heartbeats_missed,
             loop_generation: (0..config.threads).map(|_| AtomicU64::new(0)).collect(),
+            mailboxes: (0..config.threads)
+                .map(|_| crate::dispatch::Mailbox::new())
+                .collect(),
+            park: instruments.park,
             shutdown: AtomicBool::new(false),
             threads_running: AtomicUsize::new(0),
             config,

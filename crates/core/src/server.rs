@@ -2,24 +2,31 @@
 //! instance (paper §3.1, Figure 4).
 //!
 //! Each server runs one dispatch thread per (v)CPU.  A thread's loop polls
-//! for new connections, drains request batches from its sessions, validates
-//! each batch's view with a single integer comparison, executes the
-//! operations against the shared FASTER instance, and replies on the same
-//! session — no request or result ever crosses threads.  Between batches the
-//! thread refreshes its epoch slot (letting global cuts complete), retries
-//! pending operations, and contributes its share of any in-flight migration
-//! (paper §3.3: migration work is interleaved with request processing).
+//! its own connections (in-process fabric links and the sockets the TCP
+//! front end handed it), drains request batches from them, validates each
+//! batch's view with a single integer comparison, executes the operations
+//! against the shared FASTER instance, and replies on the same connection —
+//! no request or result ever crosses threads.  Between batches the thread
+//! refreshes its epoch slot (letting global cuts complete), retries pending
+//! operations, and contributes its share of any in-flight migration (paper
+//! §3.3: migration work is interleaved with request processing).  A thread
+//! with nothing to do, nothing pended and no migration role parks in its
+//! reactor (see [`crate::dispatch`]); one that found work looks again one
+//! `PASS_TICK` after that pass began, so what a pipelined session gets is
+//! set by the clock and not by how two busy loops happen to interleave.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
 use shadowfax_faster::{Checkpoint, Faster, FasterSession, KeyHash, ReadOutcome, RecordFlags};
 use shadowfax_net::{
-    BatchReply, Connection, KvRequest, KvResponse, MigrationLink, RequestBatch, SimNetwork,
+    BatchReply, KvRequest, KvResponse, MigrationLink, RequestBatch, ServerKvLink, SimNetwork,
+    TransportError,
 };
 use shadowfax_obs::{Counter, EventTimeline, Gauge, MetricsRegistry};
 use shadowfax_storage::{
@@ -27,6 +34,7 @@ use shadowfax_storage::{
 };
 
 use crate::config::{OwnershipCheck, ServerConfig};
+use crate::dispatch::{ConnId, ConnTable, DispatchHandle, Link, Mailbox, ParkInstruments};
 use crate::hash_range::RangeSet;
 use crate::indirection::IndirectionRecord;
 use crate::messages::MigrationMsg;
@@ -41,8 +49,6 @@ pub type KvNetwork = SimNetwork<RequestBatch, BatchReply>;
 /// The server-to-server (migration) fabric type.
 pub type MigrationNetwork = SimNetwork<MigrationMsg, MigrationMsg>;
 
-/// A server-side client connection (sends replies, receives request batches).
-pub(crate) type ServerKvConn = Connection<BatchReply, RequestBatch>;
 /// A server-side migration connection: either an in-process fabric
 /// connection or (via `shadowfax-rpc`) a real TCP migration link.
 pub(crate) type ServerMigConn = Box<dyn MigrationLink<MigrationMsg>>;
@@ -81,7 +87,7 @@ impl MigrationConnector for MigrationNetwork {
 /// can be completed (paper §3.3: the target "marks these requests pending,
 /// and it processes them when it receives the corresponding record").
 pub(crate) struct PendingBatch {
-    pub(crate) conn_idx: usize,
+    pub(crate) conn: ConnId,
     pub(crate) seq: u64,
     pub(crate) results: Vec<Option<KvResponse>>,
     pub(crate) unresolved: Vec<(usize, KvRequest)>,
@@ -98,6 +104,7 @@ pub(crate) struct ServerInstruments {
     pub(crate) migrations_cancelled: Counter,
     pub(crate) records_rolled_back: Counter,
     pub(crate) heartbeats_missed: Counter,
+    pub(crate) park: ParkInstruments,
 }
 
 impl ServerInstruments {
@@ -121,6 +128,7 @@ impl ServerInstruments {
             migrations_cancelled: metrics.counter(&format!("{p}.migration.cancelled")),
             records_rolled_back: metrics.counter(&format!("{p}.migration.records_rolled_back")),
             heartbeats_missed: metrics.counter(&format!("{p}.migration.heartbeats_missed")),
+            park: ParkInstruments::register(metrics, &p),
         };
         // The FASTER store and the SSD already keep their own relaxed
         // atomics; contribute them at snapshot time instead of rewriting
@@ -240,6 +248,11 @@ pub struct Server {
     /// ownership-transfer cut (so no old-view batch is still executing when
     /// the hot set and migrated records are read).
     pub(crate) loop_generation: Box<[AtomicU64]>,
+    /// One per dispatch thread: its reactor, and how other threads hand it
+    /// connections and wake it.
+    pub(crate) mailboxes: Box<[Arc<Mailbox>]>,
+    /// `sv{id}.dispatch.*` parking counters and `sv{id}.ops.pended_dropped`.
+    pub(crate) park: ParkInstruments,
     pub(crate) shutdown: AtomicBool,
     pub(crate) threads_running: AtomicUsize,
 }
@@ -325,6 +338,8 @@ impl Server {
             records_rolled_back: instruments.records_rolled_back,
             heartbeats_missed: instruments.heartbeats_missed,
             loop_generation: (0..config.threads).map(|_| AtomicU64::new(0)).collect(),
+            mailboxes: (0..config.threads).map(|_| Mailbox::new()).collect(),
+            park: instruments.park,
             shutdown: AtomicBool::new(false),
             threads_running: AtomicUsize::new(0),
             config,
@@ -539,6 +554,30 @@ impl Server {
     /// Requests shutdown of all dispatch threads.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// Wakes every parked dispatch thread.  Call after publishing state
+    /// they must act on (a migration role, a pend flush, shutdown).
+    pub(crate) fn wake_all(&self) {
+        for mailbox in self.mailboxes.iter() {
+            mailbox.notify();
+        }
+    }
+
+    /// Tells dispatch threads to re-check their pended batches against the
+    /// ownership map (which the caller has already updated).
+    pub(crate) fn bump_pend_flush(&self) {
+        self.pend_flush_epoch.fetch_add(1, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// The hand-off point for connections accepted elsewhere: dispatch
+    /// thread `t` of this server.
+    pub fn dispatch_handle(&self, t: usize) -> DispatchHandle {
+        DispatchHandle {
+            mailbox: Arc::clone(&self.mailboxes[t % self.mailboxes.len()]),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -547,44 +586,49 @@ impl Server {
 
     fn run_thread(self: Arc<Self>, thread_id: usize) {
         let session = self.store.start_session();
-        let kv_listener = self.kv_net.listen(&self.thread_address(thread_id));
-        let mig_listener = self.mig_net.listen(&self.migration_address(thread_id));
+        let mailbox = Arc::clone(&self.mailboxes[thread_id]);
+        let kv_listener = self
+            .kv_net
+            .listen_with_waker(&self.thread_address(thread_id), mailbox.waker());
+        let mig_listener = self
+            .mig_net
+            .listen_with_waker(&self.migration_address(thread_id), mailbox.waker());
         self.threads_running.fetch_add(1, Ordering::SeqCst);
 
-        let mut kv_conns: Vec<ServerKvConn> = Vec::new();
-        let mut mig_conns: Vec<ServerMigConn> = Vec::new();
+        let mut conns = ConnTable::new(Arc::clone(&mailbox));
         let mut pending: Vec<PendingBatch> = Vec::new();
         let mut source_state = SourceThreadState::new(thread_id);
         let mut pend_flush_seen = self.pend_flush_epoch.load(Ordering::SeqCst);
+        // The parked flag is up and one more look for work is owed before
+        // blocking (see `dispatch` on lost wake-ups).
+        let mut armed = false;
+        let mut unparked = UnparkedWatch::default();
 
         while !self.shutdown.load(Ordering::SeqCst) {
             // Mark an operation-sequence boundary for this thread: every batch
             // accepted in earlier iterations has fully completed by now.
             self.loop_generation[thread_id].fetch_add(1, Ordering::SeqCst);
-            let mut did_work = false;
+            let pass_start = Instant::now();
 
-            // New connections.
-            let new_kv = kv_listener.accept_all();
-            let new_mig = mig_listener.accept_all();
-            did_work |= !new_kv.is_empty() || !new_mig.is_empty();
-            kv_conns.extend(new_kv);
-            mig_conns.extend(new_mig.into_iter().map(|c| Box::new(c) as ServerMigConn));
-
-            // Client request batches.
-            for conn_idx in 0..kv_conns.len() {
-                while let Some(batch) = kv_conns[conn_idx].try_recv() {
-                    did_work = true;
-                    self.process_batch(batch, conn_idx, &kv_conns, &mut pending, &session);
-                }
+            // New readiness and new connections.
+            conns.poll(Some(Duration::ZERO));
+            let mut did_work = conns.adopt_from_mailbox();
+            for conn in kv_listener.accept_all() {
+                did_work = true;
+                conns.insert(Link::Kv(Box::new(conn)));
+            }
+            for conn in mig_listener.accept_all() {
+                did_work = true;
+                conns.insert(Link::Mig(Box::new(conn)));
             }
 
-            // Migration messages from peer servers.
-            for conn in &mig_conns {
-                while let Ok(Some(msg)) = conn.try_recv_msg() {
-                    did_work = true;
-                    self.handle_migration_msg(msg, conn, &session);
-                }
-            }
+            // Client request batches and migration messages from peers:
+            // read, decode, execute and answer, connection by connection.
+            let (served, served_sockets) = conns.serve_ready(|id, link| match link {
+                Link::Kv(link) => self.serve_kv(id, link.as_mut(), &mut pending, &session),
+                Link::Mig(link) => self.serve_mig(link, &session),
+            });
+            did_work |= served;
 
             // A cancelled incoming migration orphans batches that pended for
             // the (no longer owned) migrating ranges: reject them so their
@@ -593,11 +637,11 @@ impl Server {
             let flush_epoch = self.pend_flush_epoch.load(Ordering::SeqCst);
             if flush_epoch != pend_flush_seen {
                 pend_flush_seen = flush_epoch;
-                did_work |= self.reject_unowned_pending(&mut pending, &kv_conns);
+                did_work |= self.reject_unowned_pending(&mut pending, &mut conns);
             }
 
             // Retry pending operations (bounded per iteration).
-            did_work |= self.retry_pending(&mut pending, &kv_conns, &session);
+            did_work |= self.retry_pending(&mut pending, &mut conns, &session);
 
             // Contribute this thread's share of any outgoing migration.
             did_work |= self.drive_outgoing(&mut source_state, &session);
@@ -616,17 +660,147 @@ impl Server {
             }
             did_work |= self.drive_finishing_thread(&source_state);
 
+            // Connections that closed, failed or stopped reading this
+            // iteration go, and take the batches pended on them along.
+            for id in conns.reap() {
+                pending.retain(|batch| {
+                    let gone = batch.conn == id;
+                    if gone {
+                        self.pending_gauge.sub(batch.unresolved.len() as u64);
+                        self.park.pended_dropped.inc();
+                    }
+                    !gone
+                });
+            }
+
             // Let global cuts (view changes, checkpoints, log maintenance)
-            // make progress, then yield if idle.
+            // make progress.  Ends unprotected, so a parked thread never
+            // holds a cut up.
             session.refresh();
-            if !did_work {
-                std::thread::yield_now();
+
+            // While a batch is pended or the server holds a migration role,
+            // keep the spin-and-yield cadence: pends resolve, heartbeats go
+            // out, liveness deadlines are checked and `loop_generation`
+            // advances exactly as if the thread never parked.
+            let blocker = self.park_blocker(pending.len());
+            if (did_work || blocker.is_some()) && std::mem::take(&mut armed) {
+                mailbox.set_parked(false);
+            }
+            if let Some(why) = blocker {
+                if !did_work {
+                    unparked.observe(&why, self.id(), thread_id);
+                    std::thread::yield_now();
+                }
+                continue;
+            }
+            unparked = UnparkedWatch::default();
+            if did_work {
+                // Passes that serve sockets start a tick apart (see
+                // `PASS_TICK`), unless a per-pass bound left input behind.
+                if served_sockets && !conns.has_backlog() {
+                    self.park.paced.inc();
+                    wait_out_tick(pass_start);
+                }
+                continue;
+            }
+            if !armed {
+                // Raise the flag, then look for work once more: whatever is
+                // published from here on comes with a reactor wake.
+                mailbox.set_parked(true);
+                armed = true;
+                continue;
+            }
+            // A cut whose last straggler was another thread's unprotect may
+            // have nobody left to run its action; we are unprotected now.
+            self.store.epoch().try_drain();
+            let timeout = match conns.next_deliverable_at() {
+                None => None,
+                Some(at) => {
+                    // A message the sim fabric is still "propagating": wait
+                    // whole milliseconds (the reactor's resolution) and
+                    // poll through the last one.
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left < Duration::from_millis(1) {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    Some(Duration::from_millis(left.as_millis() as u64))
+                }
+            };
+            self.park.parks.inc();
+            let parked_at = Instant::now();
+            let (signalled, sockets) = conns.poll(timeout);
+            self.park.park_us.record(parked_at.elapsed());
+            mailbox.set_parked(false);
+            armed = false;
+            if signalled {
+                self.park.wakes_signal.inc();
+            }
+            if sockets > 0 {
+                self.park.wakes_socket.inc();
             }
         }
 
         self.kv_net.unlisten(&self.thread_address(thread_id));
         self.mig_net.unlisten(&self.migration_address(thread_id));
         self.threads_running.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Why this thread may not park right now, if anything.
+    fn park_blocker(&self, pended: usize) -> Option<ParkBlocker> {
+        let role = if self.outgoing.read().is_some() {
+            Some("outgoing")
+        } else if self.incoming_active.load(Ordering::SeqCst) {
+            Some("incoming")
+        } else if self.finishing_active.load(Ordering::SeqCst) {
+            Some("finishing")
+        } else {
+            None
+        };
+        (pended > 0 || role.is_some()).then_some(ParkBlocker { pended, role })
+    }
+
+    /// One service pass over a client connection: every batch the link
+    /// yields is executed and answered before the next is decoded.
+    fn serve_kv(
+        &self,
+        id: ConnId,
+        link: &mut dyn ServerKvLink,
+        pending: &mut Vec<PendingBatch>,
+        session: &FasterSession,
+    ) -> Result<bool, ()> {
+        link.begin_pass();
+        let mut progressed = false;
+        while let Some(batch) = link.try_recv_batch().map_err(|_| ())? {
+            progressed = true;
+            self.process_batch(batch, id, link, pending, session)
+                .map_err(|_| ())?;
+            // Each reply leaves as soon as it exists, so the client works on
+            // it while the next batch executes.
+            link.flush().map_err(|_| ())?;
+        }
+        Ok(progressed)
+    }
+
+    /// Drains one migration connection from a peer server.
+    fn serve_mig(
+        self: &Arc<Self>,
+        link: &ServerMigConn,
+        session: &FasterSession,
+    ) -> Result<bool, ()> {
+        // Sampled before the drain: a peer seen closed here can send
+        // nothing more, so running dry after it really is the end.
+        let open = link.is_open();
+        let mut progressed = false;
+        while let Some(msg) = link.try_recv_msg().map_err(|_| ())? {
+            progressed = true;
+            self.handle_migration_msg(msg, link, session);
+        }
+        if open || link.next_deliverable_at().is_some() {
+            Ok(progressed)
+        } else {
+            Err(())
+        }
     }
 
     // ------------------------------------------------------------------
@@ -655,17 +829,16 @@ impl Server {
     fn process_batch(
         &self,
         batch: RequestBatch,
-        conn_idx: usize,
-        kv_conns: &[ServerKvConn],
+        conn: ConnId,
+        link: &mut dyn ServerKvLink,
         pending: &mut Vec<PendingBatch>,
         session: &FasterSession,
-    ) {
+    ) -> Result<(), TransportError> {
         if !self.validate_batch(&batch) {
-            kv_conns[conn_idx].send(BatchReply::Rejected {
+            return link.send_reply(BatchReply::Rejected {
                 seq: batch.seq,
                 server_view: self.serving_view(),
             });
-            return;
         }
         let mut results: Vec<Option<KvResponse>> = vec![None; batch.ops.len()];
         let mut unresolved: Vec<(usize, KvRequest)> = Vec::new();
@@ -680,17 +853,25 @@ impl Server {
             }
         }
         if unresolved.is_empty() {
-            kv_conns[conn_idx].send(BatchReply::Executed {
+            return link.send_reply(BatchReply::Executed {
                 seq: batch.seq,
                 results: results.into_iter().map(|r| r.unwrap()).collect(),
             });
-        } else {
-            pending.push(PendingBatch {
-                conn_idx,
-                seq: batch.seq,
-                results,
-                unresolved,
-            });
+        }
+        pending.push(PendingBatch {
+            conn,
+            seq: batch.seq,
+            results,
+            unresolved,
+        });
+        Ok(())
+    }
+
+    /// Answers a pended batch on the connection it came from; a batch whose
+    /// connection is gone is dropped and counted.
+    fn reply_pended(&self, conns: &mut ConnTable, conn: ConnId, reply: BatchReply) {
+        if !conns.reply(conn, reply) {
+            self.park.pended_dropped.inc();
         }
     }
 
@@ -699,7 +880,7 @@ impl Server {
     fn retry_pending(
         &self,
         pending: &mut Vec<PendingBatch>,
-        kv_conns: &[ServerKvConn],
+        conns: &mut ConnTable,
         session: &FasterSession,
     ) -> bool {
         if pending.is_empty() {
@@ -734,10 +915,9 @@ impl Server {
         while i < pending.len() {
             if pending[i].unresolved.is_empty() {
                 let done = pending.swap_remove(i);
-                kv_conns[done.conn_idx].send(BatchReply::Executed {
-                    seq: done.seq,
-                    results: done.results.into_iter().map(|r| r.unwrap()).collect(),
-                });
+                let results = done.results.into_iter().map(|r| r.unwrap()).collect();
+                let seq = done.seq;
+                self.reply_pended(conns, done.conn, BatchReply::Executed { seq, results });
                 progressed = true;
             } else {
                 i += 1;
@@ -762,7 +942,7 @@ impl Server {
     pub(crate) fn reject_unowned_pending(
         &self,
         pending: &mut Vec<PendingBatch>,
-        kv_conns: &[ServerKvConn],
+        conns: &mut ConnTable,
     ) -> bool {
         if pending.is_empty() {
             return false;
@@ -784,10 +964,11 @@ impl Server {
             if batch.results.iter().all(|r| r.is_none()) {
                 let batch = pending.swap_remove(i);
                 self.pending_gauge.sub(batch.unresolved.len() as u64);
-                kv_conns[batch.conn_idx].send(BatchReply::Rejected {
+                let rejected = BatchReply::Rejected {
                     seq: batch.seq,
                     server_view: view,
-                });
+                };
+                self.reply_pended(conns, batch.conn, rejected);
                 progressed = true;
                 continue;
             }
@@ -808,10 +989,9 @@ impl Server {
             }
             if batch.unresolved.is_empty() {
                 let done = pending.swap_remove(i);
-                kv_conns[done.conn_idx].send(BatchReply::Executed {
-                    seq: done.seq,
-                    results: done.results.into_iter().map(|r| r.unwrap()).collect(),
-                });
+                let results = done.results.into_iter().map(|r| r.unwrap()).collect();
+                let seq = done.seq;
+                self.reply_pended(conns, done.conn, BatchReply::Executed { seq, results });
             } else {
                 i += 1;
             }
@@ -1129,9 +1309,88 @@ impl Server {
 /// corrupted records.
 const MAX_NESTED_HOPS: u8 = 4;
 
+/// How far apart a dispatch thread's looks at its sockets are while they
+/// keep finding work: a pass serves everything that is ready, and if a
+/// socket was among it the thread waits (on its CPU, yielding) until one
+/// tick after the pass began before it looks again.  A look that finds
+/// nothing parks the thread; a pass that took longer than a tick, leaves
+/// input behind a per-pass bound, runs under a pend or a migration role,
+/// or served only in-process links (which have no hypervisor between them
+/// and their client) is followed by the next at once.
+///
+/// This is a fixed interrupt-throttle rate (1,333 looks per second), and it
+/// is there for steadiness, not speed.  Unpaced, the thread either parks
+/// between the batches of a pipelined session, and then every batch pays a
+/// vCPU halt and an IPI wake whose cost the hypervisor decides, or it polls
+/// flat out, and then throughput is whatever two CPU-bound loops (client
+/// and server) happen to sustain; both vary by 5-25% from one run to the
+/// next on the 2-vCPU benchmark host, and more when the host is busy.
+/// Paced, a session with a full pipeline gets exactly one pipeline served
+/// per tick as long as client and server each finish their share inside
+/// it, so its throughput is `ops in flight / PASS_TICK`, set by the clock
+/// (8 x 64 operations in flight: 683k ops/s, under 1% from run to run).
+/// The tick is sized for slack, which is what absorbs a slow phase of the
+/// host: serving 8 x 64 reads takes about 350 us of it and 8 x 64 upserts
+/// into a spilling log 600-700 us; at 500 us the same runs spread five
+/// times wider.  The price: a request that arrives just after a pass waits
+/// up to one tick, a synchronous client gets one round trip per tick, and a
+/// session needs `rate x PASS_TICK` operations in flight to reach `rate`.
+const PASS_TICK: Duration = Duration::from_micros(750);
+
+/// Waits until one [`PASS_TICK`] after `pass_start`.  Never sleeps: a
+/// timer wake of a halted vCPU is as unsteady as the IPI wake the tick is
+/// there to avoid.  Yields, so whatever else is runnable on this CPU (a
+/// control I/O thread, a sibling server process) gets it meanwhile.
+fn wait_out_tick(pass_start: Instant) {
+    let next = pass_start + PASS_TICK;
+    while Instant::now() < next {
+        std::thread::yield_now();
+    }
+}
+
 enum ExecOutcome {
     Done(KvResponse),
     Pend,
+}
+
+/// Why an idle dispatch thread keeps spinning instead of parking.
+struct ParkBlocker {
+    pended: usize,
+    role: Option<&'static str>,
+}
+
+impl std::fmt::Display for ParkBlocker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match (self.pended, self.role) {
+            (0, Some(role)) => write!(f, "migration role: {role}"),
+            (n, None) => write!(f, "{n} pended batches"),
+            (n, Some(role)) => write!(f, "{n} pended batches, migration role: {role}"),
+        }
+    }
+}
+
+/// Logs once, at WARN, when an idle dispatch thread has been kept from
+/// parking for longer than [`UnparkedWatch::LIMIT`].
+#[derive(Default)]
+struct UnparkedWatch {
+    since: Option<Instant>,
+    logged: bool,
+}
+
+impl UnparkedWatch {
+    const LIMIT: Duration = Duration::from_secs(1);
+
+    fn observe(&mut self, why: &ParkBlocker, server: ServerId, thread: usize) {
+        let since = *self.since.get_or_insert_with(Instant::now);
+        if !self.logged && since.elapsed() > Self::LIMIT {
+            self.logged = true;
+            eprintln!(
+                "WARN sv{}-t{thread}: not parking for over {:?}: {why}",
+                server.0,
+                Self::LIMIT
+            );
+        }
+    }
 }
 
 /// What resolving an indirection record produced.
@@ -1468,6 +1727,54 @@ mod tests {
             fetched.contains(&90) && !fetched.contains(&100),
             "the walk should stop at the cap: {fetched:?}"
         );
+        cluster.shutdown();
+    }
+
+    /// A client that hangs up with a batch still pended takes the batch
+    /// with it: the connection is reaped, the batch dropped and counted,
+    /// and the pending gauge returns to zero instead of leaking.
+    #[test]
+    fn a_pended_batch_is_dropped_with_its_connection() {
+        let cluster = Cluster::start(ClusterConfig::two_server_test());
+        let server = cluster.server(ServerId(0)).unwrap();
+        let session = server.store().start_session();
+        let key = 5_005u64;
+
+        // An indirection whose chain no tier can serve: the read pends
+        // until the connection goes away.
+        let tier = Arc::new(ScriptedTier {
+            chains: HashMap::new(),
+            fetched: Mutex::new(Vec::new()),
+            local: None,
+        });
+        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
+        server
+            .store()
+            .insert_record(
+                key,
+                &indirection_payload(50, 64),
+                RecordFlags::INDIRECTION,
+                &session,
+            )
+            .unwrap();
+
+        let mut client = cluster.client(ClientConfig::default());
+        assert!(client.issue_read(key, Box::new(|_| {})));
+        client.flush();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.pending_ops() == 0 {
+            assert!(Instant::now() < deadline, "the read never pended");
+            std::thread::yield_now();
+        }
+        let dropped = cluster.metrics().counter("sv0.ops.pended_dropped");
+        assert_eq!(dropped.value(), 0);
+
+        drop(client);
+        while dropped.value() == 0 {
+            assert!(Instant::now() < deadline, "the pended batch was kept");
+            std::thread::yield_now();
+        }
+        assert_eq!(server.pending_ops(), 0, "the pending gauge leaked");
         cluster.shutdown();
     }
 

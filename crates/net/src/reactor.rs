@@ -88,6 +88,20 @@ const WAKE_DATA: u64 = u64::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(pub u64);
 
+impl Token {
+    /// The token for slot `idx` of a connection slab in its generation
+    /// `gen`.  Folding the generation in means a readiness event for a
+    /// closed connection can never reach the slot's next tenant.
+    pub fn for_slot(idx: u32, gen: u32) -> Token {
+        Token(((gen as u64) << 32) | idx as u64)
+    }
+
+    /// The `(idx, gen)` a [`Token::for_slot`] token was built from.
+    pub fn slot(self) -> (u32, u32) {
+        (self.0 as u32, (self.0 >> 32) as u32)
+    }
+}
+
 /// Which readiness transitions a registration subscribes to.  All
 /// registrations are edge-triggered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,6 +19,12 @@ use parking_lot::Mutex;
 use crate::message::WireSize;
 use crate::profile::NetworkProfile;
 
+/// Called after a connection or a message has been published toward a
+/// listener's owner, so an owner that blocks when idle (a dispatch thread
+/// parked in its reactor) learns about it.  Must be cheap when the owner
+/// is busy: it runs on every client send.
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
 /// Per-connection traffic counters.
 #[derive(Debug, Default)]
 pub struct ConnectionStats {
@@ -68,6 +74,9 @@ pub struct Connection<S, R> {
     profile: NetworkProfile,
     stats: Arc<ConnectionStats>,
     peer_closed_marker: Arc<()>,
+    /// Wakes the peer's owner after each send (client ends of connections
+    /// to a listener registered with [`SimNetwork::listen_with_waker`]).
+    peer_waker: Option<Waker>,
 }
 
 impl<S, R> std::fmt::Debug for Connection<S, R> {
@@ -82,21 +91,7 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
     /// Sends `msg` to the peer, charging this side the profile's send cost.
     /// Returns `false` if the peer end has been dropped.
     pub fn send(&self, msg: S) -> bool {
-        let bytes = msg.wire_size();
-        let cost = self.profile.spend(self.profile.send_cost(bytes));
-        self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_sent
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.stats
-            .cpu_ns_spent
-            .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
-        self.tx
-            .send(Timed {
-                deliver_at: Instant::now() + self.profile.propagation,
-                msg,
-            })
-            .is_ok()
+        self.try_send(msg).is_ok()
     }
 
     /// Like [`Connection::send`], but hands the message back if the peer end
@@ -116,7 +111,13 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
                 deliver_at: Instant::now() + self.profile.propagation,
                 msg,
             })
-            .map_err(|e| e.0.msg)
+            .map_err(|e| e.0.msg)?;
+        // Published first, then the wake: a parked owner either sees the
+        // message on its pre-park re-check or is woken by this call.
+        if let Some(wake) = &self.peer_waker {
+            wake();
+        }
+        Ok(())
     }
 
     /// Attempts to receive one message whose propagation delay has elapsed,
@@ -147,6 +148,12 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
             .cpu_ns_spent
             .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
         Some(timed.msg)
+    }
+
+    /// When the message held back by its propagation delay (if any) becomes
+    /// deliverable.  An owner about to block bounds its wait by this.
+    pub fn next_deliverable_at(&self) -> Option<Instant> {
+        self.stash.lock().as_ref().map(|t| t.deliver_at)
     }
 
     /// Drains every currently deliverable message.
@@ -209,8 +216,13 @@ impl<C2S, S2C> Listener<C2S, S2C> {
 /// `C2S` is the client-to-server message type, `S2C` the server-to-client
 /// message type.
 pub struct SimNetwork<C2S, S2C> {
-    listeners: Mutex<HashMap<String, Sender<Connection<S2C, C2S>>>>,
+    listeners: Mutex<HashMap<String, ListenerEntry<C2S, S2C>>>,
     default_profile: NetworkProfile,
+}
+
+struct ListenerEntry<C2S, S2C> {
+    accept_tx: Sender<Connection<S2C, C2S>>,
+    waker: Option<Waker>,
 }
 
 impl<C2S, S2C> std::fmt::Debug for SimNetwork<C2S, S2C> {
@@ -238,8 +250,20 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
 
     /// Registers a listener at `addr`.  Panics if the address is taken.
     pub fn listen(&self, addr: &str) -> Listener<C2S, S2C> {
-        let (tx, rx) = unbounded();
-        let prev = self.listeners.lock().insert(addr.to_string(), tx);
+        self.register(addr, None)
+    }
+
+    /// Registers a listener whose owner blocks when idle: `waker` runs after
+    /// every connect to `addr` and after every message a client sends on a
+    /// connection accepted from it.
+    pub fn listen_with_waker(&self, addr: &str, waker: Waker) -> Listener<C2S, S2C> {
+        self.register(addr, Some(waker))
+    }
+
+    fn register(&self, addr: &str, waker: Option<Waker>) -> Listener<C2S, S2C> {
+        let (accept_tx, rx) = unbounded();
+        let entry = ListenerEntry { accept_tx, waker };
+        let prev = self.listeners.lock().insert(addr.to_string(), entry);
         assert!(prev.is_none(), "address {addr} already has a listener");
         Listener { incoming: rx }
     }
@@ -265,7 +289,11 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
         addr: &str,
         profile: NetworkProfile,
     ) -> Option<Connection<C2S, S2C>> {
-        let accept_tx = self.listeners.lock().get(addr).cloned()?;
+        let (accept_tx, waker) = {
+            let listeners = self.listeners.lock();
+            let entry = listeners.get(addr)?;
+            (entry.accept_tx.clone(), entry.waker.clone())
+        };
         let (c2s_tx, c2s_rx) = unbounded();
         let (s2c_tx, s2c_rx) = unbounded();
         let marker = Arc::new(());
@@ -276,6 +304,7 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
             profile,
             stats: Arc::new(ConnectionStats::default()),
             peer_closed_marker: Arc::clone(&marker),
+            peer_waker: waker.clone(),
         };
         let server_end = Connection {
             tx: s2c_tx,
@@ -284,8 +313,12 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
             profile,
             stats: Arc::new(ConnectionStats::default()),
             peer_closed_marker: marker,
+            peer_waker: None,
         };
         accept_tx.send(server_end).ok()?;
+        if let Some(wake) = waker {
+            wake();
+        }
         Some(client_end)
     }
 }
@@ -362,6 +395,51 @@ mod tests {
         );
         std::thread::sleep(std::time::Duration::from_millis(40));
         assert!(server.try_recv().is_some());
+    }
+
+    #[test]
+    fn waker_runs_after_connect_and_after_each_client_send() {
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
+            SimNetwork::new(NetworkProfile::instant());
+        let wakes = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&wakes);
+        let listener = net.listen_with_waker(
+            "s",
+            Arc::new(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
+        let client = net.connect("s").unwrap();
+        assert_eq!(wakes.load(Ordering::SeqCst), 1, "connect did not wake");
+        // The connection is already published when the waker runs.
+        let server = listener.try_accept().unwrap();
+        client.send(batch(1));
+        assert_eq!(wakes.load(Ordering::SeqCst), 2, "send did not wake");
+        assert_eq!(server.try_recv().unwrap().seq, 1);
+        // Replies flow toward the client, whose owner polls: no wake.
+        server.send(batch(2));
+        assert_eq!(wakes.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn held_back_message_reports_its_deadline() {
+        let profile = NetworkProfile {
+            propagation: std::time::Duration::from_millis(30),
+            ..NetworkProfile::instant()
+        };
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new(profile);
+        let listener = net.listen("s");
+        let client = net.connect("s").unwrap();
+        let server = listener.try_accept().unwrap();
+        assert!(server.next_deliverable_at().is_none());
+        let sent = Instant::now();
+        client.send(batch(1));
+        assert!(server.try_recv().is_none());
+        let due = server.next_deliverable_at().expect("message is held back");
+        assert!(due >= sent + std::time::Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(40));
+        assert!(server.try_recv().is_some());
+        assert!(server.next_deliverable_at().is_none());
     }
 
     #[test]

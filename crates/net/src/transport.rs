@@ -16,6 +16,9 @@
 //! frame so the serving process can bind the connection to a dispatch
 //! thread.
 
+use std::os::unix::io::RawFd;
+use std::time::Instant;
+
 use crate::error::TransportError;
 use crate::message::{BatchReply, RequestBatch};
 use crate::sim::{Connection, SimNetwork};
@@ -37,6 +40,56 @@ pub trait KvLink: Send {
     /// A human-readable description of the remote endpoint.
     fn peer_label(&self) -> String {
         "<unknown peer>".to_string()
+    }
+}
+
+/// The serving end of a [`KvLink`]: request batches in, batch replies out.
+///
+/// Owned and driven by exactly one server dispatch thread, which reads,
+/// executes and answers on its own stack (paper §3.1: sessions are
+/// partitioned across threads; no request or reply crosses threads).  The
+/// in-process fabric ([`Connection<BatchReply, RequestBatch>`]) and real
+/// sockets (`shadowfax-rpc`'s adopted data connections) both satisfy it.
+pub trait ServerKvLink: Send {
+    /// The socket to register (edge-triggered) with the owner's reactor, so
+    /// traffic wakes an owner blocked in `poll`.  `None` for the in-process
+    /// fabric, whose senders wake the owner through the listener's
+    /// [`Waker`](crate::Waker) instead.
+    fn raw_fd(&self) -> Option<RawFd> {
+        None
+    }
+
+    /// Starts one service pass: pulls what the transport has into the
+    /// link, within its per-pass fairness bounds.
+    fn begin_pass(&mut self) {}
+
+    /// The next request batch of this pass.  `Ok(None)` ends the pass (no
+    /// complete batch buffered, or the per-pass bound was reached); an
+    /// error means the link is finished and must be dropped.
+    fn try_recv_batch(&mut self) -> Result<Option<RequestBatch>, TransportError>;
+
+    /// Hands one reply to the transport without blocking.  An error means
+    /// the link is finished (peer gone, or it stopped reading and its
+    /// bounded outbound buffer overflowed).
+    fn send_reply(&mut self, reply: BatchReply) -> Result<(), TransportError>;
+
+    /// Pushes buffered output toward the peer.  `Ok(true)` while bytes
+    /// remain queued: the owner should subscribe to write-readiness.
+    fn flush(&mut self) -> Result<bool, TransportError> {
+        Ok(false)
+    }
+
+    /// Input a per-pass bound left behind.  Readiness will not announce it
+    /// again, so the owner must run another pass before it blocks.
+    fn has_deferred_input(&self) -> bool {
+        false
+    }
+
+    /// When a message already received but held back by the fabric's
+    /// propagation delay becomes deliverable; an owner about to block
+    /// bounds its wait by this.
+    fn next_deliverable_at(&self) -> Option<Instant> {
+        None
     }
 }
 
@@ -87,6 +140,17 @@ pub trait MigrationLink<M>: Send {
     fn peer_label(&self) -> String {
         "<unknown peer>".to_string()
     }
+
+    /// The socket a dispatch thread that adopted this link registers with
+    /// its reactor (see [`ServerKvLink::raw_fd`]).
+    fn raw_fd(&self) -> Option<RawFd> {
+        None
+    }
+
+    /// See [`ServerKvLink::next_deliverable_at`].
+    fn next_deliverable_at(&self) -> Option<Instant> {
+        None
+    }
 }
 
 impl<M: crate::message::WireSize + Send + 'static> MigrationLink<M> for Connection<M, M> {
@@ -109,6 +173,37 @@ impl<M: crate::message::WireSize + Send + 'static> MigrationLink<M> for Connecti
 
     fn peer_label(&self) -> String {
         format!("sim:{}", self.profile().name)
+    }
+
+    fn next_deliverable_at(&self) -> Option<Instant> {
+        Connection::next_deliverable_at(self)
+    }
+}
+
+impl ServerKvLink for Connection<BatchReply, RequestBatch> {
+    fn try_recv_batch(&mut self) -> Result<Option<RequestBatch>, TransportError> {
+        // Sampled before the receive: a peer seen closed here can send
+        // nothing more, so an empty receive after it really is the end.
+        let closed = self.peer_closed();
+        match self.try_recv() {
+            Some(batch) => Ok(Some(batch)),
+            None if closed && Connection::next_deliverable_at(self).is_none() => {
+                Err(TransportError::PeerClosed)
+            }
+            None => Ok(None),
+        }
+    }
+
+    fn send_reply(&mut self, reply: BatchReply) -> Result<(), TransportError> {
+        if self.send(reply) {
+            Ok(())
+        } else {
+            Err(TransportError::PeerClosed)
+        }
+    }
+
+    fn next_deliverable_at(&self) -> Option<Instant> {
+        Connection::next_deliverable_at(self)
     }
 }
 
@@ -193,6 +288,23 @@ mod tests {
             Err(other) => panic!("expected ConnectionRefused, got {other:?}"),
             Ok(_) => panic!("expected ConnectionRefused, got a link"),
         }
+    }
+
+    #[test]
+    fn server_link_drains_buffered_batches_before_reporting_the_close() {
+        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let listener = net.listen("sv0/t0");
+        let link = net.connect_link("sv0/t0").unwrap();
+        let mut server: Box<dyn ServerKvLink> = Box::new(listener.try_accept().unwrap());
+        assert_eq!(server.try_recv_batch(), Ok(None));
+        for seq in [1, 2] {
+            let ops = vec![];
+            link.send_batch(RequestBatch { view: 1, seq, ops }).unwrap();
+        }
+        drop(link);
+        assert_eq!(server.try_recv_batch().unwrap().unwrap().seq, 1);
+        assert_eq!(server.try_recv_batch().unwrap().unwrap().seq, 2);
+        assert_eq!(server.try_recv_batch(), Err(TransportError::PeerClosed));
     }
 
     #[test]

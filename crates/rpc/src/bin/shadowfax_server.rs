@@ -2,16 +2,17 @@
 //!
 //! ```text
 //! shadowfax-server [--listen ADDR] [--servers N] [--threads T]
-//!                  [--io-threads I] [--io-driver reactor|polling]
-//!                  [--layout SPEC] [--base-id B]
+//!                  [--io-threads I] [--layout SPEC] [--base-id B]
 //!                  [--memory-pages P] [--sampling-ms MS]
 //!                  [--metrics-log-secs S] [--coordinator auto|on|off]
 //!                  [--tier ADDR] [--peer SPEC]...
 //! ```
 //!
 //! Starts `N` logical Shadowfax servers (each with `T` dispatch threads over
-//! a shared FASTER instance) and serves them over `ADDR` with `I` I/O
-//! threads speaking the length-prefixed wire protocol.
+//! a shared FASTER instance) and serves them over `ADDR`: every client data
+//! connection is owned and served by the dispatch thread its HELLO names,
+//! while `I` control I/O threads answer control frames, all speaking the
+//! length-prefixed wire protocol.
 //!
 //! `--layout` assigns the initial ownership across the cluster's *global*
 //! server ids (the local servers plus every `--peer`):
@@ -62,9 +63,8 @@ use std::sync::Arc;
 
 use shadowfax::{parse_peer_spec, Cluster, ClusterConfig, ClusterLayout, PeerServer};
 use shadowfax_rpc::{
-    CoordinatedControl, Coordinator, CoordinatorConfig, IoDriver, RemoteSharedTier,
-    RemoteTierService, RpcServer, RpcServerConfig, TcpMigrationConnector, TcpTransport,
-    TierAwareControl,
+    CoordinatedControl, Coordinator, CoordinatorConfig, RemoteSharedTier, RemoteTierService,
+    RpcServer, RpcServerConfig, TcpMigrationConnector, TcpTransport, TierAwareControl,
 };
 
 /// When the metadata broker/coordinator loop runs.
@@ -83,8 +83,7 @@ enum CoordinatorMode {
 const EXIT_USAGE: i32 = 64;
 
 const USAGE: &str = "usage: shadowfax-server [--listen ADDR] [--servers N] [--threads T] \
-     [--io-threads I] [--io-driver reactor|polling] \
-     [--layout scale-out|partitioned|ID=RANGES,...] [--base-id B] \
+     [--io-threads I] [--layout scale-out|partitioned|ID=RANGES,...] [--base-id B] \
      [--memory-pages P] [--sampling-ms MS] [--metrics-log-secs S] \
      [--coordinator auto|on|off] [--tier HOST:PORT] \
      [--peer id=I,addr=HOST:PORT[,threads=T][,owns=auto|full|none|RANGES]]...
@@ -95,7 +94,6 @@ struct Args {
     servers: usize,
     threads: usize,
     io_threads: usize,
-    io_driver: IoDriver,
     layout: ClusterLayout,
     base_id: u32,
     memory_pages: Option<u64>,
@@ -120,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
         servers: 2,
         threads: 2,
         io_threads: 2,
-        io_driver: IoDriver::default(),
         layout: ClusterLayout::ScaleOut,
         base_id: 0,
         memory_pages: None,
@@ -144,7 +141,6 @@ fn parse_args() -> Result<Args, String> {
             "--io-threads" => {
                 args.io_threads = parse_num("--io-threads", value("--io-threads")?)? as usize
             }
-            "--io-driver" => args.io_driver = value("--io-driver")?.parse()?,
             "--layout" => {
                 let spec = value("--layout")?;
                 args.layout = ClusterLayout::from_spec(&spec).map_err(|e| e.to_string())?;
@@ -207,7 +203,7 @@ fn parse_args() -> Result<Args, String> {
 fn main() {
     let args = parse_args().unwrap_or_else(|detail| bad_args(&detail));
 
-    // The reactor driver exists to hold tens of thousands of connections;
+    // The serving path is built to hold tens of thousands of connections;
     // the default 1024-fd soft limit would undercut it immediately.
     let _ = shadowfax_net::raise_nofile_limit();
 
@@ -299,7 +295,6 @@ fn main() {
         RpcServerConfig {
             listen: args.listen.clone(),
             io_threads: args.io_threads,
-            io_driver: args.io_driver,
             ..RpcServerConfig::default()
         },
     )
@@ -313,11 +308,10 @@ fn main() {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "shadowfax-server: {} logical servers x {} dispatch threads, {} i/o threads ({}) on {}",
+        "shadowfax-server: {} logical servers x {} dispatch threads, {} control i/o threads on {}",
         args.servers,
         args.threads,
         args.io_threads,
-        args.io_driver,
         rpc.local_addr()
     );
     // The resolved layout, one line per global id (local and peers alike).

@@ -754,24 +754,19 @@ impl crate::ClusterControl for CoordinatedControl {
         self.cluster.as_ref().cancel_stats()
     }
 
-    fn connect_fabric(
+    fn dispatch_thread(
         &self,
         fabric_addr: &str,
-    ) -> Result<Box<dyn shadowfax_net::KvLink>, shadowfax_net::TransportError> {
-        self.cluster.as_ref().connect_fabric(fabric_addr)
+    ) -> Result<shadowfax::DispatchHandle, shadowfax_net::TransportError> {
+        crate::ClusterControl::dispatch_thread(self.cluster.as_ref(), fabric_addr)
     }
 
-    fn connect_migration_local(
+    fn migration_thread(
         &self,
         server: u32,
         thread: u32,
-    ) -> Result<
-        Box<dyn shadowfax_net::MigrationLink<shadowfax::MigrationMsg>>,
-        shadowfax_net::TransportError,
-    > {
-        self.cluster
-            .as_ref()
-            .connect_migration_local(server, thread)
+    ) -> Result<shadowfax::DispatchHandle, shadowfax_net::TransportError> {
+        crate::ClusterControl::migration_thread(self.cluster.as_ref(), server, thread)
     }
 
     fn fetch_chain(

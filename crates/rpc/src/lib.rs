@@ -10,10 +10,12 @@
 //! * [`TcpTransport`] — a `shadowfax_net::Transport` implementation over
 //!   non-blocking TCP, so `ClientSession`s pipeline batches over loopback or
 //!   a LAN exactly as they do over the simulator.
-//! * [`RpcServer`] — the TCP front end: N I/O threads bridging socket
-//!   connections onto the cluster's dispatch threads, plus a control plane
-//!   (ownership snapshots, migration triggers) standing in for direct
-//!   metadata-store access.
+//! * [`RpcServer`] — the TCP front end: an acceptor and N control I/O
+//!   threads that hand each client data connection (and each peer
+//!   migration connection) to the dispatch thread it names, which serves
+//!   the socket itself from then on, plus a control plane (ownership
+//!   snapshots, migration triggers) standing in for direct metadata-store
+//!   access.
 //! * [`RemoteClient`] — the out-of-process client: ownership-aware routing,
 //!   pipelined sessions, stale-view handling, all over the wire.  Servers
 //!   registered with socket addresses are dialled directly, so one client
@@ -70,7 +72,7 @@ pub use codec::{
 pub use ctrl::{CtrlClient, RpcError};
 pub use fabric::TcpMigrationConnector;
 pub use server::{
-    ClusterControl, IoDriver, RpcServer, RpcServerConfig, RpcServerHandle, TierAwareControl,
+    ClusterControl, RpcServer, RpcServerConfig, RpcServerHandle, TierAwareControl,
     OUTBOUND_BUDGET_BYTES,
 };
 pub use tcp::{TcpLink, TcpMigrationLink, TcpTransport};

@@ -1,39 +1,39 @@
 //! The TCP front end of a serving process.
 //!
-//! [`RpcServer::serve`] binds a listening socket and spawns N I/O threads.
-//! Each accepted connection is bound (by its HELLO frame) to one of the
-//! cluster's dispatch threads: the I/O thread decodes request-batch frames
-//! and forwards them onto the in-process fabric, and pumps the dispatch
-//! thread's replies back out as reply frames.  Control frames (ownership
-//! snapshots, migration triggers, pings) are answered directly from the
-//! metadata store.
+//! [`RpcServer::serve`] binds a listening socket and spawns an acceptor and
+//! N control I/O threads, each blocked in its own epoll [`Reactor`].  An I/O
+//! thread reads a new connection's first frames:
 //!
-//! Two I/O drivers implement that loop, selected by
-//! [`RpcServerConfig::io_driver`]:
+//! * `HELLO <fabric addr>` makes it a **data connection**.  The socket
+//!   itself — stream, [`FrameDecoder`] with whatever bytes are already
+//!   buffered behind the HELLO, outbound buffer — is handed to the dispatch
+//!   thread the address names ([`ServedKvLink`] via
+//!   [`DispatchHandle::adopt_kv`]).  From then on that thread alone polls
+//!   the socket, decodes, validates the view, executes, encodes and writes
+//!   the reply: the paper's deployment shape (§3.1: partitioned client
+//!   sessions terminate on server dispatch threads; no request or reply
+//!   crosses threads once bound).
+//! * `MIG_HELLO <server> <thread>` hands the socket over the same way as a
+//!   [`TcpMigrationLink`] for the migration protocol between serving
+//!   processes.
+//! * Anything else is a **control connection**, served here: ownership
+//!   snapshots, migration triggers and status, metrics, metadata
+//!   replication, chain fetches, pings — request/response frames answered
+//!   from the metadata store and the cluster.
 //!
-//! * [`IoDriver::Reactor`] (default) — readiness-driven: each I/O thread
-//!   runs an epoll [`Reactor`]; connections register edge-triggered read
-//!   interest, replies are queued into a bounded per-connection outbound
-//!   buffer flushed on write-readiness (a client that stops reading is
-//!   dropped when its buffer exceeds [`OUTBOUND_BUDGET_BYTES`], counted in
-//!   `rpc.conns.dropped_slow_reader`, without stalling its siblings), and
-//!   a thread whose connections are all quiet blocks in `epoll_wait` — so
-//!   idle connections cost no CPU and tens of thousands of them fit in
-//!   one process.  The acceptor blocks on listener readiness the same way.
-//! * [`IoDriver::Polling`] — the historical baseline: every I/O thread
-//!   busy-scans its whole connection list with a 200µs idle sleep and
-//!   `send` retries a blocking write for up to 5s.  Kept behind the flag
-//!   for A/B benching (`BENCH_connscale.json`); its per-idle-connection
-//!   CPU burn is the thing the reactor exists to delete.
-//!
-//! This mirrors the paper's deployment shape — partitioned client sessions
-//! terminate on server dispatch threads; no request or reply crosses
-//! threads once bound — while keeping the dispatch loop itself transport
-//! agnostic.
+//! Both kinds of thread share the connection discipline in [`Framed`]:
+//! edge-triggered reads bounded per pass ([`DRAIN_CHUNKS_PER_PASS`],
+//! [`FRAMES_PER_PASS`], [`INPUT_BACKLOG_BYTES`]) so one firehose cannot
+//! hold a thread, and a bounded outbound buffer flushed on write-readiness
+//! — a client that stops reading is dropped when its buffer exceeds
+//! [`OUTBOUND_BUDGET_BYTES`] (counted in `rpc.conns.dropped_slow_reader`)
+//! without stalling its siblings.  A thread whose connections are all quiet
+//! blocks in `epoll_wait`, so idle connections cost no CPU.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,10 +42,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use shadowfax::{
-    ChainFetchError, ChainFetchQuery, ChainFetchReply, Cluster, MigrationMsg, ServerId,
+    ChainFetchError, ChainFetchQuery, ChainFetchReply, Cluster, DispatchHandle, ServerId,
 };
 use shadowfax_net::{
-    Interest, KvLink, KvRequest, MigrationLink, Reactor, StatusCode, Token, Transport,
+    BatchReply, Interest, KvRequest, Reactor, RequestBatch, ServerKvLink, StatusCode, Token,
     TransportError,
 };
 use shadowfax_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -55,7 +55,7 @@ use crate::codec::{
     WireMigrationState, WireMsg, WireOwnership, WireServerInfo, WireTierStats, MAX_FRAME_BYTES,
 };
 use crate::ctrl::CtrlClient;
-use crate::tcp::write_all_nonblocking;
+use crate::tcp::{codec_err, TcpMigrationLink};
 
 /// Budget for relaying a control operation (migrate / cancel) to the peer
 /// process that hosts the relevant source server.  Bounded so a
@@ -83,16 +83,13 @@ pub trait ClusterControl: Send + Sync {
     /// The process's cancellation / liveness counters.
     fn cancel_stats(&self) -> WireCancelStats;
 
-    /// Opens a fabric link to the dispatch thread at `fabric_addr`.
-    fn connect_fabric(&self, fabric_addr: &str) -> Result<Box<dyn KvLink>, TransportError>;
+    /// The dispatch thread at `fabric_addr`, which adopts a client data
+    /// connection whose HELLO named it.
+    fn dispatch_thread(&self, fabric_addr: &str) -> Result<DispatchHandle, TransportError>;
 
-    /// Opens a migration link to dispatch thread `thread` of the local
-    /// server `server` (terminating an incoming TCP migration connection).
-    fn connect_migration_local(
-        &self,
-        server: u32,
-        thread: u32,
-    ) -> Result<Box<dyn MigrationLink<MigrationMsg>>, TransportError>;
+    /// Dispatch thread `thread` of the local server `server`, which adopts
+    /// an incoming TCP migration connection.
+    fn migration_thread(&self, server: u32, thread: u32) -> Result<DispatchHandle, TransportError>;
 
     /// Serves a view-tagged chain fetch out of this process's shared tier.
     /// The error carries the typed status reported back to the peer
@@ -190,25 +187,20 @@ impl ClusterControl for Cluster {
         }
     }
 
-    fn connect_fabric(&self, fabric_addr: &str) -> Result<Box<dyn KvLink>, TransportError> {
-        self.kv_network().connect_link(fabric_addr)
+    fn dispatch_thread(&self, fabric_addr: &str) -> Result<DispatchHandle, TransportError> {
+        Cluster::dispatch_thread(self, fabric_addr).ok_or_else(|| {
+            TransportError::ConnectionRefused {
+                addr: fabric_addr.to_string(),
+            }
+        })
     }
 
-    fn connect_migration_local(
-        &self,
-        server: u32,
-        thread: u32,
-    ) -> Result<Box<dyn MigrationLink<MigrationMsg>>, TransportError> {
-        let local =
-            self.server(ServerId(server))
-                .ok_or_else(|| TransportError::ConnectionRefused {
-                    addr: format!("sv{server} (not hosted in this process)"),
-                })?;
-        let addr = local.migration_address(thread as usize);
-        match self.migration_network().connect(&addr) {
-            Some(conn) => Ok(Box::new(conn)),
-            None => Err(TransportError::ConnectionRefused { addr }),
-        }
+    fn migration_thread(&self, server: u32, thread: u32) -> Result<DispatchHandle, TransportError> {
+        Cluster::migration_thread(self, ServerId(server), thread as usize).ok_or_else(|| {
+            TransportError::ConnectionRefused {
+                addr: format!("sv{server} (not hosted in this process)"),
+            }
+        })
     }
 
     fn fetch_chain(
@@ -312,16 +304,12 @@ impl ClusterControl for TierAwareControl {
         self.inner.cancel_stats()
     }
 
-    fn connect_fabric(&self, fabric_addr: &str) -> Result<Box<dyn KvLink>, TransportError> {
-        self.inner.connect_fabric(fabric_addr)
+    fn dispatch_thread(&self, fabric_addr: &str) -> Result<DispatchHandle, TransportError> {
+        self.inner.dispatch_thread(fabric_addr)
     }
 
-    fn connect_migration_local(
-        &self,
-        server: u32,
-        thread: u32,
-    ) -> Result<Box<dyn MigrationLink<MigrationMsg>>, TransportError> {
-        self.inner.connect_migration_local(server, thread)
+    fn migration_thread(&self, server: u32, thread: u32) -> Result<DispatchHandle, TransportError> {
+        self.inner.migration_thread(server, thread)
     }
 
     fn fetch_chain(
@@ -430,12 +418,12 @@ impl ServingLatency {
     }
 }
 
-/// Per-process connection observability (`rpc.conns.*`), shared by every
-/// I/O thread and both drivers.  Visible via
-/// `shadowfax-cli metrics --ns rpc`.
+/// Per-process connection observability (`rpc.conns.*`), shared by the
+/// acceptor, the control I/O threads and the dispatch threads serving
+/// adopted connections.  Visible via `shadowfax-cli metrics --ns rpc`.
 #[derive(Clone)]
 struct ConnMetrics {
-    /// Connections currently open across all I/O threads.
+    /// Connections currently open, wherever they are served.
     open: Gauge,
     /// Connections ever accepted.
     accepted: Counter,
@@ -446,8 +434,7 @@ struct ConnMetrics {
     /// outbound budget ran out.
     dropped_slow_reader: Counter,
     /// High-water mark of any single connection's outbound buffer, in
-    /// bytes (reactor driver only; the polling driver buffers in the
-    /// kernel).
+    /// bytes the socket would not take.
     outbuf_hwm_bytes: Gauge,
 }
 
@@ -472,35 +459,32 @@ impl ConnMetrics {
     }
 }
 
-/// Which event loop the I/O threads run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoDriver {
-    /// Busy-scan every connection with an idle sleep (the pre-reactor
-    /// baseline, kept for A/B benching).
-    Polling,
-    /// Readiness-driven epoll reactor: idle connections cost no CPU.
-    #[default]
-    Reactor,
+/// Keeps `rpc.conns.open` and the drop counters right for one connection
+/// across whichever thread (or link type) ends up owning it: counted open
+/// on creation, counted dropped — by cause — when the owner lets go.
+pub(crate) struct ConnGuard {
+    conns: ConnMetrics,
+    slow_reader: bool,
 }
 
-impl std::str::FromStr for IoDriver {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "polling" => Ok(IoDriver::Polling),
-            "reactor" => Ok(IoDriver::Reactor),
-            other => Err(format!("io driver must be polling|reactor, got {other:?}")),
+impl ConnGuard {
+    fn new(conns: ConnMetrics) -> Self {
+        conns.open.add(1);
+        ConnGuard {
+            conns,
+            slow_reader: false,
         }
     }
 }
 
-impl std::fmt::Display for IoDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoDriver::Polling => "polling",
-            IoDriver::Reactor => "reactor",
-        })
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        self.conns.open.sub(1);
+        if self.slow_reader {
+            self.conns.dropped_slow_reader.inc();
+        } else {
+            self.conns.dropped_dead.inc();
+        }
     }
 }
 
@@ -509,12 +493,10 @@ impl std::fmt::Display for IoDriver {
 pub struct RpcServerConfig {
     /// Socket address to bind (`"127.0.0.1:0"` picks an ephemeral port).
     pub listen: String,
-    /// Number of I/O threads sharing the accepted connections.
+    /// Number of control I/O threads sharing the accepted connections.
     pub io_threads: usize,
     /// Per-frame size limit enforced on received frames.
     pub max_frame: usize,
-    /// The event-loop implementation the I/O threads run.
-    pub io_driver: IoDriver,
 }
 
 impl Default for RpcServerConfig {
@@ -523,7 +505,6 @@ impl Default for RpcServerConfig {
             listen: "127.0.0.1:0".to_string(),
             io_threads: 2,
             max_frame: MAX_FRAME_BYTES,
-            io_driver: IoDriver::default(),
         }
     }
 }
@@ -535,8 +516,8 @@ pub struct RpcServer;
 pub struct RpcServerHandle {
     local_addr: std::net::SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// Reactor-driver loops to wake at shutdown so blocked `epoll_wait`
-    /// calls notice the flag; empty under the polling driver.
+    /// Every loop's reactor, woken at shutdown so blocked `epoll_wait`
+    /// calls notice the flag.
     wakers: Vec<Arc<Reactor>>,
     joins: Vec<JoinHandle<()>>,
 }
@@ -567,9 +548,8 @@ impl RpcServerHandle {
     }
 
     /// Stops the acceptor and I/O threads and waits for them to exit.
-    /// Connections are dropped; in-flight batches already forwarded to
-    /// dispatch threads complete inside the cluster but their replies are
-    /// discarded.
+    /// Control connections are dropped; data connections already adopted
+    /// by dispatch threads live as long as those threads do.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -597,64 +577,52 @@ impl RpcServer {
         let latency = ServingLatency::new(&metrics);
         let conns = ConnMetrics::new(&metrics);
 
-        let mut joins = Vec::with_capacity(io_threads + 1);
-        let mut wakers: Vec<Arc<Reactor>> = Vec::new();
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(io_threads);
-        // Reactor driver: one reactor per I/O thread (created here so bind
-        // failures surface from `serve`), plus one for the acceptor.
-        let mut io_reactors: Vec<Arc<Reactor>> = Vec::new();
-        let acceptor_reactor = match config.io_driver {
-            IoDriver::Polling => None,
-            IoDriver::Reactor => {
-                for _ in 0..io_threads {
-                    io_reactors.push(Arc::new(Reactor::new()?));
-                }
-                Some(Arc::new(Reactor::new()?))
-            }
-        };
-        wakers.extend(io_reactors.iter().cloned());
-        wakers.extend(acceptor_reactor.iter().cloned());
+        // One reactor per I/O thread plus one for the acceptor, created
+        // (and the listener registered) here so fd exhaustion surfaces
+        // from `serve` instead of inside a thread.
+        let mut io_reactors: Vec<Arc<Reactor>> = Vec::with_capacity(io_threads);
+        for _ in 0..io_threads {
+            io_reactors.push(Arc::new(Reactor::new()?));
+        }
+        let acceptor_reactor = Arc::new(Reactor::new()?);
+        acceptor_reactor.register(listener.as_raw_fd(), Token(0), Interest::READABLE)?;
+        let mut wakers = io_reactors.clone();
+        wakers.push(Arc::clone(&acceptor_reactor));
 
-        for t in 0..io_threads {
+        let mut joins = Vec::with_capacity(io_threads + 1);
+        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(io_threads);
+        for (t, reactor) in io_reactors.iter().enumerate() {
             let (tx, rx) = unbounded::<TcpStream>();
             senders.push(tx);
+            let reactor = Arc::clone(reactor);
             let control = Arc::clone(&control);
             let shutdown = Arc::clone(&shutdown);
             let max_frame = config.max_frame;
             let latency = latency.clone();
             let conns = conns.clone();
-            let reactor = io_reactors.get(t).cloned();
             joins.push(
                 std::thread::Builder::new()
                     .name(format!("shadowfax-rpc-io-{t}"))
-                    .spawn(move || match reactor {
-                        Some(reactor) => io_thread_reactor(
-                            reactor, rx, control, shutdown, max_frame, latency, conns,
-                        ),
-                        None => io_thread_polling(rx, control, shutdown, max_frame, latency, conns),
+                    .spawn(move || {
+                        io_thread(reactor, rx, control, shutdown, max_frame, latency, conns)
                     })
                     .expect("failed to spawn rpc i/o thread"),
             );
         }
 
         let shutdown_acceptor = Arc::clone(&shutdown);
-        let conns_acceptor = conns.clone();
-        let io_wakers = io_reactors.clone();
         joins.push(
             std::thread::Builder::new()
                 .name("shadowfax-rpc-accept".to_string())
-                .spawn(move || match acceptor_reactor {
-                    Some(reactor) => accept_loop_reactor(
-                        reactor,
+                .spawn(move || {
+                    accept_loop(
+                        acceptor_reactor,
                         listener,
                         senders,
-                        io_wakers,
+                        io_reactors,
                         shutdown_acceptor,
-                        conns_acceptor,
-                    ),
-                    None => {
-                        accept_loop_polling(listener, senders, shutdown_acceptor, conns_acceptor)
-                    }
+                        conns,
+                    )
                 })
                 .expect("failed to spawn rpc acceptor thread"),
         );
@@ -668,37 +636,10 @@ impl RpcServer {
     }
 }
 
-/// The polling acceptor: sleep-poll the nonblocking listener (the
-/// pre-reactor baseline).
-fn accept_loop_polling(
-    listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
-    shutdown: Arc<AtomicBool>,
-    conns: ConnMetrics,
-) {
-    let mut next = 0usize;
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
-                conns.accepted.inc();
-                // Round-robin connections across I/O threads.
-                let _ = senders[next % senders.len()].send(stream);
-                next += 1;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// The reactor acceptor: block on listener readiness, then accept until
+/// The acceptor: block on listener readiness, then accept until
 /// `WouldBlock` (edge-triggered), waking the receiving I/O thread's
 /// reactor for each handed-off connection.
-fn accept_loop_reactor(
+fn accept_loop(
     reactor: Arc<Reactor>,
     listener: TcpListener,
     senders: Vec<Sender<TcpStream>>,
@@ -706,15 +647,6 @@ fn accept_loop_reactor(
     shutdown: Arc<AtomicBool>,
     conns: ConnMetrics,
 ) {
-    use std::os::unix::io::AsRawFd;
-    if reactor
-        .register(listener.as_raw_fd(), Token(0), Interest::READABLE)
-        .is_err()
-    {
-        // Registration can only fail on fd exhaustion; fall back to the
-        // polling acceptor rather than serving nothing.
-        return accept_loop_polling(listener, senders, shutdown, conns);
-    }
     let mut events = Vec::new();
     let mut next = 0usize;
     while !shutdown.load(Ordering::SeqCst) {
@@ -753,16 +685,15 @@ fn accept_loop_reactor(
 /// `rpc.latency.timings_dropped`).
 const MAX_INFLIGHT_TIMINGS: usize = 1024;
 
-/// Outbound-buffer budget per connection under the reactor driver.  A
-/// reply queue growing past this means the client has stopped reading
-/// (the kernel socket buffer is already full underneath it): the
-/// connection is dropped and counted in `rpc.conns.dropped_slow_reader`.
-/// Must exceed [`MAX_FRAME_BYTES`] so one maximum-size reply can always
-/// be queued.
+/// Outbound-buffer budget per connection.  A reply queue growing past
+/// this means the client has stopped reading (the kernel socket buffer is
+/// already full underneath it): the connection is dropped and counted in
+/// `rpc.conns.dropped_slow_reader`.  Must exceed [`MAX_FRAME_BYTES`] so one
+/// maximum-size reply can always be queued.
 pub const OUTBOUND_BUDGET_BYTES: usize = 2 * MAX_FRAME_BYTES;
 
 /// Most 64 KiB read chunks one connection may drain per service pass.
-/// Bounds how long a single firehose connection can hold the I/O thread
+/// Bounds how long a single firehose connection can hold its thread
 /// inside `drain_socket`; `read_pending` carries the rest to the next
 /// pass.
 const DRAIN_CHUNKS_PER_PASS: usize = 8;
@@ -770,8 +701,8 @@ const DRAIN_CHUNKS_PER_PASS: usize = 8;
 /// Most frames one connection may have handled per service pass.  A
 /// connection that buffers thousands of tiny requests (a metrics
 /// flooder, say) would otherwise monopolize the thread for the whole
-/// backlog while siblings wait; `frames_pending` keeps it on the active
-/// list so the backlog drains round-robin instead.
+/// backlog while siblings wait; `frames_pending` keeps it scheduled so
+/// the backlog drains round-robin instead.
 const FRAMES_PER_PASS: usize = 256;
 
 /// Decoder-backlog ceiling: stop reading a socket whose buffered input
@@ -784,163 +715,53 @@ const FRAMES_PER_PASS: usize = 256;
 /// connection until the peer's write budget kills it.
 const INPUT_BACKLOG_BYTES: usize = 1024 * 1024;
 
-/// One TCP connection being served.
-struct ServedConn {
+/// One accepted TCP connection's framed I/O: bounded reads into a frame
+/// decoder, a bounded outbound buffer.  Owned by exactly one thread at a
+/// time — a control I/O thread, or (after a HELLO) a dispatch thread.
+struct Framed {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Bound by the HELLO frame; `None` on pure control connections.
-    link: Option<Box<dyn KvLink>>,
-    /// Bound by the MIG_HELLO frame; `None` unless this is a dedicated
-    /// migration connection from a peer serving process.
-    mig: Option<Box<dyn MigrationLink<MigrationMsg>>>,
     eof: bool,
+    /// The transport failed or the outbound budget ran out.
     dead: bool,
-    /// The connection was dropped for exhausting its outbound budget
-    /// (reactor) or stalling a blocking write (polling), not for dying.
-    slow_reader: bool,
-    /// `true` under the reactor driver: `send` queues into `out` and the
-    /// event loop flushes on write-readiness.  `false` under the polling
-    /// driver: `send` retries a blocking write with a 5s budget.
-    buffered: bool,
     /// Bytes queued toward the socket, flushed on write-readiness.
     out: VecDeque<u8>,
-    /// Whether the reactor registration currently includes write
-    /// interest (kept in sync with `out` by the event loop).
-    wants_write: bool,
-    /// On the event loop's active-service list (reactor driver).
-    in_active: bool,
-    /// `drain_socket` stopped at its per-pass bound before the socket
-    /// ran dry.  Edge-triggered epoll will not re-announce the leftover
-    /// bytes, so the service loop must retry the drain next pass.
+    /// `drain_socket` stopped at its per-pass bound before the socket ran
+    /// dry.  Edge-triggered epoll will not re-announce the leftover bytes,
+    /// so the owner must run another pass.
     read_pending: bool,
-    /// `process_frames` stopped at its per-pass bound with (possibly)
-    /// more complete frames still buffered; keeps the connection on the
-    /// active list until the backlog is gone.
+    /// `next_frame` stopped at its per-pass bound with (possibly) more
+    /// complete frames still buffered.
     frames_pending: bool,
-    /// Batches forwarded to the dispatch thread minus replies pumped
-    /// back: while nonzero, replies can appear without socket readiness,
-    /// so the event loop must keep servicing this connection.
-    outstanding: u64,
-    /// Serving-path latency histograms shared with the registry.
-    lat: ServingLatency,
-    /// Connection gauges/counters shared with the registry.
-    conns: ConnMetrics,
-    /// `(seq, arrival, reads, upserts)` for batches forwarded to the
-    /// dispatch thread whose replies have not come back yet.
-    inflight: VecDeque<(u64, Instant, usize, usize)>,
+    /// Frames handed out this pass.
+    handled: usize,
+    guard: ConnGuard,
 }
 
-impl ServedConn {
-    fn new(
-        stream: TcpStream,
-        max_frame: usize,
-        buffered: bool,
-        lat: ServingLatency,
-        conns: ConnMetrics,
-    ) -> Self {
-        ServedConn {
+impl Framed {
+    fn new(stream: TcpStream, max_frame: usize, conns: ConnMetrics) -> Self {
+        Framed {
             stream,
             decoder: FrameDecoder::new(max_frame),
-            link: None,
-            mig: None,
             eof: false,
             dead: false,
-            slow_reader: false,
-            buffered,
             out: VecDeque::new(),
-            wants_write: false,
-            in_active: false,
             read_pending: false,
             frames_pending: false,
-            outstanding: 0,
-            lat,
-            conns,
-            inflight: VecDeque::new(),
+            handled: 0,
+            guard: ConnGuard::new(conns),
         }
     }
 
-    fn send(&mut self, msg: &WireMsg) {
-        if self.dead {
-            return;
-        }
-        if self.buffered {
-            // Reactor driver: queue and opportunistically flush; the
-            // event loop finishes the job on write-readiness.  A client
-            // that stops reading exhausts its bounded budget and is
-            // dropped — without ever stalling this I/O thread.
-            self.out.extend(encode_frame(msg));
-            self.flush_out();
-            self.conns.note_outbuf(self.out.len() as u64);
-            if self.out.len() > OUTBOUND_BUDGET_BYTES {
-                self.slow_reader = true;
-                self.dead = true;
-            }
-            return;
-        }
-        // Polling driver (baseline): retry the write for up to 5s.  This
-        // is the behaviour the reactor exists to delete — one slow reader
-        // stalls every connection sharing the thread for the budget.
-        let budget = Duration::from_secs(5);
-        match write_all_nonblocking(&mut self.stream, &encode_frame(msg), budget) {
-            Ok(()) => {}
-            Err(TransportError::Io(detail)) if detail.contains("stalled") => {
-                self.slow_reader = true;
-                self.dead = true;
-            }
-            Err(_) => self.dead = true,
-        }
-    }
-
-    /// Writes buffered output until the socket would block (reactor
-    /// driver; called from `send` and on every write-readiness edge).
-    fn flush_out(&mut self) {
-        while !self.out.is_empty() {
-            let (front, _) = self.out.as_slices();
-            match self.stream.write(front) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Whether traffic can reach this connection without socket
-    /// readiness: replies still owed by a dispatch thread, a migration
-    /// link a peer may push on, buffered output awaiting a flush, or
-    /// input the per-pass bounds deferred to the next pass.  The reactor
-    /// loop keeps polling such connections; everything else sleeps until
-    /// an epoll event.
-    fn expects_async_traffic(&self) -> bool {
-        self.outstanding > 0
-            || self.mig.is_some()
-            || !self.out.is_empty()
-            || self.read_pending
-            || self.frames_pending
-    }
-
-    fn fail(&mut self, status: StatusCode, message: String) {
-        self.send(&WireMsg::CtrlErr { status, message });
-        self.dead = true;
-    }
-
-    /// Reads whatever the socket has without blocking, bounded per pass
-    /// (`DRAIN_CHUNKS_PER_PASS` chunks, and nothing while the decoder
-    /// holds over `INPUT_BACKLOG_BYTES` of already-decodable frames) so
-    /// one firehose cannot hold the I/O thread.  `read_pending` records
-    /// a bound being hit.
-    fn drain_socket(&mut self) {
+    /// Starts a service pass: reads whatever the socket has without
+    /// blocking, bounded (`DRAIN_CHUNKS_PER_PASS` chunks, and nothing while
+    /// the decoder holds over `INPUT_BACKLOG_BYTES` of already-decodable
+    /// frames) so one firehose cannot hold the thread.
+    fn begin_pass(&mut self) {
+        self.handled = 0;
+        self.frames_pending = false;
+        self.read_pending = false;
         if self.eof {
-            self.read_pending = false;
             return;
         }
         let mut chunk = [0u8; 64 * 1024];
@@ -955,37 +776,224 @@ impl ServedConn {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
-                    break;
+                    return;
                 }
                 Ok(n) => {
                     self.decoder.extend(&chunk[..n]);
                     chunks += 1;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.eof = true;
-                    break;
+                    return;
                 }
             }
         }
-        self.read_pending = false;
     }
 
-    /// Decodes and handles buffered frames, at most `FRAMES_PER_PASS`
-    /// per call so a backlogged connection shares the thread fairly
-    /// (`frames_pending` flags leftover work).  Returns `true` if any
-    /// frame was handled.
-    fn process_frames(&mut self, control: &Arc<dyn ClusterControl>) -> bool {
-        let mut progressed = false;
-        let mut handled = 0usize;
-        self.frames_pending = false;
-        while !self.dead {
-            if handled == FRAMES_PER_PASS {
-                self.frames_pending = true;
-                break;
+    /// The next buffered frame of this pass; `Ok(None)` when none is
+    /// complete or `FRAMES_PER_PASS` have been handed out already.
+    fn next_frame(&mut self) -> Result<Option<WireMsg>, crate::codec::CodecError> {
+        if self.handled == FRAMES_PER_PASS {
+            self.frames_pending = true;
+            return Ok(None);
+        }
+        let msg = self.decoder.next_msg()?;
+        self.handled += msg.is_some() as usize;
+        Ok(msg)
+    }
+
+    /// A per-pass bound left input behind: another pass is owed.
+    fn has_deferred_input(&self) -> bool {
+        self.read_pending || self.frames_pending
+    }
+
+    /// The peer hung up, its backlog is handled and nothing is left to
+    /// flush toward it.
+    fn finished(&self) -> bool {
+        self.eof && !self.frames_pending && self.out.is_empty()
+    }
+
+    /// Queues one frame.  A queue past the budget even after a flush means
+    /// the peer stopped reading: the connection is marked dead.
+    fn queue(&mut self, msg: &WireMsg) {
+        if self.dead {
+            return;
+        }
+        self.out.extend(encode_frame(msg));
+        if self.out.len() > OUTBOUND_BUDGET_BYTES {
+            self.flush_out();
+            if self.out.len() > OUTBOUND_BUDGET_BYTES {
+                self.guard.slow_reader = true;
+                self.dead = true;
             }
-            let msg = match self.decoder.next_msg() {
+        }
+    }
+
+    /// Writes buffered output until the socket would block.
+    fn flush_out(&mut self) {
+        while !self.out.is_empty() && !self.dead {
+            let (front, _) = self.out.as_slices();
+            match self.stream.write(front) {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    self.out.drain(..n);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => self.dead = true,
+            }
+        }
+        self.guard.conns.note_outbuf(self.out.len() as u64);
+    }
+}
+
+/// A client data connection after its HELLO: the socket as one dispatch
+/// thread owns and serves it.  `rpc.latency.{read,upsert}` are recorded
+/// here, per batch, from frame decoded to reply handed to the socket.
+pub(crate) struct ServedKvLink {
+    io: Framed,
+    lat: ServingLatency,
+    /// `(seq, decoded at, reads, upserts)` for batches not answered yet.
+    inflight: VecDeque<(u64, Instant, usize, usize)>,
+}
+
+impl ServedKvLink {
+    /// Tells the peer why the connection is ending (best effort) and
+    /// returns the error that ends it.
+    fn reject(&mut self, error: TransportError) -> TransportError {
+        self.io.queue(&WireMsg::CtrlErr {
+            status: error.status_code(),
+            message: error.to_string(),
+        });
+        self.io.flush_out();
+        error
+    }
+
+    fn failure(&self) -> TransportError {
+        if self.io.guard.slow_reader {
+            TransportError::Io("outbound budget exhausted: peer is not reading".into())
+        } else {
+            TransportError::PeerClosed
+        }
+    }
+}
+
+impl ServerKvLink for ServedKvLink {
+    fn raw_fd(&self) -> Option<RawFd> {
+        Some(self.io.stream.as_raw_fd())
+    }
+
+    fn begin_pass(&mut self) {
+        self.io.begin_pass();
+    }
+
+    fn try_recv_batch(&mut self) -> Result<Option<RequestBatch>, TransportError> {
+        let batch = match self.io.next_frame() {
+            Ok(Some(WireMsg::Batch(batch))) => batch,
+            Ok(Some(other)) => {
+                return Err(self.reject(TransportError::Malformed(format!(
+                    "unexpected frame on a data connection: {other:?}"
+                ))))
+            }
+            Ok(None) if self.io.finished() || self.io.dead => return Err(self.failure()),
+            Ok(None) => return Ok(None),
+            Err(e) => return Err(self.reject(codec_err(e))),
+        };
+        let reads = batch
+            .ops
+            .iter()
+            .filter(|op| matches!(op, KvRequest::Read { .. }))
+            .count();
+        if self.inflight.len() >= MAX_INFLIGHT_TIMINGS {
+            // The shed entry's eventual reply will go unmeasured; count it
+            // so the histograms' under-sampling is visible.
+            self.inflight.pop_front();
+            self.lat.timings_dropped.inc();
+        }
+        self.inflight
+            .push_back((batch.seq, Instant::now(), reads, batch.ops.len() - reads));
+        Ok(Some(batch))
+    }
+
+    fn send_reply(&mut self, reply: BatchReply) -> Result<(), TransportError> {
+        // Once per op type the batch carried.
+        if let Some(pos) = self.inflight.iter().position(|e| e.0 == reply.seq()) {
+            let (_, start, reads, upserts) = self.inflight.remove(pos).unwrap();
+            let elapsed = start.elapsed();
+            if reads > 0 {
+                self.lat.read.record(elapsed);
+            }
+            if upserts > 0 {
+                self.lat.upsert.record(elapsed);
+            }
+        }
+        self.io.queue(&WireMsg::Reply(reply));
+        if self.io.dead {
+            Err(self.failure())
+        } else {
+            Ok(())
+        }
+    }
+
+    fn flush(&mut self) -> Result<bool, TransportError> {
+        self.io.flush_out();
+        if self.io.dead {
+            Err(self.failure())
+        } else {
+            Ok(!self.io.out.is_empty())
+        }
+    }
+
+    fn has_deferred_input(&self) -> bool {
+        self.io.has_deferred_input()
+    }
+}
+
+/// Where a connection goes once its first frame has said what it is.
+enum Handoff {
+    /// HELLO: a client data connection, to the named dispatch thread.
+    Kv(DispatchHandle),
+    /// MIG_HELLO: a peer's migration connection, to `(server, thread)`.
+    Migration(DispatchHandle, String),
+}
+
+/// One connection on a control I/O thread.
+struct ServedConn {
+    io: Framed,
+    /// Whether the reactor registration currently includes write
+    /// interest (kept in sync with `io.out` by the event loop).
+    wants_write: bool,
+    /// On the event loop's active-service list.
+    in_active: bool,
+    lat: ServingLatency,
+}
+
+impl ServedConn {
+    fn send(&mut self, msg: &WireMsg) {
+        // Queue and opportunistically flush; the event loop finishes the
+        // job on write-readiness.  A client that stops reading exhausts
+        // its bounded budget and is dropped — without ever stalling this
+        // I/O thread.
+        self.io.queue(msg);
+        self.io.flush_out();
+    }
+
+    fn fail(&mut self, status: StatusCode, message: String) {
+        self.send(&WireMsg::CtrlErr { status, message });
+        self.io.dead = true;
+    }
+
+    /// Decodes and handles buffered frames, at most `FRAMES_PER_PASS` per
+    /// call so a backlogged connection shares the thread fairly.  Returns
+    /// whether any frame was handled, and — when a HELLO or MIG_HELLO
+    /// arrived — where the connection must go; frames behind that one stay
+    /// in the decoder for the adopting thread.
+    fn process_frames(&mut self, control: &Arc<dyn ClusterControl>) -> (bool, Option<Handoff>) {
+        let mut progressed = false;
+        while !self.io.dead {
+            let msg = match self.io.next_frame() {
                 Ok(Some(msg)) => msg,
                 Ok(None) => break,
                 Err(e) => {
@@ -994,58 +1002,20 @@ impl ServedConn {
                 }
             };
             progressed = true;
-            handled += 1;
             match msg {
-                WireMsg::Hello { fabric_addr } => match control.connect_fabric(&fabric_addr) {
-                    Ok(link) => self.link = Some(link),
+                WireMsg::Hello { fabric_addr } => match control.dispatch_thread(&fabric_addr) {
+                    Ok(thread) => return (true, Some(Handoff::Kv(thread))),
                     Err(e) => self.fail(e.status_code(), e.to_string()),
                 },
-                WireMsg::Batch(batch) => match &self.link {
-                    Some(link) => {
-                        let mut reads = 0usize;
-                        let mut upserts = 0usize;
-                        for op in &batch.ops {
-                            match op {
-                                KvRequest::Read { .. } => reads += 1,
-                                _ => upserts += 1,
-                            }
-                        }
-                        if self.inflight.len() >= MAX_INFLIGHT_TIMINGS {
-                            // The shed entry's eventual reply will go
-                            // unmeasured; count it so the histograms'
-                            // under-sampling is visible.
-                            self.inflight.pop_front();
-                            self.lat.timings_dropped.inc();
-                        }
-                        self.inflight
-                            .push_back((batch.seq, Instant::now(), reads, upserts));
-                        match link.send_batch(batch) {
-                            Ok(()) => self.outstanding += 1,
-                            Err(e) => self.fail(e.status_code(), e.to_string()),
-                        }
-                    }
-                    None => self.fail(
-                        StatusCode::Malformed,
-                        "BATCH frame before HELLO bound this connection".to_string(),
-                    ),
-                },
                 WireMsg::MigHello { server, thread } => {
-                    match control.connect_migration_local(server, thread) {
-                        Ok(link) => self.mig = Some(link),
+                    match control.migration_thread(server, thread) {
+                        Ok(handle) => {
+                            let label = format!("sv{server}/m{thread} (accepted)");
+                            return (true, Some(Handoff::Migration(handle, label)));
+                        }
                         Err(e) => self.fail(e.status_code(), e.to_string()),
                     }
                 }
-                WireMsg::Migration(msg) => match &self.mig {
-                    Some(link) => {
-                        if let Err(e) = link.send_msg(msg) {
-                            self.fail(e.error.status_code(), e.error.to_string());
-                        }
-                    }
-                    None => self.fail(
-                        StatusCode::Malformed,
-                        "MIGRATION frame before MIG_HELLO bound this connection".to_string(),
-                    ),
-                },
                 WireMsg::MigrationStatus { migration_id } => {
                     let start = Instant::now();
                     let result = control.migration_status(migration_id);
@@ -1181,162 +1151,52 @@ impl ServedConn {
                 ),
             }
         }
-        progressed
+        (progressed, None)
     }
 
-    /// Attributes the serving-path latency of the batch answered by `seq`
-    /// to the per-op-type histograms: the elapsed wall time from frame
-    /// decode to reply pickup, recorded once per op type the batch carried.
-    fn record_batch_latency(&mut self, seq: u64) {
-        if let Some(pos) = self.inflight.iter().position(|e| e.0 == seq) {
-            let (_, start, reads, upserts) = self.inflight.remove(pos).unwrap();
-            let elapsed = start.elapsed();
-            if reads > 0 {
-                self.lat.read.record(elapsed);
-            }
-            if upserts > 0 {
-                self.lat.upsert.record(elapsed);
-            }
-        }
-    }
-
-    /// Forwards replies (and migration messages) from the dispatch thread
-    /// back onto the socket.  Returns `true` if anything moved.
-    fn pump_replies(&mut self) -> bool {
-        let mut out: Vec<WireMsg> = Vec::new();
-        let mut answered: Vec<u64> = Vec::new();
-        if let Some(link) = &self.link {
-            loop {
-                match link.try_recv_reply() {
-                    Ok(Some(reply)) => {
-                        answered.push(reply.seq());
-                        out.push(WireMsg::Reply(reply));
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // The dispatch thread went away (server shutdown).
-                        self.dead = true;
-                        break;
-                    }
+    /// Gives the connection to the dispatch thread its first frame named.
+    fn hand_off(self, to: Handoff) {
+        match to {
+            Handoff::Kv(thread) => thread.adopt_kv(Box::new(ServedKvLink {
+                io: self.io,
+                lat: self.lat,
+                inflight: VecDeque::new(),
+            })),
+            Handoff::Migration(thread, label) => {
+                let Framed {
+                    stream,
+                    decoder,
+                    guard,
+                    ..
+                } = self.io;
+                // A failed fd duplication drops the connection; the peer
+                // sees the close and re-dials.
+                if let Ok(link) = TcpMigrationLink::from_accepted(stream, decoder, label, guard) {
+                    thread.adopt_migration(Box::new(link));
                 }
             }
-        }
-        for seq in answered {
-            self.outstanding = self.outstanding.saturating_sub(1);
-            self.record_batch_latency(seq);
-        }
-        if let Some(mig) = &self.mig {
-            loop {
-                match mig.try_recv_msg() {
-                    Ok(Some(msg)) => out.push(WireMsg::Migration(msg)),
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        let progressed = !out.is_empty();
-        for msg in out {
-            self.send(&msg);
-            if self.dead {
-                break;
-            }
-        }
-        progressed
-    }
-}
-
-/// The polling I/O loop (baseline): busy-scan every connection, sleeping
-/// 200µs when nothing moved.  CPU burn is linear in the number of idle
-/// connections — the property the reactor driver deletes.
-fn io_thread_polling(
-    rx: Receiver<TcpStream>,
-    control: Arc<dyn ClusterControl>,
-    shutdown: Arc<AtomicBool>,
-    max_frame: usize,
-    latency: ServingLatency,
-    conn_metrics: ConnMetrics,
-) {
-    let mut conns: Vec<ServedConn> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        let mut did_work = false;
-
-        while let Ok(stream) = rx.try_recv() {
-            did_work = true;
-            conn_metrics.open.add(1);
-            conns.push(ServedConn::new(
-                stream,
-                max_frame,
-                false,
-                latency.clone(),
-                conn_metrics.clone(),
-            ));
-        }
-
-        for conn in conns.iter_mut() {
-            conn.drain_socket();
-            did_work |= conn.process_frames(&control);
-            did_work |= conn.pump_replies();
-            if conn.eof && !conn.frames_pending {
-                // The client hung up and the per-pass frame bound has
-                // caught up with its backlog: a partial frame can never
-                // complete, and any replies still in flight on the
-                // fabric have nowhere to go.
-                conn.dead = true;
-            }
-        }
-        conns.retain(|c| {
-            if c.dead {
-                conn_metrics.open.sub(1);
-                if c.slow_reader {
-                    conn_metrics.dropped_slow_reader.inc();
-                } else {
-                    conn_metrics.dropped_dead.inc();
-                }
-            }
-            !c.dead
-        });
-
-        if !did_work {
-            std::thread::sleep(Duration::from_micros(200));
         }
     }
 }
 
-/// How many zero-timeout polls an I/O thread spins through while replies
-/// are outstanding before backing off to 1ms waits.  Dispatch threads
-/// answer in microseconds, so the spin usually catches the reply; the
-/// backoff bounds the burn when one is genuinely slow (a disk-resident
-/// read, a migration pause).
-const ACTIVE_SPIN_BUDGET: u32 = 256;
-
-/// One slot of the reactor loop's connection slab.  The generation is
-/// folded into the epoll token so a readiness event for a closed
-/// connection can never touch the slot's next tenant.
+/// One slot of the I/O loop's connection slab.  The generation is folded
+/// into the epoll token so a readiness event for a closed connection can
+/// never touch the slot's next tenant.
 struct ConnSlot {
     gen: u32,
     conn: Option<ServedConn>,
 }
 
-fn slot_token(idx: usize, gen: u32) -> Token {
-    Token(((gen as u64) << 32) | idx as u64)
-}
-
-fn token_slot(token: Token) -> (usize, u32) {
-    ((token.0 & 0xffff_ffff) as usize, (token.0 >> 32) as u32)
-}
-
-/// The reactor I/O loop: readiness-driven serving.
+/// The control I/O loop: readiness-driven serving of request/response
+/// control frames, and the first-frame triage that hands data and
+/// migration connections to dispatch threads.
 ///
 /// Connections register edge-triggered read interest; the loop services
-/// only connections with something to do (a readiness event, replies owed
-/// by a dispatch thread, buffered output).  With every connection quiet
-/// the thread blocks in `epoll_wait`, so idle connections cost no CPU.
-/// New connections arrive over `rx`, announced by a reactor wake from the
+/// only connections with something to do (a readiness event, input a
+/// per-pass bound deferred) and otherwise blocks in `epoll_wait`.  New
+/// connections arrive over `rx`, announced by a reactor wake from the
 /// acceptor; shutdown is announced the same way.
-fn io_thread_reactor(
+fn io_thread(
     reactor: Arc<Reactor>,
     rx: Receiver<TcpStream>,
     control: Arc<dyn ClusterControl>,
@@ -1345,78 +1205,52 @@ fn io_thread_reactor(
     latency: ServingLatency,
     conn_metrics: ConnMetrics,
 ) {
-    use std::os::unix::io::AsRawFd;
-
     let mut slots: Vec<ConnSlot> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    // Indices of connections needing service this iteration (readiness
-    // event, outstanding replies, buffered output).  Keeping this list
-    // explicit is what makes the loop O(active), not O(connections).
+    // Indices of connections needing service this iteration.  Keeping
+    // this list explicit is what makes the loop O(active), not
+    // O(connections).
     let mut active: Vec<usize> = Vec::new();
     let mut events = Vec::new();
-    let mut did_work = true;
-    let mut idle_spins = 0u32;
 
     while !shutdown.load(Ordering::SeqCst) {
-        let timeout = if did_work {
-            idle_spins = 0;
-            Some(Duration::ZERO)
-        } else if !active.is_empty() {
-            // Replies are owed but nothing moved: spin briefly (dispatch
-            // threads answer in µs), then back off to 1ms waits.
-            idle_spins += 1;
-            if idle_spins < ACTIVE_SPIN_BUDGET {
-                Some(Duration::ZERO)
-            } else {
-                Some(Duration::from_millis(1))
-            }
-        } else {
-            // Every connection is quiet: block until an epoll event or an
-            // acceptor/shutdown wake.  This is the idle-connection win.
-            idle_spins = 0;
-            None
-        };
+        // Deferred input is the only work that arrives without an event.
+        let timeout = (!active.is_empty()).then_some(Duration::ZERO);
         let _ = reactor.poll(&mut events, timeout);
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        did_work = false;
 
         // Adopt connections handed over by the acceptor.
         while let Ok(stream) = rx.try_recv() {
-            did_work = true;
             let idx = free.pop().unwrap_or_else(|| {
                 slots.push(ConnSlot { gen: 0, conn: None });
                 slots.len() - 1
             });
-            let token = slot_token(idx, slots[idx].gen);
-            let conn = ServedConn::new(
-                stream,
-                max_frame,
-                true,
-                latency.clone(),
-                conn_metrics.clone(),
-            );
-            match reactor.register(conn.stream.as_raw_fd(), token, Interest::READABLE) {
-                Ok(()) => {
-                    conn_metrics.open.add(1);
-                    let mut conn = conn;
-                    conn.in_active = true;
-                    slots[idx].conn = Some(conn);
-                    active.push(idx);
-                }
-                Err(_) => {
-                    // Registration fails only under fd exhaustion; drop
-                    // the connection rather than the thread.
-                    conn_metrics.dropped_dead.inc();
-                    free.push(idx);
-                }
+            let token = Token::for_slot(idx as u32, slots[idx].gen);
+            if reactor
+                .register(stream.as_raw_fd(), token, Interest::READABLE)
+                .is_err()
+            {
+                // Registration fails only under fd exhaustion; drop the
+                // connection rather than the thread.
+                conn_metrics.dropped_dead.inc();
+                free.push(idx);
+                continue;
             }
+            slots[idx].conn = Some(ServedConn {
+                io: Framed::new(stream, max_frame, conn_metrics.clone()),
+                wants_write: false,
+                in_active: true,
+                lat: latency.clone(),
+            });
+            active.push(idx);
         }
 
         // Apply readiness transitions.
         for ev in &events {
-            let (idx, gen) = token_slot(ev.token);
+            let (idx, gen) = ev.token.slot();
+            let idx = idx as usize;
             let Some(slot) = slots.get_mut(idx) else {
                 continue;
             };
@@ -1426,14 +1260,8 @@ fn io_thread_reactor(
             let Some(conn) = slot.conn.as_mut() else {
                 continue;
             };
-            if ev.readable {
-                conn.drain_socket();
-            }
-            if ev.writable {
-                conn.flush_out();
-            }
             if ev.error {
-                conn.eof = true;
+                conn.io.eof = true;
             }
             if !conn.in_active {
                 conn.in_active = true;
@@ -1450,36 +1278,23 @@ fn io_thread_reactor(
                 active.swap_remove(i);
                 continue;
             };
-            if conn.read_pending {
-                // A per-pass bound stopped the last drain before the
-                // socket ran dry; edge-triggered epoll will not fire
-                // again for those bytes, so retry here.
-                conn.drain_socket();
-            }
-            let progressed = conn.process_frames(&control) | conn.pump_replies();
-            did_work |= progressed;
-            conn.flush_out();
-            if conn.eof && !conn.frames_pending && conn.out.is_empty() {
-                // The client hung up and nothing is left to flush toward
-                // it: replies still in flight have nowhere to go.
-                conn.dead = true;
-            }
-            if conn.dead {
-                let _ = reactor.deregister(conn.stream.as_raw_fd());
-                conn_metrics.open.sub(1);
-                if conn.slow_reader {
-                    conn_metrics.dropped_slow_reader.inc();
-                } else {
-                    conn_metrics.dropped_dead.inc();
-                }
-                slots[idx].conn = None;
-                slots[idx].gen = slots[idx].gen.wrapping_add(1);
+            conn.io.begin_pass();
+            let (_, handoff) = conn.process_frames(&control);
+            conn.io.flush_out();
+            let gone = handoff.is_some() || conn.io.dead || conn.io.finished();
+            if gone {
+                let conn = slots[idx].conn.take().expect("checked Some above");
+                let _ = reactor.deregister(conn.io.stream.as_raw_fd());
+                slots[idx].gen = gen.wrapping_add(1);
                 free.push(idx);
                 active.swap_remove(i);
+                if let Some(to) = handoff {
+                    conn.hand_off(to);
+                }
                 continue;
             }
             // Keep the epoll write interest in sync with buffered output.
-            let want = !conn.out.is_empty();
+            let want = !conn.io.out.is_empty();
             if want != conn.wants_write {
                 conn.wants_write = want;
                 let interest = if want {
@@ -1487,16 +1302,18 @@ fn io_thread_reactor(
                 } else {
                     Interest::READABLE
                 };
-                let token = slot_token(idx, gen);
-                let fd = conn.stream.as_raw_fd();
-                if reactor.reregister(fd, token, interest).is_err() {
-                    conn.dead = true;
+                let fd = conn.io.stream.as_raw_fd();
+                if reactor
+                    .reregister(fd, Token::for_slot(idx as u32, gen), interest)
+                    .is_err()
+                {
+                    conn.io.dead = true;
                     // Handled on the next service pass (stays active).
                     i += 1;
                     continue;
                 }
             }
-            if conn.expects_async_traffic() {
+            if conn.io.has_deferred_input() {
                 i += 1;
             } else {
                 conn.in_active = false;

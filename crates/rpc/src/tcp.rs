@@ -41,7 +41,7 @@ fn io_err(e: std::io::Error) -> TransportError {
     TransportError::Io(e.to_string())
 }
 
-fn codec_err(e: CodecError) -> TransportError {
+pub(crate) fn codec_err(e: CodecError) -> TransportError {
     match e {
         CodecError::Oversized { len, max } => TransportError::Oversized { len, max },
         other => TransportError::Malformed(other.to_string()),
@@ -185,6 +185,7 @@ impl TcpTransport {
             }),
             open: AtomicBool::new(true),
             label: format!("{sock_addr}/sv{server}/m{thread}"),
+            _guard: None,
         })
     }
 }
@@ -317,6 +318,8 @@ pub struct TcpMigrationLink {
     reader: Mutex<ReadState>,
     open: AtomicBool,
     label: String,
+    /// Accepted links keep the front end's `rpc.conns.*` accounting alive.
+    _guard: Option<crate::server::ConnGuard>,
 }
 
 impl std::fmt::Debug for TcpMigrationLink {
@@ -329,6 +332,29 @@ impl std::fmt::Debug for TcpMigrationLink {
 }
 
 impl TcpMigrationLink {
+    /// The accepting end: wraps a connection whose MIG_HELLO the front end
+    /// already consumed (`decoder` holds whatever arrived behind it), for
+    /// the dispatch thread that adopts it.
+    pub(crate) fn from_accepted(
+        stream: TcpStream,
+        decoder: FrameDecoder,
+        label: String,
+        guard: crate::server::ConnGuard,
+    ) -> std::io::Result<Self> {
+        let reader = stream.try_clone()?;
+        Ok(TcpMigrationLink {
+            writer: Mutex::new(stream),
+            reader: Mutex::new(ReadState {
+                stream: reader,
+                decoder,
+                eof: false,
+            }),
+            open: AtomicBool::new(true),
+            label,
+            _guard: Some(guard),
+        })
+    }
+
     fn fail(&self, e: TransportError) -> TransportError {
         self.open.store(false, Ordering::Relaxed);
         e
@@ -408,7 +434,8 @@ impl MigrationLink<MigrationMsg> for TcpMigrationLink {
             }
             None => {}
         }
-        if state.eof && state.decoder.buffered() == 0 {
+        // After EOF a partial frame can never complete.
+        if state.eof {
             return Err(self.fail(TransportError::PeerClosed));
         }
         Ok(None)
@@ -420,6 +447,11 @@ impl MigrationLink<MigrationMsg> for TcpMigrationLink {
 
     fn peer_label(&self) -> String {
         format!("tcp:{}", self.label)
+    }
+
+    fn raw_fd(&self) -> Option<std::os::unix::io::RawFd> {
+        use std::os::unix::io::AsRawFd;
+        Some(self.writer.lock().as_raw_fd())
     }
 }
 

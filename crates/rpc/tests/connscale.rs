@@ -1,21 +1,18 @@
-//! Connection-scaling bench: the proof behind the readiness-driven
-//! serving path.
+//! Connection-scaling bench: the proof behind the parked serving path.
 //!
 //! Two phases, one checked-in `BENCH_connscale.json`:
 //!
 //! 1. **Idle scaling** — `CONNSCALE_IDLE` (default 10 000) connections are
-//!    opened against a reactor-driver server and left parked.  The
-//!    server's serving threads (`shadowfax-rpc-*`, read out of
-//!    `/proc/<pid>/task/*/stat`) must burn ~0% CPU over a quiet window:
-//!    every connection sits in the epoll interest list, nobody scans
-//!    anything.  The polling driver's burn is measured over a smaller
-//!    idle set for contrast — it wakes every 200µs and scans every
-//!    connection, so its cost is linear in connections.
-//! 2. **Active A/B** — 64 concurrent client threads run the same
-//!    pipelined workload against a polling-driver and a reactor-driver
-//!    server; the reactor's aggregate ops/s must be no worse.
+//!    opened, each bound by its HELLO to a dispatch thread, and left
+//!    quiet.  The *whole server process* — every thread, summed from
+//!    `/proc/<pid>/stat` — must use under 2% of one core over a quiet
+//!    window: the sockets sit in their dispatch threads' epoll interest
+//!    lists, the dispatch threads are parked in `epoll_wait`, nobody scans
+//!    or spins.
+//! 2. **Active load** — 64 concurrent client threads run a pipelined
+//!    workload; the aggregate ops/s is reported.
 //!
-//! Prints `CONNSCALE ...` lines the CI job publishes in its summary.
+//! Prints a `CONNSCALE ...` line the CI job publishes in its summary.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -24,6 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shadowfax_net::{KvRequest, SessionConfig};
+use shadowfax_rpc::codec::{encode_frame, WireMsg};
 use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig};
 
 mod util;
@@ -36,8 +34,12 @@ const IDLE_ENV: &str = "CONNSCALE_IDLE";
 /// Active-phase client threads (one connection-set each).
 const ACTIVE_CLIENTS: usize = 64;
 
-/// Operations each active client issues per driver.
+/// Operations each active client issues.
 const OPS_PER_CLIENT: u64 = 6_000;
+
+/// Dispatch threads of the server under test; parked connections are
+/// bound to them round-robin.
+const DISPATCH_THREADS: usize = 2;
 
 fn idle_target() -> usize {
     std::env::var(IDLE_ENV)
@@ -46,52 +48,44 @@ fn idle_target() -> usize {
         .unwrap_or(10_000)
 }
 
-/// Sums utime+stime clock ticks of the server's serving-path threads
-/// (I/O loops and the acceptor; thread names start with `shadowfax-rpc`,
-/// truncated to 15 bytes by the kernel).
-fn serving_thread_ticks(pid: u32) -> u64 {
-    let mut total = 0u64;
-    let task_dir = format!("/proc/{pid}/task");
-    let Ok(entries) = std::fs::read_dir(&task_dir) else {
-        panic!("cannot read {task_dir}");
-    };
-    for entry in entries.flatten() {
-        let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else {
-            continue; // thread exited mid-walk
-        };
-        let (Some(open), Some(close)) = (stat.find('('), stat.rfind(')')) else {
-            continue;
-        };
-        if !stat[open + 1..close].starts_with("shadowfax-rpc") {
-            continue;
-        }
-        let fields: Vec<&str> = stat[close + 2..].split(' ').collect();
-        // After the comm field: state ppid pgrp session tty tpgid flags
-        // minflt cminflt majflt cmajflt utime stime ...
-        let utime: u64 = fields.get(11).and_then(|v| v.parse().ok()).unwrap_or(0);
-        let stime: u64 = fields.get(12).and_then(|v| v.parse().ok()).unwrap_or(0);
-        total += utime + stime;
-    }
-    total
+/// utime+stime clock ticks of the whole server process: every thread it
+/// has, the dispatch threads included.
+fn process_ticks(pid: u32) -> u64 {
+    let path = format!("/proc/{pid}/stat");
+    let stat = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    // The command field may contain spaces; fields are counted after its
+    // closing parenthesis: state ppid pgrp session tty tpgid flags minflt
+    // cminflt majflt cmajflt utime stime ...
+    let close = stat.rfind(')').expect("stat line has a command field");
+    let fields: Vec<&str> = stat[close + 2..].split(' ').collect();
+    let ticks = |i: usize| -> u64 { fields.get(i).and_then(|v| v.parse().ok()).unwrap_or(0) };
+    ticks(11) + ticks(12)
 }
 
-/// CPU% of the serving threads over a quiet window of `window` (USER_HZ
-/// is 100 on Linux; 1 tick = 10ms).
+/// CPU% (of one core) the server process used over a quiet window of
+/// `window` (USER_HZ is 100 on Linux; 1 tick = 10ms).
 fn measure_idle_cpu_pct(pid: u32, window: Duration) -> f64 {
-    let before = serving_thread_ticks(pid);
+    let before = process_ticks(pid);
     std::thread::sleep(window);
-    let after = serving_thread_ticks(pid);
+    let after = process_ticks(pid);
     ((after - before) as f64 * 0.01) / window.as_secs_f64() * 100.0
 }
 
-/// Opens `n` connections and parks them (the streams are the return
-/// value; dropping them closes the set).
+/// Opens `n` connections, binds each to a dispatch thread with a HELLO,
+/// and parks them (the streams are the return value; dropping them closes
+/// the set).
 fn park_connections(addr: &str, n: usize) -> Vec<TcpStream> {
     let mut conns = Vec::with_capacity(n);
     let deadline = Instant::now() + Duration::from_secs(120);
     while conns.len() < n {
         match TcpStream::connect(addr) {
-            Ok(stream) => conns.push(stream),
+            Ok(mut stream) => {
+                let hello = WireMsg::Hello {
+                    fabric_addr: format!("sv0/t{}", conns.len() % DISPATCH_THREADS),
+                };
+                stream.write_all(&encode_frame(&hello)).expect("send HELLO");
+                conns.push(stream);
+            }
             Err(e) => {
                 // Backlog pressure during the connect storm; give the
                 // acceptor a beat and retry.
@@ -107,13 +101,12 @@ fn park_connections(addr: &str, n: usize) -> Vec<TcpStream> {
     conns
 }
 
-fn spawn_server(name: &str, driver: &str) -> ServerProcess {
+fn spawn_server(name: &str) -> ServerProcess {
     ServerSpawn {
         log_name: format!("connscale_{name}"),
         servers: 1,
-        threads: 2,
+        threads: DISPATCH_THREADS,
         io_threads: Some(2),
-        io_driver: Some(driver.to_string()),
         ..ServerSpawn::default()
     }
     .spawn()
@@ -178,12 +171,13 @@ fn idle_connections_are_free_and_active_throughput_holds() {
     let _ = shadowfax_net::raise_nofile_limit();
     let idle = idle_target();
 
-    // ---- Phase 1: idle scaling on the reactor driver ----
-    let reactor_idle = spawn_server("idle_reactor", "reactor");
-    let parked = park_connections(&reactor_idle.addr, idle);
+    // ---- Phase 1: idle scaling ----
+    let idle_srv = spawn_server("idle");
+    let parked = park_connections(&idle_srv.addr, idle);
     let mut ctrl =
-        CtrlClient::connect(&reactor_idle.addr, Duration::from_secs(10)).expect("ctrl connect");
-    // Every parked connection is registered before the quiet window.
+        CtrlClient::connect(&idle_srv.addr, Duration::from_secs(10)).expect("ctrl connect");
+    // Every parked connection is accepted before the quiet window (the
+    // hand-off to its dispatch thread follows within the same pass).
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let snap = ctrl.metrics_ns("rpc.conns").expect("conn metrics");
@@ -200,69 +194,43 @@ fn idle_connections_are_free_and_active_throughput_holds() {
     // No traffic at all during the measurement window (the ctrl
     // connection stays parked like the rest).
     std::thread::sleep(Duration::from_millis(300));
-    let reactor_cpu = measure_idle_cpu_pct(reactor_idle.pid(), Duration::from_secs(2));
+    let idle_cpu = measure_idle_cpu_pct(idle_srv.pid(), Duration::from_secs(2));
 
-    let snap_reactor_idle = ctrl.metrics().expect("reactor idle snapshot");
+    let snap_idle = ctrl.metrics().expect("idle snapshot");
     assert!(
-        snap_reactor_idle.gauge("rpc.conns.open").unwrap_or(0) >= idle as u64,
+        snap_idle.gauge("rpc.conns.open").unwrap_or(0) >= idle as u64,
         "parked connections disappeared during the window"
     );
+    let parks = snap_idle.counter("sv0.dispatch.parks").unwrap_or(0);
     drop(ctrl);
     drop(parked);
-    drop(reactor_idle);
+    drop(idle_srv);
 
-    // The headline claim: idle connections cost (nearly) nothing.  5% is
-    // the flake ceiling; the typical reading is 0.0.
+    // The headline claim: idle connections, and the idle dispatch threads
+    // that own them, cost (nearly) nothing.  The typical reading is 0.0.
     assert!(
-        reactor_cpu < 5.0,
-        "reactor serving threads burned {reactor_cpu:.2}% CPU with {idle} idle connections"
+        idle_cpu < 2.0,
+        "the server process burned {idle_cpu:.2}% of a core with {idle} idle connections"
     );
+    assert!(parks > 0, "no dispatch thread ever parked");
 
-    // Contrast: the polling driver's burn over a smaller idle set (it
-    // scans every connection every 200µs, so the full set would only make
-    // it worse; capped to keep the bench fast).
-    let polling_idle_conns = idle.min(1_000);
-    let polling_idle = spawn_server("idle_polling", "polling");
-    let parked = park_connections(&polling_idle.addr, polling_idle_conns);
-    std::thread::sleep(Duration::from_millis(300));
-    let polling_cpu = measure_idle_cpu_pct(polling_idle.pid(), Duration::from_secs(2));
-    drop(parked);
-    drop(polling_idle);
-
-    // ---- Phase 2: active A/B at 64 connections ----
-    let polling_srv = spawn_server("ab_polling", "polling");
-    let polling_ops = active_load_ops_per_sec(&polling_srv.addr);
-    drop(polling_srv);
-
-    let reactor_srv = spawn_server("ab_reactor", "reactor");
-    let mut reactor_ops = active_load_ops_per_sec(&reactor_srv.addr);
-    if reactor_ops < polling_ops {
-        // One retry absorbs a noisy-neighbour run before we compare.
-        reactor_ops = reactor_ops.max(active_load_ops_per_sec(&reactor_srv.addr));
-    }
+    // ---- Phase 2: active load at 64 connections ----
+    let active_srv = spawn_server("active");
+    let active_ops = active_load_ops_per_sec(&active_srv.addr);
     let mut ctrl =
-        CtrlClient::connect(&reactor_srv.addr, Duration::from_secs(10)).expect("ctrl connect");
-    let snap_reactor_ab = ctrl.metrics().expect("reactor A/B snapshot");
+        CtrlClient::connect(&active_srv.addr, Duration::from_secs(10)).expect("ctrl connect");
+    let snap_active = ctrl.metrics().expect("active snapshot");
     assert!(
-        snap_reactor_ab.counter("rpc.conns.accepted").unwrap_or(0) >= ACTIVE_CLIENTS as u64,
-        "A/B run accepted fewer connections than clients"
+        snap_active.counter("rpc.conns.accepted").unwrap_or(0) >= ACTIVE_CLIENTS as u64,
+        "the active run accepted fewer connections than clients"
     );
     drop(ctrl);
-    drop(reactor_srv);
-
-    // "No worse than the threaded path", with a 10% noise allowance on a
-    // shared CI box; the typical result is at parity or better.
-    assert!(
-        reactor_ops >= polling_ops * 0.9,
-        "reactor throughput regressed: {reactor_ops:.0} ops/s vs polling {polling_ops:.0} ops/s"
-    );
+    drop(active_srv);
 
     // ---- Report ----
     println!(
-        "CONNSCALE idle_conns={idle} reactor_idle_cpu_pct={reactor_cpu:.2} \
-         polling_idle_conns={polling_idle_conns} polling_idle_cpu_pct={polling_cpu:.2} \
-         active_clients={ACTIVE_CLIENTS} polling_ops_per_sec={polling_ops:.0} \
-         reactor_ops_per_sec={reactor_ops:.0}"
+        "CONNSCALE idle_conns={idle} idle_cpu_pct={idle_cpu:.2} \
+         active_clients={ACTIVE_CLIENTS} active_ops_per_sec={active_ops:.0}"
     );
     let _ = std::io::stdout().flush();
 
@@ -271,26 +239,17 @@ fn idle_connections_are_free_and_active_throughput_holds() {
     let summary = shadowfax_obs::MetricsRegistry::new();
     summary.gauge("connscale.idle.conns").set(idle as u64);
     summary
-        .gauge("connscale.idle.reactor_cpu_pct_x100")
-        .set((reactor_cpu * 100.0) as u64);
-    summary
-        .gauge("connscale.idle.polling_conns")
-        .set(polling_idle_conns as u64);
-    summary
-        .gauge("connscale.idle.polling_cpu_pct_x100")
-        .set((polling_cpu * 100.0) as u64);
+        .gauge("connscale.idle.process_cpu_pct_x100")
+        .set((idle_cpu * 100.0) as u64);
     summary
         .gauge("connscale.active.clients")
         .set(ACTIVE_CLIENTS as u64);
     summary
-        .gauge("connscale.active.polling_ops_per_sec")
-        .set(polling_ops as u64);
-    summary
-        .gauge("connscale.active.reactor_ops_per_sec")
-        .set(reactor_ops as u64);
+        .gauge("connscale.active.ops_per_sec")
+        .set(active_ops as u64);
     write_bench_json(
         "BENCH_connscale.json",
         "connscale",
-        &[summary.snapshot(), snap_reactor_idle, snap_reactor_ab],
+        &[summary.snapshot(), snap_idle, snap_active],
     );
 }

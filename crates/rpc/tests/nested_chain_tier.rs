@@ -148,10 +148,9 @@ fn migrate(addr: &str, from: u32, to: u32, fraction: f64) {
 
 #[test]
 fn double_nested_chains_resolve_via_the_tier_and_via_fallback() {
-    // Pinned to the reactor driver: alongside partitioned_layout this is
-    // the CI proof that spill, tier mirroring, and chain fetches hold on
-    // the readiness-driven front end (the tier daemon itself always runs
-    // its reactor event loop).
+    // Alongside partitioned_layout this is the CI proof that spill, tier
+    // mirroring, and chain fetches hold on the run-to-completion serving
+    // path (the tier daemon runs its own reactor event loop).
     let mut cluster = ClusterSpec {
         name: "nested_chain_tier",
         layout: "scale-out",
@@ -159,7 +158,6 @@ fn double_nested_chains_resolve_via_the_tier_and_via_fallback() {
         processes: (0..4)
             .map(|_| ProcessSpec {
                 memory_pages: Some(8),
-                io_driver: Some("reactor"),
                 ..ProcessSpec::default()
             })
             .collect(),

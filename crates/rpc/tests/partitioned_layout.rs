@@ -67,9 +67,9 @@ fn range_map(own: &WireOwnership) -> Vec<(u32, Vec<(u64, u64)>)> {
 
 #[test]
 fn three_process_partitioned_cluster_routes_migrates_and_cancels() {
-    // Pinned to the reactor driver: this test is one of the two CI proofs
-    // that the full multi-process serving path (routing, migration,
-    // cancellation) holds on the readiness-driven front end.
+    // One of the two CI proofs that the full multi-process serving path
+    // (routing, migration, cancellation) holds with dispatch threads
+    // owning their sockets and parking when idle.
     let cluster = ClusterSpec {
         name: "partitioned_layout",
         layout: "partitioned",
@@ -77,7 +77,6 @@ fn three_process_partitioned_cluster_routes_migrates_and_cancels() {
         processes: vec![
             ProcessSpec {
                 memory_pages: Some(128),
-                io_driver: Some("reactor"),
                 ..ProcessSpec::default()
             },
             // Server 1 is the source of both migrations below; a long
@@ -86,12 +85,10 @@ fn three_process_partitioned_cluster_routes_migrates_and_cancels() {
             ProcessSpec {
                 memory_pages: Some(128),
                 sampling_ms: Some(1_500),
-                io_driver: Some("reactor"),
                 ..ProcessSpec::default()
             },
             ProcessSpec {
                 memory_pages: Some(128),
-                io_driver: Some("reactor"),
                 ..ProcessSpec::default()
             },
         ],

@@ -1,12 +1,12 @@
-//! Slow-reader isolation on the reactor serving path.
+//! Slow-reader isolation on the control plane (`data_plane.rs` has the
+//! data-plane twin).
 //!
 //! One client floods the server with control requests and never reads a
 //! single reply; its connection's outbound buffer crosses the budget and
-//! the server drops it (`rpc.conns.dropped_slow_reader`).  A sibling
-//! client sharing the *same* I/O thread (`--io-threads 1`) keeps issuing
-//! operations throughout and must never stall: on the old path a single
-//! slow reader parked the whole thread in `write_all_nonblocking` for up
-//! to 5 s per write, which made this test impossible to pass.
+//! the server drops it (`rpc.conns.dropped_slow_reader`).  The metrics
+//! connection sharing the *same* control I/O thread (`--io-threads 1`)
+//! keeps being answered throughout, and a sibling client's data
+//! operations never stall either.
 
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
@@ -25,10 +25,10 @@ fn slow_reader_is_dropped_without_stalling_siblings() {
         log_name: "slow_reader".into(),
         servers: 1,
         threads: 2,
-        // One I/O thread: the victim, the sibling, and the metrics
-        // connection all share it, so any stall is visible.
+        // One control I/O thread: the victim, the sibling's ownership
+        // lookups, and the metrics connection all share it, so any stall
+        // is visible.
         io_threads: Some(1),
-        io_driver: Some("reactor".into()),
         ..ServerSpawn::default()
     }
     .spawn();
@@ -92,9 +92,9 @@ fn slow_reader_is_dropped_without_stalling_siblings() {
         false
     });
 
-    // Meanwhile the sibling keeps serving on the same I/O thread.  Every
-    // operation must stay fast: the reactor never blocks the thread on
-    // the victim's socket.
+    // Meanwhile the sibling keeps being served, and the metrics connection
+    // keeps being answered by the very I/O thread the victim floods: the
+    // loop never blocks on the victim's socket.
     let mut ctrl =
         CtrlClient::connect(&server.addr, Duration::from_secs(10)).expect("ctrl connect");
     let deadline = Instant::now() + Duration::from_secs(90);
@@ -109,8 +109,7 @@ fn slow_reader_is_dropped_without_stalling_siblings() {
         assert_eq!(value.as_deref(), Some(&b"healthy"[..]));
         assert!(
             took < Duration::from_secs(3),
-            "sibling operation took {took:?} during the flood \
-             (the I/O thread stalled on the slow reader)"
+            "sibling operation took {took:?} during the flood"
         );
         let snap = ctrl.metrics_ns("rpc.conns").expect("conn metrics");
         let dropped = snap.counter("rpc.conns.dropped_slow_reader").unwrap_or(0);

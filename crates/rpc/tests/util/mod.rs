@@ -87,9 +87,6 @@ pub struct ServerSpawn {
     pub sampling_ms: Option<u64>,
     /// `--tier` address of a shared blob tier daemon.
     pub tier: Option<String>,
-    /// `--io-driver` (`"reactor"` or `"polling"`; `None` keeps the
-    /// server's default).
-    pub io_driver: Option<String>,
     /// `--peer` specs registering servers in other processes.
     pub peers: Vec<String>,
 }
@@ -107,7 +104,6 @@ impl Default for ServerSpawn {
             memory_pages: None,
             sampling_ms: None,
             tier: None,
-            io_driver: None,
             peers: Vec::new(),
         }
     }
@@ -149,9 +145,6 @@ impl ServerSpawn {
         }
         if let Some(tier) = &self.tier {
             cmd.args(["--tier", tier]);
-        }
-        if let Some(driver) = &self.io_driver {
-            cmd.args(["--io-driver", driver]);
         }
         for peer in &self.peers {
             cmd.args(["--peer", peer]);
@@ -274,10 +267,6 @@ pub struct ProcessSpec {
     pub memory_pages: Option<u64>,
     /// `--sampling-ms` override.
     pub sampling_ms: Option<u64>,
-    /// `--io-driver` override (`"reactor"` or `"polling"`; `None` keeps
-    /// the server's default), so any N-process test can be exercised
-    /// against either serving driver.
-    pub io_driver: Option<&'static str>,
 }
 
 impl Default for ProcessSpec {
@@ -287,7 +276,6 @@ impl Default for ProcessSpec {
             threads: 2,
             memory_pages: None,
             sampling_ms: None,
-            io_driver: None,
         }
     }
 }
@@ -371,7 +359,6 @@ impl ClusterSpec {
                     memory_pages: p.memory_pages,
                     sampling_ms: p.sampling_ms,
                     tier: tier.as_ref().map(|t| t.addr.clone()),
-                    io_driver: p.io_driver.map(str::to_string),
                     peers,
                 }
                 .spawn(),
