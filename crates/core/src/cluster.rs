@@ -155,23 +155,6 @@ impl ChainFetchStats {
     }
 }
 
-/// Aggregated cancellation / liveness counters across a process's local
-/// servers (queried over the control plane and published by CI alongside
-/// the bench numbers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CancellationSnapshot {
-    /// Cancellation events at local servers — one per server *role* rolled
-    /// back.  A multi-process deployment reports one per process; a
-    /// migration whose source and target are both hosted here counts once
-    /// for each role.
-    pub migrations_cancelled: u64,
-    /// Migration items whose shipment was undone by cancellations.
-    pub records_rolled_back: u64,
-    /// Heartbeat intervals that elapsed without hearing from a migration
-    /// peer.
-    pub heartbeats_missed: u64,
-}
-
 /// A server running in *another* OS process, registered with this process's
 /// metadata store so local servers can route migrations (and clients can
 /// route requests) to it.
@@ -566,14 +549,6 @@ impl Cluster {
         self.chain_stats.snapshot()
     }
 
-    /// Total chain fetches local servers resolved against *remote* tiers.
-    pub fn remote_chain_fetches(&self) -> u64 {
-        self.handles
-            .iter()
-            .map(|h| h.server().remote_chain_fetches())
-            .sum()
-    }
-
     /// The running servers.
     pub fn servers(&self) -> Vec<Arc<Server>> {
         self.handles
@@ -704,18 +679,6 @@ impl Cluster {
                 "migration {migration_id} was not cancelled (state: {other:?})"
             )),
         }
-    }
-
-    /// Aggregated cancellation / liveness counters across local servers.
-    pub fn cancellation_stats(&self) -> CancellationSnapshot {
-        let mut snap = CancellationSnapshot::default();
-        for h in &self.handles {
-            let s = h.server();
-            snap.migrations_cancelled += s.migrations_cancelled();
-            snap.records_rolled_back += s.records_rolled_back();
-            snap.heartbeats_missed += s.heartbeats_missed();
-        }
-        snap
     }
 
     /// Removes and returns the handle of server `id`, if it is running.

@@ -56,8 +56,8 @@ mod server;
 
 pub use client::{ClientStats, OpCallback, ShadowfaxClient};
 pub use cluster::{
-    CancellationSnapshot, ChainFetchError, ChainFetchQuery, ChainFetchReply, ChainFetchSnapshot,
-    ChainFetchStats, Cluster, ClusterConfig, PeerServer,
+    ChainFetchError, ChainFetchQuery, ChainFetchReply, ChainFetchSnapshot, ChainFetchStats,
+    Cluster, ClusterConfig, PeerServer,
 };
 pub use compaction::CompactionOutcome;
 pub use config::{ClientConfig, MigrationConfig, MigrationMode, OwnershipCheck, ServerConfig};

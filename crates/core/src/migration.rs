@@ -2141,10 +2141,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
 
-        let stats = cluster.cancellation_stats();
-        assert_eq!(stats.migrations_cancelled, 1);
+        let stats = cluster.metrics().snapshot();
+        assert_eq!(stats.counter_family(".migration.cancelled"), 1);
         assert!(
-            stats.heartbeats_missed > 0,
+            stats.counter_family(".migration.heartbeats_missed") > 0,
             "silence-driven cancellation must count missed heartbeats"
         );
 
@@ -2181,7 +2181,8 @@ mod tests {
         assert_eq!(cluster.meta().pending_migrations(), 0);
         let (owner, _) = cluster.meta().owner_of(0).unwrap();
         assert_eq!(owner, crate::ServerId(0), "ownership was stranded");
-        assert_eq!(cluster.cancellation_stats().migrations_cancelled, 1);
+        let stats = cluster.metrics().snapshot();
+        assert_eq!(stats.counter_family(".migration.cancelled"), 1);
         // The source is fully clean: a real migration still works.
         cluster
             .migrate_fraction(crate::ServerId(0), crate::ServerId(1), 0.25)

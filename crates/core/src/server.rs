@@ -407,31 +407,9 @@ impl Server {
         self.indirection_fetches.value()
     }
 
-    /// Chain fetches that were answered by a remote tier service (i.e. the
-    /// spilled chain lived in another process and crossed the wire).
-    pub fn remote_chain_fetches(&self) -> u64 {
-        self.remote_chain_fetches.value()
-    }
-
     /// The process metrics registry this server's instruments live in.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// Migrations this server cancelled (either role).
-    pub fn migrations_cancelled(&self) -> u64 {
-        self.migrations_cancelled.value()
-    }
-
-    /// Shipped/received migration items undone by cancellations.
-    pub fn records_rolled_back(&self) -> u64 {
-        self.records_rolled_back.value()
-    }
-
-    /// Heartbeat intervals that elapsed without hearing from a migration
-    /// peer.
-    pub fn heartbeats_missed(&self) -> u64 {
-        self.heartbeats_missed.value()
     }
 
     /// Cancels migration `migration_id` if this server is involved in it

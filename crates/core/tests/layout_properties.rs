@@ -1,7 +1,7 @@
 //! Randomized property tests over cluster layouts and their textual specs.
 //!
-//! Written in the same style as `codec_properties.rs` in the RPC crate:
-//! the invariants were conceived as `proptest` properties, but the build
+//! Written in the same style as the wire codec's property suite in the RPC
+//! crate: the invariants were conceived as `proptest` properties, but the build
 //! environment has no registry access, so they run over deterministic
 //! seeded-PRNG cases instead — every failure is reproducible from the case
 //! number.  The invariants:
@@ -13,8 +13,8 @@
 //! * overlaps, gaps, duplicate ids, and assignments to unknown ids are
 //!   rejected with the matching typed [`LayoutError`] — never a panic,
 //! * arbitrary garbage and random single-character corruption of valid
-//!   specs never panic the parsers (the same corruption discipline
-//!   `codec_properties.rs` applies to wire frames).
+//!   specs never panic the parsers (the same corruption discipline the
+//!   codec's property suite applies to wire frames).
 
 use std::collections::BTreeMap;
 

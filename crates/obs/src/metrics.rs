@@ -133,11 +133,9 @@ impl Default for HistShard {
 }
 
 /// A lock-free log-spaced latency histogram (1 ns – ~275 s, ~3% relative
-/// error), sharded per recording thread and merged on snapshot.
-///
-/// Same bucket layout as the workload harness's single-threaded
-/// `LatencyHistogram`, but recordable concurrently from every dispatch
-/// thread with a relaxed `fetch_add`.
+/// error), sharded per recording thread and merged on snapshot:
+/// recordable concurrently from every dispatch thread with a relaxed
+/// `fetch_add`.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     shards: Arc<Vec<HistShard>>,

@@ -1,8 +1,7 @@
 //! `shadowfax-cli`: a command-line client speaking the Shadowfax wire
 //! protocol.
 //!
-//! Commands form a noun-verb tree (one shared parser normalizes every
-//! spelling before dispatch):
+//! Commands form a noun-verb tree, one spelling per operation:
 //!
 //! ```text
 //! shadowfax-cli --addr HOST:PORT <command> [args]
@@ -57,10 +56,6 @@
 //!                                loopback throughput benchmark (pipelined
 //!                                batches over real sockets)
 //! ```
-//!
-//! The pre-tree flat verbs — `migrate FROM TO FRACTION`, `wait`, `status`,
-//! `cancel`, `cancel-stats`, `tier-stats`, `ownership` — keep working as
-//! hidden aliases of the commands above.
 //!
 //! Exit codes (shared by every verb so scripts never parse text):
 //!   0   success / migration complete or in flight (status)
@@ -133,76 +128,31 @@ fn ctrl_for(addr: &str) -> CtrlClient {
     CtrlClient::connect(addr, Duration::from_secs(5)).unwrap_or_else(|e| fail(e))
 }
 
-/// Normalizes the command tree and every hidden flat alias onto one
-/// canonical verb, so dispatch below has exactly one spelling per
-/// operation.
+/// Maps the command tree onto the dispatch keys of `main`; anything that
+/// is not a spelling documented above is a usage error.
 fn canonicalize(mut rest: Vec<String>) -> (&'static str, Vec<String>) {
-    let head = rest.remove(0);
-    let sub = |rest: &mut Vec<String>| -> String { rest.remove(0) };
-    match head.as_str() {
-        "migrate" => match rest.first().map(String::as_str) {
-            Some("start") => {
-                sub(&mut rest);
-                ("migrate-start", rest)
-            }
-            Some("wait") => {
-                sub(&mut rest);
-                ("migrate-wait", rest)
-            }
-            Some("status") => {
-                sub(&mut rest);
-                ("migrate-status", rest)
-            }
-            Some("cancel") => {
-                sub(&mut rest);
-                ("migrate-cancel", rest)
-            }
-            Some("stats") => {
-                sub(&mut rest);
-                ("migrate-stats", rest)
-            }
-            // Hidden alias: the flat `migrate FROM TO FRACTION` form.
-            Some(tok) if tok.parse::<u64>().is_ok() => ("migrate-start", rest),
-            _ => usage(),
-        },
-        "tier" => match rest.first().map(String::as_str) {
-            Some("stats") => {
-                sub(&mut rest);
-                ("tier-stats", rest)
-            }
-            Some("status") => {
-                sub(&mut rest);
-                ("tier-status", rest)
-            }
-            _ => usage(),
-        },
-        "cluster" => match rest.first().map(String::as_str) {
-            Some("status") => {
-                sub(&mut rest);
-                ("cluster-status", rest)
-            }
-            Some("layout") => {
-                sub(&mut rest);
-                ("cluster-layout", rest)
-            }
-            _ => usage(),
-        },
-        // Hidden flat aliases from before the command tree.
-        "wait" => ("migrate-wait", rest),
-        "status" => ("migrate-status", rest),
-        "cancel" => ("migrate-cancel", rest),
-        "cancel-stats" => ("migrate-stats", rest),
-        "tier-stats" => ("tier-stats", rest),
-        "ownership" => ("cluster-layout", rest),
-        "ping" => ("ping", rest),
-        "get" => ("get", rest),
-        "put" => ("put", rest),
-        "del" => ("del", rest),
-        "rmw" => ("rmw", rest),
-        "metrics" => ("metrics", rest),
-        "bench" => ("bench", rest),
-        _ => usage(),
+    const LEAVES: [&str; 7] = ["ping", "get", "put", "del", "rmw", "metrics", "bench"];
+    let noun = rest.remove(0);
+    if let Some(leaf) = LEAVES.iter().find(|leaf| **leaf == noun) {
+        return (leaf, rest);
     }
+    if rest.is_empty() {
+        usage()
+    }
+    let verb = rest.remove(0);
+    let command = match (noun.as_str(), verb.as_str()) {
+        ("migrate", "start") => "migrate-start",
+        ("migrate", "wait") => "migrate-wait",
+        ("migrate", "status") => "migrate-status",
+        ("migrate", "cancel") => "migrate-cancel",
+        ("migrate", "stats") => "migrate-stats",
+        ("tier", "stats") => "tier-stats",
+        ("tier", "status") => "tier-status",
+        ("cluster", "status") => "cluster-status",
+        ("cluster", "layout") => "cluster-layout",
+        _ => usage(),
+    };
+    (command, rest)
 }
 
 fn main() {
@@ -255,7 +205,7 @@ fn main() {
         "cluster-status" => {
             let mut ctrl = ctrl_for(&addr);
             let status = ctrl.broker_status().unwrap_or_else(|e| fail(e));
-            println!("role: {}", status.role_name());
+            println!("role: {}", status.role.name());
             if !status.broker_addr.is_empty() {
                 println!("broker: {}", status.broker_addr);
             }
@@ -442,17 +392,26 @@ fn main() {
             }
         }
         "tier-stats" => {
+            // `tier.chain.*` is what this process served; the per-server
+            // `sv<id>.chain.remote_fetches` family is what it asked of peers.
             let mut ctrl = ctrl_for(&addr);
-            let stats = ctrl.tier_stats().unwrap_or_else(|e| fail(e));
+            let tier = ctrl.metrics_ns("tier.chain.").unwrap_or_else(|e| fail(e));
+            let per_server = ctrl.metrics_ns("sv").unwrap_or_else(|e| fail(e));
+            let served = |name: &str| tier.counter(&format!("tier.chain.{name}")).unwrap_or(0);
             println!(
                 "chain fetches served: {} ({} records)",
-                stats.served, stats.records_served
+                served("served"),
+                served("records_served")
             );
             println!(
                 "rejected: {} stale-view, {} out-of-range",
-                stats.rejected_stale_view, stats.rejected_out_of_range
+                served("rejected_stale_view"),
+                served("rejected_out_of_range")
             );
-            println!("remote chain fetches issued: {}", stats.remote_fetches);
+            println!(
+                "remote chain fetches issued: {}",
+                per_server.counter_family(".chain.remote_fetches")
+            );
         }
         "tier-status" => {
             let mut ctrl = ctrl_for(&addr);
@@ -471,11 +430,13 @@ fn main() {
             }
         }
         "migrate-stats" => {
+            // Summed over the per-server `sv<id>.migration.*` families.
             let mut ctrl = ctrl_for(&addr);
-            let stats = ctrl.cancel_stats().unwrap_or_else(|e| fail(e));
-            println!("migrations cancelled: {}", stats.migrations_cancelled);
-            println!("records rolled back: {}", stats.records_rolled_back);
-            println!("heartbeats missed: {}", stats.heartbeats_missed);
+            let snap = ctrl.metrics_ns("sv").unwrap_or_else(|e| fail(e));
+            let total = |name: &str| snap.counter_family(&format!(".migration.{name}"));
+            println!("migrations cancelled: {}", total("cancelled"));
+            println!("records rolled back: {}", total("records_rolled_back"));
+            println!("heartbeats missed: {}", total("heartbeats_missed"));
         }
         "metrics" => {
             let mut json = false;

@@ -145,8 +145,6 @@ fn parse_args() -> Result<Args, String> {
                 let spec = value("--layout")?;
                 args.layout = ClusterLayout::from_spec(&spec).map_err(|e| e.to_string())?;
             }
-            // Historical alias for `--layout partitioned`.
-            "--balanced" => args.layout = ClusterLayout::Partitioned,
             "--base-id" => {
                 let v = parse_num("--base-id", value("--base-id")?)?;
                 args.base_id = u32::try_from(v)

@@ -46,7 +46,7 @@ use shadowfax::{
 };
 use shadowfax_net::{LivenessConfig, PeerLiveness};
 
-use crate::codec::{WireBrokerPeer, WireBrokerStatus, WireMetaReplica};
+use crate::codec::{Role, WireBrokerPeer, WireBrokerStatus};
 use crate::ctrl::CtrlClient;
 
 /// Tuning for a [`Coordinator`].
@@ -83,17 +83,6 @@ impl CoordinatorConfig {
             },
         }
     }
-}
-
-/// This process's current role in the replication protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// No socket-addressed peers: the local store is the whole cluster.
-    Solo,
-    /// This process owns the authoritative map and drives convergence.
-    Broker,
-    /// Another process is the broker; this one merges what it is pushed.
-    Follower,
 }
 
 /// One tracked peer.
@@ -141,11 +130,7 @@ impl CoordinatorHandle {
     pub fn status(&self) -> WireBrokerStatus {
         let state = self.state.lock().expect("coordinator state");
         WireBrokerStatus {
-            role: match state.role {
-                Role::Solo => WireBrokerStatus::ROLE_SOLO,
-                Role::Broker => WireBrokerStatus::ROLE_BROKER,
-                Role::Follower => WireBrokerStatus::ROLE_FOLLOWER,
-            },
+            role: state.role,
             broker_addr: state.broker_addr.clone(),
             epoch: self.cluster.meta().epoch(),
             peers: state
@@ -394,7 +379,7 @@ impl CoordinatorLoop {
                     peer.content_seen = Some(replica_content_hash(&replica));
                     peer.cancelled_seen = replica.cancelled.iter().map(|d| d.id).collect();
                     self.metrics.pulls.inc();
-                    self.cluster.merge_meta_replica(&replica.to_replica());
+                    self.cluster.merge_meta_replica(&replica);
                 }
                 None => peer.probe_ok = false,
             }
@@ -433,8 +418,7 @@ impl CoordinatorLoop {
     /// stands still).
     fn push_replicas(&mut self) {
         let local = self.cluster.meta().replica();
-        let wire = WireMetaReplica::from_replica(&local);
-        let local_hash = replica_content_hash(&wire);
+        let local_hash = replica_content_hash(&local);
         let timeout = self.config.probe_timeout;
         // The encoded frame length, computed once and only if some peer
         // actually needs the push.
@@ -444,10 +428,11 @@ impl CoordinatorLoop {
                 continue;
             }
             let bytes = *frame_bytes.get_or_insert_with(|| {
-                crate::codec::encode_frame(&crate::codec::WireMsg::MetaMerge(wire.clone())).len()
+                crate::codec::encode_frame(&crate::codec::WireMsg::MetaMerge(local.clone())).len()
                     as u64
             });
-            if let Some((epoch, _changed)) = with_conn(peer, timeout, |conn| conn.merge_meta(&wire))
+            if let Some((epoch, _changed)) =
+                with_conn(peer, timeout, |conn| conn.merge_meta(&local))
             {
                 peer.acked_epoch = epoch;
                 peer.content_seen = Some(local_hash);
@@ -595,13 +580,12 @@ impl CoordinatorLoop {
 /// carry the same servers, views, ownership and dependency state, so a
 /// fan-out push would be a no-op — the epoch is excluded exactly because
 /// it can advance (election bump) without the content changing.
-fn replica_content_hash(wire: &WireMetaReplica) -> u64 {
-    let mut normalized = wire.clone();
+fn replica_content_hash(replica: &MetaReplica) -> u64 {
+    let mut normalized = replica.clone();
     normalized.epoch = 0;
-    let mut body = Vec::new();
-    crate::codec::put_wire_replica(&mut body, &normalized);
+    let frame = crate::codec::encode_frame(&crate::codec::WireMsg::MetaMerge(normalized));
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &body {
+    for &b in &frame {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
@@ -750,10 +734,6 @@ impl crate::ClusterControl for CoordinatedControl {
         crate::ClusterControl::cancel_migration(self.cluster.as_ref(), migration_id)
     }
 
-    fn cancel_stats(&self) -> crate::codec::WireCancelStats {
-        self.cluster.as_ref().cancel_stats()
-    }
-
     fn dispatch_thread(
         &self,
         fabric_addr: &str,
@@ -776,19 +756,15 @@ impl crate::ClusterControl for CoordinatedControl {
         self.cluster.as_ref().fetch_chain(query)
     }
 
-    fn tier_stats(&self) -> crate::codec::WireTierStats {
-        self.cluster.as_ref().tier_stats()
-    }
-
     fn metrics(&self) -> Arc<shadowfax_obs::MetricsRegistry> {
         crate::ClusterControl::metrics(self.cluster.as_ref())
     }
 
-    fn meta_replica(&self) -> WireMetaReplica {
+    fn meta_replica(&self) -> MetaReplica {
         self.cluster.as_ref().meta_replica()
     }
 
-    fn merge_meta(&self, replica: &WireMetaReplica) -> (u64, bool) {
+    fn merge_meta(&self, replica: &MetaReplica) -> (u64, bool) {
         self.cluster.as_ref().merge_meta(replica)
     }
 

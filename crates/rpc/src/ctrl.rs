@@ -15,13 +15,13 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use shadowfax::{ChainFetchQuery, ChainFetchReply, MetaError};
+use shadowfax::{ChainFetchQuery, ChainFetchReply, MetaError, MetaReplica};
 use shadowfax_net::StatusCode;
 use shadowfax_obs::MetricsSnapshot;
 
 use crate::codec::{
-    encode_frame, CodecError, FrameDecoder, WireBrokerStatus, WireCancelStats, WireMetaReplica,
-    WireMigrationState, WireMsg, WireOwnership, WireTierStats, WireTierStatus, MAX_FRAME_BYTES,
+    encode_frame, CodecError, FrameDecoder, WireBrokerStatus, WireMigrationState, WireMsg,
+    WireOwnership, WireTierStatus, MAX_FRAME_BYTES,
 };
 
 /// Errors from RPC client operations.
@@ -239,20 +239,6 @@ impl CtrlClient {
         })
     }
 
-    /// Fetches the peer process's cancellation / liveness counters.
-    ///
-    /// Assembled from a namespaced metrics query (the `sv*.migration.*`
-    /// counter families) rather than the deprecated `GET_CANCEL_STATS`
-    /// frame, which servers still answer for old clients.
-    pub fn cancel_stats(&mut self) -> Result<WireCancelStats, RpcError> {
-        let snap = self.metrics_ns("sv")?;
-        Ok(WireCancelStats {
-            migrations_cancelled: snap.counter_family(".migration.cancelled"),
-            records_rolled_back: snap.counter_family(".migration.records_rolled_back"),
-            heartbeats_missed: snap.counter_family(".migration.heartbeats_missed"),
-        })
-    }
-
     /// Fetches a spilled record chain out of the peer process's shared
     /// tier.  Stale-view and out-of-range rejections surface as
     /// [`RpcError::Remote`] with the corresponding [`StatusCode`].
@@ -260,26 +246,6 @@ impl CtrlClient {
         self.call(&WireMsg::FetchChain(*query), "ChainRecords", |m| match m {
             WireMsg::ChainRecords(reply) => Ok(reply),
             other => Err(other),
-        })
-    }
-
-    /// Fetches the peer process's shared-tier chain-fetch counters.
-    ///
-    /// Assembled from namespaced metrics queries (`tier.chain.*` plus the
-    /// per-server `sv*.chain.remote_fetches` family) rather than the
-    /// deprecated `GET_TIER_STATS` frame, which servers still answer for
-    /// old clients.
-    pub fn tier_stats(&mut self) -> Result<WireTierStats, RpcError> {
-        let tier = self.metrics_ns("tier.chain.")?;
-        let per_server = self.metrics_ns("sv")?;
-        Ok(WireTierStats {
-            served: tier.counter("tier.chain.served").unwrap_or(0),
-            records_served: tier.counter("tier.chain.records_served").unwrap_or(0),
-            rejected_stale_view: tier.counter("tier.chain.rejected_stale_view").unwrap_or(0),
-            rejected_out_of_range: tier
-                .counter("tier.chain.rejected_out_of_range")
-                .unwrap_or(0),
-            remote_fetches: per_server.counter_family(".chain.remote_fetches"),
         })
     }
 
@@ -306,7 +272,7 @@ impl CtrlClient {
     }
 
     /// Exports the peer's epoch-tagged metadata replica.
-    pub fn meta_replica(&mut self) -> Result<WireMetaReplica, RpcError> {
+    pub fn meta_replica(&mut self) -> Result<MetaReplica, RpcError> {
         self.call(&WireMsg::GetMetaReplica, "MetaReplica", |m| match m {
             WireMsg::MetaReplicaMsg(replica) => Ok(replica),
             other => Err(other),
@@ -315,7 +281,7 @@ impl CtrlClient {
 
     /// Pushes a merged replica into the peer's store; returns the peer's
     /// post-merge `(epoch, changed)` acknowledgement.
-    pub fn merge_meta(&mut self, replica: &WireMetaReplica) -> Result<(u64, bool), RpcError> {
+    pub fn merge_meta(&mut self, replica: &MetaReplica) -> Result<(u64, bool), RpcError> {
         let req = WireMsg::MetaMerge(replica.clone());
         self.call(&req, "MetaAck", |m| match m {
             WireMsg::MetaAck { epoch, changed } => Ok((epoch, changed)),

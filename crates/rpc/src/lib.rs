@@ -61,13 +61,13 @@ mod tierd;
 
 pub use bench::{run_bench, BenchOptions, BenchReport};
 pub use broker::{
-    CoordinatedControl, Coordinator, CoordinatorConfig, CoordinatorHandle, ReplicatedMetadata, Role,
+    CoordinatedControl, Coordinator, CoordinatorConfig, CoordinatorHandle, ReplicatedMetadata,
 };
 pub use client::{OpCallback, RemoteClient, RemoteClientConfig, RemoteClientStats};
 pub use codec::{
-    decode_frame, encode_frame, CodecError, FrameDecoder, WireBrokerPeer, WireBrokerStatus,
-    WireCancelStats, WireMetaReplica, WireMigrationDep, WireMigrationState, WireMsg, WireOwnership,
-    WireServerInfo, WireTierLog, WireTierStats, WireTierStatus, MAX_FRAME_BYTES,
+    decode_frame, encode_frame, CodecError, FrameDecoder, Role, WireBrokerPeer, WireBrokerStatus,
+    WireMigrationState, WireMsg, WireOwnership, WireServerInfo, WireTierLog, WireTierStatus,
+    MAX_FRAME_BYTES,
 };
 pub use ctrl::{CtrlClient, RpcError};
 pub use fabric::TcpMigrationConnector;

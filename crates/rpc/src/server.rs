@@ -42,7 +42,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use shadowfax::{
-    ChainFetchError, ChainFetchQuery, ChainFetchReply, Cluster, DispatchHandle, ServerId,
+    ChainFetchError, ChainFetchQuery, ChainFetchReply, Cluster, DispatchHandle, MetaReplica,
+    ServerId,
 };
 use shadowfax_net::{
     BatchReply, Interest, KvRequest, Reactor, RequestBatch, ServerKvLink, StatusCode, Token,
@@ -51,8 +52,8 @@ use shadowfax_net::{
 use shadowfax_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::codec::{
-    encode_frame, FrameDecoder, WireBrokerStatus, WireCancelStats, WireMetaReplica,
-    WireMigrationState, WireMsg, WireOwnership, WireServerInfo, WireTierStats, MAX_FRAME_BYTES,
+    encode_frame, FrameDecoder, Role, WireBrokerStatus, WireMigrationState, WireMsg, WireOwnership,
+    WireServerInfo, MAX_FRAME_BYTES,
 };
 use crate::ctrl::CtrlClient;
 use crate::tcp::{codec_err, TcpMigrationLink};
@@ -80,9 +81,6 @@ pub trait ClusterControl: Send + Sync {
     /// checkpoint and re-adopts the post-cancellation ownership map.
     fn cancel_migration(&self, migration_id: u64) -> Result<(), String>;
 
-    /// The process's cancellation / liveness counters.
-    fn cancel_stats(&self) -> WireCancelStats;
-
     /// The dispatch thread at `fabric_addr`, which adopts a client data
     /// connection whose HELLO named it.
     fn dispatch_thread(&self, fabric_addr: &str) -> Result<DispatchHandle, TransportError>;
@@ -97,20 +95,17 @@ pub trait ClusterControl: Send + Sync {
     fn fetch_chain(&self, query: &ChainFetchQuery)
         -> Result<ChainFetchReply, (StatusCode, String)>;
 
-    /// The process's shared-tier serving and remote-fetch counters.
-    fn tier_stats(&self) -> WireTierStats;
-
     /// The process-wide metrics registry: the front end answers
     /// `GET_METRICS` frames from it and records its serving-path latency
     /// histograms into it.
     fn metrics(&self) -> Arc<MetricsRegistry>;
 
     /// The process's epoch-tagged metadata replica (broker pull path).
-    fn meta_replica(&self) -> WireMetaReplica;
+    fn meta_replica(&self) -> MetaReplica;
 
     /// Merges a replica pushed by a peer (broker fan-out path); returns
     /// the post-merge `(epoch, changed)` acknowledgement.
-    fn merge_meta(&self, replica: &WireMetaReplica) -> (u64, bool);
+    fn merge_meta(&self, replica: &MetaReplica) -> (u64, bool);
 
     /// The coordinator's role and convergence state.  A process running
     /// no coordinator answers `solo` at its current metadata epoch.
@@ -178,15 +173,6 @@ impl ClusterControl for Cluster {
         Cluster::cancel_migration(self, migration_id)
     }
 
-    fn cancel_stats(&self) -> WireCancelStats {
-        let snap = self.cancellation_stats();
-        WireCancelStats {
-            migrations_cancelled: snap.migrations_cancelled,
-            records_rolled_back: snap.records_rolled_back,
-            heartbeats_missed: snap.heartbeats_missed,
-        }
-    }
-
     fn dispatch_thread(&self, fabric_addr: &str) -> Result<DispatchHandle, TransportError> {
         Cluster::dispatch_thread(self, fabric_addr).ok_or_else(|| {
             TransportError::ConnectionRefused {
@@ -221,33 +207,22 @@ impl ClusterControl for Cluster {
         })
     }
 
-    fn tier_stats(&self) -> WireTierStats {
-        let served = self.chain_fetch_stats();
-        WireTierStats {
-            served: served.served,
-            records_served: served.records_served,
-            rejected_stale_view: served.rejected_stale_view,
-            rejected_out_of_range: served.rejected_out_of_range,
-            remote_fetches: self.remote_chain_fetches(),
-        }
-    }
-
     fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(Cluster::metrics(self))
     }
 
-    fn meta_replica(&self) -> WireMetaReplica {
-        WireMetaReplica::from_replica(&self.meta().replica())
+    fn meta_replica(&self) -> MetaReplica {
+        self.meta().replica()
     }
 
-    fn merge_meta(&self, replica: &WireMetaReplica) -> (u64, bool) {
-        let outcome = self.merge_meta_replica(&replica.to_replica());
+    fn merge_meta(&self, replica: &MetaReplica) -> (u64, bool) {
+        let outcome = self.merge_meta_replica(replica);
         (outcome.epoch, outcome.changed)
     }
 
     fn broker_status(&self) -> WireBrokerStatus {
         WireBrokerStatus {
-            role: WireBrokerStatus::ROLE_SOLO,
+            role: Role::Solo,
             broker_addr: String::new(),
             epoch: self.meta().epoch(),
             peers: Vec::new(),
@@ -300,10 +275,6 @@ impl ClusterControl for TierAwareControl {
         self.inner.cancel_migration(migration_id)
     }
 
-    fn cancel_stats(&self) -> WireCancelStats {
-        self.inner.cancel_stats()
-    }
-
     fn dispatch_thread(&self, fabric_addr: &str) -> Result<DispatchHandle, TransportError> {
         self.inner.dispatch_thread(fabric_addr)
     }
@@ -319,19 +290,15 @@ impl ClusterControl for TierAwareControl {
         self.inner.fetch_chain(query)
     }
 
-    fn tier_stats(&self) -> WireTierStats {
-        self.inner.tier_stats()
-    }
-
     fn metrics(&self) -> Arc<MetricsRegistry> {
         self.inner.metrics()
     }
 
-    fn meta_replica(&self) -> WireMetaReplica {
+    fn meta_replica(&self) -> MetaReplica {
         self.inner.meta_replica()
     }
 
-    fn merge_meta(&self, replica: &WireMetaReplica) -> (u64, bool) {
+    fn merge_meta(&self, replica: &MetaReplica) -> (u64, bool) {
         self.inner.merge_meta(replica)
     }
 
@@ -1058,10 +1025,6 @@ impl ServedConn {
                         }),
                     }
                 }
-                WireMsg::GetCancelStats => {
-                    let stats = control.cancel_stats();
-                    self.send(&WireMsg::CancelStats(stats));
-                }
                 WireMsg::FetchChain(query) => {
                     let start = Instant::now();
                     let result = control.fetch_chain(&query);
@@ -1073,10 +1036,6 @@ impl ServedConn {
                         // keep the connection alive for further fetches.
                         Err((status, message)) => self.send(&WireMsg::CtrlErr { status, message }),
                     }
-                }
-                WireMsg::GetTierStats => {
-                    let stats = control.tier_stats();
-                    self.send(&WireMsg::TierStats(stats));
                 }
                 WireMsg::GetMetrics => {
                     let snap = control.metrics().snapshot();

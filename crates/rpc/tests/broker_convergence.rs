@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use shadowfax_net::{KvRequest, KvResponse, SessionConfig};
-use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig, WireBrokerStatus};
+use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig, Role};
 
 mod util;
 use util::{ClusterSpec, ProcessSpec, ServerSpawn};
@@ -96,10 +96,10 @@ fn broker_replicates_relays_and_converges_cancellations() {
     let mut ctrl1 = CtrlClient::connect(&addr1, CTRL_TIMEOUT).expect("ctrl to process 1");
     let mut ctrl2 = CtrlClient::connect(&addr2, CTRL_TIMEOUT).expect("ctrl to process 2");
     let status = ctrl0.broker_status().expect("broker status");
-    assert_eq!(status.role, WireBrokerStatus::ROLE_BROKER, "{status:?}");
+    assert_eq!(status.role, Role::Broker, "{status:?}");
     assert_eq!(status.peers.len(), 2, "{status:?}");
     let status = ctrl1.broker_status().expect("follower status");
-    assert_eq!(status.role, WireBrokerStatus::ROLE_FOLLOWER, "{status:?}");
+    assert_eq!(status.role, Role::Follower, "{status:?}");
     assert_eq!(status.broker_addr, addr0, "{status:?}");
 
     // Preload generation 1 of every key; the acked map records the last

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 use shadowfax::{parse_peer_spec, Cluster, ClusterConfig, ClusterLayout, MetaError, ServerId};
 use shadowfax_net::LivenessConfig;
 use shadowfax_rpc::{
-    ClusterControl, CoordinatedControl, Coordinator, CoordinatorConfig, RpcServer, RpcServerConfig,
-    WireBrokerStatus,
+    ClusterControl, CoordinatedControl, Coordinator, CoordinatorConfig, Role, RpcServer,
+    RpcServerConfig,
 };
 
 mod util;
@@ -106,8 +106,8 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
     .expect("bind rpc server B");
 
     // Static ranks give the initial roles before any probe completes.
-    assert_eq!(coord_a.status().role, WireBrokerStatus::ROLE_BROKER);
-    assert_eq!(coord_b.status().role, WireBrokerStatus::ROLE_FOLLOWER);
+    assert_eq!(coord_a.status().role, Role::Broker);
+    assert_eq!(coord_b.status().role, Role::Follower);
     assert_eq!(coord_b.status().broker_addr, addr_a);
 
     // A migration recorded at the broker: server 0 starts losing 25% of
@@ -183,14 +183,14 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
     let promoted = Instant::now() + Duration::from_secs(20);
     loop {
         let status = coord_b.status();
-        if status.role == WireBrokerStatus::ROLE_BROKER {
+        if status.role == Role::Broker {
             break;
         }
         let broker_unreachable = status
             .peers
             .iter()
             .any(|p| p.addr == addr_a && !p.reachable);
-        if status.role == WireBrokerStatus::ROLE_FOLLOWER && broker_unreachable {
+        if status.role == Role::Follower && broker_unreachable {
             let probe = cluster_b
                 .meta()
                 .snapshot()

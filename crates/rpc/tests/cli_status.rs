@@ -1,9 +1,9 @@
 //! `shadowfax-cli` exit codes: scripts must be able to distinguish "in
 //! flight / complete" (0) from "unknown migration" (1), "cancelled" (4),
 //! "wait deadline expired" (5), and a usage error (64) without parsing
-//! output.  Exercises both the noun-verb command tree (`migrate status`,
-//! `tier stats`, `cluster layout`, ...) and the hidden flat aliases it
-//! replaced (`status`, `tier-stats`, `ownership`, ...).
+//! output.  Exercises the noun-verb command tree (`migrate status`,
+//! `tier stats`, `cluster layout`, ...) and checks that the flat verbs it
+//! replaced (`status`, `tier-stats`, `ownership`, ...) are usage errors.
 //!
 //! The cluster runs in-process behind a real `RpcServer`; the CLI binary is
 //! spawned as a separate OS process against it.  The first cancellation is
@@ -31,7 +31,7 @@ fn cli(addr: &str, args: &[&str]) -> (Option<i32>, String, String) {
 }
 
 fn cli_status(addr: &str, id: &str) -> (Option<i32>, String, String) {
-    cli(addr, &["status", id])
+    cli(addr, &["migrate", "status", id])
 }
 
 #[test]
@@ -44,19 +44,12 @@ fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
     .expect("bind rpc server");
     let addr = rpc.local_addr().to_string();
 
-    // Unknown migration id: server-side error, exit 1 — via both the
-    // flat alias and the command tree.
+    // Unknown migration id: server-side error, exit 1.
     let (code, _, stderr) = cli_status(&addr, "999");
     assert_eq!(code, Some(1), "unknown id should exit 1; stderr: {stderr}");
     assert!(
         stderr.contains("unknown migration"),
         "unexpected stderr: {stderr}"
-    );
-    let (code, _, stderr) = cli(&addr, &["migrate", "status", "999"]);
-    assert_eq!(
-        code,
-        Some(1),
-        "migrate status should exit 1 on an unknown id; stderr: {stderr}"
     );
 
     // An in-flight migration (recorded at the metadata store): exit 0.
@@ -80,7 +73,7 @@ fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
     // Waiting on a migration that never settles: the typed Timeout exit
     // code (5), distinct from hard errors — the fix for `wait` wedging
     // forever on a dead peer.
-    let (code, _, stderr) = cli(&addr, &["wait", &id_str, "--timeout", "1"]);
+    let (code, _, stderr) = cli(&addr, &["migrate", "wait", &id_str, "--timeout", "1"]);
     assert_eq!(
         code,
         Some(5),
@@ -89,9 +82,8 @@ fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
     assert!(stderr.contains("timed out"), "unexpected stderr: {stderr}");
 
     // Cancel over the wire with the CLI's own verb: exit 0, and the
-    // cancellation counters become visible — through the command tree
-    // (`migrate stats` assembles them from a namespaced metrics query)
-    // and through the deprecated flat alias.
+    // cancellation counters become visible (`migrate stats` sums them from
+    // a namespaced metrics query).
     let (code, stdout, stderr) = cli(&addr, &["migrate", "cancel", &id_str]);
     assert_eq!(code, Some(0), "cancel should exit 0; stderr: {stderr}");
     assert!(stdout.contains("cancelled"), "unexpected stdout: {stdout}");
@@ -101,23 +93,17 @@ fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
         stdout.contains("migrations cancelled: 1"),
         "unexpected migrate stats: {stdout}"
     );
-    let (code, stdout, _) = cli(&addr, &["cancel-stats"]);
-    assert_eq!(code, Some(0), "flat cancel-stats alias should keep working");
-    assert!(
-        stdout.contains("migrations cancelled: 1"),
-        "unexpected cancel-stats: {stdout}"
-    );
 
     // Status and wait both report the cancellation with exit 4.
     let (code, stdout, _) = cli_status(&addr, &id_str);
     assert_eq!(code, Some(4), "cancelled status should exit 4");
     assert!(stdout.contains("cancelled"), "unexpected stdout: {stdout}");
-    let (code, stdout, _) = cli(&addr, &["wait", &id_str, "--timeout", "5"]);
+    let (code, stdout, _) = cli(&addr, &["migrate", "wait", &id_str, "--timeout", "5"]);
     assert_eq!(code, Some(4), "waiting on a cancelled migration exits 4");
     assert!(stdout.contains("cancelled"), "unexpected stdout: {stdout}");
 
     // Cancelling an unknown migration is a hard error (exit 1).
-    let (code, _, stderr) = cli(&addr, &["cancel", "999"]);
+    let (code, _, stderr) = cli(&addr, &["migrate", "cancel", "999"]);
     assert_eq!(code, Some(1), "unknown cancel should exit 1: {stderr}");
 
     // `metrics` pulls the full registry snapshot over GET_METRICS: exit 0,
@@ -166,18 +152,13 @@ fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
         "namespaced metrics leaked another namespace: {stdout}"
     );
 
-    // The remaining control-plane nouns answer through the tree and
-    // their flat aliases alike.
+    // The remaining control-plane nouns answer through the tree.
     let (code, stdout, _) = cli(&addr, &["tier", "stats"]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("chain fetches served"), "{stdout}");
-    let (code, _, _) = cli(&addr, &["tier-stats"]);
-    assert_eq!(code, Some(0), "flat tier-stats alias should keep working");
     let (code, stdout, _) = cli(&addr, &["cluster", "layout"]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("server 0"), "{stdout}");
-    let (code, _, _) = cli(&addr, &["ownership"]);
-    assert_eq!(code, Some(0), "flat ownership alias should keep working");
     // No coordinator runs in this single-process test: solo role.
     let (code, stdout, _) = cli(&addr, &["cluster", "status"]);
     assert_eq!(code, Some(0));
@@ -194,6 +175,20 @@ fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
     assert_eq!(code, Some(64), "unknown migrate verb should exit 64");
     let (code, _, _) = cli(&addr, &["cluster"]);
     assert_eq!(code, Some(64), "bare noun should exit 64");
+    // The flat verbs the tree replaced are gone, not hidden.
+    for flat in [
+        &["status", id_str.as_str()][..],
+        &["wait", id_str.as_str()],
+        &["cancel", id_str.as_str()],
+        &["cancel-stats"],
+        &["tier-stats"],
+        &["ownership"],
+        &["migrate", "0", "1", "0.5"],
+    ] {
+        let (code, stdout, stderr) = cli(&addr, flat);
+        assert_eq!(code, Some(64), "{flat:?} should be a usage error: {stdout}");
+        assert!(stderr.contains("usage:"), "{flat:?}: {stderr}");
+    }
 
     // Completed (dependency garbage collected): exit 0.
     let moving2 = cluster

@@ -72,13 +72,13 @@ fn server_and_cli_as_separate_processes() {
     assert!(!ok, "get of a deleted key should exit non-zero");
 
     // Ownership map names both logical servers.
-    let (ok, stdout, _) = cli(&addr, &["ownership"]);
+    let (ok, stdout, _) = cli(&addr, &["cluster", "layout"]);
     assert!(ok);
     assert!(stdout.contains("server 0"), "{stdout}");
     assert!(stdout.contains("server 1"), "{stdout}");
 
     // Migrate half the space to the idle server, then keep serving reads.
-    let (ok, stdout, stderr) = cli(&addr, &["migrate", "0", "1", "0.5"]);
+    let (ok, stdout, stderr) = cli(&addr, &["migrate", "start", "0", "1", "0.5"]);
     assert!(ok, "migrate failed: {stderr}");
     assert!(stdout.contains("migration"), "{stdout}");
 

@@ -245,31 +245,30 @@ fn spilled_chains_are_served_across_processes_under_live_reads() {
     // The reads really crossed processes: the source served chain fetches,
     // the target issued them, and the stale/out-of-range probes were
     // counted.  Printed for the CI job summary.
-    let source_stats = ctrl.tier_stats().expect("source tier stats");
+    let source_stats = ctrl.metrics_ns("tier.chain.").expect("source tier metrics");
+    let served = |name: &str| {
+        let counter = source_stats.counter(&format!("tier.chain.{name}"));
+        counter.unwrap_or_else(|| panic!("no tier.chain.{name}: {:?}", source_stats.counters))
+    };
     let mut target_ctrl =
         CtrlClient::connect(cluster.addr(1), Duration::from_secs(5)).expect("target ctrl");
-    let target_stats = target_ctrl.tier_stats().expect("target tier stats");
+    let target_stats = target_ctrl.metrics_ns("sv").expect("target metrics");
+    let target_remote = target_stats.counter_family(".chain.remote_fetches");
     println!(
         "CHAIN_FETCH_COUNTERS source_served={} source_records={} target_remote={} \
          stale_rejected={} range_rejected={}",
-        source_stats.served,
-        source_stats.records_served,
-        target_stats.remote_fetches,
-        source_stats.rejected_stale_view,
-        source_stats.rejected_out_of_range
+        served("served"),
+        served("records_served"),
+        target_remote,
+        served("rejected_stale_view"),
+        served("rejected_out_of_range")
     );
+    assert!(served("served") >= 1, "source served no chain fetches");
     assert!(
-        source_stats.served >= 1,
-        "source served no chain fetches: {source_stats:?}"
+        served("records_served") >= 1,
+        "source returned no chain records"
     );
-    assert!(
-        source_stats.records_served >= 1,
-        "source returned no chain records: {source_stats:?}"
-    );
-    assert!(
-        target_stats.remote_fetches >= 1,
-        "target resolved no chains remotely: {target_stats:?}"
-    );
-    assert_eq!(source_stats.rejected_stale_view, 1, "{source_stats:?}");
-    assert_eq!(source_stats.rejected_out_of_range, 1, "{source_stats:?}");
+    assert!(target_remote >= 1, "target resolved no chains remotely");
+    assert_eq!(served("rejected_stale_view"), 1);
+    assert_eq!(served("rejected_out_of_range"), 1);
 }

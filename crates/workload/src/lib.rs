@@ -7,17 +7,13 @@
 //! Seastar comparison, a uniform distribution.
 //!
 //! This crate provides those pieces: key distributions ([`ZipfianGenerator`],
-//! [`UniformGenerator`]), operation mixes ([`WorkloadMix`]), a request stream
-//! ([`WorkloadGenerator`]), and a fixed-bucket latency histogram
-//! ([`LatencyHistogram`]) used by the benchmark harness to report medians and
-//! tails.
+//! [`UniformGenerator`]), operation mixes ([`WorkloadMix`]) and a request
+//! stream ([`WorkloadGenerator`]).
 
 #![warn(missing_docs)]
 
 mod distribution;
-mod histogram;
 mod workload;
 
 pub use distribution::{KeyDistribution, ScrambledZipfian, UniformGenerator, ZipfianGenerator};
-pub use histogram::LatencyHistogram;
 pub use workload::{Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix};

@@ -2,15 +2,17 @@
 //! sockets, driven by pipelined batches through `TcpTransport`, including
 //! the stale-view rejection path after a migration.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shadowfax::{Cluster, ClusterConfig};
-use shadowfax_net::{KvRequest, SessionConfig};
+use shadowfax_net::{KvRequest, SessionConfig, StatusCode};
 use shadowfax_rpc::{
-    run_bench, BenchOptions, ClusterControl, RemoteClient, RemoteClientConfig, RpcServer,
-    RpcServerConfig,
+    decode_frame, run_bench, BenchOptions, ClusterControl, CtrlClient, RemoteClient,
+    RemoteClientConfig, RpcServer, RpcServerConfig, WireMsg, MAX_FRAME_BYTES,
 };
 
 fn start_stack() -> (Arc<Cluster>, shadowfax_rpc::RpcServerHandle, String) {
@@ -50,6 +52,39 @@ fn kv_operations_over_real_tcp() {
         assert_eq!(client.get(7).unwrap(), None);
         assert!(!client.delete(7).unwrap());
     }
+    stop_stack(cluster, rpc);
+}
+
+/// The four stats frames retired from the protocol (`0x2A`/`0x2B`,
+/// `0x42`/`0x43`) are unknown kinds like any other: the server names the
+/// tag in a `Malformed` answer, closes that connection and keeps serving.
+#[test]
+fn retired_frame_kinds_are_answered_as_unknown_tags() {
+    let (cluster, rpc, addr) = start_stack();
+    for tag in [0x2A, 0x2B, 0x42, 0x43, 0x7F] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(&[1, 0, 0, 0, tag])
+            .expect("send the frame");
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).expect("answer, then EOF");
+        match decode_frame(&answer, MAX_FRAME_BYTES).expect("one frame") {
+            (WireMsg::CtrlErr { status, message }, consumed) => {
+                assert_eq!(status, StatusCode::Malformed);
+                assert!(
+                    message.contains(&format!("unknown tag {tag:#04x}")),
+                    "{message}"
+                );
+                assert_eq!(consumed, answer.len(), "nothing behind the error");
+            }
+            other => panic!("tag {tag:#04x}: unexpected answer {other:?}"),
+        }
+    }
+    let mut ctrl = CtrlClient::connect(&addr, Duration::from_secs(5)).expect("connect");
+    ctrl.ping().expect("the server keeps serving");
     stop_stack(cluster, rpc);
 }
 
