@@ -361,11 +361,6 @@ impl Cluster {
         &self.meta
     }
 
-    /// The metadata store behind the [`MetadataService`] seam.
-    pub fn meta_service(&self) -> Arc<dyn crate::MetadataService> {
-        Arc::clone(&self.meta) as Arc<dyn crate::MetadataService>
-    }
-
     /// The control address of the *process* hosting `source`, when that
     /// server is not hosted here and was registered with a socket address —
     /// i.e. where a migration originated at this process must be forwarded

@@ -49,7 +49,6 @@ mod indirection;
 mod layout;
 mod messages;
 mod meta;
-mod meta_service;
 mod migration;
 mod recovery;
 mod server;
@@ -73,7 +72,6 @@ pub use meta::{
     MergeOutcome, MetaError, MetaReplica, MetadataStore, MigrationDep, OwnershipSnapshot,
     ServerMeta,
 };
-pub use meta_service::MetadataService;
 pub use migration::{
     BatchPull, IncomingMigration, MigrationBatchIter, MigrationReport, MigrationRole,
     OutgoingMigration, PendMode, SourcePhase,

@@ -48,13 +48,9 @@
 //!                                pull the process's metrics snapshot: every
 //!                                counter family, gauge, serving-path latency
 //!                                histogram, and the migration-phase event
-//!                                timeline; --json emits one JSON object (the
-//!                                BENCH_*.json schema); --ns keeps only
-//!                                instruments under PREFIX (e.g. broker.)
-//!   bench [--ops N] [--keys K] [--value-size B] [--read-fraction F]
-//!         [--zipf] [--batch OPS] [--inflight B]
-//!                                loopback throughput benchmark (pipelined
-//!                                batches over real sockets)
+//!                                timeline; --json emits one JSON object;
+//!                                --ns keeps only instruments under PREFIX
+//!                                (e.g. broker.)
 //! ```
 //!
 //! Exit codes (shared by every verb so scripts never parse text):
@@ -68,9 +64,7 @@
 use std::time::Duration;
 
 use shadowfax_net::SessionConfig;
-use shadowfax_rpc::{
-    run_bench, BenchOptions, CtrlClient, RemoteClient, RemoteClientConfig, RpcError,
-};
+use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig, RpcError};
 
 /// Exit code for malformed invocations (`EX_USAGE`), distinct from
 /// runtime failures (1).
@@ -87,7 +81,7 @@ fn usage() -> ! {
          (ping | get K | put K V | del K | rmw K D | \
          migrate (start FROM TO FRACTION | wait ID | status ID | cancel ID | stats) | \
          tier (stats | status) | cluster (status | layout) | \
-         metrics [--json] [--ns PREFIX] | bench [opts])"
+         metrics [--json] [--ns PREFIX])"
     );
     std::process::exit(EXIT_USAGE)
 }
@@ -131,7 +125,7 @@ fn ctrl_for(addr: &str) -> CtrlClient {
 /// Maps the command tree onto the dispatch keys of `main`; anything that
 /// is not a spelling documented above is a usage error.
 fn canonicalize(mut rest: Vec<String>) -> (&'static str, Vec<String>) {
-    const LEAVES: [&str; 7] = ["ping", "get", "put", "del", "rmw", "metrics", "bench"];
+    const LEAVES: [&str; 6] = ["ping", "get", "put", "del", "rmw", "metrics"];
     let noun = rest.remove(0);
     if let Some(leaf) = LEAVES.iter().find(|leaf| **leaf == noun) {
         return (leaf, rest);
@@ -466,51 +460,6 @@ fn main() {
                 println!("{}", snap.to_json());
             } else {
                 print!("{}", snap.render_text());
-            }
-        }
-        "bench" => {
-            let mut opts = BenchOptions::default();
-            let mut session = SessionConfig {
-                max_batch_ops: 64,
-                ..SessionConfig::default()
-            };
-            let mut it = rest.into_iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next().unwrap_or_else(|| {
-                        eprintln!("missing value for {name}");
-                        usage()
-                    })
-                };
-                match flag.as_str() {
-                    "--ops" => opts.ops = parse_u64(&value("--ops"), "--ops"),
-                    "--keys" => opts.keys = parse_u64(&value("--keys"), "--keys"),
-                    "--value-size" => {
-                        opts.value_size = parse_u64(&value("--value-size"), "--value-size") as usize
-                    }
-                    "--read-fraction" => {
-                        opts.read_fraction =
-                            value("--read-fraction").parse().unwrap_or_else(|_| usage())
-                    }
-                    "--zipf" => opts.zipfian = true,
-                    "--batch" => {
-                        session.max_batch_ops = parse_u64(&value("--batch"), "--batch") as usize
-                    }
-                    "--inflight" => {
-                        session.max_inflight_batches =
-                            parse_u64(&value("--inflight"), "--inflight") as usize
-                    }
-                    other => {
-                        eprintln!("unknown bench flag {other}");
-                        usage()
-                    }
-                }
-            }
-            let mut client = client_for(&addr, session);
-            let report = run_bench(&mut client, &opts).unwrap_or_else(|e| fail(e));
-            println!("{report}");
-            if report.max_inflight_observed <= 1 {
-                eprintln!("warning: pipeline never exceeded one batch in flight");
             }
         }
         _ => usage(),

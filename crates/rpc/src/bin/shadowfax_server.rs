@@ -63,8 +63,8 @@ use std::sync::Arc;
 
 use shadowfax::{parse_peer_spec, Cluster, ClusterConfig, ClusterLayout, PeerServer};
 use shadowfax_rpc::{
-    CoordinatedControl, Coordinator, CoordinatorConfig, RemoteSharedTier, RemoteTierService,
-    RpcServer, RpcServerConfig, TcpMigrationConnector, TcpTransport, TierAwareControl,
+    ControlPlane, Coordinator, CoordinatorConfig, RemoteSharedTier, RemoteTierService, RpcServer,
+    RpcServerConfig, TcpMigrationConnector, TcpTransport,
 };
 
 /// When the metadata broker/coordinator loop runs.
@@ -275,21 +275,15 @@ fn main() {
         config.peers = peer_ranks.into_iter().collect();
         Coordinator::spawn(Arc::clone(&cluster), config)
     });
-    let control: Arc<dyn shadowfax_rpc::ClusterControl> = match &coordinator {
-        Some(handle) => Arc::new(CoordinatedControl::new(
-            Arc::clone(&cluster),
-            Arc::clone(handle),
-        )),
-        None => Arc::clone(&cluster) as _,
-    };
-    // Stamp the tier endpoint and its reachability onto BROKER_STATUS
-    // replies so `shadowfax-cli cluster status` can surface tier health.
-    let control: Arc<dyn shadowfax_rpc::ClusterControl> = match &remote_tier {
-        Some(tier) => Arc::new(TierAwareControl::new(control, Arc::clone(tier))),
-        None => control,
-    };
+    // BROKER_STATUS replies carry the coordinator's role and the tier
+    // endpoint with its reachability, so `shadowfax-cli cluster status`
+    // surfaces both; the coordinator also gates operator mutations.
     let rpc = RpcServer::serve(
-        control,
+        ControlPlane {
+            cluster: Arc::clone(&cluster),
+            coordinator,
+            tier: remote_tier,
+        },
         RpcServerConfig {
             listen: args.listen.clone(),
             io_threads: args.io_threads,

@@ -30,9 +30,15 @@
 //! [`shadowfax_net::PeerLiveness`]) is the broker.  A follower that
 //! outlives every better-ranked candidate promotes itself and bumps the
 //! cluster epoch, so replicas stamped by the old broker never win a merge
-//! tie.  Between a broker failure and the next promotion, mutations
-//! through [`ReplicatedMetadata`] fail with the typed
-//! [`MetaError::CoordinatorUnavailable`].
+//! tie.  Between a broker failure and the next promotion — the follower's
+//! broker failed its last probe but is not yet past the liveness budget —
+//! the control plane refuses the two operator mutations it serves
+//! (`Migrate`, `CancelMigration`) with the text of the typed
+//! [`MetaError::CoordinatorUnavailable`]
+//! ([`CoordinatorHandle::require_broker`]).  Servers' own completion
+//! marks and liveness-triggered cancellations are not gated: they go
+//! straight to the local [`shadowfax::MetadataStore`], so a broker blip
+//! cannot wedge a migration already in flight.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,10 +46,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use shadowfax::{
-    Cluster, HashRange, MergeOutcome, MetaError, MetaReplica, MetadataService, MetadataStore,
-    MigrationDep, OwnershipSnapshot, ServerId,
-};
+use shadowfax::{Cluster, MetaError, MetaReplica};
 use shadowfax_net::{LivenessConfig, PeerLiveness};
 
 use crate::codec::{Role, WireBrokerPeer, WireBrokerStatus};
@@ -106,7 +109,7 @@ struct PeerTrack {
 }
 
 /// Shared coordinator state: what `GET_BROKER_STATUS` answers and what
-/// [`ReplicatedMetadata`] gates mutations on.
+/// [`CoordinatorHandle::require_broker`] gates operator mutations on.
 struct CoordState {
     role: Role,
     broker_addr: String,
@@ -142,7 +145,7 @@ impl CoordinatorHandle {
                     reachable: *reachable,
                 })
                 .collect(),
-            // The tier endpoint is stamped in by `TierAwareControl` when a
+            // The tier endpoint is stamped in by the control plane when a
             // daemon is configured; the coordinator itself has no tier.
             tier_addr: String::new(),
             tier_reachable: false,
@@ -154,14 +157,21 @@ impl CoordinatorHandle {
         }
     }
 
-    /// A [`MetadataService`] view over this process's replica that fails
-    /// mutations with [`MetaError::CoordinatorUnavailable`] while no
-    /// broker is reachable.
-    pub fn metadata_service(&self) -> Arc<dyn MetadataService> {
-        Arc::new(ReplicatedMetadata {
-            local: Arc::clone(self.cluster.meta()),
-            state: Arc::clone(&self.state),
-        })
+    /// Refuses an operator mutation while this process is a follower
+    /// whose broker failed its last probe and is not yet declared dead;
+    /// the error names the silent broker.
+    pub(crate) fn require_broker(&self) -> Result<(), MetaError> {
+        let state = self.state.lock().expect("coordinator state");
+        if state.broker_reachable {
+            Ok(())
+        } else {
+            Err(MetaError::CoordinatorUnavailable {
+                detail: format!(
+                    "broker {} unreachable, re-election pending",
+                    state.broker_addr
+                ),
+            })
+        }
     }
 
     /// Stops the loop and joins its thread.
@@ -527,7 +537,7 @@ impl CoordinatorLoop {
     }
 
     /// Publishes role / reachability / acked epochs for `BROKER_STATUS`
-    /// and the [`ReplicatedMetadata`] mutation gate.
+    /// and the [`CoordinatorHandle::require_broker`] gate.
     fn publish_state(&mut self) {
         self.metrics.epoch.set(self.cluster.meta().epoch());
         self.metrics
@@ -610,173 +620,5 @@ fn with_conn<R>(
             peer.conn = None;
             None
         }
-    }
-}
-
-/// The replicated implementation of [`MetadataService`]: reads answer
-/// from the continuously merged local replica; mutations are refused with
-/// the typed [`MetaError::CoordinatorUnavailable`] while no broker is
-/// reachable (between a broker failure and the next promotion).
-pub struct ReplicatedMetadata {
-    local: Arc<MetadataStore>,
-    state: Arc<Mutex<CoordState>>,
-}
-
-impl ReplicatedMetadata {
-    fn require_broker(&self) -> Result<(), MetaError> {
-        let state = self.state.lock().expect("coordinator state");
-        if state.broker_reachable {
-            Ok(())
-        } else {
-            Err(MetaError::CoordinatorUnavailable {
-                detail: format!(
-                    "broker {} unreachable, re-election pending",
-                    state.broker_addr
-                ),
-            })
-        }
-    }
-}
-
-impl MetadataService for ReplicatedMetadata {
-    fn snapshot(&self) -> OwnershipSnapshot {
-        self.local.snapshot()
-    }
-
-    fn view_of(&self, id: ServerId) -> Option<u64> {
-        self.local.view_of(id)
-    }
-
-    fn owner_of(&self, hash: u64) -> Option<(ServerId, u64)> {
-        self.local.owner_of(hash)
-    }
-
-    fn epoch(&self) -> u64 {
-        self.local.epoch()
-    }
-
-    fn transfer_ownership(
-        &self,
-        source: ServerId,
-        target: ServerId,
-        ranges: &[HashRange],
-    ) -> Result<(u64, u64, u64), MetaError> {
-        self.require_broker()?;
-        self.local.transfer_ownership(source, target, ranges)
-    }
-
-    fn mark_complete(&self, migration_id: u64, server: ServerId) -> Result<bool, MetaError> {
-        self.require_broker()?;
-        self.local.mark_complete(migration_id, server)
-    }
-
-    fn cancel_migration(&self, migration_id: u64) -> Result<MigrationDep, MetaError> {
-        self.require_broker()?;
-        self.local.cancel_migration(migration_id)
-    }
-
-    fn migration_state(&self, id: u64) -> Result<Option<MigrationDep>, MetaError> {
-        self.local.migration_state(id)
-    }
-
-    fn pending_migrations(&self) -> usize {
-        self.local.pending_migrations()
-    }
-
-    fn pending_dependency_for(&self, server: ServerId) -> Option<MigrationDep> {
-        self.local.pending_dependency_for(server)
-    }
-
-    fn replica(&self) -> MetaReplica {
-        self.local.replica()
-    }
-
-    fn merge_replica(&self, replica: &MetaReplica) -> MergeOutcome {
-        self.local.merge_replica(replica)
-    }
-}
-
-/// [`ClusterControl`](crate::ClusterControl) for a coordinated process:
-/// everything delegates to the cluster, except `BROKER_STATUS`, which
-/// answers from the live coordinator instead of the solo default.
-pub struct CoordinatedControl {
-    cluster: Arc<Cluster>,
-    coordinator: Arc<CoordinatorHandle>,
-}
-
-impl CoordinatedControl {
-    /// Fronts `cluster` with `coordinator`'s status.
-    pub fn new(cluster: Arc<Cluster>, coordinator: Arc<CoordinatorHandle>) -> Self {
-        CoordinatedControl {
-            cluster,
-            coordinator,
-        }
-    }
-}
-
-impl crate::ClusterControl for CoordinatedControl {
-    fn ownership(&self) -> crate::codec::WireOwnership {
-        self.cluster.as_ref().ownership()
-    }
-
-    fn migrate(&self, source: u32, target: u32, fraction: f64) -> Result<u64, String> {
-        self.cluster.as_ref().migrate(source, target, fraction)
-    }
-
-    fn migration_status(
-        &self,
-        migration_id: u64,
-    ) -> Result<crate::codec::WireMigrationState, String> {
-        self.cluster.as_ref().migration_status(migration_id)
-    }
-
-    fn cancel_migration(&self, migration_id: u64) -> Result<(), String> {
-        crate::ClusterControl::cancel_migration(self.cluster.as_ref(), migration_id)
-    }
-
-    fn dispatch_thread(
-        &self,
-        fabric_addr: &str,
-    ) -> Result<shadowfax::DispatchHandle, shadowfax_net::TransportError> {
-        crate::ClusterControl::dispatch_thread(self.cluster.as_ref(), fabric_addr)
-    }
-
-    fn migration_thread(
-        &self,
-        server: u32,
-        thread: u32,
-    ) -> Result<shadowfax::DispatchHandle, shadowfax_net::TransportError> {
-        crate::ClusterControl::migration_thread(self.cluster.as_ref(), server, thread)
-    }
-
-    fn fetch_chain(
-        &self,
-        query: &shadowfax::ChainFetchQuery,
-    ) -> Result<shadowfax::ChainFetchReply, (shadowfax_net::StatusCode, String)> {
-        self.cluster.as_ref().fetch_chain(query)
-    }
-
-    fn metrics(&self) -> Arc<shadowfax_obs::MetricsRegistry> {
-        crate::ClusterControl::metrics(self.cluster.as_ref())
-    }
-
-    fn meta_replica(&self) -> MetaReplica {
-        self.cluster.as_ref().meta_replica()
-    }
-
-    fn merge_meta(&self, replica: &MetaReplica) -> (u64, bool) {
-        self.cluster.as_ref().merge_meta(replica)
-    }
-
-    fn broker_status(&self) -> WireBrokerStatus {
-        self.coordinator.status()
-    }
-
-    fn remote_source_addr(&self, server: u32) -> Option<String> {
-        crate::ClusterControl::remote_source_addr(self.cluster.as_ref(), server)
-    }
-
-    fn remote_addr_for_migration(&self, migration_id: u64) -> Option<String> {
-        crate::ClusterControl::remote_addr_for_migration(self.cluster.as_ref(), migration_id)
     }
 }

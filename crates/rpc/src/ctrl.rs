@@ -13,7 +13,9 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use shadowfax::{ChainFetchQuery, ChainFetchReply, MetaError, MetaReplica};
 use shadowfax_net::StatusCode;
@@ -362,6 +364,72 @@ impl CtrlClient {
             WireMsg::Pong(t) if t == token => Ok(()),
             other => Err(other),
         })
+    }
+}
+
+/// One persistent control connection to a peer that may come and go.
+///
+/// The cached [`CtrlClient`] is taken out for the duration of a call (so
+/// concurrent callers briefly dial an extra connection instead of
+/// serializing on a lock held across I/O) and put back unless the
+/// transport failed.  A transport failure starts a backoff window during
+/// which calls fail at once, which keeps an unreachable peer from stalling
+/// dispatch threads on every retry.  A typed [`RpcError::Remote`]
+/// rejection is an answer: the connection is kept and the peer counts as
+/// up.
+pub(crate) struct PersistentCtrl {
+    addr: String,
+    /// Dial / I/O timeout.
+    timeout: Duration,
+    /// How long to avoid re-dialling after a transport failure.
+    backoff: Duration,
+    conn: Mutex<Option<CtrlClient>>,
+    down_until: Mutex<Option<Instant>>,
+}
+
+impl PersistentCtrl {
+    pub(crate) fn new(addr: &str, timeout: Duration, backoff: Duration) -> Self {
+        PersistentCtrl {
+            addr: addr.to_string(),
+            timeout,
+            backoff,
+            conn: Mutex::new(None),
+            down_until: Mutex::new(None),
+        }
+    }
+
+    /// Inside the backoff window after a transport failure.
+    pub(crate) fn is_backing_off(&self) -> bool {
+        matches!(*self.down_until.lock(), Some(until) if Instant::now() < until)
+    }
+
+    /// Whether the peer answered: a typed rejection is an answer, any
+    /// other error means the transport failed (or was not tried).
+    pub(crate) fn answered<R>(result: &Result<R, RpcError>) -> bool {
+        matches!(result, Ok(_) | Err(RpcError::Remote { .. }))
+    }
+
+    /// Runs `op` — one round trip, or several — over the connection,
+    /// dialling first if none is cached.
+    pub(crate) fn call<R>(
+        &self,
+        op: impl FnOnce(&mut CtrlClient) -> Result<R, RpcError>,
+    ) -> Result<R, RpcError> {
+        if self.is_backing_off() {
+            return Err(RpcError::Io(format!("peer {} is backing off", self.addr)));
+        }
+        let cached = self.conn.lock().take();
+        let result = cached
+            .map_or_else(|| CtrlClient::connect(&self.addr, self.timeout), Ok)
+            .and_then(|mut conn| {
+                let result = op(&mut conn);
+                if Self::answered(&result) {
+                    *self.conn.lock() = Some(conn);
+                }
+                result
+            });
+        *self.down_until.lock() = (!Self::answered(&result)).then(|| Instant::now() + self.backoff);
+        result
     }
 }
 

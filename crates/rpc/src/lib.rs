@@ -10,12 +10,16 @@
 //! * [`TcpTransport`] — a `shadowfax_net::Transport` implementation over
 //!   non-blocking TCP, so `ClientSession`s pipeline batches over loopback or
 //!   a LAN exactly as they do over the simulator.
-//! * [`RpcServer`] — the TCP front end: an acceptor and N control I/O
-//!   threads that hand each client data connection (and each peer
-//!   migration connection) to the dispatch thread it names, which serves
-//!   the socket itself from then on, plus a control plane (ownership
-//!   snapshots, migration triggers) standing in for direct metadata-store
-//!   access.
+//! * [`RpcServer`] — the TCP front end: N control I/O threads, each running
+//!   the one readiness loop of this crate (`io_loop`: accept inline, serve
+//!   `Framed` connections with per-pass fairness bounds and a bounded
+//!   outbound buffer), that hand each client data connection (and each
+//!   peer migration connection) to the dispatch thread it names, which
+//!   serves the socket itself from then on.  Everything else on a
+//!   connection is a control frame, answered from [`ControlPlane`]: one
+//!   concrete object over the `Cluster` (ownership snapshots, migration
+//!   triggers, metrics, metadata replication, chain fetches) standing in
+//!   for direct metadata-store access.
 //! * [`RemoteClient`] — the out-of-process client: ownership-aware routing,
 //!   pipelined sessions, stale-view handling, all over the wire.  Servers
 //!   registered with socket addresses are dialled directly, so one client
@@ -28,9 +32,10 @@
 //!   processes under live load.
 //! * [`TierDaemon`] — the `shadowfax-tier` blob tier daemon: one genuinely
 //!   shared tier process serving lease-guarded appends and open reads over
-//!   `TIER_LEASE` / `TIER_APPEND` / `TIER_READ` frames.  Serving processes
-//!   mirror their spill writes to it, so any process resolves any log's
-//!   chains — including multi-hop nested indirections — directly.
+//!   `TIER_LEASE` / `TIER_APPEND` / `TIER_READ` frames, on one copy of the
+//!   same I/O loop.  Serving processes mirror their spill writes to it, so
+//!   any process resolves any log's chains — including multi-hop nested
+//!   indirections — directly.
 //! * [`RemoteSharedTier`] — the serving process's view of that daemon: it
 //!   mirrors spill appends under a per-log lease, reads foreign logs back
 //!   with `TIER_READ`, and demotes to the [`RemoteTierService`] chain-fetch
@@ -40,29 +45,32 @@
 //!   `FetchChain` requests; the hosting process walks the spilled chain out
 //!   of its shared-tier log and returns the records in one batch (stale
 //!   views and out-of-range addresses are rejected).
-//! * [`bench`] — a loopback throughput micro-benchmark used by
-//!   `shadowfax-cli bench` and the integration tests.
+//! * [`Coordinator`] — metadata replication between serving processes:
+//!   replica pull/merge/fan-out, deterministic broker election, relayed
+//!   cancellations, and the gate that makes a follower refuse operator
+//!   mutations while its broker is silent.
 //!
 //! Binaries: `shadowfax-server` hosts a cluster behind a listening socket;
-//! `shadowfax-cli` speaks the wire protocol (get/put/delete/bench/migrate).
+//! `shadowfax-cli` speaks the wire protocol (get/put/del/rmw/migrate/
+//! cluster/tier/metrics); `shadowfax-tier` is the tier daemon.  Throughput
+//! and latency are measured by the repository's `benchmark/` package, not
+//! from here.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 mod broker;
 mod client;
 pub mod codec;
 mod ctrl;
 mod fabric;
+mod framed;
+mod io_loop;
 mod server;
 mod tcp;
 mod tier;
 mod tierd;
 
-pub use bench::{run_bench, BenchOptions, BenchReport};
-pub use broker::{
-    CoordinatedControl, Coordinator, CoordinatorConfig, CoordinatorHandle, ReplicatedMetadata,
-};
+pub use broker::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use client::{OpCallback, RemoteClient, RemoteClientConfig, RemoteClientStats};
 pub use codec::{
     decode_frame, encode_frame, CodecError, FrameDecoder, Role, WireBrokerPeer, WireBrokerStatus,
@@ -71,10 +79,8 @@ pub use codec::{
 };
 pub use ctrl::{CtrlClient, RpcError};
 pub use fabric::TcpMigrationConnector;
-pub use server::{
-    ClusterControl, RpcServer, RpcServerConfig, RpcServerHandle, TierAwareControl,
-    OUTBOUND_BUDGET_BYTES,
-};
+pub use framed::OUTBOUND_BUDGET_BYTES;
+pub use server::{ControlPlane, RpcServer, RpcServerConfig, RpcServerHandle};
 pub use tcp::{TcpLink, TcpMigrationLink, TcpTransport};
 pub use tier::{RemoteSharedTier, RemoteTierService};
 pub use tierd::{TierDaemon, TierDaemonConfig, TierDaemonHandle, MAX_TIER_READ_BYTES};

@@ -12,7 +12,7 @@
 //! writes spin briefly on `WouldBlock`, which on loopback only happens when
 //! the kernel buffer is momentarily full.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -26,6 +26,7 @@ use shadowfax_net::{
 };
 
 use crate::codec::{encode_frame, CodecError, FrameDecoder, WireMsg, MAX_FRAME_BYTES};
+use crate::framed::{drain_socket, ConnGuard, DrainStop, Framed};
 
 /// Splits `"host:port/fabric/addr"` into the socket and fabric parts.
 pub(crate) fn split_link_addr(addr: &str) -> Result<(&str, &str), TransportError> {
@@ -200,10 +201,33 @@ impl Transport for TcpTransport {
     }
 }
 
+/// The read half of a link: the socket drained, without blocking, into a
+/// frame decoder.
 struct ReadState {
     stream: TcpStream,
     decoder: FrameDecoder,
     eof: bool,
+}
+
+impl ReadState {
+    /// Reads whatever the socket holds.  A reset counts as the peer
+    /// hanging up: frames that arrived before it are still delivered.
+    fn fill(&mut self) -> Result<(), TransportError> {
+        if self.eof {
+            return Ok(());
+        }
+        match drain_socket(&mut self.stream, &mut self.decoder, |_, _| true) {
+            Ok(DrainStop::Eof) => self.eof = true,
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == ErrorKind::ConnectionReset || e.kind() == ErrorKind::BrokenPipe =>
+            {
+                self.eof = true
+            }
+            Err(e) => return Err(io_err(e)),
+        }
+        Ok(())
+    }
 }
 
 /// One TCP connection from a client session to a server dispatch thread.
@@ -243,29 +267,7 @@ impl KvLink for TcpLink {
 
     fn try_recv_reply(&self) -> Result<Option<BatchReply>, TransportError> {
         let mut state = self.reader.lock();
-        // Drain the socket into the decoder without blocking.
-        if !state.eof {
-            let mut chunk = [0u8; 64 * 1024];
-            loop {
-                match state.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        state.eof = true;
-                        break;
-                    }
-                    Ok(n) => state.decoder.extend(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e)
-                        if e.kind() == ErrorKind::ConnectionReset
-                            || e.kind() == ErrorKind::BrokenPipe =>
-                    {
-                        state.eof = true;
-                        break;
-                    }
-                    Err(e) => return Err(self.fail(io_err(e))),
-                }
-            }
-        }
+        state.fill().map_err(|e| self.fail(e))?;
         // Surface at most one decoded message per call (the session loops).
         match state
             .decoder
@@ -319,7 +321,7 @@ pub struct TcpMigrationLink {
     open: AtomicBool,
     label: String,
     /// Accepted links keep the front end's `rpc.conns.*` accounting alive.
-    _guard: Option<crate::server::ConnGuard>,
+    _guard: Option<ConnGuard>,
 }
 
 impl std::fmt::Debug for TcpMigrationLink {
@@ -333,14 +335,15 @@ impl std::fmt::Debug for TcpMigrationLink {
 
 impl TcpMigrationLink {
     /// The accepting end: wraps a connection whose MIG_HELLO the front end
-    /// already consumed (`decoder` holds whatever arrived behind it), for
+    /// already consumed (its decoder holds whatever arrived behind it), for
     /// the dispatch thread that adopts it.
-    pub(crate) fn from_accepted(
-        stream: TcpStream,
-        decoder: FrameDecoder,
-        label: String,
-        guard: crate::server::ConnGuard,
-    ) -> std::io::Result<Self> {
+    pub(crate) fn from_accepted(io: Framed, label: String) -> std::io::Result<Self> {
+        let Framed {
+            stream,
+            decoder,
+            guard,
+            ..
+        } = io;
         let reader = stream.try_clone()?;
         Ok(TcpMigrationLink {
             writer: Mutex::new(stream),
@@ -394,28 +397,7 @@ impl MigrationLink<MigrationMsg> for TcpMigrationLink {
 
     fn try_recv_msg(&self) -> Result<Option<MigrationMsg>, TransportError> {
         let mut state = self.reader.lock();
-        if !state.eof {
-            let mut chunk = [0u8; 64 * 1024];
-            loop {
-                match state.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        state.eof = true;
-                        break;
-                    }
-                    Ok(n) => state.decoder.extend(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e)
-                        if e.kind() == ErrorKind::ConnectionReset
-                            || e.kind() == ErrorKind::BrokenPipe =>
-                    {
-                        state.eof = true;
-                        break;
-                    }
-                    Err(e) => return Err(self.fail(io_err(e))),
-                }
-            }
-        }
+        state.fill().map_err(|e| self.fail(e))?;
         match state
             .decoder
             .next_msg()
@@ -458,6 +440,7 @@ impl MigrationLink<MigrationMsg> for TcpMigrationLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::time::Instant;
 
     #[test]

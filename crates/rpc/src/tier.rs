@@ -37,7 +37,7 @@ use shadowfax_storage::{
     ChainFetch, ChainFetchRequest, DeviceError, LogId, SharedBlobTier, TierRecord, TierSink,
 };
 
-use crate::ctrl::CtrlClient;
+use crate::ctrl::{CtrlClient, PersistentCtrl, RpcError};
 use crate::fabric::is_peer_socket_address;
 use crate::tierd::MAX_TIER_READ_BYTES;
 
@@ -54,28 +54,25 @@ const RECORDS_PER_FETCH: u32 = 512;
 /// pathological; buffering it unboundedly could exhaust memory).
 const MAX_CHAIN_BYTES: usize = 32 * 1024 * 1024;
 
+/// Dial / I/O timeout for chain-fetch and tier-daemon connections.
+const PEER_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long chain fetches avoid a peer after a connection failure.
+const FETCH_BACKOFF: Duration = Duration::from_millis(250);
+
 /// A `TierService` that reads local logs from the process's own shared tier
 /// and fetches chains of remote logs from the peer process hosting them.
 pub struct RemoteTierService {
     local: Arc<SharedBlobTier>,
     meta: Arc<MetadataStore>,
-    /// Dial / I/O timeout for chain-fetch connections.
-    timeout: Duration,
-    /// How long to avoid re-dialling a peer after a connection failure.
-    backoff: Duration,
-    /// One cached request/response connection per peer address.  An entry is
-    /// taken out of the map for the duration of a round trip, so concurrent
-    /// fetches to one peer briefly open an extra connection instead of
-    /// serializing on a lock held across I/O.
-    conns: Mutex<HashMap<String, CtrlClient>>,
-    /// Peers that recently failed, with the time the failure was observed.
-    down_until: Mutex<HashMap<String, Instant>>,
+    /// One persistent control connection per peer address.
+    peers: Mutex<HashMap<String, Arc<PersistentCtrl>>>,
 }
 
 impl std::fmt::Debug for RemoteTierService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteTierService")
-            .field("cached_conns", &self.conns.lock().len())
+            .field("peers", &self.peers.lock().len())
             .finish()
     }
 }
@@ -87,110 +84,81 @@ impl RemoteTierService {
         RemoteTierService {
             local,
             meta,
-            timeout: Duration::from_secs(2),
-            backoff: Duration::from_millis(250),
-            conns: Mutex::new(HashMap::new()),
-            down_until: Mutex::new(HashMap::new()),
+            peers: Mutex::new(HashMap::new()),
         }
     }
 
-    fn take_conn(&self, addr: &str) -> Option<CtrlClient> {
-        self.conns.lock().remove(addr)
-    }
-
-    fn put_conn(&self, addr: &str, conn: CtrlClient) {
-        self.conns.lock().insert(addr.to_string(), conn);
-    }
-
-    fn peer_is_down(&self, addr: &str) -> bool {
-        match self.down_until.lock().get(addr) {
-            Some(until) => Instant::now() < *until,
-            None => false,
-        }
-    }
-
-    fn mark_down(&self, addr: &str) {
-        self.down_until
-            .lock()
-            .insert(addr.to_string(), Instant::now() + self.backoff);
-    }
-
-    /// Pages through the chain at the peer until the requested key shows up
-    /// or the chain is exhausted.  Records are deduplicated first-wins
-    /// across pages (the first occurrence is the newest version).
+    /// Resolves the chain at the peer.  A chain that cannot be fetched
+    /// right now — peer down or backing off, fetch rejected (stale view,
+    /// out of range: the connection is still good, the fetch is not) — is
+    /// `Unavailable`, never a miss.
     fn fetch_remote(&self, addr: &str, req: &ChainFetchRequest) -> ChainFetch {
-        if self.peer_is_down(addr) {
-            return ChainFetch::Unavailable(format!("peer {addr} is backing off"));
+        let peer = Arc::clone(
+            self.peers
+                .lock()
+                .entry(addr.to_string())
+                .or_insert_with(|| {
+                    Arc::new(PersistentCtrl::new(addr, PEER_TIMEOUT, FETCH_BACKOFF))
+                }),
+        );
+        match peer.call(|conn| page_chain(conn, addr, req)) {
+            Ok(fetch) => fetch,
+            Err(RpcError::Remote { status, message }) => ChainFetch::Unavailable(format!(
+                "peer {addr} rejected the fetch ({status}): {message}"
+            )),
+            Err(e) => ChainFetch::Unavailable(format!("fetch from {addr}: {e}")),
         }
-        let mut conn = match self.take_conn(addr) {
-            Some(conn) => conn,
-            None => match CtrlClient::connect(addr, self.timeout) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.mark_down(addr);
-                    return ChainFetch::Unavailable(format!("dial {addr}: {e}"));
-                }
-            },
-        };
-        let mut records: Vec<TierRecord> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut total_bytes = 0usize;
-        let mut cursor = req.address;
-        for _ in 0..MAX_PAGES {
-            let query = ChainFetchQuery {
-                requester: req.requester as u32,
-                view: req.view,
-                log: req.log.0,
-                address: cursor,
-                max_records: RECORDS_PER_FETCH,
-            };
-            let reply = match conn.fetch_chain(&query) {
-                Ok(reply) => reply,
-                Err(crate::ctrl::RpcError::Remote { status, message }) => {
-                    // A typed rejection (stale view, out of range): the
-                    // connection is still good, the fetch is not.
-                    self.put_conn(addr, conn);
-                    return ChainFetch::Unavailable(format!(
-                        "peer {addr} rejected the fetch ({status}): {message}"
-                    ));
-                }
-                Err(e) => {
-                    self.mark_down(addr);
-                    return ChainFetch::Unavailable(format!("fetch from {addr}: {e}"));
-                }
-            };
-            let mut found = false;
-            for rec in reply.records {
-                if rec.key == req.key {
-                    found = true;
-                }
-                if seen.insert(rec.key) {
-                    total_bytes += rec.value.len();
-                    records.push(rec);
-                }
-            }
-            if found || reply.next == 0 {
-                self.put_conn(addr, conn);
-                return ChainFetch::Records(records);
-            }
-            if total_bytes > MAX_CHAIN_BYTES {
-                self.put_conn(addr, conn);
-                return ChainFetch::Unavailable(format!(
-                    "chain at {addr} log {} exceeded {MAX_CHAIN_BYTES} buffered bytes",
-                    req.log
-                ));
-            }
-            cursor = reply.next;
-        }
-        // The chain outlived the page budget without surfacing the key.
-        // Returning the partial batch would read as "missing"; report the
-        // fetch as unresolvable instead.
-        self.put_conn(addr, conn);
-        ChainFetch::Unavailable(format!(
-            "chain at {addr} log {} exceeded {MAX_PAGES} pages",
-            req.log
-        ))
     }
+}
+
+/// Pages through the chain at the peer until the requested key shows up
+/// or the chain is exhausted.  Records are deduplicated first-wins
+/// across pages (the first occurrence is the newest version).
+fn page_chain(
+    conn: &mut CtrlClient,
+    addr: &str,
+    req: &ChainFetchRequest,
+) -> Result<ChainFetch, RpcError> {
+    let mut records: Vec<TierRecord> = Vec::new();
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut total_bytes = 0usize;
+    let mut cursor = req.address;
+    for _ in 0..MAX_PAGES {
+        let reply = conn.fetch_chain(&ChainFetchQuery {
+            requester: req.requester as u32,
+            view: req.view,
+            log: req.log.0,
+            address: cursor,
+            max_records: RECORDS_PER_FETCH,
+        })?;
+        let mut found = false;
+        for rec in reply.records {
+            if rec.key == req.key {
+                found = true;
+            }
+            if seen.insert(rec.key) {
+                total_bytes += rec.value.len();
+                records.push(rec);
+            }
+        }
+        if found || reply.next == 0 {
+            return Ok(ChainFetch::Records(records));
+        }
+        if total_bytes > MAX_CHAIN_BYTES {
+            return Ok(ChainFetch::Unavailable(format!(
+                "chain at {addr} log {} exceeded {MAX_CHAIN_BYTES} buffered bytes",
+                req.log
+            )));
+        }
+        cursor = reply.next;
+    }
+    // The chain outlived the page budget without surfacing the key.
+    // Returning the partial batch would read as "missing"; report the
+    // fetch as unresolvable instead.
+    Ok(ChainFetch::Unavailable(format!(
+        "chain at {addr} log {} exceeded {MAX_PAGES} pages",
+        req.log
+    )))
 }
 
 impl shadowfax_storage::TierService for RemoteTierService {
@@ -238,17 +206,9 @@ struct MirrorState {
     abandoned: bool,
 }
 
-/// What a daemon round trip produced, from the caller's point of view.
-enum DaemonError {
-    /// Transport-level failure (or the daemon is backing off): retry later.
-    Unavailable(#[allow(dead_code)] String),
-    /// The daemon answered with a typed rejection; the connection is fine.
-    Rejected {
-        status: StatusCode,
-        #[allow(dead_code)]
-        message: String,
-    },
-}
+/// How long the tier daemon, or one log on it, is avoided after it failed
+/// to answer (the daemon) or answered `OutOfRange` (the log).
+const DAEMON_BACKOFF: Duration = Duration::from_millis(500);
 
 /// The serving process's view of the `shadowfax-tier` daemon: a
 /// `TierService` that resolves *any* log's chains directly against the
@@ -278,14 +238,8 @@ pub struct RemoteSharedTier {
     /// The lease holder id presented to the daemon (this process's base
     /// server id).
     holder: u64,
-    timeout: Duration,
-    backoff: Duration,
-    /// One cached daemon connection, taken out for the duration of a round
-    /// trip (concurrent calls briefly dial an extra connection instead of
-    /// serializing on a lock held across I/O).
-    conn: Mutex<Option<CtrlClient>>,
-    /// Set while the daemon is in post-failure backoff.
-    down_until: Mutex<Option<Instant>>,
+    /// The persistent control connection to the daemon.
+    daemon: PersistentCtrl,
     /// Logs whose daemon copy recently answered `OutOfRange` (mirror
     /// behind or abandoned): resolved via the fallback until the deadline.
     log_down_until: Mutex<HashMap<u64, Instant>>,
@@ -328,15 +282,12 @@ impl RemoteSharedTier {
         let reachable = registry.gauge("tier.remote.reachable");
         reachable.set(1);
         Arc::new(RemoteSharedTier {
+            daemon: PersistentCtrl::new(&addr, PEER_TIMEOUT, DAEMON_BACKOFF),
             addr,
             local,
             meta,
             fallback,
             holder,
-            timeout: Duration::from_secs(2),
-            backoff: Duration::from_millis(500),
-            conn: Mutex::new(None),
-            down_until: Mutex::new(None),
             log_down_until: Mutex::new(HashMap::new()),
             mirrors: Mutex::new(HashMap::new()),
             reads: registry.counter("tier.remote.reads"),
@@ -368,20 +319,7 @@ impl RemoteSharedTier {
     }
 
     fn daemon_is_down(&self) -> bool {
-        match *self.down_until.lock() {
-            Some(until) => Instant::now() < until,
-            None => false,
-        }
-    }
-
-    fn mark_down(&self) {
-        *self.down_until.lock() = Some(Instant::now() + self.backoff);
-        self.reachable.set(0);
-    }
-
-    fn mark_up(&self) {
-        *self.down_until.lock() = None;
-        self.reachable.set(1);
+        self.daemon.is_backing_off()
     }
 
     fn log_is_down(&self, log: u64) -> bool {
@@ -394,51 +332,18 @@ impl RemoteSharedTier {
     fn mark_log_down(&self, log: u64) {
         self.log_down_until
             .lock()
-            .insert(log, Instant::now() + self.backoff);
+            .insert(log, Instant::now() + DAEMON_BACKOFF);
     }
 
-    /// Runs one round trip against the daemon over the cached connection.
-    /// Typed rejections keep the connection and the daemon's up state;
-    /// transport failures start the backoff window.
+    /// Runs one round trip against the daemon.  The `reachable` gauge
+    /// follows whether it answered: a typed rejection is an answer.
     fn with_daemon<R>(
         &self,
-        op: impl FnOnce(&mut CtrlClient) -> Result<R, crate::ctrl::RpcError>,
-    ) -> Result<R, DaemonError> {
-        if self.daemon_is_down() {
-            return Err(DaemonError::Unavailable(format!(
-                "tier daemon {} is backing off",
-                self.addr
-            )));
-        }
-        let mut conn = match self.conn.lock().take() {
-            Some(conn) => conn,
-            None => match CtrlClient::connect(&self.addr, self.timeout) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.mark_down();
-                    return Err(DaemonError::Unavailable(format!("dial {}: {e}", self.addr)));
-                }
-            },
-        };
-        match op(&mut conn) {
-            Ok(r) => {
-                *self.conn.lock() = Some(conn);
-                self.mark_up();
-                Ok(r)
-            }
-            Err(crate::ctrl::RpcError::Remote { status, message }) => {
-                *self.conn.lock() = Some(conn);
-                self.mark_up();
-                Err(DaemonError::Rejected { status, message })
-            }
-            Err(e) => {
-                self.mark_down();
-                Err(DaemonError::Unavailable(format!(
-                    "tier daemon {}: {e}",
-                    self.addr
-                )))
-            }
-        }
+        op: impl FnOnce(&mut CtrlClient) -> Result<R, RpcError>,
+    ) -> Result<R, RpcError> {
+        let result = self.daemon.call(op);
+        self.reachable.set(PersistentCtrl::answered(&result) as u64);
+        result
     }
 
     fn mirror_entry(&self, log: u64) -> Arc<Mutex<MirrorState>> {
@@ -489,7 +394,7 @@ impl RemoteSharedTier {
                     state.queue.pop_front();
                     state.queued_bytes -= len;
                 }
-                Err(DaemonError::Rejected {
+                Err(RpcError::Remote {
                     status: StatusCode::StaleView,
                     ..
                 }) => {
@@ -501,7 +406,7 @@ impl RemoteSharedTier {
                         return;
                     }
                 }
-                Err(DaemonError::Rejected { .. }) => {
+                Err(RpcError::Remote { .. }) => {
                     // Permanently refused (e.g. over capacity): replaying
                     // later cannot help, and skipping the append would hole
                     // the daemon's copy.  Abandon the mirror; readers of
@@ -509,7 +414,9 @@ impl RemoteSharedTier {
                     self.abandon(state);
                     return;
                 }
-                Err(DaemonError::Unavailable(_)) => return,
+                // Transport failure, or the daemon is backing off: retry
+                // on a later append.
+                Err(_) => return,
             }
         }
     }
@@ -538,7 +445,7 @@ impl RemoteSharedTier {
                     self.errors.inc();
                     return Err(DeviceError::UnknownLog(log.0));
                 }
-                Err(DaemonError::Rejected {
+                Err(RpcError::Remote {
                     status: StatusCode::OutOfRange,
                     ..
                 }) => {

@@ -22,24 +22,23 @@
 //! The daemon is deliberately dumb: no replication, no ownership map, no
 //! record parsing.  It stores bytes, enforces leases, reports per-log
 //! extents ([`WireMsg::GetTierStatus`]), and answers the standard metrics
-//! frames from its own `tierd.*` registry.
+//! frames from its own registry (`tierd.*`, plus the `rpc.conns.*`
+//! accounting of the loop it is served by).  This module holds only that
+//! state and its frame handler; sockets, readiness, fairness bounds and
+//! the slow-reader drop are the shared control I/O loop's
+//! ([`crate::io_loop`]).
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
-use shadowfax_net::{Interest, Reactor, StatusCode, Token};
+use shadowfax_net::StatusCode;
 use shadowfax_obs::MetricsRegistry;
 use shadowfax_storage::{LogId, SharedBlobTier};
 
-use crate::codec::{
-    encode_frame, FrameDecoder, WireMsg, WireTierLog, WireTierStatus, MAX_FRAME_BYTES,
-};
-use crate::server::OUTBOUND_BUDGET_BYTES;
+use crate::codec::{WireMsg, WireTierLog, WireTierStatus, MAX_FRAME_BYTES};
+use crate::io_loop::{IoLoops, Served};
 
 /// Hard cap on one [`WireMsg::TierRead`]'s length: well under
 /// [`MAX_FRAME_BYTES`] so a reply frame can never exceed the codec limit.
@@ -68,7 +67,7 @@ struct LeaseEntry {
     holder: u64,
 }
 
-/// Everything the connection threads share.
+/// What the daemon serves frames from.
 struct TierState {
     tier: Arc<SharedBlobTier>,
     leases: Mutex<HashMap<u64, LeaseEntry>>,
@@ -233,9 +232,7 @@ impl TierState {
 pub struct TierDaemonHandle {
     local_addr: SocketAddr,
     state: Arc<TierState>,
-    stop: Arc<AtomicBool>,
-    reactor: Arc<Reactor>,
-    loop_thread: Mutex<Option<JoinHandle<()>>>,
+    io_loop: IoLoops,
 }
 
 impl TierDaemonHandle {
@@ -253,14 +250,10 @@ impl TierDaemonHandle {
         }
     }
 
-    /// Stops the event loop (waking it out of `epoll_wait`) and joins it;
-    /// every connection closes with the loop.
+    /// Stops the I/O loop (waking it if it is blocked) and joins it; every
+    /// connection closes with the loop.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.reactor.wake();
-        if let Some(thread) = self.loop_thread.lock().expect("tier loop thread").take() {
-            let _ = thread.join();
-        }
+        self.io_loop.stop();
     }
 }
 
@@ -268,234 +261,46 @@ impl TierDaemonHandle {
 pub struct TierDaemon;
 
 impl TierDaemon {
-    /// Binds `config.listen` and starts the event loop.
+    /// Binds `config.listen` and starts serving.
     ///
-    /// The daemon runs a single reactor thread — the same event-loop
-    /// implementation the RPC server's I/O threads use — instead of a
-    /// thread per connection: the listener and every connection register
-    /// edge-triggered interest with one epoll instance, so an idle daemon
-    /// (even with thousands of mirroring connections parked on it) costs
-    /// no CPU.
+    /// The daemon runs one copy of the control I/O loop the RPC server's
+    /// I/O threads run (`io_loop.rs`) with `TierState::answer` as
+    /// its frame handler, instead of a thread per connection: the listener
+    /// and every connection register edge-triggered interest with one
+    /// reactor, so an idle daemon (even with thousands of mirroring
+    /// connections parked on it) costs no CPU, and a client that stops
+    /// reading its replies is dropped at the outbound budget and counted
+    /// under `rpc.conns.*` in the daemon's own registry.
     pub fn serve(config: TierDaemonConfig) -> std::io::Result<Arc<TierDaemonHandle>> {
         let listener = TcpListener::bind(&config.listen)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let state = TierState::new(config.per_log_capacity);
-        let stop = Arc::new(AtomicBool::new(false));
-        let reactor = Arc::new(Reactor::new()?);
-        reactor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
-        let loop_thread = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let reactor = Arc::clone(&reactor);
-            std::thread::Builder::new()
-                .name("shadowfax-tier-loop".into())
-                .spawn(move || event_loop(reactor, listener, state, stop))
-                .expect("spawn tier event loop")
-        };
+        let (serving, metrics) = (Arc::clone(&state), Arc::clone(&state.metrics));
+        let io_loop = IoLoops::spawn(
+            listener,
+            1,
+            |_| "shadowfax-tier-loop".into(),
+            MAX_FRAME_BYTES,
+            &metrics,
+            move |msg| Served::Reply(serving.answer(msg)),
+        )?;
         Ok(Arc::new(TierDaemonHandle {
             local_addr,
             state,
-            stop,
-            reactor,
-            loop_thread: Mutex::new(Some(loop_thread)),
+            io_loop,
         }))
-    }
-}
-
-/// The listener's fixed epoll token.  Connection tokens encode a slab
-/// index in their low 32 bits, so any value with high bits set (short of
-/// the reactor's reserved wakeup token) cannot collide.
-const LISTENER_TOKEN: Token = Token(u64::MAX - 1);
-
-/// One connection's state in the event loop.
-struct TierConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Encoded reply bytes not yet accepted by the socket.
-    out: VecDeque<u8>,
-    /// Write interest currently registered with the reactor.
-    wants_write: bool,
-    /// The peer sent garbage: flush the typed error reply, then close
-    /// (the decoder cannot resynchronise).
-    closing: bool,
-    /// The peer hung up or the socket failed.
-    eof: bool,
-}
-
-impl TierConn {
-    /// Reads until `WouldBlock` (edge-triggered contract), answering every
-    /// complete frame into the outbound buffer.
-    fn drain_and_answer(&mut self, state: &TierState) {
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if !self.closing {
-                loop {
-                    match self.decoder.next_msg() {
-                        Ok(Some(msg)) => {
-                            let reply = state.answer(msg);
-                            self.out.extend(encode_frame(&reply));
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            self.out.extend(encode_frame(&WireMsg::CtrlErr {
-                                status: e.status_code(),
-                                message: e.to_string(),
-                            }));
-                            self.closing = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if self.out.len() > OUTBOUND_BUDGET_BYTES {
-                // The peer is not reading its replies; drop it rather than
-                // buffer without bound.
-                self.eof = true;
-                return;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    return;
-                }
-                Ok(n) => self.decoder.extend(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.eof = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Writes buffered replies until empty or `WouldBlock`.
-    fn flush_out(&mut self) {
-        while !self.out.is_empty() {
-            let (front, _) = self.out.as_slices();
-            match self.stream.write(front) {
-                Ok(0) => {
-                    self.eof = true;
-                    return;
-                }
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.eof = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.eof || (self.closing && self.out.is_empty())
-    }
-}
-
-/// The daemon's single event loop: accept, read, answer, flush — all
-/// readiness-driven.
-fn event_loop(
-    reactor: Arc<Reactor>,
-    listener: TcpListener,
-    state: Arc<TierState>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: HashMap<u64, TierConn> = HashMap::new();
-    let mut next_token = 0u64;
-    let mut events = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        let _ = reactor.poll(&mut events, None);
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        for ev in &events {
-            if ev.token == LISTENER_TOKEN {
-                // Edge-triggered: accept until the backlog is empty.
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let token = Token(next_token);
-                            next_token += 1;
-                            if reactor
-                                .register(stream.as_raw_fd(), token, Interest::READABLE)
-                                .is_ok()
-                            {
-                                conns.insert(
-                                    token.0,
-                                    TierConn {
-                                        stream,
-                                        decoder: FrameDecoder::new(MAX_FRAME_BYTES),
-                                        out: VecDeque::new(),
-                                        wants_write: false,
-                                        closing: false,
-                                        eof: false,
-                                    },
-                                );
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => break,
-                    }
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.token.0) else {
-                continue;
-            };
-            if ev.readable {
-                conn.drain_and_answer(&state);
-            }
-            if ev.writable {
-                conn.flush_out();
-            }
-            if ev.error {
-                conn.eof = true;
-            }
-            if !conn.eof {
-                conn.flush_out();
-            }
-            if conn.done() {
-                let _ = reactor.deregister(conn.stream.as_raw_fd());
-                conns.remove(&ev.token.0);
-                continue;
-            }
-            // Keep write interest in sync with buffered output.
-            let want = !conn.out.is_empty();
-            if want != conn.wants_write {
-                conn.wants_write = want;
-                let interest = if want {
-                    Interest::READABLE_WRITABLE
-                } else {
-                    Interest::READABLE
-                };
-                if reactor
-                    .reregister(conn.stream.as_raw_fd(), ev.token, interest)
-                    .is_err()
-                {
-                    let _ = reactor.deregister(conn.stream.as_raw_fd());
-                    conns.remove(&ev.token.0);
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_frame, encode_frame};
     use crate::ctrl::CtrlClient;
-    use crate::RpcError;
-    use std::time::Duration;
+    use crate::{RpcError, OUTBOUND_BUDGET_BYTES};
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
 
     fn daemon() -> (Arc<TierDaemonHandle>, CtrlClient) {
         let handle = TierDaemon::serve(TierDaemonConfig {
@@ -570,6 +375,100 @@ mod tests {
         a.tier_append(0, lease, 256, &[0x5A; 64]).expect("append");
         let data = b.tier_read(0, 256, 64).expect("cross-client read");
         assert!(data.iter().all(|&b| b == 0x5A));
+        daemon.shutdown();
+    }
+
+    /// The daemon on the shared loop has the slow-reader policy: a client
+    /// that stops reading its `TIER_DATA` replies is dropped once its
+    /// outbound buffer passes `OUTBOUND_BUDGET_BYTES` — counted in the
+    /// daemon's own registry — while a sibling keeps round-tripping.
+    #[test]
+    fn a_client_that_stops_reading_is_dropped_without_stalling_a_sibling() {
+        const CHUNK: u32 = 512 * 1024;
+        let (daemon, mut sibling) = daemon();
+        let lease = sibling.tier_lease(5, 0).expect("lease");
+        sibling
+            .tier_append(5, lease, 0, &vec![0x7E; CHUNK as usize])
+            .expect("append");
+
+        // The victim asks for the same half-megabyte again and again and
+        // never reads a byte.  A full kernel buffer (`WouldBlock`) must not
+        // end the flood; only a hard error means the daemon let go.
+        let victim = TcpStream::connect(daemon.local_addr()).expect("connect victim");
+        victim.set_nonblocking(true).expect("victim nonblocking");
+        let request = encode_frame(&WireMsg::TierRead {
+            log: 5,
+            offset: 0,
+            len: CHUNK,
+        });
+        let asks = 2 * OUTBOUND_BUDGET_BYTES / CHUNK as usize;
+        let burst: Vec<u8> = request
+            .iter()
+            .copied()
+            .cycle()
+            .take(request.len() * asks)
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut sent = 0usize;
+        let dropped_slow_reader = loop {
+            if sent < burst.len() {
+                match (&victim).write(&burst[sent..]) {
+                    Ok(n) => sent += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => sent = burst.len(), // dropped by the daemon
+                }
+            }
+            // The sibling shares the daemon's one loop with the victim.
+            let started = Instant::now();
+            assert_eq!(sibling.tier_read(5, 0, 64).expect("sibling read").len(), 64);
+            assert!(
+                started.elapsed() < Duration::from_secs(3),
+                "the sibling stalled behind the slow reader"
+            );
+            let conns = sibling
+                .metrics_ns("rpc.conns")
+                .expect("daemon conn metrics");
+            let dropped = conns.counter("rpc.conns.dropped_slow_reader").unwrap_or(0);
+            if dropped >= 1 {
+                break conns;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the slow reader was never dropped: {conns:?}"
+            );
+        };
+        assert!(
+            dropped_slow_reader
+                .gauge("rpc.conns.outbuf_hwm_bytes")
+                .unwrap_or(0)
+                > OUTBOUND_BUDGET_BYTES as u64 / 2,
+            "the outbound buffer never absorbed replies: {dropped_slow_reader:?}"
+        );
+        assert_eq!(dropped_slow_reader.gauge("rpc.conns.open"), Some(1));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn garbage_gets_one_typed_error_and_a_close_and_the_daemon_keeps_serving() {
+        let (daemon, mut client) = daemon();
+        let mut stream = TcpStream::connect(daemon.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(b"GET / HTTP/1.1\r\n\r\n")
+            .expect("send garbage");
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).expect("answer, then EOF");
+        match decode_frame(&answer, MAX_FRAME_BYTES).expect("one frame") {
+            (WireMsg::CtrlErr { status, .. }, consumed) => {
+                assert_eq!(status, StatusCode::Oversized);
+                assert_eq!(consumed, answer.len(), "nothing behind the error");
+            }
+            other => panic!("unexpected answer to garbage: {other:?}"),
+        }
+        client.ping().expect("the daemon keeps serving");
         daemon.shutdown();
     }
 }

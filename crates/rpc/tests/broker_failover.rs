@@ -11,23 +11,25 @@
 //!   bytes (skip-if-current compares merged content, not just epoch),
 //! * kills the broker (RPC front end and coordinator both) mid-migration,
 //! * observes the typed-unavailability window: while every better-ranked
-//!   candidate is unreachable but not yet past the liveness budget,
-//!   mutations through [`ReplicatedMetadata`] fail with
-//!   `MetaError::CoordinatorUnavailable`,
+//!   candidate is unreachable but not yet past the liveness budget, the
+//!   follower's control plane refuses an operator's `CancelMigration`
+//!   with `MetaError::CoordinatorUnavailable`'s text, naming the silent
+//!   broker,
 //! * asserts the follower then promotes itself — role flips to broker,
 //!   the cluster epoch is bumped past everything the dead broker stamped,
 //!   and `broker.elections` increments — with the replicated ownership
 //!   map (and the pending dependency) intact,
-//! * and finally drives a mutation through the new broker: cancelling the
-//!   orphaned migration rolls ownership back to the source.
+//! * and finally drives a mutation through the new broker, over the same
+//!   control connection: cancelling the orphaned migration rolls ownership
+//!   back to the source.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use shadowfax::{parse_peer_spec, Cluster, ClusterConfig, ClusterLayout, MetaError, ServerId};
-use shadowfax_net::LivenessConfig;
+use shadowfax::{parse_peer_spec, Cluster, ClusterConfig, ClusterLayout, ServerId};
+use shadowfax_net::{LivenessConfig, StatusCode};
 use shadowfax_rpc::{
-    ClusterControl, CoordinatedControl, Coordinator, CoordinatorConfig, Role, RpcServer,
+    ControlPlane, Coordinator, CoordinatorConfig, CtrlClient, Role, RpcError, RpcServer,
     RpcServerConfig,
 };
 
@@ -83,10 +85,11 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
         coordinator_config(&addr_b, 1, &addr_a, 0),
     );
     let rpc_a = RpcServer::serve(
-        Arc::new(CoordinatedControl::new(
-            Arc::clone(&cluster_a),
-            Arc::clone(&coord_a),
-        )) as Arc<dyn ClusterControl>,
+        ControlPlane {
+            cluster: Arc::clone(&cluster_a),
+            coordinator: Some(Arc::clone(&coord_a)),
+            tier: None,
+        },
         RpcServerConfig {
             listen: addr_a.clone(),
             ..RpcServerConfig::default()
@@ -94,10 +97,11 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
     )
     .expect("bind rpc server A");
     let rpc_b = RpcServer::serve(
-        Arc::new(CoordinatedControl::new(
-            Arc::clone(&cluster_b),
-            Arc::clone(&coord_b),
-        )) as Arc<dyn ClusterControl>,
+        ControlPlane {
+            cluster: Arc::clone(&cluster_b),
+            coordinator: Some(Arc::clone(&coord_b)),
+            tier: None,
+        },
         RpcServerConfig {
             listen: addr_b.clone(),
             ..RpcServerConfig::default()
@@ -176,9 +180,11 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
     coord_a.shutdown();
 
     // The follower walks through the typed-unavailability window (broker
-    // unreachable, not yet declared dead: mutations refused with the
-    // typed error) and then promotes itself.
-    let service_b = coord_b.metadata_service();
+    // unreachable, not yet declared dead: operator mutations refused with
+    // the typed error) and then promotes itself.  The probe cancels an id
+    // nobody issued, so an election racing between the status read and
+    // the call mutates nothing: the new broker answers "unknown".
+    let mut ctrl_b = CtrlClient::connect(&addr_b, Duration::from_secs(5)).expect("connect to B");
     let mut saw_unavailable = false;
     let promoted = Instant::now() + Duration::from_secs(20);
     loop {
@@ -191,29 +197,19 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
             .iter()
             .any(|p| p.addr == addr_a && !p.reachable);
         if status.role == Role::Follower && broker_unreachable {
-            let probe = cluster_b
-                .meta()
-                .snapshot()
-                .server(ServerId(0))
-                .expect("server 0 known")
-                .owned
-                .ranges()[0]
-                .take_fraction(0.1);
-            match service_b.transfer_ownership(ServerId(0), ServerId(1), &[probe]) {
-                Err(MetaError::CoordinatorUnavailable { detail }) => {
+            match ctrl_b.cancel_migration(u64::MAX) {
+                Err(RpcError::Remote { status, message })
+                    if message.contains("coordinator unavailable") =>
+                {
+                    assert_eq!(status, StatusCode::ControlFailed);
                     assert!(
-                        detail.contains(&addr_a),
-                        "unavailability must name the silent broker: {detail}"
+                        message.contains(&addr_a),
+                        "unavailability must name the silent broker: {message}"
                     );
                     saw_unavailable = true;
                 }
-                // The election raced between the status read and the call:
-                // the mutation landed on the new broker.  Undo it.
-                Ok((extra, ..)) => service_b
-                    .cancel_migration(extra)
-                    .map(|_| ())
-                    .expect("cancel racing probe migration"),
-                Err(other) => panic!("expected CoordinatorUnavailable, got {other}"),
+                Err(RpcError::Remote { message, .. }) if message.contains("unknown migration") => {}
+                other => panic!("expected the coordinator-unavailable refusal, got {other:?}"),
             }
         }
         assert!(
@@ -261,7 +257,7 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
 
     // Mutations flow through the new broker: cancelling the orphaned
     // migration rolls ownership back to the source.
-    service_b
+    ctrl_b
         .cancel_migration(migration_id)
         .expect("cancel through the new broker");
     assert_eq!(
@@ -270,9 +266,9 @@ fn killing_the_broker_promotes_the_follower_at_a_bumped_epoch() {
         "cancellation must roll the range back to the source"
     );
 
+    drop(ctrl_b);
     rpc_b.shutdown();
     coord_b.shutdown();
-    drop(service_b);
     drop(coord_a);
     drop(coord_b);
     for cluster in [cluster_a, cluster_b] {

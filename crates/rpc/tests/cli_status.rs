@@ -15,7 +15,7 @@ use std::process::Command;
 use std::sync::Arc;
 
 use shadowfax::{Cluster, ClusterConfig, ServerId};
-use shadowfax_rpc::{ClusterControl, RpcServer, RpcServerConfig};
+use shadowfax_rpc::{ControlPlane, RpcServer, RpcServerConfig};
 
 fn cli(addr: &str, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_shadowfax-cli"))
@@ -38,7 +38,7 @@ fn cli_status(addr: &str, id: &str) -> (Option<i32>, String, String) {
 fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
     let cluster = Arc::new(Cluster::start(ClusterConfig::two_server_test()));
     let rpc = RpcServer::serve(
-        Arc::clone(&cluster) as Arc<dyn ClusterControl>,
+        ControlPlane::new(Arc::clone(&cluster)),
         RpcServerConfig::default(),
     )
     .expect("bind rpc server");

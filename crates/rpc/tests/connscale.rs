@@ -1,6 +1,6 @@
 //! Connection-scaling bench: the proof behind the parked serving path.
 //!
-//! Two phases, one checked-in `BENCH_connscale.json`:
+//! Two phases:
 //!
 //! 1. **Idle scaling** — `CONNSCALE_IDLE` (default 10 000) connections are
 //!    opened, each bound by its HELLO to a dispatch thread, and left
@@ -25,7 +25,7 @@ use shadowfax_rpc::codec::{encode_frame, WireMsg};
 use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig};
 
 mod util;
-use util::{write_bench_json, ServerProcess, ServerSpawn};
+use util::{ServerProcess, ServerSpawn};
 
 /// Environment override for the idle-connection count; CI's smoke run
 /// sets it to 1000, the full bench default is 10 000.
@@ -233,23 +233,4 @@ fn idle_connections_are_free_and_active_throughput_holds() {
          active_clients={ACTIVE_CLIENTS} active_ops_per_sec={active_ops:.0}"
     );
     let _ = std::io::stdout().flush();
-
-    // The checked-in snapshot: a local summary registry (gauges scaled
-    // x100 where fractional) plus the live server snapshots pulled above.
-    let summary = shadowfax_obs::MetricsRegistry::new();
-    summary.gauge("connscale.idle.conns").set(idle as u64);
-    summary
-        .gauge("connscale.idle.process_cpu_pct_x100")
-        .set((idle_cpu * 100.0) as u64);
-    summary
-        .gauge("connscale.active.clients")
-        .set(ACTIVE_CLIENTS as u64);
-    summary
-        .gauge("connscale.active.ops_per_sec")
-        .set(active_ops as u64);
-    write_bench_json(
-        "BENCH_connscale.json",
-        "connscale",
-        &[summary.snapshot(), snap_idle, snap_active],
-    );
 }

@@ -19,7 +19,7 @@ use shadowfax::{Cluster, ClusterConfig, ServerId};
 use shadowfax_net::{BatchReply, KvRequest, KvResponse, RequestBatch};
 use shadowfax_rpc::codec::{encode_frame, FrameDecoder, WireMsg, MAX_FRAME_BYTES};
 use shadowfax_rpc::{
-    ClusterControl, RemoteClient, RemoteClientConfig, RpcServer, RpcServerConfig, RpcServerHandle,
+    ControlPlane, RemoteClient, RemoteClientConfig, RpcServer, RpcServerConfig, RpcServerHandle,
     OUTBOUND_BUDGET_BYTES,
 };
 
@@ -31,7 +31,7 @@ fn start_stack() -> (Arc<Cluster>, RpcServerHandle, String) {
     config.server_template.threads = 1;
     let cluster = Arc::new(Cluster::start(config));
     let rpc = RpcServer::serve(
-        Arc::clone(&cluster) as Arc<dyn ClusterControl>,
+        ControlPlane::new(Arc::clone(&cluster)),
         RpcServerConfig {
             io_threads: 1,
             ..RpcServerConfig::default()

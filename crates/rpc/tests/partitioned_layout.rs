@@ -31,7 +31,7 @@ use shadowfax_net::{KvRequest, KvResponse, SessionConfig};
 use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig, WireOwnership};
 
 mod util;
-use util::{write_bench_json, ClusterSpec, ProcessSpec};
+use util::{ClusterSpec, ProcessSpec};
 
 const KEYS: u64 = 900;
 const VALUE_PAD: usize = 64;
@@ -454,7 +454,4 @@ fn three_process_partitioned_cluster_routes_migrates_and_cancels() {
             snap.events.len(),
         );
     }
-
-    // The checked-in perf trajectory of the partitioned serving path.
-    write_bench_json("BENCH_partitioned.json", "partitioned", &snaps);
 }

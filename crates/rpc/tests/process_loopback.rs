@@ -2,18 +2,18 @@
 //! binary, then drives it with the `shadowfax-cli` binary over loopback TCP
 //! — the acceptance path for the serving binaries.
 //!
-//! After the drive it pulls the server's metrics snapshot over GET_METRICS
-//! and regenerates `BENCH_loopback.json` at the repo root: the checked-in
-//! perf trajectory of the loopback serving path (CI uploads it as an
-//! artifact and fails if it is missing or unparsable).
+//! After the drive it pushes a pipelined burst through a `RemoteClient`
+//! and pulls the server's metrics snapshot over GET_METRICS: the
+//! serving-path latency histograms must have recorded it.
 
 use std::process::Command;
 use std::time::Duration;
 
-use shadowfax_rpc::CtrlClient;
+use shadowfax_net::{KvRequest, SessionConfig};
+use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig};
 
 mod util;
-use util::{write_bench_json, ClusterSpec, ProcessSpec};
+use util::{ClusterSpec, ProcessSpec};
 
 fn cli(addr: &str, args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_shadowfax-cli"))
@@ -99,31 +99,38 @@ fn server_and_cli_as_separate_processes() {
         std::thread::sleep(Duration::from_millis(200));
     }
 
-    // A short pipelined bench over the real socket.
-    let (ok, stdout, stderr) = cli(
-        &addr,
-        &[
-            "bench",
-            "--ops",
-            "5000",
-            "--keys",
-            "500",
-            "--value-size",
-            "64",
-            "--batch",
-            "32",
-        ],
+    // A short pipelined burst over the real socket: alternating upserts
+    // and reads, several batches in flight.
+    let mut config = RemoteClientConfig::new(&addr);
+    config.session = SessionConfig {
+        max_batch_ops: 32,
+        ..SessionConfig::default()
+    };
+    let mut client = RemoteClient::connect(config).expect("connect load client");
+    for i in 0..5_000u64 {
+        let key = i % 500;
+        let req = if i % 2 == 0 {
+            KvRequest::Upsert {
+                key,
+                value: vec![0x5A; 64],
+            }
+        } else {
+            KvRequest::Read { key }
+        };
+        client.issue(req, Box::new(|_| {}));
+    }
+    assert!(
+        client.drain(Duration::from_secs(60)).expect("burst"),
+        "the pipelined burst did not drain"
     );
-    assert!(ok, "bench failed: {stderr}");
-    assert!(stdout.contains("throughput"), "{stdout}");
+    assert_eq!(client.stats().completed, 5_000);
 
     // The CLI `metrics` verb round-trips against a live process.
     let (ok, stdout, stderr) = cli(&addr, &["metrics", "--json"]);
     assert!(ok, "metrics --json failed: {stderr}");
     assert!(stdout.starts_with("{\"version\":1,"), "{stdout}");
 
-    // Pull the registry snapshot and persist the loopback perf trajectory.
-    // The bench above pushed thousands of pipelined reads and upserts
+    // The burst above pushed thousands of pipelined reads and upserts
     // through the serving path, so the latency histograms must be populated
     // with sane quantiles.
     let mut ctrl = CtrlClient::connect(&addr, Duration::from_secs(5)).expect("ctrl connect");
@@ -133,7 +140,7 @@ fn server_and_cli_as_separate_processes() {
         let h = snap
             .histogram(name)
             .unwrap_or_else(|| panic!("{name} histogram missing: {:?}", snap.histograms));
-        assert!(h.count > 0, "{name} recorded nothing under bench load");
+        assert!(h.count > 0, "{name} recorded nothing under load");
         assert!(h.p50_ns() > 0, "{name} p50 is zero: {h:?}");
         assert!(h.p99_ns() >= h.p50_ns(), "{name} quantiles inverted: {h:?}");
     }
@@ -142,5 +149,4 @@ fn server_and_cli_as_separate_processes() {
         "store counter family missing from the registry: {:?}",
         snap.counters
     );
-    write_bench_json("BENCH_loopback.json", "loopback", &[snap]);
 }

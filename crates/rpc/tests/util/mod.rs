@@ -47,23 +47,6 @@ pub fn free_port() -> u16 {
     listener.local_addr().unwrap().port()
 }
 
-/// Writes a checked-in `BENCH_*.json` perf trajectory at the repo root:
-/// one metrics snapshot per process, pulled from live registries over
-/// GET_METRICS.  CI regenerates these files on every integration run,
-/// uploads them as artifacts, and fails if one is missing or unparsable.
-pub fn write_bench_json(file: &str, bench: &str, snaps: &[shadowfax_obs::MetricsSnapshot]) {
-    let processes = snaps
-        .iter()
-        .map(shadowfax_obs::MetricsSnapshot::to_json)
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!("{{\"bench\":\"{bench}\",\"processes\":[{processes}]}}\n");
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-}
-
 /// Options for one `shadowfax-server` process.
 pub struct ServerSpawn {
     /// Log file suffix under `target/test-logs`; empty discards stderr.

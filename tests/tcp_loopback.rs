@@ -11,14 +11,14 @@ use std::time::{Duration, Instant};
 use shadowfax::{Cluster, ClusterConfig};
 use shadowfax_net::{KvRequest, SessionConfig, StatusCode};
 use shadowfax_rpc::{
-    decode_frame, run_bench, BenchOptions, ClusterControl, CtrlClient, RemoteClient,
-    RemoteClientConfig, RpcServer, RpcServerConfig, WireMsg, MAX_FRAME_BYTES,
+    decode_frame, ControlPlane, CtrlClient, RemoteClient, RemoteClientConfig, RpcServer,
+    RpcServerConfig, WireMsg, MAX_FRAME_BYTES,
 };
 
 fn start_stack() -> (Arc<Cluster>, shadowfax_rpc::RpcServerHandle, String) {
     let cluster = Arc::new(Cluster::start(ClusterConfig::two_server_test()));
     let rpc = RpcServer::serve(
-        Arc::clone(&cluster) as Arc<dyn ClusterControl>,
+        ControlPlane::new(Arc::clone(&cluster)),
         RpcServerConfig::default(),
     )
     .expect("bind loopback");
@@ -191,37 +191,6 @@ fn migration_triggers_stale_view_rejection_and_rerouting() {
         assert!(
             own.server(1).map(|s| !s.ranges.is_empty()).unwrap_or(false),
             "server 1 owns nothing after the migration"
-        );
-    }
-    stop_stack(cluster, rpc);
-}
-
-#[test]
-fn loopback_bench_sustains_pipelined_batches() {
-    let (cluster, rpc, addr) = start_stack();
-    {
-        let mut config = RemoteClientConfig::new(&addr);
-        config.session = SessionConfig {
-            max_batch_ops: 64,
-            max_batch_bytes: usize::MAX,
-            max_inflight_batches: 8,
-        };
-        let mut client = RemoteClient::connect(config).unwrap();
-        let report = run_bench(
-            &mut client,
-            &BenchOptions {
-                ops: 20_000,
-                keys: 1_000,
-                value_size: 64,
-                ..BenchOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.ops, 20_000);
-        assert!(report.ops_per_sec > 0.0);
-        assert!(
-            report.max_inflight_observed > 1,
-            "bench pipeline never exceeded one batch in flight: {report:?}"
         );
     }
     stop_stack(cluster, rpc);
