@@ -397,15 +397,14 @@ impl Cluster {
     /// Merges a metadata replica received from a peer process (the broker
     /// fan-out path), then repairs local state: any dependency that
     /// *became* cancelled through the merge has its involved local servers
-    /// drop in-flight migration state and re-adopt the post-cancellation
-    /// ownership map.
+    /// take their cancel edge and re-adopt the post-cancellation ownership
+    /// map.
     pub fn merge_meta_replica(&self, replica: &MetaReplica) -> MergeOutcome {
         let outcome = self.meta.merge_replica(replica);
         for dep in &outcome.newly_cancelled {
             for id in [dep.source, dep.target] {
                 if let Some(server) = self.server(id) {
                     server.cancel_migration_local(dep.id);
-                    server.abort_migration_state(dep.id);
                     server.refresh_ownership_from_meta();
                 }
             }
@@ -659,12 +658,10 @@ impl Cluster {
                 );
             }
         }
-        // Safety net: whatever path ran, involved local servers drop any
-        // remaining in-flight state and adopt the post-cancellation
-        // ownership map and views.
+        // Whatever path ran, involved local servers adopt the
+        // post-cancellation ownership map and views.
         for id in [dep.source, dep.target] {
             if let Some(server) = self.server(id) {
-                server.abort_migration_state(migration_id);
                 server.refresh_ownership_from_meta();
             }
         }

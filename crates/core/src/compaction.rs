@@ -104,18 +104,19 @@ impl Server {
                     .server(owner)
                     .and_then(|m| self.connect_migration(&m.address, owner, 0))
             });
+            let handoff = MigrationMsg::CompactionHandoff {
+                key: record.key(),
+                value: record.value().to_vec(),
+            };
             match conn {
-                Some(conn) => {
-                    let _ = conn.send_msg(MigrationMsg::CompactionHandoff {
-                        key: record.key(),
-                        value: record.value().to_vec(),
-                    });
+                Some(conn) if conn.send_msg(handoff).is_ok() => {
                     // Drain acknowledgements/noise so the channel never backs up.
                     while let Ok(Some(_)) = conn.try_recv_msg() {}
                     handed_off_records += 1;
                     Disposition::Handled
                 }
-                None => {
+                // Nobody took the record: it stays here.
+                _ => {
                     kept_unreachable += 1;
                     Disposition::Keep
                 }
@@ -128,5 +129,59 @@ impl Server {
             dropped_indirections,
             kept_unreachable,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{Cluster, ClusterConfig};
+    use crate::hash_range::{HashRange, RangeSet};
+    use crate::server::{MigrationConnector, MigrationNetwork};
+    use shadowfax_net::NetworkProfile;
+
+    /// Opens links whose peer endpoint is already gone, so every send on
+    /// them fails.
+    struct DroppedPeer;
+
+    impl MigrationConnector for DroppedPeer {
+        fn connect_migration(&self, _: &str, _: ServerId, _: usize) -> Option<ServerMigConn> {
+            let net = MigrationNetwork::new(NetworkProfile::instant());
+            let listener = net.listen("gone");
+            let link = net.connect("gone")?;
+            drop(listener.try_accept());
+            Some(Box::new(link))
+        }
+    }
+
+    #[test]
+    fn a_handoff_that_cannot_be_sent_keeps_the_record() {
+        let cluster = Cluster::start(ClusterConfig::two_server_test());
+        let server = cluster.server(ServerId(0)).unwrap();
+        let session = server.store().start_session();
+        let value = vec![9u8; 200];
+        for key in 0..3000u64 {
+            session.upsert(key, &value).unwrap();
+        }
+        // Server 1 owns everything now, and its endpoint is gone.
+        cluster
+            .meta()
+            .transfer_ownership(ServerId(0), ServerId(1), &[HashRange::FULL])
+            .unwrap();
+        server.set_owned_ranges(RangeSet::empty());
+        server.set_migration_connector(Arc::new(DroppedPeer));
+
+        let outcome = server.compact_log();
+        assert!(outcome.stats.scanned > 0, "compaction scanned nothing");
+        assert_eq!(outcome.handed_off_records, 0);
+        assert!(outcome.kept_unreachable > 0, "{outcome:?}");
+        for key in (0..3000u64).step_by(97) {
+            assert_eq!(
+                session.read(key).unwrap(),
+                Some(value.clone()),
+                "key {key} lost by a failed hand-off"
+            );
+        }
+        cluster.shutdown();
     }
 }

@@ -72,10 +72,7 @@ pub use meta::{
     MergeOutcome, MetaError, MetaReplica, MetadataStore, MigrationDep, OwnershipSnapshot,
     ServerMeta,
 };
-pub use migration::{
-    BatchPull, IncomingMigration, MigrationBatchIter, MigrationReport, MigrationRole,
-    OutgoingMigration, PendMode, SourcePhase,
-};
+pub use migration::{MigrationReport, MigrationRole};
 pub use recovery::{CrashedServer, RecoveryOutcome};
 pub use server::{KvNetwork, MigrationConnector, MigrationNetwork, Server, ServerHandle};
 

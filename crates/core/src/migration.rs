@@ -1,32 +1,28 @@
-//! The scale-out / migration protocol (paper §3.3).
+//! The scale-out / migration protocol (paper §3.3), and the [`Server`] that
+//! drives it.
 //!
 //! Migration moves ownership of a set of hash ranges from a *source* server
-//! to a *target* server and then moves the records themselves.  It is driven
-//! by the source as a sequence of phases — Sampling, Prepare, Transfer,
-//! Migrate, Complete — whose transitions happen over asynchronous global cuts
-//! (epoch bumps): no dispatch thread is ever stalled; each simply observes the
-//! new phase between request batches.
+//! to a *target* server and then moves the records themselves.  The
+//! protocol — its phases, the epoch cuts between them, liveness and the one
+//! cancel edge on each side — is two sans-I/O state machines in
+//! [`protocol`].  This module is their driver: it turns what the dispatch
+//! threads observe (messages, completed cuts, drained regions, the pass
+//! clock) into events and executes the actions that come back, and it owns
+//! everything with I/O in it — the links, the epoch cuts, the stores.
 //!
-//! * **Sampling** — ownership is remapped at the metadata store (both views
-//!   advance, a dependency is recorded), and the source starts copying
-//!   accessed records in the migrating ranges to its log tail so a small hot
-//!   set can be shipped with the ownership transfer.
-//! * **Prepare** — the source tells the target that transfer is imminent
-//!   (`PrepForTransfer`); the target starts pending requests for the ranges.
-//! * **Transfer** — the source moves into its new view (it stops serving the
-//!   ranges) and, once every thread has crossed that cut, sends
-//!   `TakeOwnership` followed by `PushHotRecords` with the sampled hot
-//!   records; the target starts serving the ranges immediately.
-//! * **Migrate** — every source thread walks its own disjoint region of the
-//!   hash table, shipping in-memory records and, for chains that extend onto
-//!   the SSD, *indirection records* naming the shared-tier location
-//!   (`MigrationMode::Shadowfax`), or — for the Rocksteady baseline — a
-//!   single thread sequentially scans the on-SSD log afterwards.
-//! * **Complete** — the source sends `CompleteMigration`, checkpoints, and
-//!   marks its side complete at the metadata store; the target does the same
-//!   once every shipped record has been inserted.
+//! * Dispatch thread 0 steps the source machine once per pass; every other
+//!   thread reads the phase it publishes to run its share of the Migrate
+//!   phase, walking its own region of the hash table through a
+//!   [`MigrationBatchIter`] and shipping in-memory records and, for chains
+//!   that extend onto the SSD, *indirection records* naming the
+//!   shared-tier location (`MigrationMode::Shadowfax`).  The Rocksteady
+//!   baseline instead has thread 0 scan the on-SSD log afterwards.
+//! * The target machine is stepped, under the `incoming` lock, by whichever
+//!   thread received a migration message, and by thread 0 once per pass to
+//!   check the source's liveness.  No dispatch thread ever stalls on a
+//!   phase change: each observes it between request batches.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,94 +32,19 @@ use shadowfax_faster::{
     take_checkpoint, Address, FasterSession, KeyHash, ReadOutcome, RecordFlags, RecordOwned,
 };
 use shadowfax_hlog::{LogScanner, RecordHeader, RECORD_HEADER_BYTES};
-use shadowfax_net::PeerLiveness;
 use shadowfax_storage::{LogId, SharedBlobTier, TierRecord, TierService};
 
 use crate::config::MigrationMode;
-use crate::hash_range::{HashRange, RangeSet};
+use crate::hash_range::HashRange;
 use crate::indirection::IndirectionRecord;
-use crate::messages::{MigratedItem, MigrationAckPhase, MigrationMsg};
+use crate::messages::{MigratedItem, MigrationMsg};
 use crate::server::{Server, ServerMigConn};
 use crate::ServerId;
 
-/// Source-side migration phases (paper §3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum SourcePhase {
-    /// Sampling hot records; still serving the old view.
-    Sampling = 0,
-    /// Told the target that transfer is imminent.
-    Prepare = 1,
-    /// Moved into the new view; ownership handed to the target.
-    Transfer = 2,
-    /// Threads are shipping records in parallel.
-    Migrate = 3,
-    /// (Rocksteady baseline only) a single thread is scanning the on-SSD log.
-    DiskScan = 4,
-    /// All records shipped; checkpointing and finishing up.
-    Complete = 5,
-}
+mod protocol;
 
-impl SourcePhase {
-    fn from_u8(v: u8) -> SourcePhase {
-        match v {
-            0 => SourcePhase::Sampling,
-            1 => SourcePhase::Prepare,
-            2 => SourcePhase::Transfer,
-            3 => SourcePhase::Migrate,
-            4 => SourcePhase::DiskScan,
-            _ => SourcePhase::Complete,
-        }
-    }
-
-    /// The label this phase is recorded under on the migration timeline.
-    pub fn label(self) -> &'static str {
-        match self {
-            SourcePhase::Sampling => "sampling",
-            SourcePhase::Prepare => "prepare",
-            SourcePhase::Transfer => "transfer",
-            SourcePhase::Migrate => "migrate",
-            SourcePhase::DiskScan => "disk-scan",
-            SourcePhase::Complete => "complete",
-        }
-    }
-}
-
-/// How the target treats requests in the migrating ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PendMode {
-    /// Ownership transfer is imminent but has not happened: pend everything
-    /// (the target's Prepare phase).
-    PendAll,
-    /// The target owns the ranges; pend only operations whose record has not
-    /// arrived yet (the target's Receive phase).
-    PendMissing,
-}
-
-/// Target-side state for an incoming migration.
-#[derive(Debug)]
-pub struct IncomingMigration {
-    /// Migration id assigned by the metadata store.
-    pub migration_id: u64,
-    /// The ranges being received.
-    pub ranges: RangeSet,
-    /// Current pending rule.
-    pub mode: PendMode,
-    /// The source server.
-    pub source: ServerId,
-    /// Items received so far (records + indirection records).
-    pub items_received: u64,
-    /// Total items the source reported in `CompleteMigration` (`None` until
-    /// that message arrives).
-    pub expected_items: Option<u64>,
-    /// When the first migration message arrived.
-    pub started: Instant,
-    /// When the source was last heard from (any migration message for this
-    /// id, heartbeats included).  The target declares the source dead — and
-    /// cancels the migration — when this goes silent past twice the
-    /// liveness deadline.
-    pub last_source_msg: Instant,
-}
+pub(crate) use protocol::{PendMode, TargetEvent, TargetMachine};
+use protocol::{SourceAction, SourceEvent, SourceMachine, SourcePhase, TargetAction};
 
 /// A report describing a finished migration, kept for benchmarking.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,7 +82,7 @@ pub(crate) struct RegionCursor {
 }
 
 /// Source-side migration state shared by all dispatch threads.
-pub struct OutgoingMigration {
+pub(crate) struct OutgoingMigration {
     pub(crate) migration_id: u64,
     pub(crate) target: ServerId,
     pub(crate) ranges: Vec<HashRange>,
@@ -169,26 +90,23 @@ pub struct OutgoingMigration {
     /// The view the metadata store assigned the target; every source→target
     /// message is tagged with it.
     pub(crate) target_view: u64,
-    pub(crate) mode: MigrationMode,
-    pub(crate) phase: AtomicU8,
-    pub(crate) started: Instant,
-    /// Set once the epoch action advancing out of Sampling has been scheduled.
-    pub(crate) prepare_scheduled: AtomicBool,
-    pub(crate) prep_sent: AtomicBool,
-    pub(crate) ownership_sent: AtomicBool,
-    pub(crate) complete_sent: AtomicBool,
+    /// The protocol.  Dispatch thread 0 steps it every pass; a cancellation
+    /// (operator, peer relay) steps it from whichever thread raised it.
+    machine: Mutex<SourceMachine>,
+    /// The machine's phase as the other dispatch threads read it
+    /// (`SourcePhase as u8`).
+    phase: AtomicU8,
+    /// Events raised off thread 0 — completed epoch cuts, messages on other
+    /// threads' records links — for thread 0 to step on its next pass.
+    inbox: Mutex<Vec<SourceEvent>>,
     /// Per-thread loop generations recorded when the serving view flipped;
     /// the hot set is read only after every thread has advanced past these.
-    pub(crate) view_flip_generations: Mutex<Option<Vec<u64>>>,
+    view_flip_generations: Mutex<Option<Vec<u64>>>,
     /// Per-thread hash-table regions.
     pub(crate) regions: Vec<Mutex<RegionCursor>>,
     pub(crate) regions_done: AtomicUsize,
     /// Control connection to the target (thread 0 of its migration fabric).
     pub(crate) control: Mutex<ServerMigConn>,
-    /// Liveness of the target, observed on the control connection: any
-    /// received message is proof of life; heartbeats guarantee traffic
-    /// during quiet phases; transport errors declare death immediately.
-    pub(crate) liveness: Mutex<PeerLiveness>,
     /// Rocksteady disk-scan cursor.
     pub(crate) disk_cursor: Mutex<Address>,
     // Accounting (Figure 13).
@@ -197,46 +115,11 @@ pub struct OutgoingMigration {
     pub(crate) indirections_sent: AtomicU64,
     pub(crate) ssd_bytes_scanned: AtomicU64,
     pub(crate) total_items: AtomicU64,
-    /// The owning server's migration timeline; every phase transition is
-    /// stamped here under `migration.phase` (Fig. 11 impact windows).
-    pub(crate) timeline: Arc<shadowfax_obs::EventTimeline>,
-}
-
-impl std::fmt::Debug for OutgoingMigration {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutgoingMigration")
-            .field("id", &self.migration_id)
-            .field("target", &self.target)
-            .field("phase", &self.phase())
-            .finish()
-    }
-}
-
-impl OutgoingMigration {
-    /// The current source phase.
-    pub fn phase(&self) -> SourcePhase {
-        SourcePhase::from_u8(self.phase.load(Ordering::SeqCst))
-    }
-
-    fn set_phase(&self, p: SourcePhase) {
-        self.phase.store(p as u8, Ordering::SeqCst);
-        self.timeline
-            .record("migration.phase", p.label(), self.migration_id);
-    }
-}
-
-/// A completed outgoing migration still waiting for the target's final
-/// acknowledgement (see [`Server::drive_finishing`]).
-pub(crate) struct FinishingMigration {
-    pub(crate) migration_id: u64,
-    pub(crate) target: ServerId,
-    /// Kept alive for its control connection.
-    pub(crate) outgoing: Arc<OutgoingMigration>,
 }
 
 /// The result of pulling one step from a [`MigrationBatchIter`].
 #[derive(Debug)]
-pub enum BatchPull {
+pub(crate) enum BatchPull {
     /// A batch of records / indirection records ready to ship.
     Batch(Vec<MigratedItem>),
     /// A bounded slice of the region was scanned but a full batch has not
@@ -257,7 +140,7 @@ pub enum BatchPull {
 /// one over the thread's migration link — the transport underneath (the
 /// in-process fabric or a TCP migration connection) never influences how
 /// batches are produced.
-pub struct MigrationBatchIter<'a> {
+pub(crate) struct MigrationBatchIter<'a> {
     server: &'a Arc<Server>,
     outgoing: &'a Arc<OutgoingMigration>,
     state: &'a mut SourceThreadState,
@@ -281,7 +164,7 @@ impl<'a> MigrationBatchIter<'a> {
 
     /// Pulls the next step: a full (or final partial) batch, a bounded
     /// amount of scanning progress, or region exhaustion.
-    pub fn next_batch(&mut self) -> BatchPull {
+    pub(crate) fn next_batch(&mut self) -> BatchPull {
         let thread_id = self.state.thread_id;
         let (start, end) = {
             let mut cursor = self.outgoing.regions[thread_id].lock();
@@ -367,8 +250,13 @@ impl Server {
         ranges: Vec<HashRange>,
         target: ServerId,
     ) -> Result<u64, String> {
-        if self.outgoing.read().is_some() {
-            return Err("a migration is already in progress at this server".into());
+        if let Some(out) = self.outgoing.read().as_ref() {
+            // A source still waiting for the final ack of a migration the
+            // store already resolved (in-process, the target marks its own
+            // side complete) no longer holds the slot.
+            if !matches!(self.meta.migration_state(out.migration_id), Ok(None)) {
+                return Err("a migration is already in progress at this server".into());
+            }
         }
         let snapshot = self.meta.snapshot();
         let target_meta = snapshot
@@ -419,37 +307,37 @@ impl Server {
             })
             .collect();
 
+        let machine = SourceMachine::new(
+            Instant::now(),
+            &self.config.migration,
+            migration_id,
+            self.id(),
+            target,
+            ranges.clone(),
+            new_target_view,
+        );
         let outgoing = Arc::new(OutgoingMigration {
             migration_id,
             target,
             ranges,
             new_view: new_source_view,
             target_view: new_target_view,
-            mode: self.config.migration.mode,
+            machine: Mutex::new(machine),
             phase: AtomicU8::new(SourcePhase::Sampling as u8),
-            started: Instant::now(),
-            prepare_scheduled: AtomicBool::new(false),
-            prep_sent: AtomicBool::new(false),
-            ownership_sent: AtomicBool::new(false),
-            complete_sent: AtomicBool::new(false),
+            inbox: Mutex::new(Vec::new()),
             view_flip_generations: Mutex::new(None),
             regions,
             regions_done: AtomicUsize::new(0),
             control: Mutex::new(control),
-            liveness: Mutex::new(PeerLiveness::new(self.config.migration.liveness)),
             disk_cursor: Mutex::new(self.store.log().begin_address()),
             bytes_from_memory: AtomicU64::new(0),
             records_sent: AtomicU64::new(0),
             indirections_sent: AtomicU64::new(0),
             ssd_bytes_scanned: AtomicU64::new(0),
             total_items: AtomicU64::new(0),
-            timeline: Arc::clone(&self.timeline),
         });
-        self.timeline.record(
-            "migration.phase",
-            SourcePhase::Sampling.label(),
-            migration_id,
-        );
+        self.timeline
+            .record("migration.phase", "sampling", migration_id);
         *self.outgoing.write() = Some(outgoing);
         // Every dispatch thread has a share of the migration; parked ones
         // must come back to the spin cadence the protocol's cuts assume.
@@ -463,539 +351,261 @@ impl Server {
         self.completed_report.lock().clone()
     }
 
-    /// Contributes this thread's share of the outgoing migration, if one is
-    /// in flight.  Returns `true` if any work was done.
+    /// This thread's share of the outgoing migration, if one is in flight:
+    /// its slice of the Migrate phase, forwarding what its records link
+    /// carries, and — on thread 0 — stepping the source machine with this
+    /// pass's events.  Returns `true` if any work was done.
     pub(crate) fn drive_outgoing(
         self: &Arc<Self>,
+        now: Instant,
         state: &mut SourceThreadState,
         session: &FasterSession,
     ) -> bool {
-        let Some(outgoing) = self.outgoing.read().clone() else {
+        let Some(out) = self.outgoing.read().clone() else {
             return false;
         };
-        state.reset_for(outgoing.migration_id);
-        let is_driver = state.thread_id == 0;
-        // Drain the control connection (acknowledgements, heartbeat echoes),
-        // track the target's liveness, and heartbeat it.  A dead target
-        // cancels the migration here — at whatever phase it was in — instead
-        // of wedging the dependency at the metadata store forever.
-        if is_driver && self.drive_source_liveness(&outgoing, session) {
-            return true;
-        }
-        match outgoing.phase() {
-            SourcePhase::Sampling => {
-                if is_driver
-                    && outgoing.started.elapsed() >= self.config.migration.sampling_duration
-                    && !outgoing.prepare_scheduled.swap(true, Ordering::SeqCst)
-                {
-                    // Advance to Prepare over a global cut: the phase flips
-                    // only after every dispatch thread has refreshed, i.e.
-                    // completed its part of the Sampling phase.
-                    let out = Arc::clone(&outgoing);
-                    self.store.epoch().bump_with_action(move || {
-                        out.set_phase(SourcePhase::Prepare);
-                    });
-                    return true;
-                }
-                false
-            }
-            SourcePhase::Prepare => {
-                if is_driver && !outgoing.prep_sent.swap(true, Ordering::SeqCst) {
-                    let target_view = outgoing.target_view;
-                    let _ = outgoing
-                        .control
-                        .lock()
-                        .send_msg(MigrationMsg::PrepForTransfer {
-                            migration_id: outgoing.migration_id,
-                            ranges: outgoing.ranges.clone(),
-                            source: self.id(),
-                            target_view,
-                        });
-                    // Transfer begins once every thread has completed Prepare.
-                    let server = Arc::clone(self);
-                    let out = Arc::clone(&outgoing);
-                    self.store.epoch().bump_with_action(move || {
-                        // The migration may have been cancelled (dead target)
-                        // between scheduling this action and the cut
-                        // completing; flipping the view for a dead migration
-                        // would clobber the post-cancellation ownership map.
-                        // The check synchronizes with the cancellation path
-                        // on the `outgoing` slot lock: cancellation detaches
-                        // the slot under the write lock before it touches
-                        // the view, so whoever holds the slot wins.
-                        let guard = server.outgoing.read();
-                        if guard.as_ref().map(|o| o.migration_id) != Some(out.migration_id) {
-                            return;
-                        }
-                        // Transfer-phase entry: move into the new view.  From
-                        // this instant batches tagged with the old view are
-                        // rejected, which pushes the cut out to clients over
-                        // their sessions (paper §3.2.1).
-                        server.serving_view.store(out.new_view, Ordering::SeqCst);
-                        server.owned.write().remove(&out.ranges);
-                        // Record each thread's position in its operation
-                        // sequence; the hot set is shipped only after every
-                        // thread has moved past it (the paper's global cut is
-                        // taken at operation boundaries, §2.1/§3.2.1).
-                        let generations = server
-                            .loop_generation
-                            .iter()
-                            .map(|g| g.load(Ordering::SeqCst))
-                            .collect();
-                        *out.view_flip_generations.lock() = Some(generations);
-                        out.set_phase(SourcePhase::Transfer);
-                    });
-                    return true;
-                }
-                false
-            }
-            SourcePhase::Transfer => {
-                if !is_driver {
-                    return false;
-                }
-                // Wait until every dispatch thread has crossed an operation
-                // boundary after the view flip, so no batch accepted in the
-                // old view is still applying updates.
-                let cut_passed = {
-                    let recorded = outgoing.view_flip_generations.lock();
-                    match recorded.as_ref() {
-                        Some(at_flip) => at_flip
-                            .iter()
-                            .enumerate()
-                            .all(|(t, g)| self.loop_generation[t].load(Ordering::SeqCst) > *g),
-                        None => false,
-                    }
-                };
-                if !cut_passed {
-                    return false;
-                }
-                if !outgoing.ownership_sent.swap(true, Ordering::SeqCst) {
-                    // Read the hot set's current values now — after the cut —
-                    // so every update acknowledged by the source is included.
-                    let sampled = if self.config.migration.ship_sampled_records {
-                        let keys = self.store.end_sampling();
-                        let mut records = Vec::with_capacity(keys.len());
-                        for key in keys {
-                            if let Ok(ReadOutcome::Found { record, .. }) =
-                                self.store.read_record_for(key, session)
-                            {
-                                if !record.is_indirection() && !record.is_tombstone() {
-                                    records.push((key, record.value().to_vec()));
-                                }
-                            }
-                        }
-                        records
-                    } else {
-                        let _ = self.store.end_sampling();
-                        Vec::new()
-                    };
-                    // The control link is ordered, so the target always sees
-                    // the ownership flip before the hot set that follows it.
-                    let control = outgoing.control.lock();
-                    let _ = control.send_msg(MigrationMsg::TakeOwnership {
-                        migration_id: outgoing.migration_id,
-                        ranges: outgoing.ranges.clone(),
-                        target_view: outgoing.target_view,
-                    });
-                    let _ = control.send_msg(MigrationMsg::PushHotRecords {
-                        migration_id: outgoing.migration_id,
-                        target_view: outgoing.target_view,
-                        records: sampled,
-                    });
-                    drop(control);
-                    outgoing.set_phase(SourcePhase::Migrate);
-                    return true;
-                }
-                false
-            }
-            SourcePhase::Migrate => self.drive_migrate_phase(&outgoing, state, session),
-            SourcePhase::DiskScan => {
-                if is_driver {
-                    self.drive_disk_scan(&outgoing, state, session)
-                } else {
-                    false
-                }
-            }
-            SourcePhase::Complete => {
-                if is_driver && !outgoing.complete_sent.swap(true, Ordering::SeqCst) {
-                    let _ = outgoing
-                        .control
-                        .lock()
-                        .send_msg(MigrationMsg::CompleteMigration {
-                            migration_id: outgoing.migration_id,
-                            target_view: outgoing.target_view,
-                            total_items: outgoing.total_items.load(Ordering::SeqCst),
-                        });
-                    // Checkpoint so the post-migration state is independently
-                    // recoverable, then mark our side complete (paper §3.3.1).
-                    let cp = take_checkpoint(&self.store, session);
-                    *self.latest_checkpoint.lock() = Some(cp);
-                    let _ = self.meta.mark_complete(outgoing.migration_id, self.id());
-                    let report = MigrationReport {
-                        migration_id: outgoing.migration_id,
-                        role: MigrationRole::Source,
-                        bytes_from_memory: outgoing.bytes_from_memory.load(Ordering::Relaxed),
-                        records_moved: outgoing.records_sent.load(Ordering::Relaxed),
-                        indirection_records: outgoing.indirections_sent.load(Ordering::Relaxed),
-                        ssd_bytes_scanned: outgoing.ssd_bytes_scanned.load(Ordering::Relaxed),
-                        duration_ms: outgoing.started.elapsed().as_millis() as u64,
-                    };
-                    *self.completed_report.lock() = Some(report);
-                    // Keep the control link alive until the target's final
-                    // acknowledgement arrives: when the target runs in
-                    // another OS process it cannot reach this process's
-                    // metadata store, so the source marks the target side
-                    // complete on its behalf (idempotent in-process, where
-                    // the target already marked itself directly).
-                    *self.finishing.lock() = Some(FinishingMigration {
-                        migration_id: outgoing.migration_id,
-                        target: outgoing.target,
-                        outgoing: Arc::clone(&outgoing),
-                    });
-                    self.finishing_active.store(true, Ordering::SeqCst);
-                    *self.outgoing.write() = None;
-                    return true;
-                }
-                false
+        state.reset_for(out.migration_id);
+        let phase = out.phase.load(Ordering::SeqCst);
+        let mut did_work = false;
+        if phase == SourcePhase::Migrate as u8 {
+            did_work |= self.drive_migrate_phase(&out, state, session);
+        } else if let Some(conn) = &state.records_conn {
+            // The target's final ack travels on whichever link delivered the
+            // finalizing message, which can be this thread's records link.
+            while let Ok(Some(msg)) = conn.try_recv_msg() {
+                out.inbox.lock().push(SourceEvent::Received(msg));
             }
         }
-    }
-
-    /// Collects the target's final `Ack { Completed }` for a migration whose
-    /// source side already finished, then marks the target side complete at
-    /// this process's metadata store.  A target that dies before finishing
-    /// its side — detected by a transport error or heartbeat silence on the
-    /// control link — cancels the migration instead of leaving the
-    /// dependency pending forever.  Returns `true` if progress was made.
-    pub(crate) fn drive_finishing(self: &Arc<Self>, session: &FasterSession) -> bool {
-        // Fast path: no migration is waiting on its final ack.
-        if !self.finishing_active.load(Ordering::Relaxed) {
-            return false;
+        if state.thread_id != 0 {
+            return did_work;
         }
-        let mut slot = self.finishing.lock();
-        let Some(fin) = slot.as_ref() else {
-            return false;
-        };
-        let mut acked = false;
-        let dead_reason = {
-            let control = fin.outgoing.control.lock();
-            let mut liveness = fin.outgoing.liveness.lock();
-            let migration_id = fin.migration_id;
-            self.poll_migration_control(migration_id, &control, &mut liveness, |msg| {
-                if matches!(
-                    msg,
-                    MigrationMsg::Ack {
-                        migration_id: id,
-                        phase: MigrationAckPhase::Completed,
-                    } if *id == migration_id
-                ) {
-                    acked = true;
-                }
-            })
-        };
-        if acked {
-            let _ = self.meta.mark_complete(fin.migration_id, fin.target);
-            *slot = None;
-            self.finishing_active.store(false, Ordering::SeqCst);
-            return true;
-        }
-        if let Some(reason) = dead_reason {
-            let fin = slot.take().expect("finishing checked Some above");
-            self.finishing_active.store(false, Ordering::SeqCst);
-            drop(slot);
-            self.cancel_finishing(fin, &reason, session);
-            return true;
-        }
-        false
-    }
-
-    /// The shared control-link poll behind [`Server::drive_finishing`] and
-    /// [`Server::drive_source_liveness`]: drains every available message
-    /// (any receipt is proof of life, heartbeats are echoed here, everything
-    /// else goes to `on_msg`), declares the peer dead on transport errors or
-    /// a closed link, sends the next heartbeat when due, and returns the
-    /// death reason if the peer is dead.
-    ///
-    /// Caller holds both the control and liveness locks (in that order).
-    fn poll_migration_control(
-        &self,
-        migration_id: u64,
-        control: &ServerMigConn,
-        liveness: &mut PeerLiveness,
-        mut on_msg: impl FnMut(&MigrationMsg),
-    ) -> Option<String> {
-        loop {
+        let mut events = std::mem::take(&mut *out.inbox.lock());
+        let control = out.control.lock();
+        let error = loop {
             match control.try_recv_msg() {
-                Ok(Some(msg)) => {
-                    liveness.record_recv();
-                    if let MigrationMsg::Heartbeat { migration_id, .. } = msg {
-                        let _ = control.send_msg(MigrationMsg::HeartbeatAck {
-                            migration_id,
-                            view: self.serving_view(),
-                        });
-                    } else {
-                        on_msg(&msg);
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    liveness.declare_dead(format!("control link receive failed: {e}"));
-                    break;
-                }
+                Ok(Some(msg)) => events.push(SourceEvent::Received(msg)),
+                Ok(None) if control.is_open() => break None,
+                Ok(None) => break Some("control link closed".to_string()),
+                Err(e) => break Some(format!("control link receive failed: {e}")),
+            }
+        };
+        drop(control);
+        events.extend(error.map(SourceEvent::LinkError));
+        if phase == SourcePhase::Transfer as u8 {
+            let at_flip = out.view_flip_generations.lock().clone().unwrap_or_default();
+            let past =
+                |(t, at): (usize, &u64)| self.loop_generation[t].load(Ordering::SeqCst) > *at;
+            if !at_flip.is_empty() && at_flip.iter().enumerate().all(past) {
+                events.push(SourceEvent::ViewFlipCrossed);
+            }
+        } else if phase == SourcePhase::Migrate as u8
+            && out.regions_done.load(Ordering::SeqCst) >= self.config.threads
+        {
+            events.push(SourceEvent::RegionsDrained(
+                out.total_items.load(Ordering::SeqCst),
+            ));
+        } else if phase == SourcePhase::DiskScan as u8 {
+            did_work = true;
+            if self.drive_disk_scan(&out, state, session) {
+                events.push(SourceEvent::DiskScanDone(
+                    out.total_items.load(Ordering::SeqCst),
+                ));
             }
         }
-        if !control.is_open() {
-            liveness.declare_dead("control link closed");
+        events.push(SourceEvent::Tick);
+        for event in events {
+            did_work |= self.step_source(&out, now, event, session);
         }
-        if liveness.heartbeat_due() {
-            let probe = MigrationMsg::Heartbeat {
-                migration_id,
-                view: self.serving_view(),
+        did_work
+    }
+
+    /// Steps the source machine through `event` and every event its
+    /// actions answer with, executing the actions outside the machine's
+    /// lock.  Returns `true` if any action ran.
+    fn step_source(
+        self: &Arc<Self>,
+        out: &Arc<OutgoingMigration>,
+        now: Instant,
+        event: SourceEvent,
+        session: &FasterSession,
+    ) -> bool {
+        let mut next = Some(event);
+        let mut acted = false;
+        while let Some(event) = next.take() {
+            let (actions, before, phase) = {
+                let mut machine = out.machine.lock();
+                let before = machine.phase();
+                let actions = machine.step(now, event);
+                (actions, before, machine.phase())
             };
-            if let Err(e) = control.send_msg(probe) {
-                liveness.declare_dead(format!("control link send failed: {}", e.error));
+            if phase >= SourcePhase::Done {
+                // Detach before anything is rolled back: the ownership
+                // transfer cut re-checks the slot, so a flip still in flight
+                // can no longer clobber the rolled-back view.
+                self.outgoing.write().take_if(|o| Arc::ptr_eq(o, out));
+            }
+            for action in actions {
+                acted = true;
+                if let Some(event) = self.execute_source(out, action, session) {
+                    next = Some(event);
+                }
+            }
+            // A new phase is published to the other dispatch threads, and
+            // stamped on the timeline (Fig. 11 impact windows), once the
+            // step's actions ran (Migrate once the hot set has shipped) —
+            // unless a concurrent cancellation has moved the machine on.
+            if phase == before {
+                continue;
+            }
+            let machine = out.machine.lock();
+            if machine.phase() == phase {
+                out.phase.store(phase as u8, Ordering::SeqCst);
+                if let Some(label) = phase.label() {
+                    self.timeline
+                        .record("migration.phase", label, out.migration_id);
+                }
             }
         }
-        liveness.check_dead()
+        acted
     }
 
-    /// Cancels a migration whose source side completed but whose target died
-    /// before finishing its own: the dependency is unresolved at the
-    /// metadata store, so ownership of the ranges rolls back to this server
-    /// (the records are all still on its log — migration never removes
-    /// them).  A no-op if the dependency resolved concurrently (the final
-    /// ack can also arrive on a per-thread records link).
-    pub(crate) fn cancel_finishing(
+    /// Executes one source action; returns the event that answers it, if
+    /// any (a failed send on the control link is a link error).
+    fn execute_source(
         self: &Arc<Self>,
-        fin: FinishingMigration,
-        reason: &str,
+        out: &Arc<OutgoingMigration>,
+        action: SourceAction,
         session: &FasterSession,
-    ) {
-        if self.meta.cancel_migration(fin.migration_id).is_err() {
-            // Already resolved (completed or cancelled elsewhere).
-            return;
-        }
-        // Best-effort: a half-open target that revives must roll back too.
-        let _ = fin
-            .outgoing
-            .control
-            .lock()
-            .send_msg(MigrationMsg::CancelMigration {
-                migration_id: fin.migration_id,
-                view: fin.outgoing.target_view,
-            });
-        let cp = take_checkpoint(&self.store, session);
-        *self.latest_checkpoint.lock() = Some(cp);
-        self.refresh_ownership_from_meta();
-        self.note_cancellation(
-            fin.migration_id,
-            fin.outgoing.records_sent.load(Ordering::Relaxed)
-                + fin.outgoing.indirections_sent.load(Ordering::Relaxed),
-            fin.outgoing.liveness.lock().heartbeats_missed(),
-            reason,
-        );
-    }
-
-    /// Drains the outgoing migration's control connection, tracking the
-    /// target's liveness and heartbeating it; called by the driver thread
-    /// every dispatch iteration.  Returns `true` if the migration was
-    /// cancelled (dead target, or the target asked for cancellation).
-    fn drive_source_liveness(
-        self: &Arc<Self>,
-        outgoing: &Arc<OutgoingMigration>,
-        session: &FasterSession,
-    ) -> bool {
-        let mut peer_cancel = false;
-        let dead_reason = {
-            let control = outgoing.control.lock();
-            let mut liveness = outgoing.liveness.lock();
-            let migration_id = outgoing.migration_id;
-            // Acknowledgements and heartbeat echoes are proof of life only;
-            // the one message with a side effect is the target asking for
-            // cancellation.
-            self.poll_migration_control(migration_id, &control, &mut liveness, |msg| {
-                if matches!(
-                    msg,
-                    MigrationMsg::CancelMigration { migration_id: id, .. } if *id == migration_id
-                ) {
-                    peer_cancel = true;
-                }
-            })
+    ) -> Option<SourceEvent> {
+        let send = |msg| {
+            let sent = out.control.lock().send_msg(msg);
+            sent.err()
+                .map(|e| SourceEvent::LinkError(format!("control link send failed: {}", e.error)))
         };
-        if peer_cancel {
-            return self.cancel_outgoing_migration(
-                outgoing.migration_id,
-                "target requested cancellation",
-                session,
-            );
+        match action {
+            SourceAction::Send(msg) => return send(msg),
+            SourceAction::Heartbeat => {
+                return send(MigrationMsg::Heartbeat {
+                    migration_id: out.migration_id,
+                    view: self.serving_view(),
+                })
+            }
+            SourceAction::ShipHotSet => {
+                // Read the hot set's current values now — after the cut — so
+                // every update acknowledged by the source is included.
+                let records = self
+                    .store
+                    .end_sampling()
+                    .into_iter()
+                    .filter_map(|key| match self.store.read_record_for(key, session) {
+                        Ok(ReadOutcome::Found { record, .. })
+                            if !record.is_indirection() && !record.is_tombstone() =>
+                        {
+                            Some((key, record.value().to_vec()))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                return send(MigrationMsg::PushHotRecords {
+                    migration_id: out.migration_id,
+                    target_view: out.target_view,
+                    records,
+                });
+            }
+            SourceAction::ScheduleCut => self.schedule_cut(out, false),
+            SourceAction::ScheduleViewFlip => self.schedule_cut(out, true),
+            SourceAction::Checkpoint => self.checkpoint(session),
+            SourceAction::MarkComplete(server) => {
+                let _ = self.meta.mark_complete(out.migration_id, server);
+            }
+            SourceAction::RecordReport(duration) => {
+                *self.completed_report.lock() = Some(MigrationReport {
+                    migration_id: out.migration_id,
+                    role: MigrationRole::Source,
+                    bytes_from_memory: out.bytes_from_memory.load(Ordering::Relaxed),
+                    records_moved: out.records_sent.load(Ordering::Relaxed),
+                    indirection_records: out.indirections_sent.load(Ordering::Relaxed),
+                    ssd_bytes_scanned: out.ssd_bytes_scanned.load(Ordering::Relaxed),
+                    duration_ms: duration.as_millis() as u64,
+                });
+            }
+            SourceAction::EndSampling => {
+                let _ = self.store.end_sampling();
+            }
+            SourceAction::CancelAtStore => {
+                let won = self.meta.cancel_migration(out.migration_id).is_ok();
+                return Some(SourceEvent::StoreCancelled(won));
+            }
+            SourceAction::RefreshOwnership => self.refresh_ownership_from_meta(),
+            SourceAction::NoteCancellation(reason, missed) => {
+                let shipped = out.records_sent.load(Ordering::Relaxed)
+                    + out.indirections_sent.load(Ordering::Relaxed);
+                self.note_cancellation(out.migration_id, shipped, missed, &reason);
+            }
         }
-        if let Some(reason) = dead_reason {
-            let why = format!("target {} declared dead: {reason}", outgoing.target);
-            return self.cancel_outgoing_migration(outgoing.migration_id, &why, session);
-        }
-        false
+        None
     }
 
-    /// Cancels the in-flight *outgoing* migration `migration_id` at this
-    /// server (the source role of the paper's §3.3.1 cancellation):
-    /// the dependency is cancelled at the metadata store (ownership of the
-    /// migrating ranges rolls back to this server, both views advance), the
-    /// post-cancellation state is checkpointed as the new recovery point,
-    /// and the server re-adopts the post-cancellation ownership map — which
-    /// bumps its serving view, fencing any frame the (possibly revived)
-    /// target later sends from the dead migration epoch.
-    ///
-    /// Returns `false` if no outgoing migration with that id is in flight.
-    pub(crate) fn cancel_outgoing_migration(
+    /// Takes an epoch cut for the source machine, which hears of it on
+    /// thread 0's next pass.  The ownership-transfer cut also moves the
+    /// server into its new view.
+    fn schedule_cut(self: &Arc<Self>, out: &Arc<OutgoingMigration>, flip_view: bool) {
+        let server = Arc::clone(self);
+        let out = Arc::clone(out);
+        self.store.epoch().bump_with_action(move || {
+            if flip_view {
+                // The migration may have been cancelled (dead target)
+                // between scheduling this action and the cut completing;
+                // flipping the view for a dead migration would clobber the
+                // post-cancellation ownership map.  The check synchronizes
+                // with the cancel edge on the `outgoing` slot lock: its
+                // driver detaches the slot under the write lock before it
+                // touches the view, so whoever holds the slot wins.
+                let guard = server.outgoing.read();
+                if guard.as_ref().map(|o| o.migration_id) != Some(out.migration_id) {
+                    return;
+                }
+                // Transfer-phase entry: move into the new view.  From this
+                // instant batches tagged with the old view are rejected,
+                // which pushes the cut out to clients over their sessions
+                // (paper §3.2.1).
+                server.serving_view.store(out.new_view, Ordering::SeqCst);
+                server.owned.write().remove(&out.ranges);
+                // Record each thread's position in its operation sequence;
+                // the hot set is shipped only after every thread has moved
+                // past it (the paper's global cut is taken at operation
+                // boundaries, §2.1/§3.2.1).
+                let generations = server
+                    .loop_generation
+                    .iter()
+                    .map(|g| g.load(Ordering::SeqCst))
+                    .collect();
+                *out.view_flip_generations.lock() = Some(generations);
+            }
+            out.inbox.lock().push(SourceEvent::CutReached);
+        });
+    }
+
+    /// Takes the source machine's cancel edge for `migration_id`, if this
+    /// server is its source.  Returns `false` if no outgoing migration with
+    /// that id is in flight.
+    pub(crate) fn cancel_outgoing(
         self: &Arc<Self>,
+        now: Instant,
         migration_id: u64,
         reason: &str,
         session: &FasterSession,
     ) -> bool {
-        // Atomically detach the outgoing state: only the detaching caller
-        // runs the rollback, and the ownership-transfer epoch action (which
-        // re-checks this slot) can no longer clobber the rolled-back view.
-        let outgoing = {
-            let mut slot = self.outgoing.write();
-            match slot.as_ref() {
-                Some(o) if o.migration_id == migration_id => slot.take().expect("checked Some"),
-                _ => return false,
-            }
-        };
-        // Sampling may still be active if the cancellation landed early.
-        let _ = self.store.end_sampling();
-        // Cancel at the metadata store: the migrating ranges return to this
-        // server and both views advance again (paper §3.3.1).  The records
-        // themselves never left this server's log, so re-owning the ranges
-        // loses nothing — records already shipped become unreachable
-        // duplicates at the dead target.
-        let cancelled_at_store = self.meta.cancel_migration(migration_id).is_ok();
-        // Best-effort: tell a still-reachable target to roll back too.  The
-        // serving-view fence (see the CancelMigration handler) is offered
-        // only when the cancel actually won at the store: a cancel that
-        // lost the race to a concurrent resolution must not advance a
-        // healthy target's view past its registration — that would wedge
-        // it exactly the way the fence exists to prevent.
-        let _ = outgoing
-            .control
-            .lock()
-            .send_msg(MigrationMsg::CancelMigration {
-                migration_id,
-                view: if cancelled_at_store {
-                    outgoing.target_view
-                } else {
-                    0
-                },
-            });
-        // Checkpoint the post-cancellation state as the new recovery point,
-        // then adopt the post-cancellation ownership map and view.
-        let cp = take_checkpoint(&self.store, session);
-        *self.latest_checkpoint.lock() = Some(cp);
-        self.refresh_ownership_from_meta();
-        self.note_cancellation(
-            migration_id,
-            outgoing.records_sent.load(Ordering::Relaxed)
-                + outgoing.indirections_sent.load(Ordering::Relaxed),
-            outgoing.liveness.lock().heartbeats_missed(),
-            reason,
-        );
-        true
+        let out = self.outgoing.read().clone();
+        let cancel = SourceEvent::Cancel(reason.into());
+        out.filter(|out| out.migration_id == migration_id)
+            .is_some_and(|out| self.step_source(&out, now, cancel, session))
     }
 
-    /// Cancels the in-flight *incoming* migration `migration_id` at this
-    /// server (the target role): in-flight migration state is dropped, the
-    /// migrating ranges are given back, and the serving view advances so
-    /// record pushes from the dead migration epoch are rejected as
-    /// stale-view.  Returns `false` if no such incoming migration exists.
-    pub(crate) fn cancel_incoming_migration(
-        self: &Arc<Self>,
-        migration_id: u64,
-        reason: &str,
-        session: &FasterSession,
-    ) -> bool {
-        let incoming = {
-            let mut slot = self.incoming.lock();
-            match slot.as_ref() {
-                Some(m) if m.migration_id == migration_id => slot.take().expect("checked Some"),
-                _ => return false,
-            }
-        };
-        self.incoming_active.store(false, Ordering::SeqCst);
-        self.stray_migration_items.lock().remove(&migration_id);
-        // Roll ownership back.  In-process (shared metadata store) the
-        // cancellation there is authoritative; a cross-process target cannot
-        // reach the coordinating store — it applies the identical state
-        // transition locally: drop the ranges, advance the view.  Either
-        // way the serving view ends at target_view + 1, exactly what the
-        // authoritative store records, so both sides agree on the fence.
-        match self.meta.cancel_migration(migration_id) {
-            Ok(_) => self.refresh_ownership_from_meta(),
-            Err(_) => {
-                self.owned.write().remove(incoming.ranges.ranges());
-                self.serving_view.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        // Batches that pended for the migrating ranges are orphaned now.
-        // This must happen *after* the ownership rollback above: a dispatch
-        // thread consumes the flush signal at most once per bump, so bumping
-        // while `owned` still held the ranges would let it scan, reject
-        // nothing, and later answer an orphaned batch from a store that only
-        // received part of the data.
-        self.bump_pend_flush();
+    /// Checkpoints the store as this server's new recovery point.
+    fn checkpoint(&self, session: &FasterSession) {
         let cp = take_checkpoint(&self.store, session);
         *self.latest_checkpoint.lock() = Some(cp);
-        self.note_cancellation(migration_id, incoming.items_received, 0, reason);
-        true
-    }
-
-    /// Target-side liveness: cancels the incoming migration if the source
-    /// has been silent past twice the liveness deadline (the factor of two
-    /// lets the source — which also observes transport errors directly —
-    /// win the race and cancel cleanly at the metadata store first).
-    /// Driven by dispatch thread 0 every loop iteration.
-    pub(crate) fn drive_incoming_liveness(self: &Arc<Self>, session: &FasterSession) -> bool {
-        if !self.incoming_active.load(Ordering::Relaxed) {
-            return false;
-        }
-        let deadline = self.config.migration.liveness.deadline() * 2;
-        let stale = {
-            let incoming = self.incoming.lock();
-            match incoming.as_ref() {
-                Some(m) if m.last_source_msg.elapsed() > deadline => {
-                    Some((m.migration_id, m.source))
-                }
-                _ => None,
-            }
-        };
-        let Some((migration_id, source)) = stale else {
-            return false;
-        };
-        // Every heartbeat interval in the silent window counts as missed.
-        let interval = self.config.migration.liveness.heartbeat_interval;
-        let missed = (deadline.as_micros() / interval.as_micros().max(1)) as u64;
-        self.heartbeats_missed.add(missed);
-        let reason = format!("source silent for more than {deadline:?}");
-        let cancelled = self.cancel_incoming_migration(migration_id, &reason, session);
-        if cancelled {
-            // Best-effort relay: a source that is merely stalled (not dead)
-            // should cancel authoritatively at its metadata store right
-            // away instead of waiting out its own silence budget.  If the
-            // source is really gone the dial simply fails.  View 0: a
-            // target does not know the view the source was assigned for
-            // this migration, so it cannot offer a fence — the source
-            // fences itself when it rolls back (see the CancelMigration
-            // handler).
-            let snapshot = self.meta.snapshot();
-            if let Some(src) = snapshot.server(source) {
-                if let Some(conn) = self.connect_migration(&src.address, source, 0) {
-                    let _ = conn.send_msg(MigrationMsg::CancelMigration {
-                        migration_id,
-                        view: 0,
-                    });
-                }
-            }
-        }
-        cancelled
     }
 
     /// Records a cancellation in the server's counters and on stderr (which
@@ -1019,47 +629,6 @@ impl Server {
         );
     }
 
-    /// The per-thread half of [`Server::drive_finishing`]: the target's
-    /// final ack travels on whichever link delivered the finalizing message,
-    /// which can be this thread's records link rather than the control link.
-    pub(crate) fn drive_finishing_thread(&self, state: &SourceThreadState) -> bool {
-        // Fast paths: nothing to wait for, or this thread has no link that
-        // could carry the ack.  The atomic keeps the idle serving loop off
-        // the shared mutex.
-        if !self.finishing_active.load(Ordering::Relaxed) || state.records_conn.is_none() {
-            return false;
-        }
-        let (id, target) = match self.finishing.lock().as_ref() {
-            Some(fin) => (fin.migration_id, fin.target),
-            None => return false,
-        };
-        if state.migration_id != Some(id) {
-            return false;
-        }
-        let Some(conn) = &state.records_conn else {
-            return false;
-        };
-        let mut acked = false;
-        while let Ok(Some(msg)) = conn.try_recv_msg() {
-            if matches!(
-                msg,
-                MigrationMsg::Ack {
-                    migration_id,
-                    phase: MigrationAckPhase::Completed,
-                } if migration_id == id
-            ) {
-                acked = true;
-            }
-        }
-        if acked {
-            let _ = self.meta.mark_complete(id, target);
-            *self.finishing.lock() = None;
-            self.finishing_active.store(false, Ordering::SeqCst);
-            return true;
-        }
-        false
-    }
-
     /// One iteration of this thread's share of the Migrate phase: pull the
     /// next record batch from the thread's [`MigrationBatchIter`] and ship
     /// it over the thread's migration link.
@@ -1069,20 +638,11 @@ impl Server {
         state: &mut SourceThreadState,
         session: &FasterSession,
     ) -> bool {
-        let thread_id = state.thread_id;
         if state.region_done_reported {
             // This thread is finished; thread 0 watches for global completion.
-            if thread_id == 0 && outgoing.regions_done.load(Ordering::SeqCst) >= self.config.threads
-            {
-                let next = match outgoing.mode {
-                    MigrationMode::Shadowfax => SourcePhase::Complete,
-                    MigrationMode::Rocksteady => SourcePhase::DiskScan,
-                };
-                outgoing.set_phase(next);
-                return true;
-            }
             return false;
         }
+        let thread_id = state.thread_id;
 
         // Ensure this thread has its own migration connection to the target.
         if state.records_conn.is_none() {
@@ -1129,7 +689,7 @@ impl Server {
             while addr.is_valid() && addr >= log.begin_address() {
                 if addr < head {
                     // The rest of this chain lives on the SSD / shared tier.
-                    match outgoing.mode {
+                    match self.config.migration.mode {
                         MigrationMode::Shadowfax => {
                             let representative = representative_hash(
                                 snap.bucket,
@@ -1259,7 +819,8 @@ impl Server {
     ///
     /// The cursor always resumes from the scanner's own position (a record or
     /// page boundary), never from an arbitrary byte offset, so no record is
-    /// ever skipped at a chunk boundary.
+    /// ever skipped at a chunk boundary.  Returns `true` once the scan has
+    /// reached the head and everything it found is shipped.
     fn drive_disk_scan(
         self: &Arc<Self>,
         outgoing: &Arc<OutgoingMigration>,
@@ -1276,10 +837,7 @@ impl Server {
             let items = std::mem::take(&mut state.batch);
             state.batch_bytes = 0;
             self.ship_migration_items(outgoing, state, items);
-            if state.batch.is_empty() {
-                outgoing.set_phase(SourcePhase::Complete);
-            }
-            return true;
+            return state.batch.is_empty();
         }
         let budget = self.config.migration.disk_scan_bytes_per_iteration as u64;
         let mut records: Vec<(Address, RecordOwned)> = Vec::new();
@@ -1322,10 +880,7 @@ impl Server {
         let items = std::mem::take(&mut state.batch);
         state.batch_bytes = 0;
         self.ship_migration_items(outgoing, state, items);
-        if new_cursor >= head && state.batch.is_empty() {
-            outgoing.set_phase(SourcePhase::Complete);
-        }
-        true
+        new_cursor >= head && state.batch.is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -1335,307 +890,161 @@ impl Server {
     /// Handles one migration message arriving from a peer server.
     pub(crate) fn handle_migration_msg(
         self: &Arc<Self>,
+        now: Instant,
         msg: MigrationMsg,
         conn: &ServerMigConn,
         session: &FasterSession,
     ) {
-        // Any message for the in-flight incoming migration is proof the
-        // source is alive; the target's liveness deadline restarts.
-        if let MigrationMsg::PrepForTransfer { migration_id, .. }
-        | MigrationMsg::TakeOwnership { migration_id, .. }
-        | MigrationMsg::PushHotRecords { migration_id, .. }
-        | MigrationMsg::PushRecordBatch { migration_id, .. }
-        | MigrationMsg::CompleteMigration { migration_id, .. }
-        | MigrationMsg::Heartbeat { migration_id, .. }
-        | MigrationMsg::HeartbeatAck { migration_id, .. } = &msg
-        {
-            self.touch_incoming(*migration_id);
-        }
+        let reason = "peer cancelled the migration";
         match msg {
-            MigrationMsg::PrepForTransfer {
-                migration_id,
-                ranges,
-                source,
-                target_view,
-            } => {
-                // A prepare tagged with a view older than the one we already
-                // serve is from a dead migration epoch: ignore it.
-                if target_view < self.serving_view() {
-                    return;
-                }
-                // Record batches can beat this message over TCP (they travel
-                // on different connections); fold any strays back in.  The
-                // stray map is drained while the `incoming` lock is held —
-                // the batch handler updates it under the same lock — so a
-                // concurrent batch either landed in the map before this
-                // drain or sees the installed migration and counts directly.
-                // Stray counts for *other* migrations are from dead epochs
-                // (a target receives one migration at a time) and dropped.
-                let mut incoming = self.incoming.lock();
-                let early_items = {
-                    let mut stray = self.stray_migration_items.lock();
-                    let early = stray.remove(&migration_id).unwrap_or(0);
-                    stray.clear();
-                    early
-                };
-                *incoming = Some(IncomingMigration {
-                    migration_id,
-                    ranges: RangeSet::from_ranges(ranges.iter().copied()),
-                    mode: PendMode::PendAll,
-                    source,
-                    items_received: early_items,
-                    expected_items: None,
-                    started: Instant::now(),
-                    last_source_msg: Instant::now(),
-                });
-                drop(incoming);
-                self.incoming_active.store(true, Ordering::SeqCst);
+            // Not part of a migration (paper §3.3.3): the sender compacted a
+            // record of a range it no longer owns.
+            MigrationMsg::CompactionHandoff { key, value } => {
+                self.insert_migrated(MigratedItem::Record { key, value }, session);
+            }
+            // A target relays a cancellation to its source here.
+            MigrationMsg::CancelMigration { migration_id, .. }
+                if self.cancel_outgoing(now, migration_id, reason, session) => {}
+            msg => {
+                let event = TargetEvent::Received(msg, self.serving_view());
+                self.drive_target(now, event, Some(conn), session);
+            }
+        }
+    }
+
+    /// Steps the target machine through `event` and every event its actions
+    /// answer with.  Steps run under the `incoming` lock, actions outside
+    /// it; replies go back on `conn`.  Returns `true` if any action ran.
+    pub(crate) fn drive_target(
+        self: &Arc<Self>,
+        now: Instant,
+        event: TargetEvent,
+        conn: Option<&ServerMigConn>,
+        session: &FasterSession,
+    ) -> bool {
+        let mut next = Some(event);
+        let mut acted = false;
+        while let Some(event) = next.take() {
+            let (actions, activated) = {
+                let mut target = self.incoming.lock();
+                let actions = target.step(now, event);
+                let active = target.is_active();
+                let was_active = self.incoming_active.swap(active, Ordering::SeqCst);
+                (actions, active && !was_active)
+            };
+            if activated {
                 // The server holds a migration role now: sibling threads
                 // stop parking until it is over.
                 self.wake_all();
-                // Adopt the view the metadata store assigned us at transfer
-                // time and take responsibility for the ranges.
-                self.serving_view.fetch_max(target_view, Ordering::SeqCst);
+            }
+            for action in actions {
+                acted = true;
+                if let Some(event) = self.execute_target(action, conn, session) {
+                    next = Some(event);
+                }
+            }
+        }
+        acted
+    }
+
+    /// Executes one target action; returns the event that answers it, if
+    /// any.
+    fn execute_target(
+        self: &Arc<Self>,
+        action: TargetAction,
+        conn: Option<&ServerMigConn>,
+        session: &FasterSession,
+    ) -> Option<TargetEvent> {
+        match action {
+            TargetAction::Reply(msg) => {
+                if let Some(conn) = conn {
+                    let _ = conn.send_msg(msg);
+                }
+            }
+            TargetAction::AdoptRanges(ranges, view) => {
+                self.serving_view.fetch_max(view, Ordering::SeqCst);
                 self.owned.write().add(&ranges);
-                let _ = conn.send_msg(MigrationMsg::Ack {
-                    migration_id,
-                    phase: MigrationAckPhase::Prepared,
-                });
             }
-            MigrationMsg::TakeOwnership {
-                migration_id,
-                ranges: _,
-                target_view,
-            } => {
-                // The source has stopped serving the ranges; from here on
-                // only records that have not arrived yet pend.
-                self.serving_view.fetch_max(target_view, Ordering::SeqCst);
-                if let Some(incoming) = self.incoming.lock().as_mut() {
-                    if incoming.migration_id == migration_id {
-                        incoming.mode = PendMode::PendMissing;
-                    }
-                }
-                let _ = conn.send_msg(MigrationMsg::Ack {
-                    migration_id,
-                    phase: MigrationAckPhase::OwnershipReceived,
-                });
+            TargetAction::AdoptView(view) => {
+                self.serving_view.fetch_max(view, Ordering::SeqCst);
             }
-            MigrationMsg::PushHotRecords {
-                migration_id,
-                target_view: _,
-                records,
-            } => {
-                // Only apply the hot set for the migration currently being
-                // received — a delayed push from an earlier (cancelled)
-                // migration must not resurrect stale values.  Dropping it is
-                // always safe: the Migrate phase ships every live in-range
-                // record again.
-                let applies = self
-                    .incoming
-                    .lock()
-                    .as_ref()
-                    .map(|m| m.migration_id == migration_id)
-                    .unwrap_or(false);
-                if applies {
-                    for (key, value) in &records {
-                        self.insert_migrated_record(*key, value, session);
-                    }
-                }
-            }
-            MigrationMsg::PushRecordBatch {
-                migration_id,
-                target_view,
-                items,
-            } => {
-                // A batch tagged with a view older than the one we already
-                // serve is from a dead migration epoch: drop it.
-                if target_view < self.serving_view() {
-                    return;
-                }
+            TargetAction::Insert(migration_id, items) => {
                 let count = items.len() as u64;
                 for item in items {
-                    match item {
-                        MigratedItem::Record { key, value } => {
-                            self.insert_migrated_record(key, &value, session);
-                        }
-                        MigratedItem::Indirection {
-                            representative_hash,
-                            payload,
-                        } => {
-                            let _ = self.store.insert_record_at_hash(
-                                representative_hash,
-                                representative_hash,
-                                &payload,
-                                RecordFlags::INDIRECTION,
-                                session,
-                            );
-                        }
-                    }
+                    self.insert_migrated(item, session);
                 }
-                {
-                    // The stray map is updated while the `incoming` lock is
-                    // held (same order as the PrepForTransfer handler), so
-                    // this count can never slip between that handler's
-                    // stray-drain and its install of the migration.
-                    let mut incoming = self.incoming.lock();
-                    match incoming.as_mut() {
-                        Some(m) if m.migration_id == migration_id => {
-                            m.items_received += count;
-                        }
-                        _ => {
-                            // `PrepForTransfer` has not arrived yet; remember
-                            // the count so the items stay in the tally.
-                            *self
-                                .stray_migration_items
-                                .lock()
-                                .entry(migration_id)
-                                .or_insert(0) += count;
-                        }
-                    }
-                }
-                self.maybe_finalize_incoming(conn, session);
+                return Some(TargetEvent::Inserted(migration_id, count));
             }
-            MigrationMsg::CompleteMigration {
+            TargetAction::InsertHot(records) => {
+                for (key, value) in records {
+                    self.insert_migrated(MigratedItem::Record { key, value }, session);
+                }
+            }
+            TargetAction::Checkpoint => self.checkpoint(session),
+            TargetAction::MarkComplete(migration_id) => {
+                let _ = self.meta.mark_complete(migration_id, self.id());
+            }
+            TargetAction::RecordReport(report) => *self.completed_report.lock() = Some(report),
+            TargetAction::CancelAtStore(migration_id, ranges) => {
+                match self.meta.cancel_migration(migration_id) {
+                    Ok(_) => self.refresh_ownership_from_meta(),
+                    Err(_) => {
+                        self.owned.write().remove(ranges.ranges());
+                        self.serving_view.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+            TargetAction::BumpPendFlush => self.bump_pend_flush(),
+            TargetAction::RelayCancel(source, migration_id) => {
+                // If the source is really gone the dial simply fails.
+                let address = self
+                    .meta
+                    .snapshot()
+                    .server(source)
+                    .map(|s| s.address.clone());
+                if let Some(link) = address.and_then(|a| self.connect_migration(&a, source, 0)) {
+                    let _ = link.send_msg(MigrationMsg::CancelMigration {
+                        migration_id,
+                        view: 0,
+                    });
+                }
+            }
+            TargetAction::NoteCancellation {
                 migration_id,
-                target_view: _,
-                total_items,
-            } => {
-                if let Some(incoming) = self.incoming.lock().as_mut() {
-                    if incoming.migration_id == migration_id {
-                        incoming.expected_items = Some(total_items);
+                reason,
+                rolled_back,
+                missed,
+            } => self.note_cancellation(migration_id, rolled_back, missed, &reason),
+        }
+        None
+    }
+
+    /// Inserts an item a peer shipped (by migration or a compaction
+    /// hand-off).  A record is skipped if a newer version already exists
+    /// locally (a client may have written — or deleted — the key after
+    /// ownership transferred; a local tombstone is a newer version too, and
+    /// overwriting it would resurrect the key).
+    fn insert_migrated(&self, item: MigratedItem, session: &FasterSession) {
+        let (hash, key, value, flags) = match item {
+            MigratedItem::Record { key, value } => {
+                if let Ok(ReadOutcome::Found { record, .. }) =
+                    self.store.read_record_for(key, session)
+                {
+                    if !record.is_indirection() {
+                        return;
                     }
                 }
-                // The Completed ack is sent by `maybe_finalize_incoming`
-                // once every announced item has actually arrived — acking
-                // here would let the source garbage-collect the recovery
-                // dependency while record batches are still in flight.
-                self.maybe_finalize_incoming(conn, session);
+                (KeyHash::of(key).raw(), key, value, RecordFlags::empty())
             }
-            MigrationMsg::Ack { .. } => {
-                // Control-plane acknowledgement; nothing to do.
-            }
-            MigrationMsg::CompactionHandoff { key, value } => {
-                // Insert unless we already have a version for this key that is
-                // not an indirection record (paper §3.3.3).  A local
-                // tombstone counts as such a version.
-                match self.store.read_record_for(key, session) {
-                    Ok(ReadOutcome::Found { record, .. }) if !record.is_indirection() => {}
-                    _ => {
-                        let _ =
-                            self.store
-                                .insert_record(key, &value, RecordFlags::empty(), session);
-                    }
-                }
-            }
-            MigrationMsg::Heartbeat { migration_id, .. } => {
-                let _ = conn.send_msg(MigrationMsg::HeartbeatAck {
-                    migration_id,
-                    view: self.serving_view(),
-                });
-            }
-            MigrationMsg::HeartbeatAck { .. } => {
-                // Proof of life only (already recorded above).
-            }
-            MigrationMsg::CancelMigration { migration_id, view } => {
-                // The id match inside the role-specific cancel paths is the
-                // gate: migration ids are never reused, so a replayed cancel
-                // from a dead epoch matches no in-flight state and rolls
-                // nothing back.  Deliberately no view comparison here — the
-                // receiver's single per-server view can advance for an
-                // unrelated concurrent migration, which must not mask a
-                // legitimate cancel.
-                let rolled_back =
-                    self.cancel_local_roles(migration_id, "peer cancelled the migration", session);
-                if !rolled_back && view > 0 {
-                    // No local state: the migration was cancelled before this
-                    // server ever heard of it (e.g. mid-sampling, before
-                    // `PrepForTransfer` went out).  The authoritative store
-                    // has still advanced this server's registered view past
-                    // the dead epoch — adopt that fence, or every future
-                    // batch stamped with the registered view would be
-                    // rejected as stale forever.  `view` carries the view
-                    // this server was assigned for the cancelled migration
-                    // when the sender knows it (source -> target relays; a
-                    // target -> source relay sends 0, the source fences
-                    // itself); the post-cancellation registration is one
-                    // past it.  fetch_max keeps a replayed cancel from an
-                    // old epoch harmless.
-                    self.serving_view.fetch_max(view + 1, Ordering::SeqCst);
-                }
-            }
-        }
-    }
-
-    /// Restarts the target-side liveness deadline for `migration_id`.
-    fn touch_incoming(&self, migration_id: u64) {
-        if !self.incoming_active.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(m) = self.incoming.lock().as_mut() {
-            if m.migration_id == migration_id {
-                m.last_source_msg = Instant::now();
-            }
-        }
-    }
-
-    /// Inserts a record that arrived via migration, unless a newer version
-    /// already exists locally (a client may have written — or deleted — the
-    /// key after ownership transferred; a local tombstone is a newer
-    /// version too, and overwriting it would resurrect the key).
-    fn insert_migrated_record(&self, key: u64, value: &[u8], session: &FasterSession) {
-        match self.store.read_record_for(key, session) {
-            Ok(ReadOutcome::Found { record, .. }) if !record.is_indirection() => {
-                // Local version is newer; keep it.
-            }
-            _ => {
-                let _ = self
-                    .store
-                    .insert_record(key, value, RecordFlags::empty(), session);
-            }
-        }
-    }
-
-    /// Finalizes the incoming migration once the source has declared
-    /// completion and every announced item has been received: checkpoint,
-    /// mark complete at the metadata store, stop pending, and send the
-    /// final `Ack { Completed }` on the connection that delivered the
-    /// finalizing message (the source watches all of its migration links
-    /// for it).
-    fn maybe_finalize_incoming(self: &Arc<Self>, conn: &ServerMigConn, session: &FasterSession) {
-        let ready = {
-            let incoming = self.incoming.lock();
-            match incoming.as_ref() {
-                Some(m) => m
-                    .expected_items
-                    .map(|expected| m.items_received >= expected)
-                    .unwrap_or(false),
-                None => false,
-            }
+            MigratedItem::Indirection {
+                representative_hash: hash,
+                payload,
+            } => (hash, hash, payload, RecordFlags::INDIRECTION),
         };
-        if !ready {
-            return;
-        }
-        let finished = self.incoming.lock().take();
-        self.incoming_active.store(false, Ordering::SeqCst);
-        if let Some(m) = finished {
-            let cp = take_checkpoint(&self.store, session);
-            *self.latest_checkpoint.lock() = Some(cp);
-            let _ = self.meta.mark_complete(m.migration_id, self.id());
-            self.stray_migration_items.lock().remove(&m.migration_id);
-            *self.completed_report.lock() = Some(MigrationReport {
-                migration_id: m.migration_id,
-                role: MigrationRole::Target,
-                bytes_from_memory: 0,
-                records_moved: m.items_received,
-                indirection_records: 0,
-                ssd_bytes_scanned: 0,
-                duration_ms: m.started.elapsed().as_millis() as u64,
-            });
-            let _ = conn.send_msg(MigrationMsg::Ack {
-                migration_id: m.migration_id,
-                phase: MigrationAckPhase::Completed,
-            });
-        }
+        let inserted = self
+            .store
+            .insert_record_at_hash(hash, key, &value, flags, session);
+        self.check_insert(inserted, &self.migration_insert_failed, "migrated", key);
     }
 }
 
@@ -1859,22 +1268,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn source_phase_roundtrip() {
-        for p in [
-            SourcePhase::Sampling,
-            SourcePhase::Prepare,
-            SourcePhase::Transfer,
-            SourcePhase::Migrate,
-            SourcePhase::DiskScan,
-            SourcePhase::Complete,
-        ] {
-            assert_eq!(SourcePhase::from_u8(p as u8), p);
-        }
-    }
-
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::config::ClientConfig;
+    use crate::hash_range::RangeSet;
+    use crate::messages::MigrationAckPhase;
     use crate::server::ServerMigConn;
     use shadowfax_net::LivenessConfig;
     use std::time::Duration;
@@ -1911,6 +1308,7 @@ mod tests {
         let source_side = listener.try_accept().unwrap();
 
         target.handle_migration_msg(
+            Instant::now(),
             MigrationMsg::PrepForTransfer {
                 migration_id,
                 ranges: vec![moving],
@@ -1925,6 +1323,7 @@ mod tests {
 
         // A batch in the live epoch applies.
         target.handle_migration_msg(
+            Instant::now(),
             MigrationMsg::PushRecordBatch {
                 migration_id,
                 target_view,
@@ -1940,7 +1339,7 @@ mod tests {
 
         // The target declares the source dead and cancels: ownership rolls
         // back and the serving view advances past the dead epoch.
-        assert!(target.cancel_incoming_migration(migration_id, "unit test", &session));
+        assert!(target.cancel_local_roles(Instant::now(), migration_id, "unit test", &session));
         assert_eq!(
             target.serving_view(),
             target_view + 1,
@@ -1953,10 +1352,11 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(dep.cancelled);
-        assert!(!target.cancel_incoming_migration(migration_id, "again", &session));
+        assert!(!target.cancel_local_roles(Instant::now(), migration_id, "again", &session));
 
         // The revived source's post-cancellation frames are fenced by view.
         target.handle_migration_msg(
+            Instant::now(),
             MigrationMsg::PushRecordBatch {
                 migration_id,
                 target_view,
@@ -1974,6 +1374,7 @@ mod tests {
             "a stale-view record batch must be dropped"
         );
         target.handle_migration_msg(
+            Instant::now(),
             MigrationMsg::PushHotRecords {
                 migration_id,
                 target_view,
@@ -2046,6 +1447,7 @@ mod tests {
         // A cancel for an *unknown* migration carrying no fence (view 0,
         // the target -> source relay form) must not move the view.
         target.handle_migration_msg(
+            Instant::now(),
             MigrationMsg::CancelMigration {
                 migration_id: migration_id + 7,
                 view: 0,
@@ -2059,6 +1461,7 @@ mod tests {
         // local state to roll back, the target adopts the post-cancellation
         // fence and agrees with the authoritative registration.
         target.handle_migration_msg(
+            Instant::now(),
             MigrationMsg::CancelMigration {
                 migration_id,
                 view: target_view,
@@ -2070,6 +1473,7 @@ mod tests {
 
         // A replayed cancel from the dead epoch is harmless.
         target.handle_migration_msg(
+            Instant::now(),
             MigrationMsg::CancelMigration {
                 migration_id,
                 view: target_view,

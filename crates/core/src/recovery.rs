@@ -6,8 +6,8 @@
 //! servers.  If a server crashes while the dependency is unresolved, recovery
 //! must involve both servers: the migration is cancelled at the metadata
 //! store (ownership of the migrating ranges moves back to the source and both
-//! views advance again), the surviving server adopts the post-cancellation
-//! ownership map and drops its in-flight migration state, and the crashed
+//! views advance again), the surviving server takes its cancel edge and
+//! adopts the post-cancellation ownership map, and the crashed
 //! server is restarted from its latest checkpoint.
 //!
 //! Simulation notes (see DESIGN.md §1):
@@ -107,39 +107,6 @@ impl Server {
         }
     }
 
-    /// Drops any in-flight migration state referring to `migration_id`
-    /// (either role).  Called on the surviving peer when a migration is
-    /// cancelled during the other server's recovery.
-    pub fn abort_migration_state(&self, migration_id: u64) {
-        {
-            let mut incoming = self.incoming.lock();
-            if incoming
-                .as_ref()
-                .map(|m| m.migration_id == migration_id)
-                .unwrap_or(false)
-            {
-                *incoming = None;
-                self.incoming_active
-                    .store(false, std::sync::atomic::Ordering::SeqCst);
-                // Batches that pended for the migrating ranges are orphaned.
-                // The pend-flush signal is raised by the ownership refresh
-                // that always follows this call (see
-                // `refresh_ownership_from_meta`), *after* `owned` reflects
-                // the rollback — raising it here would let a dispatch thread
-                // consume the signal against the pre-rollback ownership map
-                // and reject nothing.
-            }
-        }
-        let mut outgoing = self.outgoing.write();
-        if outgoing
-            .as_ref()
-            .map(|m| m.migration_id == migration_id)
-            .unwrap_or(false)
-        {
-            *outgoing = None;
-        }
-    }
-
     /// Rebuilds a server after a crash: a fresh FASTER instance is attached to
     /// the surviving SSD and shared-tier log, restored from `checkpoint` if
     /// one is available, and the server's view number and owned ranges are
@@ -196,11 +163,10 @@ impl Server {
             serving_view: AtomicU64::new(view),
             owned: RwLock::new(owned),
             mig_connector: RwLock::new(None),
-            incoming: Mutex::new(None),
-            stray_migration_items: Mutex::new(std::collections::HashMap::new()),
+            incoming: Mutex::new(crate::migration::TargetMachine::new(
+                config.migration.liveness,
+            )),
             outgoing: RwLock::new(None),
-            finishing: Mutex::new(None),
-            finishing_active: AtomicBool::new(false),
             incoming_active: AtomicBool::new(false),
             pend_flush_epoch: AtomicU64::new(0),
             completed_report: Mutex::new(None),
@@ -215,6 +181,8 @@ impl Server {
             migrations_cancelled: instruments.migrations_cancelled,
             records_rolled_back: instruments.records_rolled_back,
             heartbeats_missed: instruments.heartbeats_missed,
+            migration_insert_failed: instruments.migration_insert_failed,
+            chain_insert_failed: instruments.chain_insert_failed,
             loop_generation: (0..config.threads).map(|_| AtomicU64::new(0)).collect(),
             mailboxes: (0..config.threads)
                 .map(|_| crate::dispatch::Mailbox::new())
@@ -254,8 +222,8 @@ impl Cluster {
     /// If the metadata store still holds an unresolved migration dependency
     /// involving the server, the migration is cancelled: ownership of the
     /// migrating ranges returns to the source, both views advance, and the
-    /// surviving peer drops its in-flight migration state and adopts the
-    /// post-cancellation ownership map.  The crashed server is then rebuilt
+    /// surviving peer takes its cancel edge and adopts the post-cancellation
+    /// ownership map.  The crashed server is then rebuilt
     /// from its surviving devices and checkpoint and its dispatch threads are
     /// restarted.
     pub fn recover_server(&mut self, crashed: CrashedServer) -> Result<RecoveryOutcome, String> {
@@ -273,7 +241,9 @@ impl Cluster {
                     dep.source
                 };
                 if let Some(peer) = self.server(peer) {
-                    peer.abort_migration_state(dep.id);
+                    let session = peer.store().start_session();
+                    let now = std::time::Instant::now();
+                    peer.cancel_local_roles(now, dep.id, "peer crashed", &session);
                     peer.refresh_ownership_from_meta();
                 }
                 Some(dep.id)

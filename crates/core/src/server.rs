@@ -15,7 +15,6 @@
 //! `PASS_TICK` after that pass began, so what a pipelined session gets is
 //! set by the clock and not by how two busy loops happen to interleave.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,7 +39,7 @@ use crate::indirection::IndirectionRecord;
 use crate::messages::MigrationMsg;
 use crate::meta::MetadataStore;
 use crate::migration::{
-    FinishingMigration, IncomingMigration, OutgoingMigration, PendMode, SourceThreadState,
+    OutgoingMigration, PendMode, SourceThreadState, TargetEvent, TargetMachine,
 };
 use crate::ServerId;
 
@@ -104,6 +103,8 @@ pub(crate) struct ServerInstruments {
     pub(crate) migrations_cancelled: Counter,
     pub(crate) records_rolled_back: Counter,
     pub(crate) heartbeats_missed: Counter,
+    pub(crate) migration_insert_failed: Counter,
+    pub(crate) chain_insert_failed: Counter,
     pub(crate) park: ParkInstruments,
 }
 
@@ -128,6 +129,8 @@ impl ServerInstruments {
             migrations_cancelled: metrics.counter(&format!("{p}.migration.cancelled")),
             records_rolled_back: metrics.counter(&format!("{p}.migration.records_rolled_back")),
             heartbeats_missed: metrics.counter(&format!("{p}.migration.heartbeats_missed")),
+            migration_insert_failed: metrics.counter(&format!("{p}.migration.insert_failed")),
+            chain_insert_failed: metrics.counter(&format!("{p}.chain.insert_failed")),
             park: ParkInstruments::register(metrics, &p),
         };
         // The FASTER store and the SSD already keep their own relaxed
@@ -181,22 +184,11 @@ pub struct Server {
     /// RPC layer so migrations can cross OS processes); `None` uses
     /// [`Server::mig_net`].
     pub(crate) mig_connector: RwLock<Option<Arc<dyn MigrationConnector>>>,
-    /// Target-side state for an in-flight incoming migration.
-    pub(crate) incoming: Mutex<Option<IncomingMigration>>,
-    /// Record-batch items that arrived before the migration's
-    /// `PrepForTransfer` (possible over TCP, where batches travel on
-    /// different connections than control messages); folded into
-    /// [`IncomingMigration::items_received`] when it is created.
-    pub(crate) stray_migration_items: Mutex<HashMap<u64, u64>>,
-    /// Source-side state for an in-flight outgoing migration.
+    /// The target side of the migration protocol.
+    pub(crate) incoming: Mutex<TargetMachine>,
+    /// Source-side state for an in-flight outgoing migration, until its
+    /// machine reaches a terminal phase.
     pub(crate) outgoing: RwLock<Option<Arc<OutgoingMigration>>>,
-    /// A completed outgoing migration still waiting for the target's final
-    /// acknowledgement (which marks the target side complete at this
-    /// process's metadata store when the target runs elsewhere).
-    pub(crate) finishing: Mutex<Option<FinishingMigration>>,
-    /// Fast-path flag mirroring `finishing.is_some()`, so the per-iteration
-    /// checks in every dispatch thread avoid the mutex when idle.
-    pub(crate) finishing_active: AtomicBool,
     /// Fast-path flag: `true` while `incoming` holds an active migration, so
     /// the per-operation check avoids the mutex in the common case.
     pub(crate) incoming_active: AtomicBool,
@@ -242,6 +234,11 @@ pub struct Server {
     /// Heartbeat intervals that elapsed without hearing from a migration
     /// peer (across all migrations; the liveness layer's miss counter).
     pub(crate) heartbeats_missed: Counter,
+    /// Inserts made on a peer's behalf that the store refused: migrated and
+    /// compaction-handed-off records (`migration.insert_failed`), and
+    /// records fetched to resolve an indirection (`chain.insert_failed`).
+    pub(crate) migration_insert_failed: Counter,
+    pub(crate) chain_insert_failed: Counter,
     /// Per-dispatch-thread loop counters.  A thread increments its counter at
     /// the top of every loop iteration; migration uses them to wait until
     /// every thread has passed an operation-sequence boundary after the
@@ -318,11 +315,8 @@ impl Server {
             serving_view: AtomicU64::new(view),
             owned: RwLock::new(initial_ranges),
             mig_connector: RwLock::new(None),
-            incoming: Mutex::new(None),
-            stray_migration_items: Mutex::new(HashMap::new()),
+            incoming: Mutex::new(TargetMachine::new(config.migration.liveness)),
             outgoing: RwLock::new(None),
-            finishing: Mutex::new(None),
-            finishing_active: AtomicBool::new(false),
             incoming_active: AtomicBool::new(false),
             pend_flush_epoch: AtomicU64::new(0),
             completed_report: Mutex::new(None),
@@ -337,6 +331,8 @@ impl Server {
             migrations_cancelled: instruments.migrations_cancelled,
             records_rolled_back: instruments.records_rolled_back,
             heartbeats_missed: instruments.heartbeats_missed,
+            migration_insert_failed: instruments.migration_insert_failed,
+            chain_insert_failed: instruments.chain_insert_failed,
             loop_generation: (0..config.threads).map(|_| AtomicU64::new(0)).collect(),
             mailboxes: (0..config.threads).map(|_| Mailbox::new()).collect(),
             park: instruments.park,
@@ -419,36 +415,22 @@ impl Server {
     /// state was rolled back here.
     pub fn cancel_migration_local(self: &Arc<Self>, migration_id: u64) -> bool {
         let session = self.store.start_session();
-        self.cancel_local_roles(migration_id, "operator request", &session)
+        self.cancel_local_roles(Instant::now(), migration_id, "operator request", &session)
     }
 
-    /// Cancels every role this server holds in `migration_id`: an in-flight
-    /// outgoing migration, an in-flight incoming one, or a completed source
-    /// side still awaiting the target's final acknowledgement.  Returns
-    /// `true` if any state was rolled back.
+    /// Takes the cancel edge of whichever machine holds `migration_id`: the
+    /// source's (from any phase up to the final ack) or the target's.
+    /// Returns `true` if any state was rolled back.
     pub(crate) fn cancel_local_roles(
         self: &Arc<Self>,
+        now: Instant,
         migration_id: u64,
         reason: &str,
         session: &FasterSession,
     ) -> bool {
-        let mut any = self.cancel_outgoing_migration(migration_id, reason, session);
-        any |= self.cancel_incoming_migration(migration_id, reason, session);
-        let finishing = {
-            let mut slot = self.finishing.lock();
-            match slot.as_ref() {
-                Some(f) if f.migration_id == migration_id => {
-                    self.finishing_active.store(false, Ordering::SeqCst);
-                    slot.take()
-                }
-                _ => None,
-            }
-        };
-        if let Some(fin) = finishing {
-            self.cancel_finishing(fin, reason, session);
-            any = true;
-        }
-        any
+        let cancel = TargetEvent::Cancel(migration_id, reason.into());
+        self.cancel_outgoing(now, migration_id, reason, session)
+            || self.drive_target(now, cancel, None, session)
     }
 
     /// Replaces the service used to resolve spilled chains named by
@@ -461,7 +443,7 @@ impl Server {
 
     /// `true` while an outgoing (source-side) migration is in flight.
     pub fn migration_in_progress(&self) -> bool {
-        self.outgoing.read().is_some() || self.incoming.lock().is_some()
+        self.outgoing.read().is_some() || self.incoming.lock().is_active()
     }
 
     /// Installs the connector used to open outgoing migration links,
@@ -604,7 +586,7 @@ impl Server {
             // read, decode, execute and answer, connection by connection.
             let (served, served_sockets) = conns.serve_ready(|id, link| match link {
                 Link::Kv(link) => self.serve_kv(id, link.as_mut(), &mut pending, &session),
-                Link::Mig(link) => self.serve_mig(link, &session),
+                Link::Mig(link) => self.serve_mig(pass_start, link, &session),
             });
             did_work |= served;
 
@@ -621,22 +603,14 @@ impl Server {
             // Retry pending operations (bounded per iteration).
             did_work |= self.retry_pending(&mut pending, &mut conns, &session);
 
-            // Contribute this thread's share of any outgoing migration.
-            did_work |= self.drive_outgoing(&mut source_state, &session);
-
-            // Collect the target's final acknowledgement of a migration that
-            // already completed on this (source) side: it arrives on the
-            // control link (thread 0 watches it) or on whichever per-thread
-            // records link delivered the last batch.  The control link is
-            // also heartbeated there, so a target that dies at this stage
-            // cancels the migration instead of wedging the dependency.
-            if thread_id == 0 {
-                did_work |= self.drive_finishing(&session);
-                // Target side of the liveness protocol: cancel an incoming
-                // migration whose source has gone silent.
-                did_work |= self.drive_incoming_liveness(&session);
+            // Contribute this thread's share of any outgoing migration; on
+            // thread 0, step the source machine.
+            did_work |= self.drive_outgoing(pass_start, &mut source_state, &session);
+            // Thread 0 also gives the target machine its tick, which cancels
+            // an incoming migration whose source has gone silent.
+            if thread_id == 0 && self.incoming_active.load(Ordering::Relaxed) {
+                did_work |= self.drive_target(pass_start, TargetEvent::Tick, None, &session);
             }
-            did_work |= self.drive_finishing_thread(&source_state);
 
             // Connections that closed, failed or stopped reading this
             // iteration go, and take the batches pended on them along.
@@ -730,8 +704,6 @@ impl Server {
             Some("outgoing")
         } else if self.incoming_active.load(Ordering::SeqCst) {
             Some("incoming")
-        } else if self.finishing_active.load(Ordering::SeqCst) {
-            Some("finishing")
         } else {
             None
         };
@@ -763,6 +735,7 @@ impl Server {
     /// Drains one migration connection from a peer server.
     fn serve_mig(
         self: &Arc<Self>,
+        now: Instant,
         link: &ServerMigConn,
         session: &FasterSession,
     ) -> Result<bool, ()> {
@@ -772,7 +745,7 @@ impl Server {
         let mut progressed = false;
         while let Some(msg) = link.try_recv_msg().map_err(|_| ())? {
             progressed = true;
-            self.handle_migration_msg(msg, link, session);
+            self.handle_migration_msg(now, msg, link, session);
         }
         if open || link.next_deliverable_at().is_some() {
             Ok(progressed)
@@ -986,11 +959,7 @@ impl Server {
         // Target-side pending rules while an incoming migration is active.
         // The atomic flag keeps the common (no migration) case lock-free.
         let pend_mode = if self.incoming_active.load(Ordering::Relaxed) {
-            let incoming = self.incoming.lock();
-            incoming
-                .as_ref()
-                .filter(|m| m.ranges.contains(hash))
-                .map(|m| m.mode)
+            self.incoming.lock().pend_mode(hash)
         } else {
             None
         };
@@ -1273,8 +1242,27 @@ impl Server {
                 } else {
                     RecordFlags::empty()
                 };
-                let _ = self.store.insert_record(key, value, flags, session);
+                let inserted = self.store.insert_record(key, value, flags, session);
+                self.check_insert(inserted, &self.chain_insert_failed, "fetched", key);
             }
+        }
+    }
+
+    /// Counts, next to its siblings, and reports an insert made on a peer's
+    /// behalf that the store refused.
+    pub(crate) fn check_insert<T, E: std::fmt::Display>(
+        &self,
+        inserted: Result<T, E>,
+        failed: &Counter,
+        what: &str,
+        key: u64,
+    ) {
+        if let Err(e) = inserted {
+            failed.inc();
+            eprintln!(
+                "server {}: failed to insert {what} record for key {key} ({e})",
+                self.id()
+            );
         }
     }
 }
@@ -1421,6 +1409,7 @@ mod tests {
     use crate::ServerId;
     use shadowfax_faster::Address;
     use shadowfax_storage::{ChainFetch, ChainFetchRequest, DeviceError};
+    use std::collections::HashMap;
     use std::time::{Duration, Instant};
 
     /// A tier service whose chains are scripted per log id, recording every

@@ -8,15 +8,16 @@
 //!
 //! * **explicit transport death** — a TCP link reports `PeerClosed`/EOF or
 //!   an I/O error, or a sim connection's peer endpoint was dropped.  The
-//!   observer calls [`PeerLiveness::declare_dead`] immediately.
+//!   observer acts on it at once, without waiting for silence.
 //! * **heartbeat silence** — the link looks open but nothing has arrived
 //!   for [`LivenessConfig::miss_budget`] heartbeat intervals (a hung peer,
 //!   a half-open connection).  The prober sends a heartbeat every
 //!   [`LivenessConfig::heartbeat_interval`] and counts the silence.
 //!
-//! [`PeerLiveness`] is transport-agnostic bookkeeping: the layers above
-//! (the migration state machines in the core crate) decide *what* to send
-//! as a heartbeat and what to do when the peer is declared dead.
+//! [`PeerLiveness`] is sans-I/O, told the observer's `now`; the layers above
+//! decide *what* to send as a heartbeat and what to do about a dead peer.
+//! Of a gap between two looks by the observer, at most one heartbeat
+//! interval is the peer's silence: a stalled observer sent none to answer.
 
 use std::time::{Duration, Instant};
 
@@ -58,64 +59,60 @@ pub struct PeerLiveness {
     config: LivenessConfig,
     last_recv: Instant,
     last_send: Instant,
+    last_seen: Instant,
     missed: u64,
     dead: Option<String>,
 }
 
 impl PeerLiveness {
-    /// Starts monitoring now: the peer is considered fresh.
-    pub fn new(config: LivenessConfig) -> Self {
-        let now = Instant::now();
+    /// Starts monitoring at `now`: the peer is considered fresh.
+    pub fn new(config: LivenessConfig, now: Instant) -> Self {
         PeerLiveness {
             config,
             last_recv: now,
             last_send: now,
+            last_seen: now,
             missed: 0,
             dead: None,
         }
     }
 
-    /// The monitor's configuration.
-    pub fn config(&self) -> LivenessConfig {
-        self.config
+    fn observe(&mut self, now: Instant) {
+        let gap = now.saturating_duration_since(self.last_seen);
+        self.last_recv += gap.saturating_sub(self.config.heartbeat_interval);
+        self.last_seen = self.last_seen.max(now);
     }
 
     /// Records that *any* message arrived from the peer (heartbeat replies
     /// and ordinary protocol traffic both count as proof of life).
-    pub fn record_recv(&mut self) {
-        self.last_recv = Instant::now();
+    pub fn record_recv(&mut self, now: Instant) {
+        self.observe(now);
+        self.last_recv = self.last_recv.max(now);
     }
 
     /// `true` when it is time to send the next heartbeat; also advances the
     /// send clock and, if the peer has been silent for more than one
     /// interval, counts a miss.
-    pub fn heartbeat_due(&mut self) -> bool {
-        let now = Instant::now();
-        if now.duration_since(self.last_send) < self.config.heartbeat_interval {
+    pub fn heartbeat_due(&mut self, now: Instant) -> bool {
+        self.observe(now);
+        if now.saturating_duration_since(self.last_send) < self.config.heartbeat_interval {
             return false;
         }
-        if now.duration_since(self.last_recv) > self.config.heartbeat_interval {
+        if now.saturating_duration_since(self.last_recv) > self.config.heartbeat_interval {
             self.missed += 1;
         }
         self.last_send = now;
         true
     }
 
-    /// Declares the peer dead from an explicit transport signal (EOF, I/O
-    /// error, dropped endpoint).  Idempotent; the first reason wins.
-    pub fn declare_dead(&mut self, reason: impl Into<String>) {
-        if self.dead.is_none() {
-            self.dead = Some(reason.into());
-        }
-    }
-
-    /// Returns the death reason if the peer is dead — either declared
-    /// explicitly, or silent past the miss budget.
-    pub fn check_dead(&mut self) -> Option<String> {
+    /// Returns the death reason once the peer has been silent past the miss
+    /// budget; death is sticky.
+    pub fn check_dead(&mut self, now: Instant) -> Option<String> {
+        self.observe(now);
         if let Some(reason) = &self.dead {
             return Some(reason.clone());
         }
-        let silent = Instant::now().duration_since(self.last_recv);
+        let silent = now.saturating_duration_since(self.last_recv);
         if silent > self.config.deadline() {
             let reason = format!(
                 "peer silent for {silent:?} (budget: {} x {:?})",
@@ -137,77 +134,130 @@ impl PeerLiveness {
 mod tests {
     use super::*;
 
-    /// Margins are coarse (tens of ms) so scheduler jitter on a loaded test
-    /// machine cannot cross a boundary the assertion depends on.
+    const MS: Duration = Duration::from_millis(1);
+
     fn fast() -> LivenessConfig {
         LivenessConfig {
-            heartbeat_interval: Duration::from_millis(50),
+            heartbeat_interval: 50 * MS,
             miss_budget: 10,
         }
     }
 
     #[test]
     fn fresh_peer_is_alive_and_heartbeats_pace_the_interval() {
-        let mut live = PeerLiveness::new(fast());
-        assert!(live.check_dead().is_none());
+        let t0 = Instant::now();
+        let mut live = PeerLiveness::new(fast(), t0);
+        assert!(live.check_dead(t0).is_none());
         // Immediately after creation the send clock is fresh.
-        assert!(!live.heartbeat_due());
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(live.heartbeat_due());
+        assert!(!live.heartbeat_due(t0 + 10 * MS));
+        assert!(live.heartbeat_due(t0 + 50 * MS));
         // The clock advanced; the next one is not due yet.
-        assert!(!live.heartbeat_due());
+        assert!(!live.heartbeat_due(t0 + 60 * MS));
+        assert!(live.heartbeat_due(t0 + 100 * MS));
     }
 
     #[test]
     fn silence_past_the_budget_is_death_and_receipt_resets_it() {
-        // Deadline: 3 x 40ms = 120ms.
-        let mut live = PeerLiveness::new(LivenessConfig {
-            heartbeat_interval: Duration::from_millis(40),
+        // Deadline: 3 x 40ms = 120ms, observed every 10ms.
+        let config = LivenessConfig {
+            heartbeat_interval: 40 * MS,
             miss_budget: 3,
-        });
-        live.record_recv();
-        // A fresh receipt is always alive, regardless of scheduling.
-        assert!(live.check_dead().is_none());
-        std::thread::sleep(Duration::from_millis(200));
-        // 200ms silent > 120ms deadline: dead, with an informative reason.
-        let reason = live.check_dead().expect("deadline exceeded");
+        };
+        let t0 = Instant::now();
+        let mut live = PeerLiveness::new(config, t0);
+        let mut t = t0;
+        while t < t0 + 120 * MS {
+            assert!(live.check_dead(t).is_none(), "dead at {:?}", t - t0);
+            t += 10 * MS;
+        }
+        // A receipt restarts the deadline.
+        live.record_recv(t);
+        let heard = t;
+        while t <= heard + 120 * MS {
+            assert!(live.check_dead(t).is_none(), "dead at {:?}", t - heard);
+            t += 10 * MS;
+        }
+        let reason = live.check_dead(t).expect("deadline exceeded");
         assert!(reason.contains("silent"), "{reason}");
         // Death is sticky even if a late message shows up.
-        live.record_recv();
-        assert!(live.check_dead().is_some());
-    }
-
-    #[test]
-    fn explicit_death_wins_immediately_and_is_idempotent() {
-        let mut live = PeerLiveness::new(fast());
-        live.declare_dead("connection reset");
-        live.declare_dead("later, ignored");
-        assert_eq!(live.check_dead().as_deref(), Some("connection reset"));
+        live.record_recv(t + MS);
+        assert!(live.check_dead(t + MS).is_some());
     }
 
     #[test]
     fn misses_are_counted_while_the_peer_is_silent() {
-        let mut live = PeerLiveness::new(fast());
-        for _ in 0..3 {
-            std::thread::sleep(Duration::from_millis(60));
-            let _ = live.heartbeat_due();
+        let t0 = Instant::now();
+        let mut live = PeerLiveness::new(fast(), t0);
+        let mut t = t0;
+        while t < t0 + 160 * MS {
+            t += 10 * MS;
+            let _ = live.heartbeat_due(t);
         }
-        assert!(
-            live.heartbeats_missed() >= 2,
-            "missed: {}",
-            live.heartbeats_missed()
-        );
+        // Heartbeats went out at 50, 100 and 150 ms; the peer had been
+        // silent for more than an interval at the last two.
+        assert_eq!(live.heartbeats_missed(), 2);
         // A fresh receipt at probe time stops the counting.
-        std::thread::sleep(Duration::from_millis(60));
-        live.record_recv();
-        let before = live.heartbeats_missed();
-        let _ = live.heartbeat_due();
-        assert_eq!(live.heartbeats_missed(), before);
+        live.record_recv(t0 + 200 * MS);
+        assert!(live.heartbeat_due(t0 + 200 * MS));
+        assert_eq!(live.heartbeats_missed(), 2);
     }
 
     #[test]
     fn default_config_deadline_is_the_product() {
         let c = LivenessConfig::default();
         assert_eq!(c.deadline(), c.heartbeat_interval * c.miss_budget);
+    }
+
+    /// The false positive a starved observer used to raise: it was not
+    /// scheduled for 10 s, then found the peer "silent for 10 s (budget:
+    /// 15 x 200ms)" without having sent a heartbeat in that time.  Now it
+    /// sends one and waits the budget out in its own running time.
+    #[test]
+    fn a_stalled_observer_heartbeats_and_waits_the_budget_before_declaring_death() {
+        let config = LivenessConfig::default();
+        let t0 = Instant::now();
+        let mut live = PeerLiveness::new(config, t0);
+        let resumed = t0 + Duration::from_secs(10);
+        assert!(
+            live.check_dead(resumed).is_none(),
+            "the stall is not silence"
+        );
+        assert!(
+            live.heartbeat_due(resumed),
+            "a stalled observer probes first"
+        );
+        assert_eq!(live.heartbeats_missed(), 0, "the stall is not a miss");
+        // The observer runs again, every 10 ms; the peer stays silent.
+        let mut t = resumed;
+        let reason = loop {
+            t += 10 * MS;
+            let _ = live.heartbeat_due(t);
+            if let Some(reason) = live.check_dead(t) {
+                break reason;
+            }
+        };
+        // The gap counted as one interval; the rest of the budget had to
+        // pass in running time.
+        let waited = t - resumed;
+        assert!(
+            waited > config.deadline() - config.heartbeat_interval && waited <= config.deadline(),
+            "declared dead {waited:?} after resuming: {reason}"
+        );
+    }
+
+    /// The stall rule charges at most one interval per gap; it does not
+    /// blind an observer that looks less often than once an interval.
+    #[test]
+    fn a_slow_observer_still_declares_a_silent_peer_dead() {
+        let config = fast();
+        let t0 = Instant::now();
+        let mut live = PeerLiveness::new(config, t0);
+        let mut looks = 0;
+        let mut t = t0;
+        while live.check_dead(t).is_none() {
+            t += 3 * config.heartbeat_interval;
+            looks += 1;
+            assert!(looks <= config.miss_budget + 1, "never declared dead");
+        }
     }
 }

@@ -44,7 +44,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use shadowfax::{Cluster, MetaError, MetaReplica};
 use shadowfax_net::{LivenessConfig, PeerLiveness};
@@ -331,7 +331,7 @@ impl CoordinatorLoop {
             .map(|(addr, rank)| PeerTrack {
                 addr: addr.clone(),
                 rank: *rank,
-                live: PeerLiveness::new(config.liveness),
+                live: PeerLiveness::new(config.liveness, Instant::now()),
                 probe_ok: true,
                 acked_epoch: 0,
                 content_seen: None,
@@ -380,11 +380,11 @@ impl CoordinatorLoop {
                 Some(replica) => {
                     // A returning peer gets a fresh monitor: PeerLiveness
                     // death is sticky by design.
-                    if peer.live.check_dead().is_some() {
-                        peer.live = PeerLiveness::new(liveness);
+                    if peer.live.check_dead(Instant::now()).is_some() {
+                        peer.live = PeerLiveness::new(liveness, Instant::now());
                         revived.push(peer.addr.clone());
                     }
-                    peer.live.record_recv();
+                    peer.live.record_recv(Instant::now());
                     peer.probe_ok = true;
                     peer.content_seen = Some(replica_content_hash(&replica));
                     peer.cancelled_seen = replica.cancelled.iter().map(|d| d.id).collect();
@@ -408,7 +408,7 @@ impl CoordinatorLoop {
     fn elect(&mut self) {
         let mut leader_rank = self.config.self_rank;
         for peer in &mut self.peers {
-            if peer.rank < leader_rank && peer.live.check_dead().is_none() {
+            if peer.rank < leader_rank && peer.live.check_dead(Instant::now()).is_none() {
                 leader_rank = peer.rank;
             }
         }
@@ -447,7 +447,7 @@ impl CoordinatorLoop {
                 peer.acked_epoch = epoch;
                 peer.content_seen = Some(local_hash);
                 peer.probe_ok = true;
-                peer.live.record_recv();
+                peer.live.record_recv(Instant::now());
                 self.metrics.pushes.inc();
                 self.metrics.push_bytes.add(bytes);
             }

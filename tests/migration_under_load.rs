@@ -23,6 +23,14 @@ fn constrained_template(mode: MigrationMode) -> ServerConfig {
     template
 }
 
+/// Every insert the target made on the source's behalf (and every record
+/// fetched to resolve an indirection) went into the store.
+fn assert_no_insert_failures(cluster: &Cluster) {
+    let stats = cluster.metrics().snapshot();
+    assert_eq!(stats.counter_family(".migration.insert_failed"), 0);
+    assert_eq!(stats.counter_family(".chain.insert_failed"), 0);
+}
+
 fn preload(cluster: &Cluster, records: u64, value: &[u8]) {
     let mut loader = cluster.client(ClientConfig::default());
     for key in 0..records {
@@ -103,6 +111,7 @@ fn counters_survive_migration_under_concurrent_load() {
         increments.load(Ordering::Relaxed),
         "lost or duplicated updates"
     );
+    assert_no_insert_failures(&cluster);
     cluster.shutdown();
 }
 
@@ -135,6 +144,7 @@ fn migration_moves_ownership_and_reports_progress() {
         assert_eq!(client.read(key), Some(vec![3u8; 128]));
     }
     assert!(target.completed_ops() > 0);
+    assert_no_insert_failures(&cluster);
     cluster.shutdown();
 }
 
@@ -183,6 +193,7 @@ fn indirection_records_serve_cold_keys_from_shared_tier() {
         target.indirection_fetches() > 0,
         "no reads were resolved through indirection records"
     );
+    assert_no_insert_failures(&cluster);
     cluster.shutdown();
 }
 
@@ -211,6 +222,7 @@ fn rocksteady_mode_scans_the_ssd_instead_of_shipping_indirections() {
     for key in (0..5_000u64).step_by(97) {
         assert_eq!(client.read(key), Some(vec![6u8; 256]));
     }
+    assert_no_insert_failures(&cluster);
     cluster.shutdown();
 }
 
@@ -254,5 +266,6 @@ fn sampling_ships_hot_records_with_ownership_transfer() {
         .snapshot()
         .sampled_copies;
     assert!(sampled > 0, "sampling never copied a hot record");
+    assert_no_insert_failures(&cluster);
     cluster.shutdown();
 }
