@@ -263,16 +263,15 @@ pub fn run_scaleout(config: ScaleOutConfig) -> ScaleOutResult {
                 WorkloadConfig::ycsb_f(records).with_seed(0xFEED + t as u64),
             );
             while !stop.load(Ordering::SeqCst) {
-                for _ in 0..64 {
-                    let key = gen.next_key();
+                // Paced to the session's pipeline (4 batches of 64): unpaced,
+                // the send buffer grows into batches of unbounded size.
+                let room = (64 * 4usize).saturating_sub(client.outstanding_ops());
+                for _ in 0..room.min(64) {
                     let completed = Arc::clone(&completed);
-                    client.issue_rmw(
-                        key,
-                        1,
-                        Box::new(move |_| {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }),
-                    );
+                    let done = Box::new(move |_| {
+                        completed.fetch_add(1, Ordering::Relaxed);
+                    });
+                    client.issue_rmw(gen.next_key(), 1, done);
                 }
                 client.flush();
                 client.poll();

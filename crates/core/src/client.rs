@@ -1,19 +1,29 @@
-//! The Shadowfax client library (paper §3.1.1).
+//! The Shadowfax client library (paper §3.1.1), once for every client.
 //!
-//! Each client thread owns one [`ShadowfaxClient`].  The library keeps a
-//! cached copy of the cluster's ownership mappings (refreshed from the
-//! metadata store on demand), one pipelined session per server, and issues
-//! fully asynchronous operations: `issue_*` buffers the operation with a
-//! completion callback and returns immediately; [`ShadowfaxClient::poll`]
-//! drains replies, runs callbacks, and re-routes any operations that were
-//! parked by view-mismatch rejections after refreshing the ownership cache.
+//! Each client thread owns one [`ShadowfaxClient`].  It caches the cluster's
+//! ownership mappings, keeps one pipelined [`ClientSession`] per server, and
+//! issues fully asynchronous operations: [`ShadowfaxClient::issue`] buffers
+//! the operation with a completion callback and returns immediately;
+//! [`ShadowfaxClient::try_poll`] drains replies, runs callbacks, and
+//! re-routes operations parked by view-mismatch rejections after refreshing
+//! the cached ownership.
+//!
+//! The client is generic over where ownership comes from, its
+//! [`OwnershipSource`]: the metadata store of an in-process cluster
+//! (`Arc<MetadataStore>`, which cannot fail), or the control plane of a
+//! serving process (`shadowfax_rpc::RemoteClient`, whose refreshes fail with
+//! an RPC error).  Sessions run over any [`Transport`]: the simulated fabric
+//! or TCP.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::convert::Infallible;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use shadowfax_faster::KeyHash;
-use shadowfax_net::{ClientSession, KvRequest, KvResponse, SessionConfig, Transport};
+use shadowfax_net::{ClientSession, KvRequest, KvResponse, SessionStats, Transport};
 
 use crate::config::ClientConfig;
 use crate::meta::{MetadataStore, OwnershipSnapshot};
@@ -23,39 +33,59 @@ use crate::ServerId;
 /// Callback type used by the asynchronous operation API.
 pub type OpCallback = Box<dyn FnOnce(KvResponse) + Send>;
 
+/// How long the in-process client's synchronous helpers wait for a reply.
+const SYNC_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Where a client's ownership snapshot comes from.
+pub trait OwnershipSource {
+    /// Why a fetch can fail.
+    type Error;
+
+    /// The cluster's current ownership.  Each server's `address` is the base
+    /// its dispatch threads are dialled at: thread `t` listens at
+    /// `"{address}/t{t}"` on the client's transport.
+    fn fetch(&mut self) -> Result<OwnershipSnapshot, Self::Error>;
+}
+
+impl OwnershipSource for Arc<MetadataStore> {
+    type Error = Infallible;
+
+    fn fetch(&mut self) -> Result<OwnershipSnapshot, Infallible> {
+        Ok(self.snapshot())
+    }
+}
+
 /// Counters kept by a client instance.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClientStats {
-    /// Operations issued.
+    /// Operations issued (a re-route is not a new operation).
     pub issued: u64,
     /// Operations completed (callback executed).
     pub completed: u64,
-    /// Ownership-cache refreshes triggered by batch rejections.
+    /// Ownership-cache refreshes triggered by rejections, dead links or
+    /// operations awaiting an owner.
     pub ownership_refreshes: u64,
-    /// Operations re-routed after a rejection.
+    /// Operations re-routed after a rejection or a dead link.
     pub rerouted: u64,
+    /// Batch rejections observed across the open sessions.
+    pub batches_rejected: u64,
 }
 
-/// A per-thread Shadowfax client.
-///
-/// The client is written against the [`Transport`] trait, so the same
-/// ownership-caching, batching, and re-routing logic runs over the simulated
-/// fabric (tests, benchmarks) and over real sockets (`shadowfax-rpc`).
-pub struct ShadowfaxClient {
+/// A per-thread Shadowfax client over the ownership source `O`.
+pub struct ShadowfaxClient<O = Arc<MetadataStore>> {
     config: ClientConfig,
-    meta: Arc<MetadataStore>,
+    source: O,
     transport: Arc<dyn Transport>,
     ownership: OwnershipSnapshot,
     sessions: HashMap<ServerId, ClientSession>,
-    /// Operations whose re-route attempt failed (ownership momentarily
-    /// unknown, or a session could not be opened); retried on every poll so
-    /// their callbacks are never silently dropped.
+    /// Operations awaiting a re-route: salvaged from a dead session, parked
+    /// by a rejection, or with no owner or session at their last attempt.
+    /// Retried on every poll so their callbacks are never silently dropped.
     pending_reroute: Vec<(KvRequest, OpCallback)>,
-    completed: Arc<AtomicU64>,
     stats: ClientStats,
 }
 
-impl std::fmt::Debug for ShadowfaxClient {
+impl<O> std::fmt::Debug for ShadowfaxClient<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShadowfaxClient")
             .field("thread", &self.config.thread_id)
@@ -69,40 +99,111 @@ impl ShadowfaxClient {
     /// Creates a client bound to the given metadata store and simulated
     /// fabric.
     pub fn new(config: ClientConfig, meta: Arc<MetadataStore>, net: Arc<KvNetwork>) -> Self {
-        Self::with_transport(config, meta, net)
+        let Ok(client) = Self::with_source(config, meta, net);
+        client
     }
 
-    /// Creates a client over an arbitrary [`Transport`] implementation.
-    pub fn with_transport(
+    /// [`ShadowfaxClient::try_poll`]; the metadata store never fails.
+    pub fn poll(&mut self) -> usize {
+        let Ok(completed) = self.try_poll();
+        completed
+    }
+
+    /// [`ShadowfaxClient::try_drain`]; the metadata store never fails.
+    pub fn drain(&mut self, timeout: Duration) -> bool {
+        let Ok(quiescent) = self.try_drain(timeout);
+        quiescent
+    }
+
+    fn execute(&mut self, request: KvRequest) -> KvResponse {
+        let Ok(response) = self.execute_sync(request, SYNC_TIMEOUT);
+        response
+    }
+
+    /// Synchronously reads a key.
+    pub fn read(&mut self, key: u64) -> Option<Vec<u8>> {
+        match self.execute(KvRequest::Read { key }) {
+            KvResponse::Value(v) => v,
+            _ => None,
+        }
+    }
+
+    /// Synchronously writes a key.
+    pub fn upsert(&mut self, key: u64, value: Vec<u8>) -> bool {
+        matches!(
+            self.execute(KvRequest::Upsert { key, value }),
+            KvResponse::Ok
+        )
+    }
+
+    /// Synchronously increments a key's counter, returning the new value.
+    pub fn rmw_add(&mut self, key: u64, delta: u64) -> Option<u64> {
+        match self.execute(KvRequest::RmwAdd { key, delta }) {
+            KvResponse::Counter(c) => Some(c),
+            _ => None,
+        }
+    }
+}
+
+impl<O: OwnershipSource> ShadowfaxClient<O> {
+    /// Creates a client over `source` and `transport`, fetching the first
+    /// ownership snapshot.
+    pub fn with_source(
         config: ClientConfig,
-        meta: Arc<MetadataStore>,
+        mut source: O,
         transport: Arc<dyn Transport>,
-    ) -> Self {
-        let ownership = meta.snapshot();
-        ShadowfaxClient {
+    ) -> Result<Self, O::Error> {
+        let ownership = source.fetch()?;
+        Ok(ShadowfaxClient {
             config,
-            meta,
+            source,
             transport,
             ownership,
             sessions: HashMap::new(),
             pending_reroute: Vec::new(),
-            completed: Arc::new(AtomicU64::new(0)),
             stats: ClientStats::default(),
-        }
+        })
+    }
+
+    /// The ownership source.
+    pub fn source(&self) -> &O {
+        &self.source
+    }
+
+    /// The ownership source, mutably.
+    pub fn source_mut(&mut self) -> &mut O {
+        &mut self.source
     }
 
     /// Client counters.
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        ClientStats {
+            batches_rejected: self
+                .sessions
+                .values()
+                .map(|s| s.stats().batches_rejected)
+                .sum(),
+            ..self.stats
+        }
     }
 
-    /// Operations whose callbacks have run (shared counter usable from
-    /// callbacks created by the convenience helpers).
-    pub fn completed_ops(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
+    /// Per-session counters (batches sent, bytes, rejections).
+    pub fn session_stats(&self) -> Vec<SessionStats> {
+        self.sessions.values().map(|s| s.stats()).collect()
     }
 
-    /// Operations issued but not yet completed across all sessions.
+    /// The largest number of batches currently in flight on any session
+    /// (observable pipelining depth).
+    pub fn max_inflight_batches(&self) -> usize {
+        self.sessions
+            .values()
+            .map(|s| s.inflight_batches())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Operations issued but not yet completed, including those awaiting a
+    /// re-route.
     pub fn outstanding_ops(&self) -> usize {
         self.sessions
             .values()
@@ -111,38 +212,21 @@ impl ShadowfaxClient {
             + self.pending_reroute.len()
     }
 
-    /// Refreshes the cached ownership mappings from the metadata store.
-    pub fn refresh_ownership(&mut self) {
-        self.ownership = self.meta.snapshot();
+    /// Re-fetches the ownership snapshot and restamps session views.
+    pub fn refresh_ownership(&mut self) -> Result<(), O::Error> {
+        self.ownership = self.source.fetch()?;
         self.stats.ownership_refreshes += 1;
-        // Update the view stamped by existing sessions.
         for (server, session) in self.sessions.iter_mut() {
-            if let Some(m) = self.ownership.server(*server) {
-                session.set_view(m.view);
+            if let Some(meta) = self.ownership.server(*server) {
+                session.set_view(meta.view);
             }
         }
-    }
-
-    fn owner_for_key(&self, key: u64) -> Option<ServerId> {
-        let hash = KeyHash::of(key).raw();
-        self.ownership.owner_of(hash).map(|(id, _)| id)
-    }
-
-    fn session_for(&mut self, server: ServerId) -> Option<&mut ClientSession> {
-        if !self.sessions.contains_key(&server) {
-            let meta = self.ownership.server(server)?.clone();
-            let thread = self.config.thread_id % meta.threads.max(1);
-            let addr = format!("{}/t{}", meta.address, thread);
-            let link = self.transport.connect_link(&addr).ok()?;
-            let session = ClientSession::from_link(link, meta.view, self.config.session);
-            self.sessions.insert(server, session);
-        }
-        self.sessions.get_mut(&server)
+        Ok(())
     }
 
     /// Issues an arbitrary request with a completion callback.  Returns
-    /// `false` if no server currently owns the key's hash (the caller should
-    /// refresh ownership and retry).
+    /// `false`, dropping the callback, if no server currently owns the key's
+    /// hash or its session cannot be opened.
     pub fn issue(&mut self, request: KvRequest, callback: OpCallback) -> bool {
         self.try_issue(request, callback).is_none()
     }
@@ -154,15 +238,30 @@ impl ShadowfaxClient {
         request: KvRequest,
         callback: OpCallback,
     ) -> Option<(KvRequest, OpCallback)> {
-        let Some(owner) = self.owner_for_key(request.key()) else {
+        let hash = KeyHash::of(request.key()).raw();
+        let Some((owner, _)) = self.ownership.owner_of(hash) else {
             return Some((request, callback));
         };
-        if self.session_for(owner).is_none() {
-            return Some((request, callback));
-        }
-        self.stats.issued += 1;
-        let session = self.sessions.get_mut(&owner).expect("session just ensured");
+        let session = match self.sessions.entry(owner) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let Some(meta) = self.ownership.server(owner) else {
+                    return Some((request, callback));
+                };
+                let thread = self.config.thread_id % meta.threads.max(1);
+                let addr = format!("{}/t{}", meta.address, thread);
+                let Ok(link) = self.transport.connect_link(&addr) else {
+                    return Some((request, callback));
+                };
+                e.insert(ClientSession::from_link(
+                    link,
+                    meta.view,
+                    self.config.session,
+                ))
+            }
+        };
         session.issue(request, callback);
+        self.stats.issued += 1;
         None
     }
 
@@ -183,7 +282,7 @@ impl ShadowfaxClient {
 
     /// Flushes partially filled batches on every session.  Transport
     /// failures are left recorded on the session and surface as dead links
-    /// cleaned up by [`ShadowfaxClient::poll`].
+    /// cleaned up by [`ShadowfaxClient::try_poll`].
     pub fn flush(&mut self) {
         for session in self.sessions.values_mut() {
             let _ = session.flush();
@@ -194,144 +293,292 @@ impl ShadowfaxClient {
     /// and re-routes parked operations.  Returns the number of operations
     /// completed by this call.
     ///
-    /// Sessions whose link has failed (a server process went away) are torn
-    /// down; their parked operations are re-routed with everything else after
-    /// the ownership refresh.
-    pub fn poll(&mut self) -> usize {
+    /// A session whose link failed (a server process went away) is torn
+    /// down.  What its server never saw, parked and unsent operations, joins
+    /// the re-route queue *before* the refresh, so a failed refresh leaves it
+    /// counted and retried on the next poll.  Batches in flight on the broken
+    /// link have unknown outcomes and are lost with it.
+    pub fn try_poll(&mut self) -> Result<usize, O::Error> {
         let mut completed = 0;
-        let mut needs_refresh = false;
+        let mut needs_refresh = !self.pending_reroute.is_empty();
         let mut dead: Vec<ServerId> = Vec::new();
         for (server, session) in self.sessions.iter_mut() {
             match session.poll() {
                 Ok(n) => completed += n,
-                Err(_) => {
-                    needs_refresh = true;
-                    dead.push(*server);
-                }
+                Err(_) => dead.push(*server),
             }
-            if session.stale_view().is_some() {
+            needs_refresh |= session.stale_view().is_some();
+        }
+        self.stats.completed += completed as u64;
+        for server in dead {
+            if let Some(mut session) = self.sessions.remove(&server) {
+                self.queue_reroute(session.take_unsent());
                 needs_refresh = true;
             }
         }
-        // Salvage what can safely be re-routed from dead sessions: parked
-        // and never-sent operations survive; batches already in flight on
-        // the broken link have unknown outcomes and are lost with it.
-        let mut orphans: Vec<(KvRequest, OpCallback)> = Vec::new();
-        for server in dead {
-            if let Some(mut session) = self.sessions.remove(&server) {
-                orphans.extend(session.take_unsent());
-            }
+        if !needs_refresh {
+            return Ok(completed);
         }
-        self.stats.completed += completed as u64;
-        if needs_refresh {
-            self.refresh_ownership();
-            // Collect parked operations and re-route them: ownership may have
-            // moved them to a different server entirely.
-            let mut parked: Vec<(KvRequest, OpCallback)> = self
-                .sessions
-                .values_mut()
-                .flat_map(|s| s.take_parked())
-                .collect();
-            parked.append(&mut orphans);
-            for (req, cb) in parked {
-                self.stats.rerouted += 1;
-                self.stats.issued = self.stats.issued.saturating_sub(1); // re-issue, not a new op
-                if let Some(op) = self.try_issue(req, cb) {
-                    // Ownership is momentarily unknown; hold the operation
-                    // and retry on the next poll.
-                    self.pending_reroute.push(op);
-                }
+        self.refresh_ownership()?;
+        // Ownership may have moved parked operations to another server.
+        let parked: Vec<_> = self
+            .sessions
+            .values_mut()
+            .flat_map(|s| s.take_parked())
+            .collect();
+        self.queue_reroute(parked);
+        for (req, cb) in std::mem::take(&mut self.pending_reroute) {
+            if let Some(op) = self.try_issue(req, cb) {
+                // No owner or no session right now: retry on the next poll.
+                self.pending_reroute.push(op);
             }
-            self.flush();
-        } else if !self.pending_reroute.is_empty() {
-            self.refresh_ownership();
-        }
-        // Retry operations whose earlier re-route found no owner.
-        if !self.pending_reroute.is_empty() {
-            let retry = std::mem::take(&mut self.pending_reroute);
-            for (req, cb) in retry {
-                if let Some(op) = self.try_issue(req, cb) {
-                    self.pending_reroute.push(op);
-                }
-            }
-            self.flush();
-        }
-        completed
-    }
-
-    /// Issues an operation and spins (polling) until its reply arrives.
-    /// Convenience for examples, tests, and load phases — not the hot path.
-    pub fn execute_sync(&mut self, request: KvRequest) -> KvResponse {
-        use parking_lot::Mutex;
-        let slot: Arc<Mutex<Option<KvResponse>>> = Arc::new(Mutex::new(None));
-        let slot2 = Arc::clone(&slot);
-        let completed = Arc::clone(&self.completed);
-        let issued = self.issue(
-            request,
-            Box::new(move |resp| {
-                completed.fetch_add(1, Ordering::Relaxed);
-                *slot2.lock() = Some(resp);
-            }),
-        );
-        if !issued {
-            return KvResponse::Error("no owner for key".into());
         }
         self.flush();
-        let start = std::time::Instant::now();
-        loop {
-            self.poll();
-            if let Some(resp) = slot.lock().take() {
-                return resp;
-            }
-            if start.elapsed() > std::time::Duration::from_secs(30) {
-                return KvResponse::Error("timed out waiting for reply".into());
-            }
-            std::thread::yield_now();
-        }
+        Ok(completed)
     }
 
-    /// Synchronously reads a key.
-    pub fn read(&mut self, key: u64) -> Option<Vec<u8>> {
-        match self.execute_sync(KvRequest::Read { key }) {
-            KvResponse::Value(v) => v,
-            _ => None,
-        }
-    }
-
-    /// Synchronously writes a key.
-    pub fn upsert(&mut self, key: u64, value: Vec<u8>) -> bool {
-        matches!(
-            self.execute_sync(KvRequest::Upsert { key, value }),
-            KvResponse::Ok
-        )
-    }
-
-    /// Synchronously increments a key's counter, returning the new value.
-    pub fn rmw_add(&mut self, key: u64, delta: u64) -> Option<u64> {
-        match self.execute_sync(KvRequest::RmwAdd { key, delta }) {
-            KvResponse::Counter(c) => Some(c),
-            _ => None,
-        }
+    /// Queues operations for a re-route, which re-issues them: not counted
+    /// as issued twice.
+    fn queue_reroute(&mut self, ops: Vec<(KvRequest, OpCallback)>) {
+        let n = ops.len() as u64;
+        self.stats.rerouted += n;
+        self.stats.issued = self.stats.issued.saturating_sub(n);
+        self.pending_reroute.extend(ops);
     }
 
     /// Waits until every outstanding operation has completed (or the timeout
     /// expires).  Returns `true` if the client became quiescent.
-    pub fn drain(&mut self, timeout: std::time::Duration) -> bool {
-        let start = std::time::Instant::now();
+    pub fn try_drain(&mut self, timeout: Duration) -> Result<bool, O::Error> {
+        let start = Instant::now();
         self.flush();
         while self.outstanding_ops() > 0 {
-            self.poll();
+            self.try_poll()?;
             self.flush();
             if start.elapsed() > timeout {
-                return false;
+                return Ok(false);
             }
             std::thread::yield_now();
         }
-        true
+        Ok(true)
     }
 
-    /// The session configuration in force.
-    pub fn session_config(&self) -> SessionConfig {
-        self.config.session
+    /// Issues an operation and polls until its reply arrives.  No owner for
+    /// the key and no reply within `timeout` are answered with
+    /// [`KvResponse::Error`].  Convenience for tools, tests, and load phases,
+    /// not the hot path.
+    pub fn execute_sync(
+        &mut self,
+        request: KvRequest,
+        timeout: Duration,
+    ) -> Result<KvResponse, O::Error> {
+        let slot: Arc<Mutex<Option<KvResponse>>> = Arc::new(Mutex::new(None));
+        let reply = Arc::clone(&slot);
+        if !self.issue(request, Box::new(move |resp| *reply.lock() = Some(resp))) {
+            return Ok(KvResponse::Error("no server owns the key's hash".into()));
+        }
+        self.flush();
+        let start = Instant::now();
+        loop {
+            self.try_poll()?;
+            if let Some(resp) = slot.lock().take() {
+                return Ok(resp);
+            }
+            if start.elapsed() > timeout {
+                return Ok(KvResponse::Error("timed out waiting for a reply".into()));
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    use shadowfax_net::{BatchReply, Connection, NetworkProfile, RequestBatch};
+
+    use super::*;
+    use crate::hash_range::RangeSet;
+    use crate::meta::ServerMeta;
+
+    /// An ownership source that serves the snapshot a test installs and
+    /// fails while it is down.
+    #[derive(Clone, Default)]
+    struct Scripted {
+        snapshot: Arc<Mutex<OwnershipSnapshot>>,
+        down: Arc<AtomicBool>,
+    }
+
+    impl OwnershipSource for Scripted {
+        type Error = &'static str;
+
+        fn fetch(&mut self) -> Result<OwnershipSnapshot, &'static str> {
+            if self.down.load(Ordering::SeqCst) {
+                return Err("source down");
+            }
+            Ok(self.snapshot.lock().clone())
+        }
+    }
+
+    impl Scripted {
+        /// Installs `(id, view, owns the whole space)` per server; server
+        /// `id` listens at `sv{id}` with one thread.
+        fn install(&self, servers: &[(u32, u64, bool)]) {
+            let servers = servers.iter().map(|&(id, view, owns)| {
+                let owned = if owns {
+                    RangeSet::full()
+                } else {
+                    RangeSet::empty()
+                };
+                let address = format!("sv{id}");
+                let meta = ServerMeta {
+                    view,
+                    owned,
+                    address,
+                    threads: 1,
+                };
+                (ServerId(id), meta)
+            });
+            *self.snapshot.lock() = OwnershipSnapshot {
+                servers: servers.collect(),
+            };
+        }
+
+        fn set_down(&self, down: bool) {
+            self.down.store(down, Ordering::SeqCst);
+        }
+    }
+
+    struct Fixture {
+        net: Arc<KvNetwork>,
+        source: Scripted,
+        client: ShadowfaxClient<Scripted>,
+        done: Arc<AtomicUsize>,
+    }
+
+    fn fixture(servers: &[(u32, u64, bool)]) -> Fixture {
+        let net = KvNetwork::new(NetworkProfile::instant());
+        let source = Scripted::default();
+        source.install(servers);
+        let client = ShadowfaxClient::with_source(
+            ClientConfig::default(),
+            source.clone(),
+            Arc::clone(&net) as Arc<dyn Transport>,
+        )
+        .unwrap();
+        let done = Arc::new(AtomicUsize::new(0));
+        Fixture {
+            net,
+            source,
+            client,
+            done,
+        }
+    }
+
+    impl Fixture {
+        /// Issues `n` upserts whose callbacks count into `done`.
+        fn issue(&mut self, n: u64) {
+            for key in 0..n {
+                let done = Arc::clone(&self.done);
+                let value = vec![1];
+                let cb = Box::new(move |_| {
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+                assert!(self.client.issue(KvRequest::Upsert { key, value }, cb));
+            }
+        }
+
+        fn done(&self) -> usize {
+            self.done.load(Ordering::SeqCst)
+        }
+    }
+
+    type ServerEnd = Connection<BatchReply, RequestBatch>;
+
+    /// Executes every batch the server end holds; returns the operations.
+    fn execute(server: &ServerEnd) -> usize {
+        let mut ops = 0;
+        for batch in server.drain() {
+            ops += batch.ops.len();
+            let results = vec![KvResponse::Ok; batch.ops.len()];
+            server.send(BatchReply::Executed {
+                seq: batch.seq,
+                results,
+            });
+        }
+        ops
+    }
+
+    /// Rejects every batch the server end holds as stale.
+    fn reject(server: &ServerEnd, server_view: u64) {
+        for batch in server.drain() {
+            let seq = batch.seq;
+            server.send(BatchReply::Rejected { seq, server_view });
+        }
+    }
+
+    #[test]
+    fn a_failed_refresh_keeps_a_dead_sessions_operations_counted_and_retried() {
+        let mut f = fixture(&[(0, 1, true)]);
+        let sv0 = f.net.listen("sv0/t0");
+        f.issue(10);
+        // The operations sit in the session's send buffer when the server
+        // end goes away; the source serving ownership is down with it.
+        drop(sv0.try_accept().unwrap());
+        f.source.set_down(true);
+        for _ in 0..2 {
+            assert_eq!(f.client.try_poll(), Err("source down"));
+            assert_eq!(f.client.outstanding_ops(), 10);
+        }
+        // The source recovers and names a live owner.
+        let sv1 = f.net.listen("sv1/t0");
+        f.source.install(&[(0, 2, false), (1, 1, true)]);
+        f.source.set_down(false);
+        assert_eq!(f.client.try_poll(), Ok(0));
+        assert_eq!(execute(&sv1.try_accept().unwrap()), 10);
+        assert_eq!(f.client.try_poll(), Ok(10));
+        assert_eq!((f.done(), f.client.outstanding_ops()), (10, 0));
+        let stats = f.client.stats();
+        assert_eq!((stats.issued, stats.rerouted), (10, 10));
+    }
+
+    #[test]
+    fn a_stale_view_rejection_refreshes_once_and_reaches_the_new_owner() {
+        let mut f = fixture(&[(0, 1, true), (1, 1, false)]);
+        let (sv0, sv1) = (f.net.listen("sv0/t0"), f.net.listen("sv1/t0"));
+        f.issue(10);
+        f.client.flush();
+        reject(&sv0.try_accept().unwrap(), 2);
+        f.source.install(&[(0, 2, false), (1, 2, true)]);
+        assert_eq!(f.client.try_poll(), Ok(0));
+        assert_eq!(execute(&sv1.try_accept().unwrap()), 10);
+        assert_eq!(f.client.try_poll(), Ok(10));
+        assert_eq!((f.done(), f.client.outstanding_ops()), (10, 0));
+        let stats = f.client.stats();
+        assert_eq!(stats.ownership_refreshes, 1);
+        assert_eq!(stats.batches_rejected, 1);
+        assert_eq!((stats.issued, stats.rerouted), (10, 10));
+    }
+
+    #[test]
+    fn an_operation_with_no_owner_stays_counted_until_one_appears() {
+        let mut f = fixture(&[(0, 1, true)]);
+        let sv0 = f.net.listen("sv0/t0");
+        f.issue(1);
+        f.client.flush();
+        reject(&sv0.try_accept().unwrap(), 2);
+        // The range left server 0, and no owner is registered yet.
+        f.source.install(&[(0, 2, false)]);
+        for _ in 0..3 {
+            assert_eq!(f.client.try_poll(), Ok(0));
+            assert_eq!((f.done(), f.client.outstanding_ops()), (0, 1));
+        }
+        let sv1 = f.net.listen("sv1/t0");
+        f.source.install(&[(0, 2, false), (1, 1, true)]);
+        assert_eq!(f.client.try_poll(), Ok(0));
+        assert_eq!(execute(&sv1.try_accept().unwrap()), 1);
+        assert_eq!(f.client.try_poll(), Ok(1));
+        assert_eq!((f.done(), f.client.outstanding_ops()), (1, 0));
+        assert_eq!(f.client.stats().issued, 1);
     }
 }

@@ -125,25 +125,13 @@ impl ServerConfig {
 }
 
 /// Configuration of one Shadowfax client thread.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClientConfig {
     /// This client thread's id; used to spread client threads across server
     /// dispatch threads.
     pub thread_id: usize,
     /// Session batching/pipelining parameters.
     pub session: SessionConfig,
-    /// Value size used when the client creates records.
-    pub value_size: usize,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            thread_id: 0,
-            session: SessionConfig::default(),
-            value_size: 256,
-        }
-    }
 }
 
 impl ClientConfig {
@@ -193,6 +181,5 @@ mod tests {
     fn client_config_builders() {
         let c = ClientConfig::default().with_thread_id(5);
         assert_eq!(c.thread_id, 5);
-        assert_eq!(c.value_size, 256);
     }
 }

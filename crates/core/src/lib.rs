@@ -14,7 +14,9 @@
 //!   ([`MigrationReport`], [`Server`]).
 //! * **End-to-end asynchronous clients** — [`ShadowfaxClient`] issues
 //!   operations with completion callbacks and keeps pipelined batches in
-//!   flight on every session.
+//!   flight on every session.  It is the only client: generic over an
+//!   [`OwnershipSource`] (this crate's [`MetadataStore`], or a serving
+//!   process's control plane in `shadowfax-rpc`) and over the transport.
 //! * **Partitioned sessions, shared data** — each [`Server`] dispatch thread
 //!   owns its sessions outright while all threads share one FASTER instance;
 //!   batches are validated with a single view-number comparison
@@ -53,7 +55,7 @@ mod migration;
 mod recovery;
 mod server;
 
-pub use client::{ClientStats, OpCallback, ShadowfaxClient};
+pub use client::{ClientStats, OpCallback, OwnershipSource, ShadowfaxClient};
 pub use cluster::{
     ChainFetchError, ChainFetchQuery, ChainFetchReply, ChainFetchSnapshot, ChainFetchStats,
     Cluster, ClusterConfig, PeerServer,

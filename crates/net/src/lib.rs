@@ -64,5 +64,5 @@ pub use message::{BatchReply, KvRequest, KvResponse, RequestBatch, WireSize};
 pub use profile::NetworkProfile;
 pub use reactor::{raise_nofile_limit, Event, Interest, Reactor, Token};
 pub use session::{Callback, ClientSession, SessionConfig, SessionStats};
-pub use sim::{Connection, ConnectionStats, Listener, SimNetwork, Waker};
+pub use sim::{Connection, Listener, SimNetwork, Waker};
 pub use transport::{KvLink, MigrationLink, MigrationSendError, ServerKvLink, Transport};

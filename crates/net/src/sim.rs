@@ -9,7 +9,6 @@
 //! models accelerated vs. unaccelerated TCP and RDMA.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,39 +24,6 @@ use crate::profile::NetworkProfile;
 /// is busy: it runs on every client send.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
-/// Per-connection traffic counters.
-#[derive(Debug, Default)]
-pub struct ConnectionStats {
-    msgs_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    msgs_received: AtomicU64,
-    bytes_received: AtomicU64,
-    cpu_ns_spent: AtomicU64,
-}
-
-impl ConnectionStats {
-    /// Messages sent on this end.
-    pub fn msgs_sent(&self) -> u64 {
-        self.msgs_sent.load(Ordering::Relaxed)
-    }
-    /// Bytes sent on this end.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-    /// Messages received on this end.
-    pub fn msgs_received(&self) -> u64 {
-        self.msgs_received.load(Ordering::Relaxed)
-    }
-    /// Bytes received on this end.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-    /// CPU nanoseconds charged to this end for transport processing.
-    pub fn cpu_ns_spent(&self) -> u64 {
-        self.cpu_ns_spent.load(Ordering::Relaxed)
-    }
-}
-
 struct Timed<M> {
     deliver_at: Instant,
     msg: M,
@@ -72,11 +38,13 @@ pub struct Connection<S, R> {
     /// delay has not elapsed).
     stash: Mutex<Option<Timed<R>>>,
     profile: NetworkProfile,
-    stats: Arc<ConnectionStats>,
     peer_closed_marker: Arc<()>,
     /// Wakes the peer's owner after each send (client ends of connections
     /// to a listener registered with [`SimNetwork::listen_with_waker`]).
     peer_waker: Option<Waker>,
+    /// Messages handed out in the current service pass, when a dispatch
+    /// thread serves this end (`ServerKvLink`).
+    pub(crate) served_this_pass: usize,
 }
 
 impl<S, R> std::fmt::Debug for Connection<S, R> {
@@ -97,15 +65,7 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
     /// Like [`Connection::send`], but hands the message back if the peer end
     /// has been dropped, so the caller can retry or re-route it.
     pub fn try_send(&self, msg: S) -> Result<(), S> {
-        let bytes = msg.wire_size();
-        let cost = self.profile.spend(self.profile.send_cost(bytes));
-        self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_sent
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.stats
-            .cpu_ns_spent
-            .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
+        self.profile.spend(self.profile.send_cost(msg.wire_size()));
         self.tx
             .send(Timed {
                 deliver_at: Instant::now() + self.profile.propagation,
@@ -138,15 +98,8 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
             *self.stash.lock() = Some(timed);
             return None;
         }
-        let bytes = timed.msg.wire_size();
-        let cost = self.profile.spend(self.profile.recv_cost(bytes));
-        self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_received
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.stats
-            .cpu_ns_spent
-            .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
+        self.profile
+            .spend(self.profile.recv_cost(timed.msg.wire_size()));
         Some(timed.msg)
     }
 
@@ -163,11 +116,6 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
             out.push(m);
         }
         out
-    }
-
-    /// Traffic counters for this endpoint.
-    pub fn stats(&self) -> &ConnectionStats {
-        &self.stats
     }
 
     /// The cost profile in force on this endpoint.
@@ -273,11 +221,6 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
         self.listeners.lock().remove(addr);
     }
 
-    /// `true` if a listener is registered at `addr`.
-    pub fn has_listener(&self, addr: &str) -> bool {
-        self.listeners.lock().contains_key(addr)
-    }
-
     /// Connects to the listener at `addr` using the fabric's default profile.
     pub fn connect(&self, addr: &str) -> Option<Connection<C2S, S2C>> {
         self.connect_with(addr, self.default_profile)
@@ -302,18 +245,18 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
             rx: s2c_rx,
             stash: Mutex::new(None),
             profile,
-            stats: Arc::new(ConnectionStats::default()),
             peer_closed_marker: Arc::clone(&marker),
             peer_waker: waker.clone(),
+            served_this_pass: 0,
         };
         let server_end = Connection {
             tx: s2c_tx,
             rx: c2s_rx,
             stash: Mutex::new(None),
             profile,
-            stats: Arc::new(ConnectionStats::default()),
             peer_closed_marker: marker,
             peer_waker: None,
+            served_this_pass: 0,
         };
         accept_tx.send(server_end).ok()?;
         if let Some(wake) = waker {
@@ -327,6 +270,7 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
 mod tests {
     use super::*;
     use crate::message::{KvRequest, RequestBatch};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn batch(seq: u64) -> RequestBatch {
         RequestBatch {
@@ -361,21 +305,6 @@ mod tests {
         let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
             SimNetwork::new(NetworkProfile::instant());
         assert!(net.connect("nowhere").is_none());
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
-        let listener = net.listen("s");
-        let client = net.connect("s").unwrap();
-        let server = listener.try_accept().unwrap();
-        client.send(batch(1));
-        let _ = server.drain();
-        assert_eq!(client.stats().msgs_sent(), 1);
-        assert!(client.stats().bytes_sent() > 0);
-        assert_eq!(server.stats().msgs_received(), 1);
-        assert_eq!(server.stats().bytes_received(), client.stats().bytes_sent());
     }
 
     #[test]

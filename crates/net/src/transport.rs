@@ -180,13 +180,29 @@ impl<M: crate::message::WireSize + Send + 'static> MigrationLink<M> for Connecti
     }
 }
 
+/// Most batches one in-process link hands out per service pass, as
+/// `Framed` bounds a socket's frames: a client that keeps its pipeline full
+/// would otherwise hold the dispatch thread in one pass for as long as it
+/// keeps sending.
+const BATCHES_PER_PASS: usize = 256;
+
 impl ServerKvLink for Connection<BatchReply, RequestBatch> {
+    fn begin_pass(&mut self) {
+        self.served_this_pass = 0;
+    }
+
     fn try_recv_batch(&mut self) -> Result<Option<RequestBatch>, TransportError> {
+        if self.has_deferred_input() {
+            return Ok(None);
+        }
         // Sampled before the receive: a peer seen closed here can send
         // nothing more, so an empty receive after it really is the end.
         let closed = self.peer_closed();
         match self.try_recv() {
-            Some(batch) => Ok(Some(batch)),
+            Some(batch) => {
+                self.served_this_pass += 1;
+                Ok(Some(batch))
+            }
             None if closed && Connection::next_deliverable_at(self).is_none() => {
                 Err(TransportError::PeerClosed)
             }
@@ -200,6 +216,12 @@ impl ServerKvLink for Connection<BatchReply, RequestBatch> {
         } else {
             Err(TransportError::PeerClosed)
         }
+    }
+
+    /// The pass reached its bound (possibly with nothing left behind, which
+    /// costs one empty pass).
+    fn has_deferred_input(&self) -> bool {
+        self.served_this_pass == BATCHES_PER_PASS
     }
 
     fn next_deliverable_at(&self) -> Option<Instant> {
@@ -305,6 +327,28 @@ mod tests {
         assert_eq!(server.try_recv_batch().unwrap().unwrap().seq, 1);
         assert_eq!(server.try_recv_batch().unwrap().unwrap().seq, 2);
         assert_eq!(server.try_recv_batch(), Err(TransportError::PeerClosed));
+    }
+
+    #[test]
+    fn each_pass_serves_at_most_its_bound_and_defers_the_rest() {
+        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let listener = net.listen("sv0/t0");
+        let link = net.connect_link("sv0/t0").unwrap();
+        let mut server: Box<dyn ServerKvLink> = Box::new(listener.try_accept().unwrap());
+        let queued = 2_000;
+        for seq in 0..queued as u64 {
+            let ops = vec![];
+            link.send_batch(RequestBatch { view: 1, seq, ops }).unwrap();
+        }
+        let mut served = 0;
+        while served < queued {
+            server.begin_pass();
+            let pass = std::iter::from_fn(|| server.try_recv_batch().unwrap()).count();
+            assert_eq!(pass, BATCHES_PER_PASS.min(queued - served));
+            served += pass;
+            // Input left behind must keep the thread from parking.
+            assert_eq!(server.has_deferred_input(), served < queued);
+        }
     }
 
     #[test]

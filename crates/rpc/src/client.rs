@@ -1,26 +1,27 @@
-//! The out-of-process Shadowfax client: ownership-aware routing and
-//! pipelined sessions over real TCP.
+//! The out-of-process Shadowfax client: `shadowfax::ShadowfaxClient` over
+//! the control plane and TCP.
 //!
-//! [`RemoteClient`] mirrors `shadowfax::ShadowfaxClient` but lives in a
-//! different OS process from the cluster: it fetches ownership snapshots
-//! over the control plane instead of reading the metadata store directly,
-//! and its [`ClientSession`]s run over [`TcpTransport`] links.  Everything
-//! else — batching, pipelining, view stamping, parking on rejection,
-//! re-routing after an ownership refresh — is the same `ClientSession`
-//! machinery, which is the point of the [`Transport`] abstraction.
+//! [`RemoteClient`] lives in a different OS process from the cluster.  Its
+//! ownership source is a serving process's control plane: snapshots are
+//! fetched with `GET_OWNERSHIP` over a [`CtrlClient`], and its sessions run
+//! over [`TcpTransport`] links.  Routing, batching, view stamping, parking
+//! on rejection and re-routing after a refresh are the one client in
+//! `shadowfax::client`; this module holds only what TCP needs: the dial
+//! address of each server, the connect, and the `RpcError`-typed helpers.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
+use std::time::Duration;
 
-use shadowfax_faster::KeyHash;
-use shadowfax_net::{ClientSession, KvRequest, KvResponse, SessionConfig, Transport};
+use shadowfax::{
+    ClientConfig, HashRange, KvRequest, KvResponse, OwnershipSnapshot, OwnershipSource, RangeSet,
+    ServerId, ServerMeta, SessionConfig, ShadowfaxClient,
+};
 
 use crate::codec::WireOwnership;
 use crate::ctrl::{CtrlClient, RpcError};
+use crate::fabric::is_peer_socket_address;
 use crate::tcp::TcpTransport;
-
-/// A completion callback invoked with the operation's response.
-pub type OpCallback = Box<dyn FnOnce(KvResponse) + Send>;
 
 /// Configuration of a [`RemoteClient`].
 #[derive(Debug, Clone)]
@@ -31,7 +32,7 @@ pub struct RemoteClientConfig {
     pub thread_id: usize,
     /// Session batching/pipelining parameters.
     pub session: SessionConfig,
-    /// Dial / control-roundtrip timeout.
+    /// Dial, control-roundtrip and synchronous-operation timeout.
     pub timeout: Duration,
 }
 
@@ -47,42 +48,71 @@ impl RemoteClientConfig {
     }
 }
 
-/// Counters kept by a remote client.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteClientStats {
-    /// Operations issued.
-    pub issued: u64,
-    /// Operations completed (callback executed).
-    pub completed: u64,
-    /// Ownership refreshes fetched over the control plane.
-    pub ownership_refreshes: u64,
-    /// Operations re-routed after batch rejections.
-    pub rerouted: u64,
-    /// Batch rejections observed across all sessions.
-    pub batches_rejected: u64,
-}
-
-/// A per-thread Shadowfax client speaking the TCP wire protocol.
-pub struct RemoteClient {
-    config: RemoteClientConfig,
-    transport: TcpTransport,
+/// A serving process's control plane as an ownership source.
+pub struct ControlPlaneOwnership {
     ctrl: CtrlClient,
-    ownership: WireOwnership,
-    sessions: HashMap<u32, ClientSession>,
-    /// Operations whose re-route attempt failed (ownership momentarily
-    /// unknown, or a session could not be opened); retried on every poll so
-    /// their callbacks are never silently dropped.
-    pending_reroute: Vec<(KvRequest, OpCallback)>,
-    stats: RemoteClientStats,
+    /// The process the client bootstrapped from; it serves the servers
+    /// registered with bare fabric addresses.
+    bootstrap: String,
+    /// The last snapshot fetched, as the wire carried it.
+    wire: WireOwnership,
 }
 
-impl std::fmt::Debug for RemoteClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteClient")
-            .field("server", &self.config.server_addr)
-            .field("sessions", &self.sessions.len())
-            .field("stats", &self.stats)
-            .finish()
+impl OwnershipSource for ControlPlaneOwnership {
+    type Error = RpcError;
+
+    fn fetch(&mut self) -> Result<OwnershipSnapshot, RpcError> {
+        self.wire = self.ctrl.ownership()?;
+        Ok(routes(&self.wire, &self.bootstrap))
+    }
+}
+
+/// `wire` as a snapshot whose addresses are dial bases.  A server
+/// registered with a socket address lives in another serving process than
+/// the bootstrap one and is dialled directly (its fabric address is
+/// `sv<id>` by convention); bare fabric addresses are served by the
+/// bootstrap process.  Inverted ranges come from outside the process and
+/// are dropped, never asserted on.
+fn routes(wire: &WireOwnership, bootstrap: &str) -> OwnershipSnapshot {
+    let servers = wire.servers.iter().map(|s| {
+        let address = if is_peer_socket_address(&s.address) {
+            format!("{}/sv{}", s.address, s.id)
+        } else {
+            format!("{bootstrap}/{}", s.address)
+        };
+        let ranges = s.ranges.iter().filter(|(start, end)| start <= end);
+        let meta = ServerMeta {
+            view: s.view,
+            owned: RangeSet::from_ranges(ranges.map(|&(start, end)| HashRange::new(start, end))),
+            address,
+            threads: s.threads as usize,
+        };
+        (ServerId(s.id), meta)
+    });
+    OwnershipSnapshot {
+        servers: servers.collect(),
+    }
+}
+
+/// A per-thread Shadowfax client speaking the TCP wire protocol: the one
+/// client over [`ControlPlaneOwnership`], plus what only TCP needs.
+#[derive(Debug)]
+pub struct RemoteClient {
+    client: ShadowfaxClient<ControlPlaneOwnership>,
+    timeout: Duration,
+}
+
+impl Deref for RemoteClient {
+    type Target = ShadowfaxClient<ControlPlaneOwnership>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.client
+    }
+}
+
+impl DerefMut for RemoteClient {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.client
     }
 }
 
@@ -90,275 +120,119 @@ impl RemoteClient {
     /// Connects the control plane and fetches the initial ownership
     /// snapshot.
     pub fn connect(config: RemoteClientConfig) -> Result<Self, RpcError> {
-        let mut ctrl = CtrlClient::connect(&config.server_addr, config.timeout)?;
-        let ownership = ctrl.ownership()?;
-        let transport = TcpTransport {
+        let source = ControlPlaneOwnership {
+            ctrl: CtrlClient::connect(&config.server_addr, config.timeout)?,
+            bootstrap: config.server_addr,
+            wire: WireOwnership::default(),
+        };
+        let transport = Arc::new(TcpTransport {
             connect_timeout: config.timeout,
             ..TcpTransport::default()
+        });
+        let client_config = ClientConfig {
+            thread_id: config.thread_id,
+            session: config.session,
         };
         Ok(RemoteClient {
-            config,
-            transport,
-            ctrl,
-            ownership,
-            sessions: HashMap::new(),
-            pending_reroute: Vec::new(),
-            stats: RemoteClientStats::default(),
+            client: ShadowfaxClient::with_source(client_config, source, transport)?,
+            timeout: config.timeout,
         })
     }
 
-    /// Client counters.
-    pub fn stats(&self) -> RemoteClientStats {
-        let mut stats = self.stats;
-        stats.batches_rejected = self
-            .sessions
-            .values()
-            .map(|s| s.stats().batches_rejected)
-            .sum();
-        stats
-    }
-
-    /// The cached ownership snapshot.
+    /// The cached ownership snapshot, as the wire carried it.
     pub fn ownership(&self) -> &WireOwnership {
-        &self.ownership
+        &self.client.source().wire
     }
 
     /// Direct access to the control plane (migrations, pings).
     pub fn ctrl(&mut self) -> &mut CtrlClient {
-        &mut self.ctrl
+        &mut self.client.source_mut().ctrl
     }
 
-    /// Operations issued but not yet completed across all sessions.
-    pub fn outstanding_ops(&self) -> usize {
-        self.sessions
-            .values()
-            .map(|s| s.outstanding_ops())
-            .sum::<usize>()
-            + self.pending_reroute.len()
+    /// [`ShadowfaxClient::try_poll`].
+    pub fn poll(&mut self) -> Result<usize, RpcError> {
+        self.client.try_poll()
     }
 
-    /// The largest number of batches currently in flight on any session
-    /// (observable pipelining depth).
-    pub fn max_inflight_batches(&self) -> usize {
-        self.sessions
-            .values()
-            .map(|s| s.inflight_batches())
-            .max()
-            .unwrap_or(0)
+    /// [`ShadowfaxClient::try_drain`].
+    pub fn drain(&mut self, timeout: Duration) -> Result<bool, RpcError> {
+        self.client.try_drain(timeout)
     }
 
-    /// Per-session counters (batches sent, bytes, rejections).
-    pub fn session_stats(&self) -> Vec<shadowfax_net::SessionStats> {
-        self.sessions.values().map(|s| s.stats()).collect()
-    }
-
-    /// Re-fetches the ownership snapshot and restamps session views.
-    pub fn refresh_ownership(&mut self) -> Result<(), RpcError> {
-        self.ownership = self.ctrl.ownership()?;
-        self.stats.ownership_refreshes += 1;
-        for (server, session) in self.sessions.iter_mut() {
-            if let Some(info) = self.ownership.server(*server) {
-                session.set_view(info.view);
-            }
-        }
-        Ok(())
-    }
-
-    fn owner_for_key(&self, key: u64) -> Option<u32> {
-        let hash = KeyHash::of(key).raw();
-        self.ownership.owner_of(hash).map(|s| s.id)
-    }
-
-    fn session_for(&mut self, server: u32) -> Option<&mut ClientSession> {
-        if !self.sessions.contains_key(&server) {
-            let info = self.ownership.server(server)?;
-            let thread = self.config.thread_id % (info.threads.max(1) as usize);
-            // A server registered with a socket address lives in a different
-            // serving process than the control plane we bootstrapped from;
-            // dial it directly (its fabric address is `sv<id>` by
-            // convention).  Bare fabric addresses are served by the
-            // bootstrap process.
-            let addr = if crate::fabric::is_peer_socket_address(&info.address) {
-                format!("{}/sv{}/t{}", info.address, info.id, thread)
-            } else {
-                format!("{}/{}/t{}", self.config.server_addr, info.address, thread)
-            };
-            let link = self.transport.connect_link(&addr).ok()?;
-            let session = ClientSession::from_link(link, info.view, self.config.session);
-            self.sessions.insert(server, session);
-        }
-        self.sessions.get_mut(&server)
-    }
-
-    /// Issues an asynchronous operation.  Returns `false` if no server
-    /// currently owns the key's hash.
-    pub fn issue(&mut self, request: KvRequest, callback: OpCallback) -> bool {
-        self.try_issue(request, callback).is_none()
-    }
-
-    /// Like [`RemoteClient::issue`], but hands the operation back instead of
-    /// dropping it when no route exists.
-    fn try_issue(
+    /// Runs `request` synchronously and narrows the response with `expect`.
+    fn sync<T>(
         &mut self,
         request: KvRequest,
-        callback: OpCallback,
-    ) -> Option<(KvRequest, OpCallback)> {
-        let Some(owner) = self.owner_for_key(request.key()) else {
-            return Some((request, callback));
-        };
-        if self.session_for(owner).is_none() {
-            return Some((request, callback));
-        }
-        self.stats.issued += 1;
-        let session = self.sessions.get_mut(&owner).expect("session just created");
-        session.issue(request, callback);
-        None
-    }
-
-    /// Flushes partially filled batches on every session.
-    pub fn flush(&mut self) {
-        for session in self.sessions.values_mut() {
-            let _ = session.flush();
-        }
-    }
-
-    /// Drains replies, runs callbacks, refreshes ownership after rejections,
-    /// and re-routes parked operations.  Returns the number of operations
-    /// completed by this call.
-    pub fn poll(&mut self) -> Result<usize, RpcError> {
-        let mut completed = 0;
-        let mut needs_refresh = false;
-        let mut dead: Vec<u32> = Vec::new();
-        for (server, session) in self.sessions.iter_mut() {
-            match session.poll() {
-                Ok(n) => completed += n,
-                Err(_) => {
-                    needs_refresh = true;
-                    dead.push(*server);
-                }
-            }
-            if session.stale_view().is_some() {
-                needs_refresh = true;
-            }
-        }
-        self.stats.completed += completed as u64;
-        // Salvage what can safely be re-routed from dead sessions: parked
-        // and never-sent operations survive; batches already in flight on
-        // the broken link have unknown outcomes and are lost with it.
-        let mut parked: Vec<(KvRequest, OpCallback)> = Vec::new();
-        for server in dead {
-            if let Some(mut session) = self.sessions.remove(&server) {
-                parked.extend(session.take_unsent());
-            }
-        }
-        if needs_refresh {
-            self.refresh_ownership()?;
-            for session in self.sessions.values_mut() {
-                parked.extend(session.take_parked());
-            }
-            for (req, cb) in parked {
-                self.stats.rerouted += 1;
-                self.stats.issued = self.stats.issued.saturating_sub(1); // re-issue
-                if let Some(op) = self.try_issue(req, cb) {
-                    // Ownership is momentarily unknown; hold the operation
-                    // and retry on the next poll.
-                    self.pending_reroute.push(op);
-                }
-            }
-            self.flush();
-        } else if !self.pending_reroute.is_empty() {
-            self.refresh_ownership()?;
-        }
-        // Retry operations whose earlier re-route found no owner.
-        if !self.pending_reroute.is_empty() {
-            let retry = std::mem::take(&mut self.pending_reroute);
-            for (req, cb) in retry {
-                if let Some(op) = self.try_issue(req, cb) {
-                    self.pending_reroute.push(op);
-                }
-            }
-            self.flush();
-        }
-        Ok(completed)
-    }
-
-    /// Waits until every outstanding operation has completed (or the
-    /// timeout expires).  Returns `true` if the client became quiescent.
-    pub fn drain(&mut self, timeout: Duration) -> Result<bool, RpcError> {
-        let start = Instant::now();
-        self.flush();
-        while self.outstanding_ops() > 0 {
-            self.poll()?;
-            self.flush();
-            if start.elapsed() > timeout {
-                return Ok(false);
-            }
-            std::thread::yield_now();
-        }
-        Ok(true)
-    }
-
-    fn execute_sync(&mut self, request: KvRequest) -> Result<KvResponse, RpcError> {
-        use std::sync::{Arc, Mutex};
-        let slot: Arc<Mutex<Option<KvResponse>>> = Arc::new(Mutex::new(None));
-        let slot2 = Arc::clone(&slot);
-        if !self.issue(
-            request,
-            Box::new(move |resp| *slot2.lock().unwrap() = Some(resp)),
-        ) {
-            return Err(RpcError::Protocol("no server owns the key's hash".into()));
-        }
-        self.flush();
-        let start = Instant::now();
-        loop {
-            self.poll()?;
-            if let Some(resp) = slot.lock().unwrap().take() {
-                return Ok(resp);
-            }
-            if start.elapsed() > self.config.timeout {
-                return Err(RpcError::Io("timed out waiting for a reply".into()));
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        expect: impl FnOnce(KvResponse) -> Result<T, KvResponse>,
+    ) -> Result<T, RpcError> {
+        let response = self.client.execute_sync(request, self.timeout)?;
+        expect(response)
+            .map_err(|other| RpcError::Protocol(format!("unexpected response: {other:?}")))
     }
 
     /// Synchronously reads a key.
     pub fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>, RpcError> {
-        match self.execute_sync(KvRequest::Read { key })? {
+        self.sync(KvRequest::Read { key }, |r| match r {
             KvResponse::Value(v) => Ok(v),
-            other => Err(RpcError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Synchronously writes a key.
     pub fn put(&mut self, key: u64, value: Vec<u8>) -> Result<(), RpcError> {
-        match self.execute_sync(KvRequest::Upsert { key, value })? {
+        self.sync(KvRequest::Upsert { key, value }, |r| match r {
             KvResponse::Ok => Ok(()),
-            other => Err(RpcError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Synchronously deletes a key; returns whether it existed.
     pub fn delete(&mut self, key: u64) -> Result<bool, RpcError> {
-        match self.execute_sync(KvRequest::Delete { key })? {
+        self.sync(KvRequest::Delete { key }, |r| match r {
             KvResponse::Deleted(existed) => Ok(existed),
-            other => Err(RpcError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Synchronously increments a key's counter; returns the new value.
     pub fn rmw_add(&mut self, key: u64, delta: u64) -> Result<u64, RpcError> {
-        match self.execute_sync(KvRequest::RmwAdd { key, delta })? {
+        self.sync(KvRequest::RmwAdd { key, delta }, |r| match r {
             KvResponse::Counter(c) => Ok(c),
-            other => Err(RpcError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::WireServerInfo;
+
+    #[test]
+    fn routes_dial_peers_directly_and_drop_inverted_ranges() {
+        let server = |id, address: &str, ranges| WireServerInfo {
+            id,
+            address: address.to_string(),
+            threads: 2,
+            view: 3,
+            ranges,
+        };
+        let wire = WireOwnership {
+            servers: vec![
+                server(0, "sv0", vec![(0, 100), (500, 400)]),
+                server(1, "10.0.0.7:4871", vec![(100, u64::MAX)]),
+            ],
+        };
+        let snapshot = routes(&wire, "127.0.0.1:4870");
+        let sv0 = snapshot.server(ServerId(0)).unwrap();
+        assert_eq!(sv0.address, "127.0.0.1:4870/sv0");
+        assert_eq!(sv0.owned.ranges(), &[HashRange::new(0, 100)]);
+        assert_eq!((sv0.view, sv0.threads), (3, 2));
+        assert_eq!(
+            snapshot.server(ServerId(1)).unwrap().address,
+            "10.0.0.7:4871/sv1"
+        );
+        assert_eq!(snapshot.owner_of(450), Some((ServerId(1), 3)));
+        assert_eq!(snapshot.owner_of(50), Some((ServerId(0), 3)));
     }
 }

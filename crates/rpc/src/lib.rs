@@ -20,10 +20,11 @@
 //!   concrete object over the `Cluster` (ownership snapshots, migration
 //!   triggers, metrics, metadata replication, chain fetches) standing in
 //!   for direct metadata-store access.
-//! * [`RemoteClient`] — the out-of-process client: ownership-aware routing,
-//!   pipelined sessions, stale-view handling, all over the wire.  Servers
-//!   registered with socket addresses are dialled directly, so one client
-//!   spans a multi-process cluster.
+//! * [`RemoteClient`] — the out-of-process client: `shadowfax`'s one
+//!   client ([`shadowfax::ShadowfaxClient`]) with a serving process's
+//!   control plane as its ownership source and [`TcpTransport`] links.
+//!   Servers registered with socket addresses are dialled directly, so one
+//!   client spans a multi-process cluster.
 //! * [`TcpMigrationLink`] / [`TcpMigrationConnector`] — the migration data
 //!   plane: dedicated TCP connections carrying the view-tagged migration
 //!   protocol (`PrepForTransfer`, `TakeOwnership`, `PushHotRecords`,
@@ -71,7 +72,7 @@ mod tier;
 mod tierd;
 
 pub use broker::{Coordinator, CoordinatorConfig, CoordinatorHandle};
-pub use client::{OpCallback, RemoteClient, RemoteClientConfig, RemoteClientStats};
+pub use client::{ControlPlaneOwnership, RemoteClient, RemoteClientConfig};
 pub use codec::{
     decode_frame, encode_frame, CodecError, FrameDecoder, Role, WireBrokerPeer, WireBrokerStatus,
     WireMigrationState, WireMsg, WireOwnership, WireServerInfo, WireTierLog, WireTierStatus,
@@ -81,6 +82,7 @@ pub use ctrl::{CtrlClient, RpcError};
 pub use fabric::TcpMigrationConnector;
 pub use framed::OUTBOUND_BUDGET_BYTES;
 pub use server::{ControlPlane, RpcServer, RpcServerConfig, RpcServerHandle};
+pub use shadowfax::{ClientStats, OpCallback};
 pub use tcp::{TcpLink, TcpMigrationLink, TcpTransport};
 pub use tier::{RemoteSharedTier, RemoteTierService};
 pub use tierd::{TierDaemon, TierDaemonConfig, TierDaemonHandle, MAX_TIER_READ_BYTES};

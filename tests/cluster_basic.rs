@@ -46,8 +46,8 @@ fn missing_keys_and_deletes() {
     let mut client = cluster.client(ClientConfig::default());
     assert_eq!(client.read(12345), None);
     client.upsert(1, b"x".to_vec());
-    match client.execute_sync(KvRequest::Delete { key: 1 }) {
-        KvResponse::Deleted(existed) => assert!(existed),
+    match client.execute_sync(KvRequest::Delete { key: 1 }, Duration::from_secs(30)) {
+        Ok(KvResponse::Deleted(existed)) => assert!(existed),
         other => panic!("unexpected response {other:?}"),
     }
     assert_eq!(client.read(1), None);
