@@ -18,7 +18,7 @@ use crate::client::ShadowfaxClient;
 use crate::config::{ClientConfig, ServerConfig};
 use crate::dispatch::DispatchHandle;
 use crate::hash_range::{HashRange, RangeSet};
-use crate::layout::{ClusterLayout, LayoutError, PeerOwns};
+use crate::layout::{ClusterLayout, LayoutError};
 use crate::meta::{MergeOutcome, MetaReplica, MetadataStore};
 use crate::server::{KvNetwork, MigrationConnector, MigrationNetwork, Server, ServerHandle};
 use crate::ServerId;
@@ -155,24 +155,19 @@ impl ChainFetchStats {
     }
 }
 
-/// A server running in *another* OS process, registered with this process's
+/// The one server another OS process hosts, registered with this process's
 /// metadata store so local servers can route migrations (and clients can
-/// route requests) to it.
+/// route requests) to it.  Its initial ranges come from the cluster layout,
+/// which every process resolves over the same membership.
 #[derive(Debug, Clone)]
 pub struct PeerServer {
     /// The peer's cluster-wide id.
     pub id: ServerId,
-    /// The peer's address.  A socket address (`"10.0.0.7:4871"`) tells the
-    /// RPC layer's migration connector to dial TCP instead of the
-    /// in-process fabric.
+    /// The peer process's socket address (`"10.0.0.7:4871"`): where its
+    /// control plane, data plane and migration listener are dialled.
     pub address: String,
     /// Number of dispatch threads the peer runs.
     pub threads: usize,
-    /// What the peer owns at startup: [`PeerOwns::Auto`] lets the cluster
-    /// layout assign its ranges (every process derives the same split from
-    /// the same membership), while an explicit declaration pins them (and
-    /// must agree with the peer process's own configuration).
-    pub owns: PeerOwns,
 }
 
 /// Options controlling cluster assembly.
@@ -183,10 +178,10 @@ pub struct ClusterConfig {
     /// Number of servers to start.
     pub servers: usize,
     /// Id of the first local server; server `i` gets id `base_id + i`.
-    /// Non-zero values are used by multi-process deployments where each
-    /// process hosts a different slice of the cluster.
+    /// A multi-process deployment runs one server per process, and
+    /// `base_id` is that server's id.
     pub base_id: u32,
-    /// Servers running in other OS processes, registered with this
+    /// The servers other OS processes host, one each, registered with this
     /// process's metadata store at startup.
     pub peers: Vec<PeerServer>,
     /// Network cost profile for the client/server fabric.
@@ -196,7 +191,7 @@ pub struct ClusterConfig {
     /// Capacity of each server's log space on the shared blob tier.
     pub shared_tier_capacity: u64,
     /// How initial ownership is assigned across the cluster's *global* ids
-    /// (local servers plus peers): [`ClusterLayout::ScaleOut`] gives
+    /// (local servers plus peers; every process must be given the same): [`ClusterLayout::ScaleOut`] gives
     /// everything to server 0 (the Figure 10 experiments),
     /// [`ClusterLayout::Partitioned`] splits the space evenly, and
     /// [`ClusterLayout::Explicit`] spells per-id ranges out.
@@ -271,22 +266,19 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`LayoutError`] when ids collide, peers pin ranges
-    /// that overlap the layout's assignment, or the resolved map leaves a
-    /// hole in the hash space.  Nothing is spawned on error.
+    /// Returns a typed [`LayoutError`] when ids collide or the resolved map
+    /// leaves a hole in (or overlaps) the hash space.  Nothing is spawned
+    /// on error.
     pub fn try_start(config: ClusterConfig) -> Result<Self, LayoutError> {
         // The cluster's global membership: the servers this process hosts
-        // (their ranges always come from the layout) and the peers other
-        // processes host (which may pin their ranges explicitly).
-        let mut members: Vec<(ServerId, PeerOwns)> = (0..config.servers)
-            .map(|i| (ServerId(config.base_id + i as u32), PeerOwns::Auto))
-            .collect();
-        if members.is_empty() {
+        // and the peers other processes host.
+        if config.servers == 0 {
             return Err(LayoutError::NoServers);
         }
-        for peer in &config.peers {
-            members.push((peer.id, peer.owns.clone()));
-        }
+        let members: Vec<ServerId> = (0..config.servers)
+            .map(|i| ServerId(config.base_id + i as u32))
+            .chain(config.peers.iter().map(|p| p.id))
+            .collect();
         let mut assignment = config.layout.resolve(&members)?;
 
         let meta = MetadataStore::new();
@@ -314,18 +306,7 @@ impl Cluster {
         for peer in &config.peers {
             let ranges = assignment.remove(&peer.id).unwrap_or_default();
             meta.try_register_server(peer.id, peer.address.clone(), peer.threads, ranges)
-                .map_err(|e| match e {
-                    crate::meta::MetaError::OwnershipOverlap {
-                        server,
-                        other,
-                        range,
-                    } => LayoutError::Overlap {
-                        a: server,
-                        b: other,
-                        range,
-                    },
-                    _ => LayoutError::DuplicateServer(peer.id),
-                })?;
+                .map_err(|_| LayoutError::DuplicateServer(peer.id))?;
         }
 
         let mut handles = Vec::with_capacity(config.servers);
@@ -362,21 +343,15 @@ impl Cluster {
     }
 
     /// The control address of the *process* hosting `source`, when that
-    /// server is not hosted here and was registered with a socket address —
-    /// i.e. where a migration originated at this process must be forwarded
-    /// so the source's own process drives it.  `None` means the server is
-    /// local (or unknown / fabric-addressed) and the operation runs here.
+    /// server is not hosted here — i.e. where a migration originated at
+    /// this process must be forwarded so the source's own process drives
+    /// it.  `None` means the server is local (or unknown) and the operation
+    /// runs here.
     pub fn remote_source_addr(&self, source: ServerId) -> Option<String> {
         if self.server(source).is_some() {
             return None;
         }
-        let snapshot = self.meta.snapshot();
-        let meta = snapshot.server(source)?;
-        if meta.address.contains(':') {
-            Some(meta.address.clone())
-        } else {
-            None
-        }
+        Some(self.meta.snapshot().server(source)?.address.clone())
     }
 
     /// The control address of the process hosting the *source* of an

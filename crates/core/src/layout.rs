@@ -4,9 +4,9 @@
 //! space from the moment it boots; migrations then *rebalance* load between
 //! any pair of owners.  [`ClusterLayout`] makes that first assignment a
 //! first-class, validated object: it is resolved over the set of **global**
-//! server ids (the servers a process hosts plus every peer registered from
-//! other processes), so every process in a multi-process deployment derives
-//! the same ownership map from the same configuration.
+//! server ids (the process's own server plus every peer), so every process
+//! in a multi-process deployment derives the same ownership map from the
+//! same `--layout`.
 //!
 //! Three layouts exist:
 //!
@@ -17,13 +17,9 @@
 //!   registered global id, in id order.
 //! * [`ClusterLayout::Explicit`] — per-id range lists, spelled out.
 //!
-//! Individual peers may also pin their ranges explicitly
-//! ([`PeerOwns::Explicit`], the `--peer ...,owns=0x...-0x...` syntax); an
-//! explicit declaration replaces whatever the layout computed for that id.
-//! However the final map is produced, [`ClusterLayout::resolve`] validates
-//! it: ids must be unique, ranges must not overlap, and the union must cover
-//! the full hash space — violations surface as typed [`LayoutError`]s, never
-//! panics.
+//! [`ClusterLayout::resolve`] validates the map it produces: ids must be
+//! unique, ranges must not overlap, and the union must cover the full hash
+//! space — violations surface as typed [`LayoutError`]s, never panics.
 //!
 //! This module also owns the *textual* forms used by `shadowfax-server`
 //! (`--layout`, `--peer`): parsing is strict and round-trips with the
@@ -46,22 +42,8 @@ pub enum ClusterLayout {
     /// (local servers and peers alike), in ascending id order.
     Partitioned,
     /// Explicit per-id range lists.  Ids absent from the list start idle;
-    /// the listed ranges must be disjoint and cover the full space once
-    /// combined with any per-peer declarations.
+    /// the listed ranges must be disjoint and cover the full space.
     Explicit(Vec<(ServerId, RangeSet)>),
-}
-
-/// What a peer declared about its initial ownership (the `owns=` field of a
-/// `--peer` spec).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum PeerOwns {
-    /// Let the cluster layout assign the peer's ranges (the default, and
-    /// the only sensible choice under [`ClusterLayout::Partitioned`]).
-    #[default]
-    Auto,
-    /// The peer's ranges, pinned explicitly.  `full` and `none` are
-    /// shorthands for the full space and the empty set.
-    Explicit(RangeSet),
 }
 
 /// Why a layout failed to parse or resolve.
@@ -141,10 +123,8 @@ impl std::fmt::Display for LayoutError {
 impl std::error::Error for LayoutError {}
 
 impl ClusterLayout {
-    /// Resolves the layout over the cluster's global membership into one
-    /// [`RangeSet`] per id.  `members` pairs every global id (local servers
-    /// and peers) with its ownership declaration; [`PeerOwns::Explicit`]
-    /// declarations replace whatever the layout computed for that id.
+    /// Resolves the layout over the cluster's global membership (`members`:
+    /// every global id, local and peer alike) into one [`RangeSet`] per id.
     ///
     /// # Errors
     ///
@@ -153,13 +133,13 @@ impl ClusterLayout {
     /// covers the full hash space with disjoint ranges.
     pub fn resolve(
         &self,
-        members: &[(ServerId, PeerOwns)],
+        members: &[ServerId],
     ) -> Result<BTreeMap<ServerId, RangeSet>, LayoutError> {
         if members.is_empty() {
             return Err(LayoutError::NoServers);
         }
         let mut assignment: BTreeMap<ServerId, RangeSet> = BTreeMap::new();
-        for (id, _) in members {
+        for id in members {
             if assignment.insert(*id, RangeSet::empty()).is_some() {
                 return Err(LayoutError::DuplicateServer(*id));
             }
@@ -192,12 +172,6 @@ impl ClusterLayout {
                 }
             }
         }
-        // Explicit per-member declarations win over the computed layout.
-        for (id, owns) in members {
-            if let PeerOwns::Explicit(ranges) = owns {
-                assignment.insert(*id, ranges.clone());
-            }
-        }
         validate_partition(&assignment)?;
         Ok(assignment)
     }
@@ -220,7 +194,7 @@ impl ClusterLayout {
         for field in spec.split(',') {
             let (id, ranges) = field.split_once('=').ok_or_else(|| bad(field))?;
             let id: u32 = id.parse().map_err(|_| bad(field))?;
-            let ranges = parse_ranges_spec(ranges, "--layout")?;
+            let ranges = parse_ranges_spec(ranges)?;
             assigned.push((ServerId(id), ranges));
         }
         Ok(ClusterLayout::Explicit(assigned))
@@ -245,43 +219,12 @@ impl std::fmt::Display for ClusterLayout {
     }
 }
 
-impl PeerOwns {
-    /// The explicitly declared ranges, if any.
-    pub fn explicit(&self) -> Option<&RangeSet> {
-        match self {
-            PeerOwns::Auto => None,
-            PeerOwns::Explicit(ranges) => Some(ranges),
-        }
-    }
-
-    /// Parses an `owns=` field: `auto`, `full`, `none`, or a `+`-joined
-    /// range list (`0x0-0x7fff+0xc000-0xffff`).
-    pub fn from_spec(spec: &str) -> Result<Self, LayoutError> {
-        Ok(match spec {
-            "auto" => PeerOwns::Auto,
-            "full" => PeerOwns::Explicit(RangeSet::full()),
-            "none" => PeerOwns::Explicit(RangeSet::empty()),
-            _ => PeerOwns::Explicit(parse_ranges_spec(spec, "--peer owns")?),
-        })
-    }
-}
-
-impl std::fmt::Display for PeerOwns {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PeerOwns::Auto => f.write_str("auto"),
-            PeerOwns::Explicit(ranges) if ranges.is_empty() => f.write_str("none"),
-            PeerOwns::Explicit(ranges) => f.write_str(&format_ranges_spec(ranges)),
-        }
-    }
-}
-
 /// Parses a `+`-joined list of `START-END` hash ranges (hex, `0x` prefix
 /// optional; `END` exclusive, with `0xffffffffffffffff` meaning "to the
 /// top").  `none` is the empty set.  Rejects inverted and empty ranges.
-pub fn parse_ranges_spec(spec: &str, context: &'static str) -> Result<RangeSet, LayoutError> {
+fn parse_ranges_spec(spec: &str) -> Result<RangeSet, LayoutError> {
     let bad = |input: &str| LayoutError::Spec {
-        context,
+        context: "--layout",
         input: input.to_string(),
     };
     if spec == "none" {
@@ -308,7 +251,7 @@ pub fn parse_ranges_spec(spec: &str, context: &'static str) -> Result<RangeSet, 
 }
 
 /// The canonical textual form of a range set (inverse of
-/// [`parse_ranges_spec`]): `0x0-0x7fff+0xc000-0xffff`, or `none` when
+/// the `--layout` range parser): `0x0-0x7fff+0xc000-0xffff`, or `none` when
 /// empty.
 pub fn format_ranges_spec(ranges: &RangeSet) -> String {
     if ranges.is_empty() {
@@ -322,10 +265,10 @@ pub fn format_ranges_spec(ranges: &RangeSet) -> String {
         .join("+")
 }
 
-/// Parses a `--peer` spec, e.g.
-/// `id=1,addr=127.0.0.1:4871,threads=2,owns=0x0-0x7fff+0xc000-0xffff`.
-/// `id` and `addr` are required; `threads` defaults to 2 and `owns` to
-/// `auto` (the cluster layout assigns the peer's ranges).
+/// Parses a `--peer` spec, e.g. `id=1,addr=127.0.0.1:4871,threads=2`.
+/// `id` and `addr` are required and `threads` defaults to 2; a key given
+/// twice is rejected rather than silently overwritten.  The peer's ranges
+/// come from the cluster layout, which every process is given alike.
 pub fn parse_peer_spec(spec: &str) -> Result<crate::cluster::PeerServer, LayoutError> {
     let bad = |input: &str| LayoutError::Spec {
         context: "--peer",
@@ -333,28 +276,28 @@ pub fn parse_peer_spec(spec: &str) -> Result<crate::cluster::PeerServer, LayoutE
     };
     let mut id = None;
     let mut addr = None;
-    let mut threads = 2usize;
-    let mut owns = PeerOwns::Auto;
+    let mut threads = None;
+    let mut seen = Vec::new();
     for field in spec.split(',') {
         let (key, value) = field.split_once('=').ok_or_else(|| bad(field))?;
+        if seen.contains(&key) {
+            return Err(bad(field));
+        }
+        seen.push(key);
         match key {
             "id" => id = Some(value.parse::<u32>().map_err(|_| bad(field))?),
             "addr" if !value.is_empty() => addr = Some(value.to_string()),
-            "threads" => {
-                threads = value.parse().map_err(|_| bad(field))?;
-                if threads == 0 {
-                    return Err(bad(field));
-                }
-            }
-            "owns" => owns = PeerOwns::from_spec(value)?,
+            "threads" => match value.parse() {
+                Ok(0) | Err(_) => return Err(bad(field)),
+                Ok(n) => threads = Some(n),
+            },
             _ => return Err(bad(field)),
         }
     }
     Ok(crate::cluster::PeerServer {
         id: ServerId(id.ok_or_else(|| bad(spec))?),
         address: addr.ok_or_else(|| bad(spec))?,
-        threads,
-        owns,
+        threads: threads.unwrap_or(2),
     })
 }
 
@@ -403,16 +346,14 @@ pub fn validate_partition(assignment: &BTreeMap<ServerId, RangeSet>) -> Result<(
 mod tests {
     use super::*;
 
-    fn auto_members(ids: &[u32]) -> Vec<(ServerId, PeerOwns)> {
-        ids.iter()
-            .map(|&id| (ServerId(id), PeerOwns::Auto))
-            .collect()
+    fn members(ids: &[u32]) -> Vec<ServerId> {
+        ids.iter().map(|&id| ServerId(id)).collect()
     }
 
     #[test]
     fn scale_out_gives_everything_to_server_zero() {
         let map = ClusterLayout::ScaleOut
-            .resolve(&auto_members(&[0, 1, 2]))
+            .resolve(&members(&[0, 1, 2]))
             .unwrap();
         assert_eq!(map[&ServerId(0)], RangeSet::full());
         assert!(map[&ServerId(1)].is_empty());
@@ -422,7 +363,7 @@ mod tests {
     #[test]
     fn scale_out_without_server_zero_is_a_gap() {
         let err = ClusterLayout::ScaleOut
-            .resolve(&auto_members(&[1, 2]))
+            .resolve(&members(&[1, 2]))
             .unwrap_err();
         assert_eq!(
             err,
@@ -437,7 +378,7 @@ mod tests {
     fn partitioned_splits_across_global_ids_in_id_order() {
         // Ids out of order and non-contiguous: the split follows sorted ids.
         let map = ClusterLayout::Partitioned
-            .resolve(&auto_members(&[7, 0, 3]))
+            .resolve(&members(&[7, 0, 3]))
             .unwrap();
         assert_eq!(map.len(), 3);
         let r0 = map[&ServerId(0)].ranges()[0];
@@ -447,25 +388,6 @@ mod tests {
         assert_eq!(r0.end, r3.start);
         assert_eq!(r3.end, r7.start);
         assert_eq!(r7.end, u64::MAX);
-    }
-
-    #[test]
-    fn explicit_peer_declaration_overrides_the_layout() {
-        // Partitioned over {0, 1}, but peer 1 pins the top three quarters.
-        let cut = u64::MAX / 4;
-        let members = vec![
-            (
-                ServerId(0),
-                PeerOwns::Explicit(RangeSet::from_ranges([HashRange::new(0, cut)])),
-            ),
-            (
-                ServerId(1),
-                PeerOwns::Explicit(RangeSet::from_ranges([HashRange::new(cut, u64::MAX)])),
-            ),
-        ];
-        let map = ClusterLayout::Partitioned.resolve(&members).unwrap();
-        assert_eq!(map[&ServerId(0)].ranges(), &[HashRange::new(0, cut)]);
-        assert_eq!(map[&ServerId(1)].ranges(), &[HashRange::new(cut, u64::MAX)]);
     }
 
     #[test]
@@ -481,7 +403,7 @@ mod tests {
                 RangeSet::from_ranges([HashRange::new(cut, u64::MAX)]),
             ),
         ])
-        .resolve(&auto_members(&[0, 1]))
+        .resolve(&members(&[0, 1]))
         .unwrap_err();
         assert!(matches!(overlap, LayoutError::Overlap { .. }), "{overlap}");
 
@@ -492,7 +414,7 @@ mod tests {
                 RangeSet::from_ranges([HashRange::new(cut + 10, u64::MAX)]),
             ),
         ])
-        .resolve(&auto_members(&[0, 1]))
+        .resolve(&members(&[0, 1]))
         .unwrap_err();
         assert_eq!(
             gap,
@@ -507,13 +429,13 @@ mod tests {
     fn duplicate_and_unknown_ids_are_typed_errors() {
         assert_eq!(
             ClusterLayout::ScaleOut
-                .resolve(&auto_members(&[0, 0]))
+                .resolve(&members(&[0, 0]))
                 .unwrap_err(),
             LayoutError::DuplicateServer(ServerId(0))
         );
         assert_eq!(
             ClusterLayout::Explicit(vec![(ServerId(9), RangeSet::full())])
-                .resolve(&auto_members(&[0]))
+                .resolve(&members(&[0]))
                 .unwrap_err(),
             LayoutError::UnknownServer(ServerId(9))
         );
@@ -522,7 +444,7 @@ mod tests {
                 (ServerId(0), RangeSet::full()),
                 (ServerId(0), RangeSet::full())
             ])
-            .resolve(&auto_members(&[0]))
+            .resolve(&members(&[0]))
             .unwrap_err(),
             LayoutError::ConflictingAssignment(ServerId(0))
         );
@@ -588,8 +510,8 @@ mod tests {
         }
         for bad in ["", "garbage", "0x5-0x1", "0x1+0x5"] {
             assert!(
-                PeerOwns::from_spec(bad).is_err(),
-                "owns spec {bad:?} was not rejected"
+                parse_ranges_spec(bad).is_err(),
+                "ranges spec {bad:?} was not rejected"
             );
         }
     }
@@ -600,60 +522,29 @@ mod tests {
         assert_eq!(peer.id, ServerId(3));
         assert_eq!(peer.address, "127.0.0.1:4871");
         assert_eq!(peer.threads, 2);
-        assert_eq!(peer.owns, PeerOwns::Auto);
 
-        let peer = parse_peer_spec("id=1,addr=h:1,threads=4,owns=0x0-0x7fff").unwrap();
+        let peer = parse_peer_spec("id=1,addr=h:1,threads=4").unwrap();
         assert_eq!(peer.threads, 4);
-        assert_eq!(
-            peer.owns,
-            PeerOwns::Explicit(RangeSet::from_ranges([HashRange::new(0, 0x7fff)]))
-        );
 
         for bad in [
             "",
-            "id=1",                      // missing addr
-            "addr=h:1",                  // missing id
-            "id=x,addr=h:1",             // bad id
-            "id=1,addr=",                // empty addr
-            "id=1,addr=h:1,threads=0",   // zero threads
-            "id=1,addr=h:1,threads=abc", // bad threads
-            "id=1,addr=h:1,owns=bogus",  // bad owns
-            "id=1,addr=h:1,color=red",   // unknown field
-            "id=1 addr=h:1",             // wrong field separator
+            "id=1",                              // missing addr
+            "addr=h:1",                          // missing id
+            "id=x,addr=h:1",                     // bad id
+            "id=1,addr=",                        // empty addr
+            "id=1,addr=h:1,threads=0",           // zero threads
+            "id=1,addr=h:1,threads=abc",         // bad threads
+            "id=1,addr=h:1,owns=none",           // owns= is gone: --layout assigns
+            "id=1,addr=h:1,color=red",           // unknown field
+            "id=1,addr=h:1,id=2",                // repeated id
+            "id=1,addr=h:1,addr=h:2",            // repeated addr
+            "id=1,addr=h:1,threads=2,threads=4", // repeated threads
+            "id=1 addr=h:1",                     // wrong field separator
         ] {
             assert!(
-                parse_peer_spec(bad).is_err(),
+                matches!(parse_peer_spec(bad), Err(LayoutError::Spec { .. })),
                 "peer spec {bad:?} was not rejected"
             );
-        }
-    }
-
-    #[test]
-    fn owns_specs_parse_and_roundtrip() {
-        assert_eq!(PeerOwns::from_spec("auto").unwrap(), PeerOwns::Auto);
-        assert_eq!(
-            PeerOwns::from_spec("full").unwrap(),
-            PeerOwns::Explicit(RangeSet::full())
-        );
-        assert_eq!(
-            PeerOwns::from_spec("none").unwrap(),
-            PeerOwns::Explicit(RangeSet::empty())
-        );
-        let ranges = PeerOwns::from_spec("0x0-0x7fff+0xc000-0xffff").unwrap();
-        assert_eq!(
-            ranges,
-            PeerOwns::Explicit(RangeSet::from_ranges([
-                HashRange::new(0, 0x7fff),
-                HashRange::new(0xc000, 0xffff)
-            ]))
-        );
-        for owns in [
-            PeerOwns::Auto,
-            PeerOwns::Explicit(RangeSet::empty()),
-            PeerOwns::Explicit(RangeSet::full()),
-            ranges,
-        ] {
-            assert_eq!(PeerOwns::from_spec(&owns.to_string()).unwrap(), owns);
         }
     }
 }

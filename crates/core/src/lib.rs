@@ -66,8 +66,7 @@ pub use dispatch::DispatchHandle;
 pub use hash_range::{partition_space, partition_space_among, HashRange, RangeSet};
 pub use indirection::{IndirectionRecord, INDIRECTION_VALUE_BYTES};
 pub use layout::{
-    format_ranges_spec, parse_peer_spec, parse_ranges_spec, validate_partition, ClusterLayout,
-    LayoutError, PeerOwns,
+    format_ranges_spec, parse_peer_spec, validate_partition, ClusterLayout, LayoutError,
 };
 pub use messages::{MigratedItem, MigrationAckPhase, MigrationMsg};
 pub use meta::{

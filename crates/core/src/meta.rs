@@ -532,9 +532,8 @@ impl MetadataStore {
     /// * a server entry is adopted when the incoming view is newer (equal
     ///   views with different content break the tie deterministically on
     ///   content, so every process picks the same winner) — except its
-    ///   *address*, which is process-local routing (a fabric name where
-    ///   the server is hosted, a socket address everywhere else) and is
-    ///   never overwritten once locally registered,
+    ///   *address*, which is never overwritten once locally registered
+    ///   (see the pinning comment below),
     /// * dependency flags only ever gain — completion flags and
     ///   `cancelled` OR together, and the dependency settles into the
     ///   retention list its merged flags dictate,
@@ -553,10 +552,15 @@ impl MetadataStore {
         let mut newly_cancelled = Vec::new();
         for (id, incoming) in &replica.servers {
             // Addresses are process-local routing facts, not replicated
-            // state: the same server is a fabric name in the process that
-            // hosts it and a socket address everywhere else.  An adopted
-            // entry therefore keeps the locally registered address; only a
-            // server unknown to this store takes the exporter's address.
+            // state.  A process registers its own server under its fabric
+            // name (`sv<id>`), which its dispatch threads listen on, and
+            // every peer under the socket address it was told.  A client
+            // bootstrapping from that process dials the address it used
+            // itself plus the fabric name — right even when the process
+            // listens on `0.0.0.0`, which a bound address registered after
+            // `bind` would not be.  An adopted entry therefore keeps the
+            // locally registered address; only a server unknown to this
+            // store takes the exporter's address.
             let mut incoming = incoming.clone();
             if let Some(local) = inner.servers.get(id) {
                 incoming.address = local.address.clone();

@@ -54,11 +54,10 @@ pub(crate) type ServerMigConn = Box<dyn MigrationLink<MigrationMsg>>;
 
 /// Opens outgoing migration links to peer servers.
 ///
-/// The in-process fabric implements this directly.  The `shadowfax-rpc`
-/// crate installs a connector that inspects the peer's registered address:
-/// local fabric addresses (`"sv1"`) connect in-process while socket
-/// addresses (`"10.0.0.7:4870"`) open dedicated TCP migration connections,
-/// which is how the migration data plane crosses OS processes.
+/// Two implementations, one rule each: the in-process fabric (the default,
+/// for clusters whose servers share one process) dials fabric names, and
+/// `shadowfax-rpc`'s TCP transport, installed by `shadowfax-server`, dials
+/// every peer's socket address over a dedicated migration connection.
 pub trait MigrationConnector: Send + Sync {
     /// Opens a migration link to dispatch thread `thread` of server `server`,
     /// whose address registered at the metadata store is `address`.

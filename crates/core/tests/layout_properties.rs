@@ -8,8 +8,8 @@
 //!
 //! * **every** layout that resolves does so to a full partition of the
 //!   hash space: disjoint ranges, no gaps, every registered id present,
-//! * explicit layouts and `owns=` declarations round-trip through their
-//!   textual specs (`Display` → parse is the identity),
+//! * explicit layouts and `--peer` specs round-trip through their textual
+//!   specs (`Display` / format → parse is the identity),
 //! * overlaps, gaps, duplicate ids, and assignments to unknown ids are
 //!   rejected with the matching typed [`LayoutError`] — never a panic,
 //! * arbitrary garbage and random single-character corruption of valid
@@ -22,8 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use shadowfax::{
-    parse_peer_spec, validate_partition, ClusterLayout, HashRange, LayoutError, PeerOwns, RangeSet,
-    ServerId,
+    parse_peer_spec, validate_partition, ClusterLayout, HashRange, LayoutError, RangeSet, ServerId,
 };
 
 /// Asserts the resolved map is a partition: every member id present, and
@@ -85,17 +84,13 @@ fn random_explicit(rng: &mut StdRng, ids: &[ServerId]) -> Vec<(ServerId, RangeSe
         .collect()
 }
 
-fn auto_members(ids: &[ServerId]) -> Vec<(ServerId, PeerOwns)> {
-    ids.iter().map(|&id| (id, PeerOwns::Auto)).collect()
-}
-
 #[test]
 fn partitioned_layouts_always_tile_the_space() {
     let mut rng = StdRng::seed_from_u64(0x1a_0001);
     for case in 0..400 {
         let ids = random_ids(&mut rng, 12);
         let map = ClusterLayout::Partitioned
-            .resolve(&auto_members(&ids))
+            .resolve(&ids)
             .unwrap_or_else(|e| panic!("case {case}: partitioned resolve failed: {e}"));
         assert_partition(&map, &ids, &format!("case {case} (partitioned)"));
     }
@@ -108,7 +103,7 @@ fn explicit_layouts_tile_the_space_and_roundtrip_their_specs() {
         let ids = random_ids(&mut rng, 8);
         let layout = ClusterLayout::Explicit(random_explicit(&mut rng, &ids));
         let map = layout
-            .resolve(&auto_members(&ids))
+            .resolve(&ids)
             .unwrap_or_else(|e| panic!("case {case}: explicit resolve failed: {e}"));
         assert_partition(&map, &ids, &format!("case {case} (explicit)"));
 
@@ -119,7 +114,7 @@ fn explicit_layouts_tile_the_space_and_roundtrip_their_specs() {
             .unwrap_or_else(|e| panic!("case {case}: spec {spec:?} failed to re-parse: {e}"));
         assert_eq!(reparsed, layout, "case {case}: spec {spec:?}");
         assert_eq!(
-            reparsed.resolve(&auto_members(&ids)).unwrap(),
+            reparsed.resolve(&ids).unwrap(),
             map,
             "case {case}: re-parsed layout resolves differently"
         );
@@ -131,7 +126,7 @@ fn scale_out_resolves_iff_server_zero_is_registered() {
     let mut rng = StdRng::seed_from_u64(0x1a_0003);
     for case in 0..200 {
         let ids = random_ids(&mut rng, 6);
-        let result = ClusterLayout::ScaleOut.resolve(&auto_members(&ids));
+        let result = ClusterLayout::ScaleOut.resolve(&ids);
         if ids.contains(&ServerId(0)) {
             let map = result.unwrap_or_else(|e| panic!("case {case}: {e}"));
             assert_partition(&map, &ids, &format!("case {case} (scale-out)"));
@@ -164,7 +159,7 @@ fn mutated_layouts_are_rejected_with_typed_errors() {
                 rs.add(&[HashRange::new(r.start - 1, r.start)]);
                 assigned[victim].1 = rs;
                 let err = ClusterLayout::Explicit(assigned.clone())
-                    .resolve(&auto_members(&ids))
+                    .resolve(&ids)
                     .expect_err("overlap must not resolve");
                 // The stretched range may instead have *filled a gap*
                 // created by... no: the base layout tiled the space, so
@@ -183,7 +178,7 @@ fn mutated_layouts_are_rejected_with_typed_errors() {
                     continue;
                 }
                 let err = ClusterLayout::Explicit(assigned.clone())
-                    .resolve(&auto_members(&ids))
+                    .resolve(&ids)
                     .expect_err("dropped assignment must leave a gap");
                 assert!(
                     matches!(err, LayoutError::Gap { .. }),
@@ -196,7 +191,7 @@ fn mutated_layouts_are_rejected_with_typed_errors() {
                 let dup = assigned[victim].clone();
                 assigned.push(dup);
                 let err = ClusterLayout::Explicit(assigned.clone())
-                    .resolve(&auto_members(&ids))
+                    .resolve(&ids)
                     .expect_err("duplicate assignment must not resolve");
                 assert!(
                     matches!(err, LayoutError::ConflictingAssignment(_)),
@@ -219,23 +214,12 @@ fn peer_specs_roundtrip() {
         let id = rng.gen_range(0u64..1024) as u32;
         let port = 1024 + rng.gen_range(0u64..60000);
         let threads = 1 + rng.gen_range(0u64..8) as usize;
-        let owns = match rng.gen_range(0u64..4) {
-            0 => PeerOwns::Auto,
-            1 => PeerOwns::Explicit(RangeSet::empty()),
-            2 => PeerOwns::Explicit(RangeSet::full()),
-            _ => {
-                let ids = random_ids(&mut rng, 3);
-                let slices = random_explicit(&mut rng, &ids);
-                PeerOwns::Explicit(slices[0].1.clone())
-            }
-        };
-        let spec = format!("id={id},addr=127.0.0.1:{port},threads={threads},owns={owns}");
+        let spec = format!("id={id},addr=127.0.0.1:{port},threads={threads}");
         let peer = parse_peer_spec(&spec)
             .unwrap_or_else(|e| panic!("case {case}: spec {spec:?} rejected: {e}"));
         assert_eq!(peer.id, ServerId(id), "case {case}");
         assert_eq!(peer.address, format!("127.0.0.1:{port}"), "case {case}");
         assert_eq!(peer.threads, threads, "case {case}");
-        assert_eq!(peer.owns, owns, "case {case}: spec {spec:?}");
     }
 }
 
@@ -254,7 +238,6 @@ fn corrupted_and_garbage_specs_never_panic() {
             rejected += 1;
         }
         let _ = parse_peer_spec(&garbage);
-        let _ = PeerOwns::from_spec(&garbage);
 
         // Single-character corruption of a valid spec.
         let ids = random_ids(&mut rng, 4);

@@ -1,48 +1,44 @@
-//! `shadowfax-server`: hosts a Shadowfax cluster behind a real TCP socket.
+//! `shadowfax-server`: hosts one Shadowfax server behind a real TCP socket.
 //!
 //! ```text
-//! shadowfax-server [--listen ADDR] [--servers N] [--threads T]
-//!                  [--io-threads I] [--layout SPEC] [--base-id B]
+//! shadowfax-server [--listen ADDR] [--servers 1] [--threads T]
+//!                  [--io-threads I] [--layout SPEC] [--base-id ID]
 //!                  [--memory-pages P] [--sampling-ms MS]
-//!                  [--metrics-log-secs S] [--coordinator auto|on|off]
-//!                  [--tier ADDR] [--peer SPEC]...
+//!                  [--metrics-log-secs S] [--tier ADDR] [--peer SPEC]...
 //! ```
 //!
-//! Starts `N` logical Shadowfax servers (each with `T` dispatch threads over
-//! a shared FASTER instance) and serves them over `ADDR`: every client data
-//! connection is owned and served by the dispatch thread its HELLO names,
-//! while `I` control I/O threads answer control frames, all speaking the
-//! length-prefixed wire protocol.
+//! One process is one server, as one VM is in the paper: the server with id
+//! `ID` (`--base-id`, default 0) runs `T` dispatch threads over one FASTER
+//! instance and is served over `ADDR`: every client data connection is
+//! owned and served by the dispatch thread its HELLO names, while `I`
+//! control I/O threads answer control frames, all speaking the
+//! length-prefixed wire protocol.  `--servers` is accepted for
+//! compatibility and must be 1; a cluster grows by starting more processes.
 //!
-//! `--layout` assigns the initial ownership across the cluster's *global*
-//! server ids (the local servers plus every `--peer`):
+//! Every other process of the cluster is a `--peer
+//! id=1,addr=127.0.0.1:4871,threads=2` (a key given twice, or two peers at
+//! one address, is a usage error).  Clients dial peers directly for data
+//! traffic, and migrations to a peer flow over dedicated TCP migration
+//! connections.
+//!
+//! `--layout` assigns the initial ownership across the cluster's server ids
+//! (this process's and every peer's); give every process the **same**
+//! `--layout`:
 //!
 //! * `scale-out` (default) — server 0 owns the whole hash space, everyone
 //!   else idles as a scale-out target (move load with `shadowfax-cli
-//!   migrate`),
-//! * `partitioned` — the space is split evenly across all registered ids,
+//!   migrate`); with no peers, this server owns everything,
+//! * `partitioned` — the space is split evenly across all ids,
 //! * an explicit assignment list, e.g.
 //!   `0=0x0-0x8000000000000000,1=0x8000000000000000-0xffffffffffffffff`
-//!   (multiple ranges per id joined with `+`).
+//!   (multiple ranges per id joined with `+`; `none` marks an id idle).
 //!
-//! Multi-process clusters: give each process a distinct `--base-id`, pass
-//! every process the **same** `--layout`, and register the servers hosted
-//! by the other processes with repeated
-//! `--peer id=1,addr=127.0.0.1:4871,threads=2` flags.  A peer's `owns=`
-//! field defaults to `auto` (the layout assigns its ranges); `full`,
-//! `none`, or an explicit `+`-joined range list
-//! (`owns=0x0-0x7fff+0xc000-0xffff`) pin them instead.  Migrations to a
-//! peer flow over dedicated TCP migration connections, and clients dial
-//! peers directly for data traffic.
-//!
-//! `--coordinator` controls metadata replication across processes: `auto`
-//! (default) runs the broker/coordinator loop whenever socket-addressed
-//! peers are registered, `on` forces it, `off` disables it.  The process
-//! hosting the lowest global server id acts as broker: it merges every
+//! With peers, the process runs the metadata broker/coordinator loop.  The
+//! live process with the lowest server id acts as broker: it merges every
 //! process's metadata replica, fans the result back out, and retries
-//! cancellation relays to partitioned peers until their replicas
-//! converge (watch `shadowfax-cli cluster status` and the `broker.*`
-//! metrics namespace).
+//! cancellation relays to partitioned peers until their replicas converge
+//! (watch `shadowfax-cli cluster status` and the `broker.*` metrics
+//! namespace).
 //!
 //! `--tier` points the process at a `shadowfax-tier` blob tier daemon:
 //! spill writes are mirrored there under a per-log lease and foreign logs'
@@ -64,42 +60,30 @@ use std::sync::Arc;
 use shadowfax::{parse_peer_spec, Cluster, ClusterConfig, ClusterLayout, PeerServer};
 use shadowfax_rpc::{
     ControlPlane, Coordinator, CoordinatorConfig, RemoteSharedTier, RemoteTierService, RpcServer,
-    RpcServerConfig, TcpMigrationConnector, TcpTransport,
+    RpcServerConfig, TcpTransport,
 };
-
-/// When the metadata broker/coordinator loop runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoordinatorMode {
-    /// Run it iff socket-addressed peers are registered (the default).
-    Auto,
-    /// Always run it (a solo coordinator answers `BROKER_STATUS` too).
-    On,
-    /// Never run it.
-    Off,
-}
 
 /// Exit code for malformed flags or an invalid layout (`EX_USAGE`),
 /// distinct from runtime failures (1).
 const EXIT_USAGE: i32 = 64;
 
-const USAGE: &str = "usage: shadowfax-server [--listen ADDR] [--servers N] [--threads T] \
-     [--io-threads I] [--layout scale-out|partitioned|ID=RANGES,...] [--base-id B] \
-     [--memory-pages P] [--sampling-ms MS] [--metrics-log-secs S] \
-     [--coordinator auto|on|off] [--tier HOST:PORT] \
-     [--peer id=I,addr=HOST:PORT[,threads=T][,owns=auto|full|none|RANGES]]...
+const USAGE: &str = "usage: shadowfax-server [--listen ADDR] [--servers 1] [--threads T] \
+     [--io-threads I] [--layout scale-out|partitioned|ID=RANGES,...] [--base-id ID] \
+     [--memory-pages P] [--sampling-ms MS] [--metrics-log-secs S] [--tier HOST:PORT] \
+     [--peer id=I,addr=HOST:PORT[,threads=T]]...
+One process hosts one server: --base-id is its id, and each --peer is another process.
 RANGES is a +-joined list of hex ranges, e.g. 0x0-0x7fff+0xc000-0xffff";
 
 struct Args {
     listen: String,
-    servers: usize,
     threads: usize,
     io_threads: usize,
     layout: ClusterLayout,
+    /// The id of the one server this process hosts.
     base_id: u32,
     memory_pages: Option<u64>,
     sampling_ms: Option<u64>,
     metrics_log_secs: u64,
-    coordinator: CoordinatorMode,
     tier: Option<String>,
     peers: Vec<PeerServer>,
 }
@@ -115,7 +99,6 @@ fn bad_args(detail: &str) -> ! {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:4870".to_string(),
-        servers: 2,
         threads: 2,
         io_threads: 2,
         layout: ClusterLayout::ScaleOut,
@@ -123,7 +106,6 @@ fn parse_args() -> Result<Args, String> {
         memory_pages: None,
         sampling_ms: None,
         metrics_log_secs: 30,
-        coordinator: CoordinatorMode::Auto,
         tier: None,
         peers: Vec::new(),
     };
@@ -136,7 +118,15 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--listen" => args.listen = value("--listen")?,
-            "--servers" => args.servers = parse_num("--servers", value("--servers")?)? as usize,
+            "--servers" => {
+                let n = parse_num("--servers", value("--servers")?)?;
+                if n != 1 {
+                    return Err(format!(
+                        "--servers must be 1, got {n}: one process hosts one server \
+                         (start one process per server and name the others with --peer)"
+                    ));
+                }
+            }
             "--threads" => args.threads = parse_num("--threads", value("--threads")?)? as usize,
             "--io-threads" => {
                 args.io_threads = parse_num("--io-threads", value("--io-threads")?)? as usize
@@ -163,16 +153,6 @@ fn parse_args() -> Result<Args, String> {
                 args.metrics_log_secs =
                     parse_num("--metrics-log-secs", value("--metrics-log-secs")?)?
             }
-            "--coordinator" => {
-                args.coordinator = match value("--coordinator")?.as_str() {
-                    "auto" => CoordinatorMode::Auto,
-                    "on" => CoordinatorMode::On,
-                    "off" => CoordinatorMode::Off,
-                    other => {
-                        return Err(format!("--coordinator must be auto|on|off, got {other:?}"))
-                    }
-                };
-            }
             "--tier" => {
                 let addr = value("--tier")?;
                 if !addr.contains(':') {
@@ -181,9 +161,16 @@ fn parse_args() -> Result<Args, String> {
                 args.tier = Some(addr);
             }
             "--peer" => {
-                let spec = value("--peer")?;
-                args.peers
-                    .push(parse_peer_spec(&spec).map_err(|e| e.to_string())?);
+                let peer = parse_peer_spec(&value("--peer")?).map_err(|e| e.to_string())?;
+                // One process hosts one server: two peers at one address
+                // would be two servers in one process.
+                if args.peers.iter().any(|p| p.address == peer.address) {
+                    return Err(format!(
+                        "--peer addr {} named twice: one process hosts one server",
+                        peer.address
+                    ));
+                }
+                args.peers.push(peer);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -192,8 +179,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.servers == 0 || args.threads == 0 {
-        return Err("--servers and --threads must be at least 1".into());
+    if args.threads == 0 {
+        return Err("--threads must be at least 1".into());
     }
     Ok(args)
 }
@@ -206,7 +193,7 @@ fn main() {
     let _ = shadowfax_net::raise_nofile_limit();
 
     let mut config = ClusterConfig::two_server_test();
-    config.servers = args.servers;
+    config.servers = 1;
     config.server_template.threads = args.threads;
     config.layout = args.layout;
     config.base_id = args.base_id;
@@ -225,13 +212,9 @@ fn main() {
         Ok(cluster) => Arc::new(cluster),
         Err(e) => bad_args(&format!("invalid cluster layout: {e}")),
     };
-    // Route outgoing migrations either onto the in-process fabric (peers in
-    // this process) or over dedicated TCP migration connections (peers
-    // registered with socket addresses).
-    cluster.set_migration_connector(TcpMigrationConnector::new(
-        Arc::clone(cluster.migration_network()),
-        TcpTransport::default(),
-    ));
+    // Every migration target is a peer process: dial it over a dedicated
+    // TCP migration connection.
+    cluster.set_migration_connector(Arc::new(TcpTransport::default()));
     // Resolve indirection records whose chains live in peer processes.
     // With `--tier`, spill writes mirror to the shared blob tier daemon and
     // foreign chains are read straight from it (peer chain-fetch demoted to
@@ -253,26 +236,18 @@ fn main() {
         cluster.set_tier_service(Arc::new(RemoteTierService::new(
             Arc::clone(cluster.shared_tier()),
             Arc::clone(cluster.meta()),
+            args.base_id as u64,
         )));
     }
-    // One coordinator candidate per peer *process*: socket-addressed peer
-    // servers grouped by address, ranked by the lowest id the process
-    // hosts (this process's rank is its base id).
-    let mut peer_ranks: std::collections::BTreeMap<String, u32> = std::collections::BTreeMap::new();
-    for peer in &args.peers {
-        if peer.address.contains(':') {
-            let rank = peer_ranks.entry(peer.address.clone()).or_insert(peer.id.0);
-            *rank = (*rank).min(peer.id.0);
-        }
-    }
-    let run_coordinator = match args.coordinator {
-        CoordinatorMode::On => true,
-        CoordinatorMode::Off => false,
-        CoordinatorMode::Auto => !peer_ranks.is_empty(),
-    };
-    let coordinator = run_coordinator.then(|| {
+    // With peers, replicate metadata: every peer is one process, ranked
+    // for election by its server id (this process's rank is its own id).
+    let coordinator = (!args.peers.is_empty()).then(|| {
         let mut config = CoordinatorConfig::new(args.listen.clone(), args.base_id);
-        config.peers = peer_ranks.into_iter().collect();
+        config.peers = args
+            .peers
+            .iter()
+            .map(|p| (p.address.clone(), p.id.0))
+            .collect();
         Coordinator::spawn(Arc::clone(&cluster), config)
     });
     // BROKER_STATUS replies carry the coordinator's role and the tier
@@ -300,13 +275,13 @@ fn main() {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "shadowfax-server: {} logical servers x {} dispatch threads, {} control i/o threads on {}",
-        args.servers,
+        "shadowfax-server: server {} x {} dispatch threads, {} control i/o threads on {}",
+        args.base_id,
         args.threads,
         args.io_threads,
         rpc.local_addr()
     );
-    // The resolved layout, one line per global id (local and peers alike).
+    // The resolved layout, one line per server id (this one and peers alike).
     let snapshot = cluster.meta().snapshot();
     let mut ids: Vec<_> = snapshot.servers.keys().copied().collect();
     ids.sort_unstable();

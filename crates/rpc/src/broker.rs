@@ -3,7 +3,7 @@
 //!
 //! Every serving process keeps its own [`shadowfax::MetadataStore`]; this
 //! module keeps those stores convergent.  One process — the *broker*, the
-//! live candidate with the lowest hosted global server id — owns the
+//! live candidate with the lowest server id — owns the
 //! authoritative copy: each tick it pulls every peer's epoch-tagged
 //! replica (`GET_META_REPLICA`), merges them (views, dependency flags and
 //! epochs only ever move forward, so the merge is a join), and fans the
@@ -24,8 +24,8 @@
 //! warning line), and relies on the regular replica fan-out to converge
 //! the peer if it ever returns — a returning peer resets its relay state.
 //!
-//! Election is deterministic: candidates are ranked by the lowest global
-//! server id their process hosts, and the lowest-ranked candidate that is
+//! Election is deterministic: a process hosts one server, candidates are
+//! ranked by that server's id, and the lowest-ranked candidate that is
 //! not silent past the liveness budget (reusing
 //! [`shadowfax_net::PeerLiveness`]) is the broker.  A follower that
 //! outlives every better-ranked candidate promotes itself and bumps the
@@ -57,9 +57,9 @@ use crate::ctrl::CtrlClient;
 pub struct CoordinatorConfig {
     /// This process's control address (what peers dial).
     pub self_addr: String,
-    /// This process's election rank: the lowest global server id it hosts.
+    /// This process's election rank: the id of the server it hosts.
     pub self_rank: u32,
-    /// Peer control addresses with their election ranks.
+    /// Peer control addresses with their election ranks (their server ids).
     pub peers: Vec<(String, u32)>,
     /// How often the coordinator loop runs.
     pub tick: Duration,
@@ -132,29 +132,16 @@ impl CoordinatorHandle {
     /// The current role/epoch/convergence answer for `GET_BROKER_STATUS`.
     pub fn status(&self) -> WireBrokerStatus {
         let state = self.state.lock().expect("coordinator state");
-        WireBrokerStatus {
-            role: state.role,
-            broker_addr: state.broker_addr.clone(),
-            epoch: self.cluster.meta().epoch(),
-            peers: state
-                .peers
-                .iter()
-                .map(|(addr, acked_epoch, reachable)| WireBrokerPeer {
-                    addr: addr.clone(),
-                    acked_epoch: *acked_epoch,
-                    reachable: *reachable,
-                })
-                .collect(),
-            // The tier endpoint is stamped in by the control plane when a
-            // daemon is configured; the coordinator itself has no tier.
-            tier_addr: String::new(),
-            tier_reachable: false,
-            cancel_escalated: self
-                .cluster
-                .metrics()
-                .gauge("broker.cancel.escalated")
-                .value(),
-        }
+        let peers = state
+            .peers
+            .iter()
+            .map(|(addr, acked_epoch, reachable)| WireBrokerPeer {
+                addr: addr.clone(),
+                acked_epoch: *acked_epoch,
+                reachable: *reachable,
+            })
+            .collect();
+        broker_status(&self.cluster, state.role, state.broker_addr.clone(), peers)
     }
 
     /// Refuses an operator mutation while this process is a follower
@@ -180,6 +167,26 @@ impl CoordinatorHandle {
         if let Some(thread) = self.thread.lock().expect("coordinator thread").take() {
             let _ = thread.join();
         }
+    }
+}
+
+/// The one producer of a `BROKER_STATUS` answer: a coordinator's state, or
+/// a solo process's (`Role::Solo`, no broker address, no peers).  The tier
+/// endpoint is stamped in by the control plane when a daemon is configured.
+pub(crate) fn broker_status(
+    cluster: &Cluster,
+    role: Role,
+    broker_addr: String,
+    peers: Vec<WireBrokerPeer>,
+) -> WireBrokerStatus {
+    WireBrokerStatus {
+        role,
+        broker_addr,
+        epoch: cluster.meta().epoch(),
+        peers,
+        tier_addr: String::new(),
+        tier_reachable: false,
+        cancel_escalated: cluster.metrics().gauge("broker.cancel.escalated").value(),
     }
 }
 

@@ -20,7 +20,6 @@ use shadowfax::{
 
 use crate::codec::WireOwnership;
 use crate::ctrl::{CtrlClient, RpcError};
-use crate::fabric::is_peer_socket_address;
 use crate::tcp::TcpTransport;
 
 /// Configuration of a [`RemoteClient`].
@@ -67,15 +66,24 @@ impl OwnershipSource for ControlPlaneOwnership {
     }
 }
 
+/// `true` if a registered address is a socket address (`"10.0.0.7:4871"`)
+/// rather than a fabric name (`"sv1"`, never a colon).  A serving process
+/// registers what it hosts under fabric names and every peer under a
+/// socket address, so this is how a remote client learns which servers its
+/// bootstrap process hosts.
+fn is_socket_address(address: &str) -> bool {
+    address.contains(':')
+}
+
 /// `wire` as a snapshot whose addresses are dial bases.  A server
 /// registered with a socket address lives in another serving process than
 /// the bootstrap one and is dialled directly (its fabric address is
-/// `sv<id>` by convention); bare fabric addresses are served by the
-/// bootstrap process.  Inverted ranges come from outside the process and
-/// are dropped, never asserted on.
+/// `sv<id>` by convention); fabric names are dialled at the address the
+/// client bootstrapped from.  Inverted ranges come from outside the process
+/// and are dropped, never asserted on.
 fn routes(wire: &WireOwnership, bootstrap: &str) -> OwnershipSnapshot {
     let servers = wire.servers.iter().map(|s| {
-        let address = if is_peer_socket_address(&s.address) {
+        let address = if is_socket_address(&s.address) {
             format!("{}/sv{}", s.address, s.id)
         } else {
             format!("{bootstrap}/{}", s.address)

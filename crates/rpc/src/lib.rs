@@ -23,11 +23,12 @@
 //! * [`RemoteClient`] — the out-of-process client: `shadowfax`'s one
 //!   client ([`shadowfax::ShadowfaxClient`]) with a serving process's
 //!   control plane as its ownership source and [`TcpTransport`] links.
-//!   Servers registered with socket addresses are dialled directly, so one
-//!   client spans a multi-process cluster.
-//! * [`TcpMigrationLink`] / [`TcpMigrationConnector`] — the migration data
-//!   plane: dedicated TCP connections carrying the view-tagged migration
-//!   protocol (`PrepForTransfer`, `TakeOwnership`, `PushHotRecords`,
+//!   Every other process's server is dialled directly, so one client spans
+//!   a multi-process cluster.
+//! * [`TcpMigrationLink`] — the migration data plane, opened by
+//!   [`TcpTransport`] as the server's migration connector: dedicated TCP
+//!   connections carrying the view-tagged migration protocol
+//!   (`PrepForTransfer`, `TakeOwnership`, `PushHotRecords`,
 //!   `PushRecordBatch`, `CompleteMigration`) between serving processes, so
 //!   hash-range ownership and the records underneath it move between OS
 //!   processes under live load.
@@ -51,11 +52,11 @@
 //!   cancellations, and the gate that makes a follower refuse operator
 //!   mutations while its broker is silent.
 //!
-//! Binaries: `shadowfax-server` hosts a cluster behind a listening socket;
-//! `shadowfax-cli` speaks the wire protocol (get/put/del/rmw/migrate/
-//! cluster/tier/metrics); `shadowfax-tier` is the tier daemon.  Throughput
-//! and latency are measured by the repository's `benchmark/` package, not
-//! from here.
+//! Binaries: `shadowfax-server` hosts one server behind a listening socket
+//! (a cluster is one process per server); `shadowfax-cli` speaks the wire
+//! protocol (get/put/del/rmw/migrate/cluster/tier/metrics);
+//! `shadowfax-tier` is the tier daemon.  Throughput and latency are
+//! measured by the repository's `benchmark/` package, not from here.
 
 #![warn(missing_docs)]
 
@@ -63,7 +64,6 @@ mod broker;
 mod client;
 pub mod codec;
 mod ctrl;
-mod fabric;
 mod framed;
 mod io_loop;
 mod server;
@@ -79,7 +79,6 @@ pub use codec::{
     MAX_FRAME_BYTES,
 };
 pub use ctrl::{CtrlClient, RpcError};
-pub use fabric::TcpMigrationConnector;
 pub use framed::OUTBOUND_BUDGET_BYTES;
 pub use server::{ControlPlane, RpcServer, RpcServerConfig, RpcServerHandle};
 pub use shadowfax::{ClientStats, OpCallback};

@@ -41,7 +41,7 @@ use shadowfax_net::{
 };
 use shadowfax_obs::{Counter, Histogram, MetricsRegistry};
 
-use crate::broker::CoordinatorHandle;
+use crate::broker::{broker_status, CoordinatorHandle};
 use crate::codec::{
     Role, WireBrokerStatus, WireMigrationState, WireMsg, WireOwnership, WireServerInfo,
     MAX_FRAME_BYTES,
@@ -157,19 +157,7 @@ impl ControlPlane {
     fn broker_status(&self) -> WireBrokerStatus {
         let mut status = match &self.coordinator {
             Some(coordinator) => coordinator.status(),
-            None => WireBrokerStatus {
-                role: Role::Solo,
-                broker_addr: String::new(),
-                epoch: self.cluster.meta().epoch(),
-                peers: Vec::new(),
-                tier_addr: String::new(),
-                tier_reachable: false,
-                cancel_escalated: self
-                    .cluster
-                    .metrics()
-                    .gauge("broker.cancel.escalated")
-                    .value(),
-            },
+            None => broker_status(&self.cluster, Role::Solo, String::new(), Vec::new()),
         };
         if let Some(tier) = &self.tier {
             status.tier_addr = tier.addr().to_string();

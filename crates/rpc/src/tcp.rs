@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use shadowfax::MigrationMsg;
+use shadowfax::{MigrationConnector, MigrationMsg, ServerId};
 use shadowfax_net::{
     BatchReply, KvLink, MigrationLink, MigrationSendError, RequestBatch, StatusCode, Transport,
     TransportError,
@@ -188,6 +188,21 @@ impl TcpTransport {
             label: format!("{sock_addr}/sv{server}/m{thread}"),
             _guard: None,
         })
+    }
+}
+
+/// The production migration routing rule: every peer is another serving
+/// process, dialled at its registered socket address.
+impl MigrationConnector for TcpTransport {
+    fn connect_migration(
+        &self,
+        address: &str,
+        server: ServerId,
+        thread: usize,
+    ) -> Option<Box<dyn MigrationLink<MigrationMsg>>> {
+        TcpTransport::connect_migration(self, address, server.0, thread as u32)
+            .ok()
+            .map(|link| Box::new(link) as Box<dyn MigrationLink<MigrationMsg>>)
     }
 }
 

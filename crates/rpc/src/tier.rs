@@ -4,10 +4,11 @@
 //! `(log id, address)` location on the shared tier instead of reading its
 //! own stable storage (paper §3.3.2).  In-process deployments resolve those
 //! against the process-local `SharedBlobTier`.  [`RemoteTierService`] lifts
-//! that to multi-process deployments: when the named log belongs to a peer
-//! registered with a socket address, the fetch is routed over TCP as a
-//! view-tagged `FetchChain` request and the peer's `RpcServer` walks the
-//! chain out of its shared-tier log, returning the records in one batch.
+//! that to multi-process deployments: a log id is its server's id, so any
+//! log but the process's own belongs to a peer process, and its fetch is
+//! routed over TCP as a view-tagged `FetchChain` request; the peer's
+//! `RpcServer` walks the chain out of its shared-tier log, returning the
+//! records in one batch.
 //!
 //! Failure semantics matter here: a chain that cannot be fetched right now
 //! (peer down, fetch rejected) is reported as
@@ -38,7 +39,6 @@ use shadowfax_storage::{
 };
 
 use crate::ctrl::{CtrlClient, PersistentCtrl, RpcError};
-use crate::fabric::is_peer_socket_address;
 use crate::tierd::MAX_TIER_READ_BYTES;
 
 /// Resume-address pages fetched per chain before giving up.  With the
@@ -60,11 +60,13 @@ const PEER_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long chain fetches avoid a peer after a connection failure.
 const FETCH_BACKOFF: Duration = Duration::from_millis(250);
 
-/// A `TierService` that reads local logs from the process's own shared tier
-/// and fetches chains of remote logs from the peer process hosting them.
+/// A `TierService` that reads the process's own log from its shared tier
+/// and fetches chains of every other log from the peer process hosting it.
 pub struct RemoteTierService {
     local: Arc<SharedBlobTier>,
     meta: Arc<MetadataStore>,
+    /// This process's server id, which is also its log id.
+    own: u64,
     /// One persistent control connection per peer address.
     peers: Mutex<HashMap<String, Arc<PersistentCtrl>>>,
 }
@@ -79,11 +81,13 @@ impl std::fmt::Debug for RemoteTierService {
 
 impl RemoteTierService {
     /// Creates a service over this process's shared tier and metadata store
-    /// (whose peer registrations map log ids to socket addresses).
-    pub fn new(local: Arc<SharedBlobTier>, meta: Arc<MetadataStore>) -> Self {
+    /// (whose peer registrations map log ids to socket addresses); `own` is
+    /// the id of the server this process hosts.
+    pub fn new(local: Arc<SharedBlobTier>, meta: Arc<MetadataStore>, own: u64) -> Self {
         RemoteTierService {
             local,
             meta,
+            own,
             peers: Mutex::new(HashMap::new()),
         }
     }
@@ -167,9 +171,12 @@ impl shadowfax_storage::TierService for RemoteTierService {
     }
 
     fn fetch_chain(&self, req: &ChainFetchRequest) -> ChainFetch {
-        // The log id is the owning server's cluster id; its registered
-        // address decides local vs remote (the same convention the
-        // migration connector uses).
+        // The log id is the owning server's cluster id: this process's own
+        // log is read here, any other is fetched from its registered
+        // address.
+        if req.log.0 == self.own {
+            return ChainFetch::Local;
+        }
         let snapshot = self.meta.snapshot();
         let Some(owner) = snapshot.server(ServerId(req.log.0 as u32)) else {
             return ChainFetch::Unavailable(format!(
@@ -177,9 +184,6 @@ impl shadowfax_storage::TierService for RemoteTierService {
                 req.log
             ));
         };
-        if !is_peer_socket_address(&owner.address) {
-            return ChainFetch::Local;
-        }
         self.fetch_remote(&owner.address.clone(), req)
     }
 }
@@ -233,10 +237,9 @@ const DAEMON_BACKOFF: Duration = Duration::from_millis(500);
 pub struct RemoteSharedTier {
     addr: String,
     local: Arc<SharedBlobTier>,
-    meta: Arc<MetadataStore>,
     fallback: RemoteTierService,
-    /// The lease holder id presented to the daemon (this process's base
-    /// server id).
+    /// This process's server id: the lease holder id presented to the
+    /// daemon, and the id of the one log this process hosts.
     holder: u64,
     /// The persistent control connection to the daemon.
     daemon: PersistentCtrl,
@@ -269,8 +272,9 @@ impl std::fmt::Debug for RemoteSharedTier {
 
 impl RemoteSharedTier {
     /// Creates the process's view of the daemon at `addr`, registering its
-    /// `tier.remote.*` instruments on `registry`.  `holder` is the lease
-    /// holder id presented on appends (use the process's base server id).
+    /// `tier.remote.*` instruments on `registry`.  `holder` is the id of
+    /// the server this process hosts: the lease holder id presented on
+    /// appends, and the one log resolved locally.
     pub fn new(
         addr: String,
         local: Arc<SharedBlobTier>,
@@ -278,14 +282,13 @@ impl RemoteSharedTier {
         holder: u64,
         registry: &MetricsRegistry,
     ) -> Arc<Self> {
-        let fallback = RemoteTierService::new(Arc::clone(&local), Arc::clone(&meta));
+        let fallback = RemoteTierService::new(Arc::clone(&local), meta, holder);
         let reachable = registry.gauge("tier.remote.reachable");
         reachable.set(1);
         Arc::new(RemoteSharedTier {
             daemon: PersistentCtrl::new(&addr, PEER_TIMEOUT, DAEMON_BACKOFF),
             addr,
             local,
-            meta,
             fallback,
             holder,
             log_down_until: Mutex::new(HashMap::new()),
@@ -500,14 +503,10 @@ impl shadowfax_storage::TierService for RemoteSharedTier {
     }
 
     fn fetch_chain(&self, req: &ChainFetchRequest) -> ChainFetch {
-        let snapshot = self.meta.snapshot();
-        let owner_is_remote = match snapshot.server(ServerId(req.log.0 as u32)) {
-            Some(owner) => is_peer_socket_address(&owner.address),
-            // Deregistered owner: the daemon can still serve the chain —
-            // one of the capabilities a genuinely shared tier adds.
-            None => true,
-        };
-        if !owner_is_remote {
+        // Any log but this process's own is remote, including one whose
+        // owner was deregistered: the daemon can still serve its chain —
+        // one of the capabilities a genuinely shared tier adds.
+        if req.log.0 == self.holder {
             return ChainFetch::Local;
         }
         if !self.daemon_is_down() && !self.log_is_down(req.log.0) {
@@ -614,6 +613,51 @@ mod tests {
         assert!(buf[64..128].iter().all(|&b| b == 2));
         assert!(buf[128..].iter().all(|&b| b == 3));
         daemon.shutdown();
+    }
+
+    /// A loopback address nothing listens on: a dial fails at once.
+    fn dead_addr() -> String {
+        let sock = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        sock.local_addr().unwrap().to_string()
+    }
+
+    fn chain_of(log: u64) -> ChainFetchRequest {
+        ChainFetchRequest {
+            log: LogId(log),
+            address: 64,
+            key: 1,
+            requester: 3,
+            view: 1,
+        }
+    }
+
+    /// Locality is decided by server id, never by address syntax: this
+    /// process's own server, registered under a socket address, still
+    /// resolves its log locally, and a foreign log takes the remote path.
+    #[test]
+    fn own_log_is_local_by_id_and_foreign_logs_are_remote() {
+        let meta = MetadataStore::new();
+        meta.register_server(ServerId(3), dead_addr(), 2, shadowfax::RangeSet::full());
+        let peer = dead_addr();
+        meta.register_server(ServerId(4), peer.clone(), 2, shadowfax::RangeSet::empty());
+        let local = SharedBlobTier::new(1 << 20);
+
+        let service = RemoteTierService::new(Arc::clone(&local), Arc::clone(&meta), 3);
+        assert_eq!(service.fetch_chain(&chain_of(3)), ChainFetch::Local);
+        match service.fetch_chain(&chain_of(4)) {
+            ChainFetch::Unavailable(why) => assert!(why.contains(&peer), "{why}"),
+            other => panic!("a foreign log must be fetched from its peer: {other:?}"),
+        }
+
+        // With a tier daemon configured, a foreign log is read off the
+        // daemon (counted as a direct chain walk); the own log never is.
+        let registry = MetricsRegistry::new();
+        let shared = RemoteSharedTier::new(dead_addr(), local, meta, 3, &registry);
+        assert_eq!(shared.fetch_chain(&chain_of(3)), ChainFetch::Local);
+        let direct = || registry.snapshot().counter("tier.remote.direct_chains");
+        assert_eq!(direct(), Some(0), "the own log went to the daemon");
+        assert_eq!(shared.fetch_chain(&chain_of(4)), ChainFetch::Local);
+        assert_eq!(direct(), Some(1), "a foreign log did not go to the daemon");
     }
 
     #[test]

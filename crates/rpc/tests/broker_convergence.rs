@@ -3,7 +3,7 @@
 //!
 //! Three single-server processes under the scale-out layout (server 0 in
 //! process 0 owns the whole hash space; servers 1 and 2 idle).  Process 0
-//! hosts the lowest global id, so it is the broker.  The test drives:
+//! hosts the lowest server id, so it is the broker.  The test drives:
 //!
 //! 1. **A migration originated via a non-source process, under live
 //!    load.**  `migrate start 0 -> 1` is issued against process 2's
@@ -90,8 +90,8 @@ fn broker_replicates_relays_and_converges_cancellations() {
     let addr1 = cluster.addr(1).to_string();
     let addr2 = cluster.addr(2).to_string();
 
-    // Every process runs a coordinator (`--coordinator auto` with peers
-    // registered); the lowest hosted id makes process 0 the broker.
+    // Every process runs a coordinator (it has peers); the lowest server
+    // id makes process 0 the broker.
     let mut ctrl0 = CtrlClient::connect(&addr0, CTRL_TIMEOUT).expect("ctrl to process 0");
     let mut ctrl1 = CtrlClient::connect(&addr1, CTRL_TIMEOUT).expect("ctrl to process 1");
     let mut ctrl2 = CtrlClient::connect(&addr2, CTRL_TIMEOUT).expect("ctrl to process 2");
@@ -274,7 +274,6 @@ fn broker_replicates_relays_and_converges_cancellations() {
     let _revived = ServerSpawn {
         log_name: "broker_convergence_p2_revived".into(),
         listen_port: port2,
-        servers: 1,
         threads: 2,
         base_id: 2,
         layout: Some("scale-out".into()),

@@ -104,7 +104,6 @@ fn park_connections(addr: &str, n: usize) -> Vec<TcpStream> {
 fn spawn_server(name: &str) -> ServerProcess {
     ServerSpawn {
         log_name: format!("connscale_{name}"),
-        servers: 1,
         threads: DISPATCH_THREADS,
         io_threads: Some(2),
         ..ServerSpawn::default()

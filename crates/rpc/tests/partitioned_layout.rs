@@ -384,9 +384,8 @@ fn three_process_partitioned_cluster_routes_migrates_and_cancels() {
             "process {i}: shared-tier counter family missing: {:?}",
             snap.counters
         );
-        let id = cluster.ids(i)[0];
         assert!(
-            snap.gauge(&format!("sv{id}.ops.pending")).is_some(),
+            snap.gauge(&format!("sv{i}.ops.pending")).is_some(),
             "process {i}: per-server gauge family missing: {:?}",
             snap.gauges
         );

@@ -1,9 +1,10 @@
-//! End-to-end test with real OS processes: spawns the `shadowfax-server`
-//! binary, then drives it with the `shadowfax-cli` binary over loopback TCP
-//! — the acceptance path for the serving binaries.
+//! End-to-end test with real OS processes: spawns two `shadowfax-server`
+//! processes (one server each), then drives them with the `shadowfax-cli`
+//! binary over loopback TCP — the acceptance path for the serving
+//! binaries.  The CLI's migration from server 0 to server 1 crosses TCP.
 //!
 //! After the drive it pushes a pipelined burst through a `RemoteClient`
-//! and pulls the server's metrics snapshot over GET_METRICS: the
+//! and pulls process 0's metrics snapshot over GET_METRICS: the
 //! serving-path latency histograms must have recorded it.
 
 use std::process::Command;
@@ -13,7 +14,7 @@ use shadowfax_net::{KvRequest, SessionConfig};
 use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig};
 
 mod util;
-use util::{ClusterSpec, ProcessSpec};
+use util::ClusterSpec;
 
 fn cli(addr: &str, args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_shadowfax-cli"))
@@ -31,18 +32,9 @@ fn cli(addr: &str, args: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn server_and_cli_as_separate_processes() {
-    // One process hosting two logical servers under the scale-out layout
-    // (server 0 owns everything, server 1 idles).
-    let cluster = ClusterSpec {
-        name: "process_loopback",
-        layout: "scale-out",
-        tier: false,
-        processes: vec![ProcessSpec {
-            servers: 2,
-            ..ProcessSpec::default()
-        }],
-    }
-    .spawn();
+    // Two one-server processes under the scale-out layout (server 0 owns
+    // everything, server 1 idles); the CLI talks to process 0.
+    let cluster = ClusterSpec::n_processes("process_loopback", "scale-out", 2).spawn();
     let addr = cluster.addr(0).to_string();
 
     // Liveness.
@@ -71,13 +63,14 @@ fn server_and_cli_as_separate_processes() {
     let (ok, _, _) = cli(&addr, &["get", "42"]);
     assert!(!ok, "get of a deleted key should exit non-zero");
 
-    // Ownership map names both logical servers.
+    // Ownership map names both servers.
     let (ok, stdout, _) = cli(&addr, &["cluster", "layout"]);
     assert!(ok);
     assert!(stdout.contains("server 0"), "{stdout}");
     assert!(stdout.contains("server 1"), "{stdout}");
 
-    // Migrate half the space to the idle server, then keep serving reads.
+    // Migrate half the space to the idle server in the other process, then
+    // keep serving reads.
     let (ok, stdout, stderr) = cli(&addr, &["migrate", "start", "0", "1", "0.5"]);
     assert!(ok, "migrate failed: {stderr}");
     assert!(stdout.contains("migration"), "{stdout}");
@@ -97,6 +90,26 @@ fn server_and_cli_as_separate_processes() {
             "get after migration never succeeded: ok={ok} out={stdout} err={stderr}"
         );
         std::thread::sleep(Duration::from_millis(200));
+    }
+
+    // The target is the other process: it owns half the space once the
+    // records have crossed the TCP migration link.
+    let mut ctrl1 = CtrlClient::connect(cluster.addr(1), Duration::from_secs(5)).expect("ctrl 1");
+    loop {
+        let ownership = ctrl1.ownership().expect("ownership at process 1");
+        let sv1 = ownership
+            .servers
+            .iter()
+            .find(|s| s.id == 1)
+            .expect("server 1");
+        if !sv1.ranges.is_empty() {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "process 1 never took ownership: {ownership:?}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
     }
 
     // A short pipelined burst over the real socket: alternating upserts

@@ -23,7 +23,6 @@ use util::ServerSpawn;
 fn slow_reader_is_dropped_without_stalling_siblings() {
     let server = ServerSpawn {
         log_name: "slow_reader".into(),
-        servers: 1,
         threads: 2,
         // One control I/O thread: the victim, the sibling's ownership
         // lookups, and the metrics connection all share it, so any stall

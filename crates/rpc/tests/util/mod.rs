@@ -3,15 +3,16 @@
 //!
 //! Three layers:
 //!
-//! * [`ServerSpawn`] — one `shadowfax-server` process: builds the command
-//!   line, spawns, parses the `LISTENING` banner, and kills the process on
-//!   drop (which is what the CI leaked-process assert relies on).
+//! * [`ServerSpawn`] — one `shadowfax-server` process, which hosts one
+//!   server: builds the command line, spawns, parses the `LISTENING`
+//!   banner, and kills the process on drop (which is what the CI
+//!   leaked-process assert relies on).
 //! * [`TierSpawn`] — one `shadowfax-tier` blob tier daemon, same banner
 //!   protocol and kill-on-drop discipline.
 //! * [`ClusterSpec`] / [`ProcessCluster`] — an N-process cluster with a
 //!   declared [`ClusterLayout`](`--layout`) spec: allocates one port per
-//!   process, cross-registers every process's servers as `--peer`s of all
-//!   the others, optionally spawns a shared tier daemon and points every
+//!   process, gives process `i` server id `i`, registers every process as a
+//!   `--peer` of all the others, optionally spawns a shared tier daemon and points every
 //!   process at it with `--tier`, spawns them in order, waits for every
 //!   readiness banner, and captures each process's stderr to its own log
 //!   file under `target/test-logs/`.
@@ -53,13 +54,11 @@ pub struct ServerSpawn {
     pub log_name: String,
     /// Port to listen on (0 picks an ephemeral one).
     pub listen_port: u16,
-    /// `--servers`.
-    pub servers: usize,
     /// `--threads`.
     pub threads: usize,
     /// `--io-threads` (`None` keeps the server's default).
     pub io_threads: Option<usize>,
-    /// `--base-id`.
+    /// `--base-id`: the id of the process's one server.
     pub base_id: u32,
     /// `--layout` spec (`None` keeps the server's scale-out default).
     pub layout: Option<String>,
@@ -70,7 +69,7 @@ pub struct ServerSpawn {
     pub sampling_ms: Option<u64>,
     /// `--tier` address of a shared blob tier daemon.
     pub tier: Option<String>,
-    /// `--peer` specs registering servers in other processes.
+    /// `--peer` specs registering the other processes.
     pub peers: Vec<String>,
 }
 
@@ -79,7 +78,6 @@ impl Default for ServerSpawn {
         ServerSpawn {
             log_name: String::new(),
             listen_port: 0,
-            servers: 2,
             threads: 2,
             io_threads: None,
             base_id: 0,
@@ -107,8 +105,6 @@ impl ServerSpawn {
         cmd.args([
             "--listen",
             &format!("127.0.0.1:{}", self.listen_port),
-            "--servers",
-            &self.servers.to_string(),
             "--threads",
             &self.threads.to_string(),
             "--base-id",
@@ -239,12 +235,10 @@ impl Drop for TierProcess {
     }
 }
 
-/// One process of a declarative [`ClusterSpec`].
+/// One process of a declarative [`ClusterSpec`]; process `i` hosts server
+/// `i`.
 pub struct ProcessSpec {
-    /// Number of logical servers this process hosts (`--servers`); global
-    /// ids are assigned contiguously across the spec's processes.
-    pub servers: usize,
-    /// `--threads` per server.
+    /// `--threads`.
     pub threads: usize,
     /// `--memory-pages` override.
     pub memory_pages: Option<u64>,
@@ -255,7 +249,6 @@ pub struct ProcessSpec {
 impl Default for ProcessSpec {
     fn default() -> Self {
         ProcessSpec {
-            servers: 1,
             threads: 2,
             memory_pages: None,
             sampling_ms: None,
@@ -264,15 +257,15 @@ impl Default for ProcessSpec {
 }
 
 /// A declarative N-process cluster: every process gets the same `--layout`
-/// and a `--peer` registration for every server the other processes host,
-/// so each process's metadata store resolves the identical ownership map.
+/// and a `--peer` registration for every other process, so each process's
+/// metadata store resolves the identical ownership map.
 pub struct ClusterSpec {
     /// Log-file prefix; process `i` logs to `target/test-logs/{name}_p{i}.log`.
     pub name: &'static str,
     /// The `--layout` spec passed to every process
     /// (`"scale-out"`, `"partitioned"`, or an explicit assignment list).
     pub layout: &'static str,
-    /// The processes, in base-id order.
+    /// The processes, in server-id order.
     pub processes: Vec<ProcessSpec>,
     /// Spawn a `shadowfax-tier` daemon and point every process at it with
     /// `--tier` (the shared blob tier path; off keeps peer chain-fetch).
@@ -280,7 +273,7 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// A spec with `n` single-server processes (the common shape).
+    /// A spec with `n` default processes.
     pub fn n_processes(name: &'static str, layout: &'static str, n: usize) -> Self {
         ClusterSpec {
             name,
@@ -302,42 +295,28 @@ impl ClusterSpec {
             .spawn()
         });
         let ports: Vec<u16> = self.processes.iter().map(|_| free_port()).collect();
-        // Contiguous global ids: process i hosts base_id(i) .. +servers.
-        let mut base_ids = Vec::with_capacity(self.processes.len());
-        let mut next_id = 0u32;
-        for p in &self.processes {
-            base_ids.push(next_id);
-            next_id += p.servers as u32;
-        }
-        let ids: Vec<Vec<u32>> = self
-            .processes
-            .iter()
-            .zip(&base_ids)
-            .map(|(p, base)| (0..p.servers as u32).map(|i| base + i).collect())
-            .collect();
         let mut procs = Vec::with_capacity(self.processes.len());
         for (i, p) in self.processes.iter().enumerate() {
-            // Every server hosted by every *other* process is a peer.
+            // Every *other* process is a peer.
             let peers = self
                 .processes
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .flat_map(|(j, other)| {
-                    let port = ports[j];
-                    ids[j].iter().map(move |gid| {
-                        format!("id={gid},addr=127.0.0.1:{port},threads={}", other.threads)
-                    })
+                .map(|(j, other)| {
+                    format!(
+                        "id={j},addr=127.0.0.1:{},threads={}",
+                        ports[j], other.threads
+                    )
                 })
                 .collect();
             procs.push(
                 ServerSpawn {
                     log_name: format!("{}_p{i}", self.name),
                     listen_port: ports[i],
-                    servers: p.servers,
                     threads: p.threads,
                     io_threads: None,
-                    base_id: base_ids[i],
+                    base_id: i as u32,
                     layout: Some(self.layout.to_string()),
                     memory_pages: p.memory_pages,
                     sampling_ms: p.sampling_ms,
@@ -347,14 +326,14 @@ impl ClusterSpec {
                 .spawn(),
             );
         }
-        ProcessCluster { procs, ids, tier }
+        ProcessCluster { procs, tier }
     }
 }
 
-/// A running N-process cluster.  Every process is killed on drop.
+/// A running N-process cluster: process `i` hosts server `i`.  Every
+/// process is killed on drop.
 pub struct ProcessCluster {
     procs: Vec<ServerProcess>,
-    ids: Vec<Vec<u32>>,
     tier: Option<TierProcess>,
 }
 
@@ -362,11 +341,6 @@ impl ProcessCluster {
     /// The socket address process `i` announced.
     pub fn addr(&self, i: usize) -> &str {
         &self.procs[i].addr
-    }
-
-    /// The global server ids process `i` hosts.
-    pub fn ids(&self, i: usize) -> &[u32] {
-        &self.ids[i]
     }
 
     /// Number of processes.
