@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use shadowfax::{HashRange, RangeSet};
 use shadowfax_epoch::EpochManager;
 use shadowfax_faster::{Faster, FasterConfig, KeyHash};
-use shadowfax_net::{KvRequest, RequestBatch, WireSize};
+use shadowfax_net::{KvRequest, RequestBatch};
 use shadowfax_storage::SimSsd;
 use shadowfax_workload::{WorkloadConfig, WorkloadGenerator};
 

@@ -11,8 +11,8 @@
 
 use shadowfax_bench::calibrate::{calibrate, CalibrationConfig};
 use shadowfax_bench::model::batch_size_sweep;
+use shadowfax_bench::profile::NetworkProfile;
 use shadowfax_bench::report::{banner, human_duration, mops, Table};
-use shadowfax_net::NetworkProfile;
 
 fn main() {
     banner(

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use shadowfax::{ClientConfig, Cluster, ClusterConfig};
 use shadowfax_bench::calibrate::{calibrate, CalibrationConfig};
 use shadowfax_bench::model::{cluster_scaling, saturation_for_profile};
+use shadowfax_bench::profile::NetworkProfile;
 use shadowfax_bench::report::{banner, mops, Table};
-use shadowfax_net::NetworkProfile;
 use shadowfax_workload::{WorkloadConfig, WorkloadGenerator};
 
 fn live_cluster_ops(servers: usize, seconds: u64) -> f64 {

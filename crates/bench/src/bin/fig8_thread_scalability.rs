@@ -8,8 +8,8 @@
 
 use shadowfax_bench::calibrate::{calibrate, CalibrationConfig};
 use shadowfax_bench::model::shadowfax_scaling;
+use shadowfax_bench::profile::NetworkProfile;
 use shadowfax_bench::report::{banner, mops, Table};
-use shadowfax_net::NetworkProfile;
 
 fn main() {
     banner(

@@ -7,8 +7,8 @@
 
 use shadowfax_bench::calibrate::{calibrate, CalibrationConfig};
 use shadowfax_bench::model::saturation_for_profile;
+use shadowfax_bench::profile::NetworkProfile;
 use shadowfax_bench::report::{banner, human_duration, mops, Table};
-use shadowfax_net::NetworkProfile;
 
 fn main() {
     banner(

@@ -11,13 +11,13 @@ use std::time::{Duration, Instant};
 use shadowfax::{HashRange, RangeSet};
 use shadowfax_baselines::PartitionedStore;
 use shadowfax_faster::{Faster, FasterConfig, KeyHash};
-use shadowfax_net::{KvRequest, RequestBatch, WireSize};
+use shadowfax_net::{KvRequest, RequestBatch};
 use shadowfax_storage::SimSsd;
 use shadowfax_workload::{WorkloadConfig, WorkloadGenerator};
 
 /// The per-operation service time the paper's evaluation machine achieves at
 /// saturation (64 threads serving ≈130 Mops/s ⇒ ≈492 ns per operation per
-/// thread, §4.2).  Transport CPU costs in `shadowfax-net::NetworkProfile` are
+/// thread, §4.2).  The transport CPU costs in [`crate::profile`] are
 /// expressed for that machine; [`Calibration::cpu_scale_vs_paper`] converts
 /// them to this machine's speed so the *ratio* of transport cost to operation
 /// cost — which is what determines every Figure 8/9/Table 2 shape — is

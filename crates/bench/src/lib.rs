@@ -6,7 +6,10 @@
 //! * [`calibrate`] — measures this machine's primitive costs (FASTER
 //!   operation service times under Zipfian and uniform keys, the partitioned
 //!   baseline's local and cross-core costs, per-batch validation costs).
-//! * [`model`] — combines the measured costs with the paper's transport
+//! * [`profile`] — the paper's Table 2 transports as CPU-cost and delay
+//!   profiles.  Only [`model`] reads them: no live transport charges a
+//!   modelled cost.
+//! * [`model`] — combines the measured costs with those transport
 //!   cost profiles to produce the thread-scaling and latency results
 //!   (Figures 8–9, Table 2, Figure 15, and the 8-server scaling claim).  The
 //!   evaluation machine has a single vCPU, so multi-core scaling cannot be
@@ -23,5 +26,6 @@
 
 pub mod calibrate;
 pub mod model;
+pub mod profile;
 pub mod report;
 pub mod timeline;

@@ -3,8 +3,8 @@
 //! The evaluation machine exposes a single vCPU, so the paper's thread-count
 //! sweeps (64-thread VMs, Figures 8–9, Table 2) cannot be observed directly.
 //! Instead, these models combine costs *measured on real code* (see
-//! [`crate::calibrate`]) with the transport cost profiles from
-//! `shadowfax-net` to predict saturation throughput, required batch size, and
+//! [`crate::calibrate`]) with the transport cost profiles in
+//! [`crate::profile`] to predict saturation throughput, required batch size, and
 //! median latency per thread count — the same cost structure the paper's
 //! analysis attributes the results to.  The headline shapes (linear scaling
 //! for Shadowfax tracking local FASTER, ~1.7× loss without accelerated
@@ -14,9 +14,8 @@
 
 use std::time::Duration;
 
-use shadowfax_net::NetworkProfile;
-
 use crate::calibrate::Calibration;
+use crate::profile::NetworkProfile;
 
 /// Request/response sizes of one YCSB-F read-modify-write on the wire.
 pub const RMW_REQUEST_BYTES: usize = 20;

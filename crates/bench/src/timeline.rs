@@ -211,8 +211,6 @@ pub fn run_scaleout(config: ScaleOutConfig) -> ScaleOutResult {
         servers: 2,
         base_id: 0,
         peers: Vec::new(),
-        kv_profile: shadowfax::NetworkProfile::instant(),
-        migration_profile: shadowfax::NetworkProfile::instant(),
         shared_tier_capacity: 8 << 30,
         layout: shadowfax::ClusterLayout::ScaleOut,
     });

@@ -395,7 +395,7 @@ impl<O: OwnershipSource> ShadowfaxClient<O> {
 mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-    use shadowfax_net::{BatchReply, Connection, NetworkProfile, RequestBatch};
+    use shadowfax_net::{BatchReply, Connection, RequestBatch};
 
     use super::*;
     use crate::hash_range::RangeSet;
@@ -457,7 +457,7 @@ mod tests {
     }
 
     fn fixture(servers: &[(u32, u64, bool)]) -> Fixture {
-        let net = KvNetwork::new(NetworkProfile::instant());
+        let net = KvNetwork::new();
         let source = Scripted::default();
         source.install(servers);
         let client = ShadowfaxClient::with_source(

@@ -10,7 +10,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use shadowfax_net::NetworkProfile;
 use shadowfax_obs::{Counter, MetricsRegistry};
 use shadowfax_storage::{LogId, SharedBlobTier, TierRecord, TierService};
 
@@ -184,10 +183,6 @@ pub struct ClusterConfig {
     /// The servers other OS processes host, one each, registered with this
     /// process's metadata store at startup.
     pub peers: Vec<PeerServer>,
-    /// Network cost profile for the client/server fabric.
-    pub kv_profile: NetworkProfile,
-    /// Network cost profile for the server/server (migration) fabric.
-    pub migration_profile: NetworkProfile,
     /// Capacity of each server's log space on the shared blob tier.
     pub shared_tier_capacity: u64,
     /// How initial ownership is assigned across the cluster's *global* ids
@@ -207,8 +202,6 @@ impl ClusterConfig {
             servers: 2,
             base_id: 0,
             peers: Vec::new(),
-            kv_profile: NetworkProfile::instant(),
-            migration_profile: NetworkProfile::instant(),
             shared_tier_capacity: 1 << 30,
             layout: ClusterLayout::ScaleOut,
         }
@@ -221,8 +214,6 @@ impl ClusterConfig {
             servers: n,
             base_id: 0,
             peers: Vec::new(),
-            kv_profile: NetworkProfile::instant(),
-            migration_profile: NetworkProfile::instant(),
             shared_tier_capacity: 1 << 30,
             layout: ClusterLayout::Partitioned,
         }
@@ -282,8 +273,8 @@ impl Cluster {
         let mut assignment = config.layout.resolve(&members)?;
 
         let meta = MetadataStore::new();
-        let kv_net: Arc<KvNetwork> = KvNetwork::new(config.kv_profile);
-        let mig_net: Arc<MigrationNetwork> = MigrationNetwork::new(config.migration_profile);
+        let kv_net: Arc<KvNetwork> = KvNetwork::new();
+        let mig_net: Arc<MigrationNetwork> = MigrationNetwork::new();
         let shared_tier = SharedBlobTier::new(config.shared_tier_capacity);
         let metrics = Arc::new(MetricsRegistry::new());
         let chain_stats = ChainFetchStats::registered(&metrics);

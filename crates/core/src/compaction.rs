@@ -138,7 +138,6 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::hash_range::{HashRange, RangeSet};
     use crate::server::{MigrationConnector, MigrationNetwork};
-    use shadowfax_net::NetworkProfile;
 
     /// Opens links whose peer endpoint is already gone, so every send on
     /// them fails.
@@ -146,7 +145,7 @@ mod tests {
 
     impl MigrationConnector for DroppedPeer {
         fn connect_migration(&self, _: &str, _: ServerId, _: usize) -> Option<ServerMigConn> {
-            let net = MigrationNetwork::new(NetworkProfile::instant());
+            let net = MigrationNetwork::new();
             let listener = net.listen("gone");
             let link = net.connect("gone")?;
             drop(listener.try_accept());

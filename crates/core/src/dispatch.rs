@@ -23,7 +23,7 @@
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -249,9 +249,9 @@ impl ConnTable {
         any
     }
 
-    /// Harvests socket readiness.  `timeout` of zero while busy, `None` (or
-    /// a sim-delivery deadline) to park.  Returns `(woken by notify, number
-    /// of sockets that became ready)`.
+    /// Harvests socket readiness.  `timeout` of zero while busy, `None` to
+    /// park.  Returns `(woken by notify, number of sockets that became
+    /// ready)`.
     pub(crate) fn poll(&mut self, timeout: Option<Duration>) -> (bool, usize) {
         let zero = timeout == Some(Duration::ZERO);
         if zero && self.sockets == 0 {
@@ -413,25 +413,12 @@ impl ConnTable {
         });
         reaped
     }
-
-    /// The earliest instant an in-process link's held-back message becomes
-    /// deliverable; a thread about to park waits no longer than this.
-    pub(crate) fn next_deliverable_at(&self) -> Option<Instant> {
-        self.fdless
-            .iter()
-            .filter_map(|idx| self.slots[*idx as usize].conn.as_ref())
-            .filter_map(|conn| match &conn.link {
-                Link::Kv(l) => l.next_deliverable_at(),
-                Link::Mig(l) => l.next_deliverable_at(),
-            })
-            .min()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadowfax_net::{NetworkProfile, RequestBatch, SimNetwork};
+    use shadowfax_net::{RequestBatch, SimNetwork};
 
     type Net = SimNetwork<RequestBatch, BatchReply>;
 
@@ -445,7 +432,7 @@ mod tests {
 
     #[test]
     fn a_reaped_connections_id_never_reaches_the_slots_next_tenant() {
-        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<Net> = SimNetwork::new();
         let mut table = ConnTable::new(Mailbox::new());
         let (first_client, first) = sim_link(&net, "a");
         table.insert(first);

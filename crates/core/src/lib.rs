@@ -78,7 +78,7 @@ pub use recovery::{CrashedServer, RecoveryOutcome};
 pub use server::{KvNetwork, MigrationConnector, MigrationNetwork, Server, ServerHandle};
 
 // Re-export the request/response types clients interact with.
-pub use shadowfax_net::{KvRequest, KvResponse, NetworkProfile, SessionConfig};
+pub use shadowfax_net::{KvRequest, KvResponse, SessionConfig};
 
 /// Identifies one server in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -13,8 +13,6 @@
 //! target can adopt the new view from whichever message arrives first and
 //! reject traffic from a different migration epoch.
 
-use shadowfax_net::WireSize;
-
 use crate::hash_range::HashRange;
 use crate::ServerId;
 
@@ -175,85 +173,4 @@ pub enum MigrationAckPhase {
     OwnershipReceived,
     /// Acknowledges `CompleteMigration` (target finished inserting records).
     Completed,
-}
-
-impl WireSize for MigrationMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            MigrationMsg::PrepForTransfer { ranges, .. } => 32 + ranges.len() * 16,
-            MigrationMsg::TakeOwnership { ranges, .. } => 24 + ranges.len() * 16,
-            MigrationMsg::PushHotRecords { records, .. } => {
-                24 + records.iter().map(|(_, v)| 16 + v.len()).sum::<usize>()
-            }
-            MigrationMsg::PushRecordBatch { items, .. } => {
-                24 + items.iter().map(MigratedItem::wire_size).sum::<usize>()
-            }
-            MigrationMsg::CompleteMigration { .. } => 24,
-            MigrationMsg::Ack { .. } => 17,
-            MigrationMsg::CompactionHandoff { value, .. } => 16 + value.len(),
-            MigrationMsg::Heartbeat { .. }
-            | MigrationMsg::HeartbeatAck { .. }
-            | MigrationMsg::CancelMigration { .. } => 16,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_batches_scale_with_payload() {
-        let small = MigrationMsg::PushRecordBatch {
-            migration_id: 1,
-            target_view: 2,
-            items: vec![MigratedItem::Record {
-                key: 1,
-                value: vec![0; 8],
-            }],
-        };
-        let big = MigrationMsg::PushRecordBatch {
-            migration_id: 1,
-            target_view: 2,
-            items: (0..100)
-                .map(|k| MigratedItem::Record {
-                    key: k,
-                    value: vec![0; 256],
-                })
-                .collect(),
-        };
-        assert!(big.wire_size() > small.wire_size());
-        assert!(big.wire_size() > 100 * 256);
-    }
-
-    #[test]
-    fn control_messages_are_small() {
-        assert!(
-            MigrationMsg::CompleteMigration {
-                migration_id: 3,
-                target_view: 2,
-                total_items: 10
-            }
-            .wire_size()
-                < 64
-        );
-        assert!(
-            MigrationMsg::Ack {
-                migration_id: 3,
-                phase: MigrationAckPhase::Prepared
-            }
-            .wire_size()
-                < 64
-        );
-    }
-
-    #[test]
-    fn hot_record_push_counts_sampled_records() {
-        let msg = MigrationMsg::PushHotRecords {
-            migration_id: 1,
-            target_view: 2,
-            records: vec![(1, vec![0u8; 256]), (2, vec![0u8; 256])],
-        };
-        assert!(msg.wire_size() > 512);
-    }
 }

@@ -664,23 +664,9 @@ impl Server {
             // A cut whose last straggler was another thread's unprotect may
             // have nobody left to run its action; we are unprotected now.
             self.store.epoch().try_drain();
-            let timeout = match conns.next_deliverable_at() {
-                None => None,
-                Some(at) => {
-                    // A message the sim fabric is still "propagating": wait
-                    // whole milliseconds (the reactor's resolution) and
-                    // poll through the last one.
-                    let left = at.saturating_duration_since(Instant::now());
-                    if left < Duration::from_millis(1) {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Some(Duration::from_millis(left.as_millis() as u64))
-                }
-            };
             self.park.parks.inc();
             let parked_at = Instant::now();
-            let (signalled, sockets) = conns.poll(timeout);
+            let (signalled, sockets) = conns.poll(None);
             self.park.park_us.record(parked_at.elapsed());
             mailbox.set_parked(false);
             armed = false;
@@ -746,7 +732,7 @@ impl Server {
             progressed = true;
             self.handle_migration_msg(now, msg, link, session);
         }
-        if open || link.next_deliverable_at().is_some() {
+        if open {
             Ok(progressed)
         } else {
             Err(())

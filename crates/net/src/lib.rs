@@ -1,11 +1,8 @@
 //! Networking substrate: wire messages, sessions with pipelined batches, a
-//! pluggable transport layer, and a simulated fabric with per-transport
-//! CPU-cost profiles.
+//! pluggable transport layer, and a zero-cost in-process fabric.
 //!
-//! The paper's servers and clients communicate over ordinary Linux TCP whose
-//! packet-processing CPU cost is partially offloaded to SmartNIC FPGAs
-//! ("accelerated networking"), or over two-sided RDMA on HPC instances.
-//! This crate models what matters to the system's behaviour and defines the
+//! The paper's servers and clients communicate over ordinary Linux TCP
+//! (§3.1).  This crate defines the messages, the client session, and the
 //! seams real transports plug into:
 //!
 //! * **messages** — [`KvRequest`]s travel in [`RequestBatch`]es tagged with
@@ -20,7 +17,7 @@
 //!
 //!   | implementation | where | what it is |
 //!   |---|---|---|
-//!   | [`SimNetwork`] | this crate | in-process fabric charging [`NetworkProfile`] CPU costs per batch/byte (Table 2 presets) |
+//!   | [`SimNetwork`] | this crate | in-process fabric: typed messages over channels, no cost model and no codec |
 //!   | `TcpTransport` | `shadowfax-rpc` | real loopback/LAN TCP sockets speaking the length-prefixed wire codec |
 //!
 //!   A [`Transport`] opens [`KvLink`]s to string addresses.  Fabric
@@ -52,7 +49,6 @@
 mod error;
 mod liveness;
 mod message;
-mod profile;
 pub mod reactor;
 mod session;
 mod sim;
@@ -60,8 +56,7 @@ mod transport;
 
 pub use error::{SessionError, StatusCode, TransportError};
 pub use liveness::{LivenessConfig, PeerLiveness};
-pub use message::{BatchReply, KvRequest, KvResponse, RequestBatch, WireSize};
-pub use profile::NetworkProfile;
+pub use message::{BatchReply, KvRequest, KvResponse, RequestBatch};
 pub use reactor::{raise_nofile_limit, Event, Interest, Reactor, Token};
 pub use session::{Callback, ClientSession, SessionConfig, SessionStats};
 pub use sim::{Connection, Listener, SimNetwork, Waker};

@@ -4,13 +4,6 @@
 //! number for the server; replies either carry one [`KvResponse`] per request
 //! or reject the whole batch with the server's current view (paper §3.2).
 
-/// Anything with a meaningful serialized size; the transport charges per-byte
-/// CPU cost based on this.
-pub trait WireSize {
-    /// Approximate size of the message on the wire, in bytes.
-    fn wire_size(&self) -> usize;
-}
-
 /// A single key-value operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvRequest {
@@ -51,10 +44,9 @@ impl KvRequest {
             | KvRequest::Delete { key } => *key,
         }
     }
-}
 
-impl WireSize for KvRequest {
-    fn wire_size(&self) -> usize {
+    /// Approximate size of the request on the wire, in bytes.
+    pub fn wire_size(&self) -> usize {
         match self {
             KvRequest::Read { .. } => 12,
             KvRequest::Upsert { value, .. } => 16 + value.len(),
@@ -82,20 +74,6 @@ pub enum KvResponse {
     Error(String),
 }
 
-impl WireSize for KvResponse {
-    fn wire_size(&self) -> usize {
-        match self {
-            KvResponse::Value(Some(v)) => 9 + v.len(),
-            KvResponse::Value(None) => 9,
-            KvResponse::Counter(_) => 9,
-            KvResponse::Ok => 1,
-            KvResponse::Deleted(_) => 2,
-            KvResponse::Pending => 1,
-            KvResponse::Error(s) => 1 + s.len(),
-        }
-    }
-}
-
 /// A pipelined batch of requests from one client thread to one server thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestBatch {
@@ -109,9 +87,10 @@ pub struct RequestBatch {
     pub ops: Vec<KvRequest>,
 }
 
-impl WireSize for RequestBatch {
-    fn wire_size(&self) -> usize {
-        16 + self.ops.iter().map(WireSize::wire_size).sum::<usize>()
+impl RequestBatch {
+    /// Approximate size of the batch on the wire, in bytes.
+    pub fn wire_size(&self) -> usize {
+        16 + self.ops.iter().map(KvRequest::wire_size).sum::<usize>()
     }
 }
 
@@ -140,17 +119,6 @@ impl BatchReply {
     pub fn seq(&self) -> u64 {
         match self {
             BatchReply::Executed { seq, .. } | BatchReply::Rejected { seq, .. } => *seq,
-        }
-    }
-}
-
-impl WireSize for BatchReply {
-    fn wire_size(&self) -> usize {
-        match self {
-            BatchReply::Executed { results, .. } => {
-                16 + results.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            BatchReply::Rejected { .. } => 24,
         }
     }
 }

@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 
 use crate::error::SessionError;
-use crate::message::{BatchReply, KvRequest, KvResponse, RequestBatch, WireSize};
+use crate::message::{BatchReply, KvRequest, KvResponse, RequestBatch};
 use crate::transport::KvLink;
 
 /// A completion callback invoked with the operation's response.
@@ -288,7 +288,6 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::NetworkProfile;
     use crate::sim::{Connection, SimNetwork};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -296,7 +295,7 @@ mod tests {
     type Net = SimNetwork<RequestBatch, BatchReply>;
 
     fn setup(config: SessionConfig) -> (ClientSession, Connection<BatchReply, RequestBatch>) {
-        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<Net> = SimNetwork::new();
         let listener = net.listen("srv");
         let conn = net.connect("srv").unwrap();
         let server = listener.try_accept().unwrap();

@@ -1,22 +1,17 @@
-//! The simulated transport (see `transport` for the trait layer): in-process connections between client threads and
-//! server threads with per-message CPU cost and propagation delay.
+//! The simulated transport (see `transport` for the trait layer): in-process
+//! connections between client threads and server threads.
 //!
 //! A [`SimNetwork`] plays the role of the cloud fabric.  Server threads
 //! register listeners under string addresses (e.g. `"server-0/thread-3"`),
 //! clients connect to those addresses, and each side gets a [`Connection`]
-//! carrying typed messages.  Every send and receive is charged the CPU cost
-//! of the connection's [`NetworkProfile`], which is how the reproduction
-//! models accelerated vs. unaccelerated TCP and RDMA.
+//! carrying typed messages.  The fabric is zero-cost: a message is
+//! deliverable as soon as it is sent, and no clock is read.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-
-use crate::message::WireSize;
-use crate::profile::NetworkProfile;
 
 /// Called after a connection or a message has been published toward a
 /// listener's owner, so an owner that blocks when idle (a dispatch thread
@@ -24,20 +19,11 @@ use crate::profile::NetworkProfile;
 /// is busy: it runs on every client send.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
-struct Timed<M> {
-    deliver_at: Instant,
-    msg: M,
-}
-
 /// One endpoint of a bidirectional connection that sends messages of type `S`
 /// and receives messages of type `R`.
 pub struct Connection<S, R> {
-    tx: Sender<Timed<S>>,
-    rx: Receiver<Timed<R>>,
-    /// A message popped from the channel but not yet deliverable (propagation
-    /// delay has not elapsed).
-    stash: Mutex<Option<Timed<R>>>,
-    profile: NetworkProfile,
+    tx: Sender<S>,
+    rx: Receiver<R>,
     peer_closed_marker: Arc<()>,
     /// Wakes the peer's owner after each send (client ends of connections
     /// to a listener registered with [`SimNetwork::listen_with_waker`]).
@@ -50,14 +36,14 @@ pub struct Connection<S, R> {
 impl<S, R> std::fmt::Debug for Connection<S, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
-            .field("profile", &self.profile.name)
+            .field("peer_closed", &self.peer_closed())
             .finish()
     }
 }
 
-impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R> {
-    /// Sends `msg` to the peer, charging this side the profile's send cost.
-    /// Returns `false` if the peer end has been dropped.
+impl<S, R> Connection<S, R> {
+    /// Sends `msg` to the peer.  Returns `false` if the peer end has been
+    /// dropped.
     pub fn send(&self, msg: S) -> bool {
         self.try_send(msg).is_ok()
     }
@@ -65,13 +51,7 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
     /// Like [`Connection::send`], but hands the message back if the peer end
     /// has been dropped, so the caller can retry or re-route it.
     pub fn try_send(&self, msg: S) -> Result<(), S> {
-        self.profile.spend(self.profile.send_cost(msg.wire_size()));
-        self.tx
-            .send(Timed {
-                deliver_at: Instant::now() + self.profile.propagation,
-                msg,
-            })
-            .map_err(|e| e.0.msg)?;
+        self.tx.send(msg).map_err(|e| e.0)?;
         // Published first, then the wake: a parked owner either sees the
         // message on its pre-park re-check or is woken by this call.
         if let Some(wake) = &self.peer_waker {
@@ -80,47 +60,18 @@ impl<S: WireSize + Send + 'static, R: WireSize + Send + 'static> Connection<S, R
         Ok(())
     }
 
-    /// Attempts to receive one message whose propagation delay has elapsed,
-    /// charging this side the profile's receive cost.
+    /// Receives one message, if one is waiting.
     pub fn try_recv(&self) -> Option<R> {
-        let candidate = {
-            let mut stash = self.stash.lock();
-            match stash.take() {
-                Some(t) => Some(t),
-                None => match self.rx.try_recv() {
-                    Ok(t) => Some(t),
-                    Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-                },
-            }
-        };
-        let timed = candidate?;
-        if timed.deliver_at > Instant::now() {
-            *self.stash.lock() = Some(timed);
-            return None;
-        }
-        self.profile
-            .spend(self.profile.recv_cost(timed.msg.wire_size()));
-        Some(timed.msg)
+        self.rx.try_recv().ok()
     }
 
-    /// When the message held back by its propagation delay (if any) becomes
-    /// deliverable.  An owner about to block bounds its wait by this.
-    pub fn next_deliverable_at(&self) -> Option<Instant> {
-        self.stash.lock().as_ref().map(|t| t.deliver_at)
-    }
-
-    /// Drains every currently deliverable message.
+    /// Drains every waiting message.
     pub fn drain(&self) -> Vec<R> {
         let mut out = Vec::new();
         while let Some(m) = self.try_recv() {
             out.push(m);
         }
         out
-    }
-
-    /// The cost profile in force on this endpoint.
-    pub fn profile(&self) -> &NetworkProfile {
-        &self.profile
     }
 
     /// `true` once the peer endpoint has been dropped.
@@ -165,7 +116,6 @@ impl<C2S, S2C> Listener<C2S, S2C> {
 /// message type.
 pub struct SimNetwork<C2S, S2C> {
     listeners: Mutex<HashMap<String, ListenerEntry<C2S, S2C>>>,
-    default_profile: NetworkProfile,
 }
 
 struct ListenerEntry<C2S, S2C> {
@@ -177,23 +127,16 @@ impl<C2S, S2C> std::fmt::Debug for SimNetwork<C2S, S2C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNetwork")
             .field("listeners", &self.listeners.lock().len())
-            .field("profile", &self.default_profile.name)
             .finish()
     }
 }
 
-impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<C2S, S2C> {
-    /// Creates a fabric whose connections use `profile` by default.
-    pub fn new(profile: NetworkProfile) -> Arc<Self> {
+impl<C2S, S2C> SimNetwork<C2S, S2C> {
+    /// Creates an empty fabric.
+    pub fn new() -> Arc<Self> {
         Arc::new(SimNetwork {
             listeners: Mutex::new(HashMap::new()),
-            default_profile: profile,
         })
-    }
-
-    /// The fabric-wide default profile.
-    pub fn default_profile(&self) -> NetworkProfile {
-        self.default_profile
     }
 
     /// Registers a listener at `addr`.  Panics if the address is taken.
@@ -221,17 +164,8 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
         self.listeners.lock().remove(addr);
     }
 
-    /// Connects to the listener at `addr` using the fabric's default profile.
+    /// Connects to the listener at `addr`.
     pub fn connect(&self, addr: &str) -> Option<Connection<C2S, S2C>> {
-        self.connect_with(addr, self.default_profile)
-    }
-
-    /// Connects to the listener at `addr` with an explicit profile.
-    pub fn connect_with(
-        &self,
-        addr: &str,
-        profile: NetworkProfile,
-    ) -> Option<Connection<C2S, S2C>> {
         let (accept_tx, waker) = {
             let listeners = self.listeners.lock();
             let entry = listeners.get(addr)?;
@@ -243,8 +177,6 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
         let client_end = Connection {
             tx: c2s_tx,
             rx: s2c_rx,
-            stash: Mutex::new(None),
-            profile,
             peer_closed_marker: Arc::clone(&marker),
             peer_waker: waker.clone(),
             served_this_pass: 0,
@@ -252,8 +184,6 @@ impl<C2S: WireSize + Send + 'static, S2C: WireSize + Send + 'static> SimNetwork<
         let server_end = Connection {
             tx: s2c_tx,
             rx: c2s_rx,
-            stash: Mutex::new(None),
-            profile,
             peer_closed_marker: marker,
             peer_waker: None,
             served_this_pass: 0,
@@ -282,8 +212,7 @@ mod tests {
 
     #[test]
     fn connect_and_exchange_messages() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
         let listener = net.listen("server-0/0");
         let client = net.connect("server-0/0").unwrap();
         let server = listener.try_accept().unwrap();
@@ -302,34 +231,13 @@ mod tests {
 
     #[test]
     fn connect_to_unknown_address_fails() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
         assert!(net.connect("nowhere").is_none());
     }
 
     #[test]
-    fn propagation_delay_defers_delivery() {
-        let profile = NetworkProfile {
-            propagation: std::time::Duration::from_millis(30),
-            ..NetworkProfile::instant()
-        };
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new(profile);
-        let listener = net.listen("s");
-        let client = net.connect("s").unwrap();
-        let server = listener.try_accept().unwrap();
-        client.send(batch(1));
-        assert!(
-            server.try_recv().is_none(),
-            "message arrived before propagation delay"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(40));
-        assert!(server.try_recv().is_some());
-    }
-
-    #[test]
     fn waker_runs_after_connect_and_after_each_client_send() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
         let wakes = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&wakes);
         let listener = net.listen_with_waker(
@@ -351,30 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn held_back_message_reports_its_deadline() {
-        let profile = NetworkProfile {
-            propagation: std::time::Duration::from_millis(30),
-            ..NetworkProfile::instant()
-        };
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new(profile);
-        let listener = net.listen("s");
-        let client = net.connect("s").unwrap();
-        let server = listener.try_accept().unwrap();
-        assert!(server.next_deliverable_at().is_none());
-        let sent = Instant::now();
-        client.send(batch(1));
-        assert!(server.try_recv().is_none());
-        let due = server.next_deliverable_at().expect("message is held back");
-        assert!(due >= sent + std::time::Duration::from_millis(30));
-        std::thread::sleep(std::time::Duration::from_millis(40));
-        assert!(server.try_recv().is_some());
-        assert!(server.next_deliverable_at().is_none());
-    }
-
-    #[test]
     fn peer_closed_detection() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
         let listener = net.listen("s");
         let client = net.connect("s").unwrap();
         let server = listener.try_accept().unwrap();
@@ -386,8 +272,7 @@ mod tests {
 
     #[test]
     fn duplicate_listener_panics() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
         let _a = net.listen("dup");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.listen("dup")));
         assert!(result.is_err());
@@ -395,8 +280,7 @@ mod tests {
 
     #[test]
     fn unlisten_frees_address() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
         let _a = net.listen("addr");
         net.unlisten("addr");
         let _b = net.listen("addr");
@@ -404,8 +288,7 @@ mod tests {
 
     #[test]
     fn cross_thread_usage() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> =
-            SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
         let listener = net.listen("s");
         let net2 = Arc::clone(&net);
         let client_thread = std::thread::spawn(move || {

@@ -1,12 +1,11 @@
-//! The transport abstraction: pluggable fabrics behind one session type.
+//! The transport abstraction: two fabrics behind one session type.
 //!
 //! A [`Transport`] opens [`KvLink`]s — bidirectional, non-blocking,
 //! batch-oriented links from one client thread to one server dispatch
 //! thread.  [`ClientSession`](crate::ClientSession) is written purely
 //! against `dyn KvLink`, so the same pipelined-batch machinery runs over:
 //!
-//! * the in-process [`SimNetwork`] fabric (charging per-message CPU costs
-//!   from a [`NetworkProfile`](crate::NetworkProfile)), and
+//! * the in-process [`SimNetwork`] fabric (zero-cost channels), and
 //! * real TCP sockets (`TcpTransport` in the `shadowfax-rpc` crate, which
 //!   frames batches with the length-prefixed wire codec).
 //!
@@ -17,7 +16,6 @@
 //! thread.
 
 use std::os::unix::io::RawFd;
-use std::time::Instant;
 
 use crate::error::TransportError;
 use crate::message::{BatchReply, RequestBatch};
@@ -52,9 +50,9 @@ pub trait KvLink: Send {
 /// sockets (`shadowfax-rpc`'s adopted data connections) both satisfy it.
 pub trait ServerKvLink: Send {
     /// The socket to register (edge-triggered) with the owner's reactor, so
-    /// traffic wakes an owner blocked in `poll`.  `None` for the in-process
-    /// fabric, whose senders wake the owner through the listener's
-    /// [`Waker`](crate::Waker) instead.
+    /// traffic wakes an owner blocked in `poll`.  `None` for an in-process
+    /// [`Connection`]: its peer runs the listener's [`Waker`](crate::Waker)
+    /// after each send instead.
     fn raw_fd(&self) -> Option<RawFd> {
         None
     }
@@ -83,13 +81,6 @@ pub trait ServerKvLink: Send {
     /// again, so the owner must run another pass before it blocks.
     fn has_deferred_input(&self) -> bool {
         false
-    }
-
-    /// When a message already received but held back by the fabric's
-    /// propagation delay becomes deliverable; an owner about to block
-    /// bounds its wait by this.
-    fn next_deliverable_at(&self) -> Option<Instant> {
-        None
     }
 }
 
@@ -146,14 +137,9 @@ pub trait MigrationLink<M>: Send {
     fn raw_fd(&self) -> Option<RawFd> {
         None
     }
-
-    /// See [`ServerKvLink::next_deliverable_at`].
-    fn next_deliverable_at(&self) -> Option<Instant> {
-        None
-    }
 }
 
-impl<M: crate::message::WireSize + Send + 'static> MigrationLink<M> for Connection<M, M> {
+impl<M: Send> MigrationLink<M> for Connection<M, M> {
     fn send_msg(&self, msg: M) -> Result<(), MigrationSendError<M>> {
         self.try_send(msg).map_err(|msg| MigrationSendError {
             error: TransportError::PeerClosed,
@@ -172,11 +158,7 @@ impl<M: crate::message::WireSize + Send + 'static> MigrationLink<M> for Connecti
     }
 
     fn peer_label(&self) -> String {
-        format!("sim:{}", self.profile().name)
-    }
-
-    fn next_deliverable_at(&self) -> Option<Instant> {
-        Connection::next_deliverable_at(self)
+        "sim".to_string()
     }
 }
 
@@ -203,9 +185,7 @@ impl ServerKvLink for Connection<BatchReply, RequestBatch> {
                 self.served_this_pass += 1;
                 Ok(Some(batch))
             }
-            None if closed && Connection::next_deliverable_at(self).is_none() => {
-                Err(TransportError::PeerClosed)
-            }
+            None if closed => Err(TransportError::PeerClosed),
             None => Ok(None),
         }
     }
@@ -222,10 +202,6 @@ impl ServerKvLink for Connection<BatchReply, RequestBatch> {
     /// costs one empty pass).
     fn has_deferred_input(&self) -> bool {
         self.served_this_pass == BATCHES_PER_PASS
-    }
-
-    fn next_deliverable_at(&self) -> Option<Instant> {
-        Connection::next_deliverable_at(self)
     }
 }
 
@@ -249,7 +225,7 @@ impl KvLink for Connection<RequestBatch, BatchReply> {
     }
 
     fn peer_label(&self) -> String {
-        format!("sim:{}", self.profile().name)
+        "sim".to_string()
     }
 }
 
@@ -271,14 +247,13 @@ impl Transport for SimNetwork<RequestBatch, BatchReply> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::NetworkProfile;
     use std::sync::Arc;
 
     type Net = SimNetwork<RequestBatch, BatchReply>;
 
     #[test]
     fn sim_network_implements_transport() {
-        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<Net> = SimNetwork::new();
         let listener = net.listen("sv0/t0");
         let link = net.connect_link("sv0/t0").expect("listener registered");
         assert_eq!(net.transport_name(), "sim");
@@ -304,7 +279,7 @@ mod tests {
 
     #[test]
     fn connect_link_to_unknown_address_is_typed() {
-        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<Net> = SimNetwork::new();
         match net.connect_link("nowhere") {
             Err(TransportError::ConnectionRefused { addr }) => assert_eq!(addr, "nowhere"),
             Err(other) => panic!("expected ConnectionRefused, got {other:?}"),
@@ -314,7 +289,7 @@ mod tests {
 
     #[test]
     fn server_link_drains_buffered_batches_before_reporting_the_close() {
-        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<Net> = SimNetwork::new();
         let listener = net.listen("sv0/t0");
         let link = net.connect_link("sv0/t0").unwrap();
         let mut server: Box<dyn ServerKvLink> = Box::new(listener.try_accept().unwrap());
@@ -330,8 +305,28 @@ mod tests {
     }
 
     #[test]
+    fn migration_link_keeps_buffered_messages_after_the_peer_closes() {
+        let net: Arc<SimNetwork<u64, u64>> = SimNetwork::new();
+        let listener = net.listen("sv0/m0");
+        let peer = net.connect("sv0/m0").unwrap();
+        let link: Box<dyn MigrationLink<u64>> = Box::new(listener.try_accept().unwrap());
+        assert_eq!(link.try_recv_msg(), Ok(None));
+        for msg in [1, 2] {
+            peer.send_msg(msg).unwrap();
+        }
+        drop(peer);
+        // A peer's sends stay receivable after `is_open` turns false, which
+        // is what lets `serve_mig` sample `is_open` before it drains.
+        assert!(!link.is_open());
+        assert_eq!(link.try_recv_msg(), Ok(Some(1)));
+        assert_eq!(link.try_recv_msg(), Ok(Some(2)));
+        assert_eq!(link.try_recv_msg(), Ok(None));
+        assert!(!link.is_open());
+    }
+
+    #[test]
     fn each_pass_serves_at_most_its_bound_and_defers_the_rest() {
-        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<Net> = SimNetwork::new();
         let listener = net.listen("sv0/t0");
         let link = net.connect_link("sv0/t0").unwrap();
         let mut server: Box<dyn ServerKvLink> = Box::new(listener.try_accept().unwrap());
@@ -353,7 +348,7 @@ mod tests {
 
     #[test]
     fn dropped_peer_closes_link() {
-        let net: Arc<Net> = SimNetwork::new(NetworkProfile::instant());
+        let net: Arc<Net> = SimNetwork::new();
         let listener = net.listen("sv0/t0");
         let link = net.connect_link("sv0/t0").unwrap();
         let server = listener.try_accept().unwrap();

@@ -5,10 +5,10 @@
 //! available in this environment, so this crate provides *simulated* devices
 //! that preserve the properties the system depends on:
 //!
-//! * [`SimSsd`] — an in-memory page store standing in for the local SSD.  It
-//!   models per-operation latency, IOPS, and sequential bandwidth so that
-//!   experiments which depend on I/O cost (e.g. Rocksteady's scan-the-log
-//!   migration, Figure 10c/11c) show the right relative behaviour.
+//! * [`SimSsd`] — an in-memory page store standing in for the local SSD.
+//!   Every access costs a memcpy: the device models no latency, IOPS or
+//!   bandwidth, so it checks what was written, not how long the paper's SSD
+//!   would take (Table 1).
 //! * [`SharedBlobTier`] — a shared object store standing in for the remote
 //!   cloud tier.  Multiple server logs write to it under distinct log ids, and
 //!   any server can read any log's pages — exactly the property indirection
@@ -24,14 +24,12 @@
 
 mod counters;
 mod device;
-mod latency;
 mod shared_tier;
 mod sim_ssd;
 mod tier_service;
 
 pub use counters::{CounterSnapshot, DeviceCounters};
 pub use device::{Device, DeviceError, NullDevice, Result};
-pub use latency::LatencyModel;
 pub use shared_tier::{LogId, SharedBlobTier, SharedTierHandle, TierSink};
 pub use sim_ssd::SimSsd;
 pub use tier_service::{ChainFetch, ChainFetchRequest, TierRecord, TierService};

@@ -18,7 +18,6 @@ use parking_lot::RwLock;
 
 use crate::counters::DeviceCounters;
 use crate::device::{Device, DeviceError, Result};
-use crate::latency::LatencyModel;
 use crate::sim_ssd::SimSsd;
 
 /// Identifies one server's log within the shared tier.
@@ -49,7 +48,6 @@ pub trait TierSink: Send + Sync {
 pub struct SharedBlobTier {
     logs: RwLock<HashMap<LogId, Arc<SimSsd>>>,
     per_log_capacity: u64,
-    latency: LatencyModel,
     counters: DeviceCounters,
     sink: RwLock<Option<Arc<dyn TierSink>>>,
 }
@@ -64,18 +62,11 @@ impl std::fmt::Debug for SharedBlobTier {
 }
 
 impl SharedBlobTier {
-    /// Creates a tier where each log may hold up to `per_log_capacity` bytes,
-    /// with no access latency (unit-test configuration).
+    /// Creates a tier where each log may hold up to `per_log_capacity` bytes.
     pub fn new(per_log_capacity: u64) -> Arc<Self> {
-        Self::with_latency(per_log_capacity, LatencyModel::instant())
-    }
-
-    /// Creates a tier with the given per-access latency model.
-    pub fn with_latency(per_log_capacity: u64, latency: LatencyModel) -> Arc<Self> {
         Arc::new(Self {
             logs: RwLock::new(HashMap::new()),
             per_log_capacity,
-            latency,
             counters: DeviceCounters::new(),
             sink: RwLock::new(None),
         })
@@ -102,10 +93,7 @@ impl SharedBlobTier {
         }
         let mut logs = self.logs.write();
         Arc::clone(logs.entry(log).or_insert_with(|| {
-            Arc::new(
-                SimSsd::with_latency(self.per_log_capacity, LatencyModel::instant())
-                    .named(format!("shared:{log}")),
-            )
+            Arc::new(SimSsd::new(self.per_log_capacity).named(format!("shared:{log}")))
         }))
     }
 
@@ -126,10 +114,10 @@ impl SharedBlobTier {
 
     /// Writes `data` at `offset` within `log`'s space, mirroring the bytes
     /// to the installed [`TierSink`] (if any) after the local write lands.
+    /// Only a write that lands is counted.
     pub fn write_log(&self, log: LogId, offset: u64, data: &[u8]) -> Result<()> {
-        self.latency.apply(data.len());
-        self.counters.record_write(data.len());
         self.ensure_log(log).write(offset, data)?;
+        self.counters.record_write(data.len());
         let sink = self.sink.read().clone();
         if let Some(sink) = sink {
             sink.append(log, offset, data);
@@ -138,11 +126,12 @@ impl SharedBlobTier {
     }
 
     /// Reads from `log`'s space.  Any server may read any log — this is the
-    /// cross-server capability indirection records rely on.
+    /// cross-server capability indirection records rely on.  Only a read
+    /// that succeeds is counted.
     pub fn read_log(&self, log: LogId, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.latency.apply(buf.len());
+        self.log_device(log)?.read(offset, buf)?;
         self.counters.record_read(buf.len());
-        self.log_device(log)?.read(offset, buf)
+        Ok(())
     }
 
     /// Highest byte offset ever written to `log` plus one (the log's logical
@@ -160,11 +149,6 @@ impl SharedBlobTier {
     /// Tier-wide counters (aggregated over all logs).
     pub fn counters(&self) -> &DeviceCounters {
         &self.counters
-    }
-
-    /// The latency model applied to every access.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
     }
 }
 
@@ -232,6 +216,7 @@ impl Device for SharedTierHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::CounterSnapshot;
 
     #[test]
     fn per_log_isolation() {
@@ -291,6 +276,26 @@ mod tests {
             vec![(1, 64, 16), (3, 128, 8)],
             "the sink sees exactly the writes that landed after installation"
         );
+    }
+
+    #[test]
+    fn refused_io_is_not_counted() {
+        let tier = SharedBlobTier::new(1 << 16);
+        let mut buf = [0u8; 8];
+        assert!(tier.write_log(LogId(1), 1 << 16, &buf).is_err());
+        assert!(tier.read_log(LogId(9), 0, &mut buf).is_err());
+        assert!(tier.read_log(LogId(1), 4096, &mut buf).is_err());
+        assert_eq!(tier.counters().snapshot(), CounterSnapshot::default());
+
+        tier.write_log(LogId(1), 0, &[7u8; 8]).unwrap();
+        tier.read_log(LogId(1), 0, &mut buf).unwrap();
+        let counted = CounterSnapshot {
+            reads: 1,
+            writes: 1,
+            bytes_read: 8,
+            bytes_written: 8,
+        };
+        assert_eq!(tier.counters().snapshot(), counted);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use parking_lot::RwLock;
 
 use crate::counters::DeviceCounters;
 use crate::device::{Device, DeviceError, Result};
-use crate::latency::LatencyModel;
 
 /// Size of the internal storage chunks.  Writes may span chunks; this is an
 /// implementation detail, not the HybridLog page size.
@@ -14,13 +13,11 @@ const CHUNK_SIZE: usize = 64 * 1024;
 ///
 /// The device stores data in fixed-size chunks allocated lazily, so sparse
 /// address spaces (the HybridLog only ever writes the stable region) do not
-/// consume memory for unwritten ranges.  A [`LatencyModel`] charges each
-/// access a service time so that I/O-bound experiment phases (the Rocksteady
-/// scan in Figure 10c) cost the right relative amount.
+/// consume memory for unwritten ranges.  Accesses cost what the copy costs:
+/// no latency, IOPS or bandwidth limit is modelled.
 pub struct SimSsd {
     chunks: RwLock<Vec<Option<Box<[u8]>>>>,
     capacity: u64,
-    latency: LatencyModel,
     counters: DeviceCounters,
     name: String,
 }
@@ -36,18 +33,12 @@ impl std::fmt::Debug for SimSsd {
 }
 
 impl SimSsd {
-    /// Creates a device with `capacity` bytes and no access latency.
+    /// Creates a device with `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
-        Self::with_latency(capacity, LatencyModel::instant())
-    }
-
-    /// Creates a device with `capacity` bytes and the given latency model.
-    pub fn with_latency(capacity: u64, latency: LatencyModel) -> Self {
         let n_chunks = (capacity as usize).div_ceil(CHUNK_SIZE);
         Self {
             chunks: RwLock::new((0..n_chunks).map(|_| None).collect()),
             capacity,
-            latency,
             counters: DeviceCounters::new(),
             name: "sim-ssd".to_string(),
         }
@@ -62,11 +53,6 @@ impl SimSsd {
     /// The configured capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// The latency model in force.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
     }
 
     fn check_range(&self, offset: u64, len: usize) -> Result<()> {
@@ -86,7 +72,6 @@ impl SimSsd {
 impl Device for SimSsd {
     fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.check_range(offset, data.len())?;
-        self.latency.apply(data.len());
         let mut chunks = self.chunks.write();
         let mut remaining = data;
         let mut pos = offset as usize;
@@ -106,7 +91,6 @@ impl Device for SimSsd {
 
     fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_range(offset, buf.len())?;
-        self.latency.apply(buf.len());
         let chunks = self.chunks.read();
         let mut pos = offset as usize;
         let mut filled = 0usize;
