@@ -245,7 +245,7 @@ pub fn run_scaleout(config: ScaleOutConfig) -> ScaleOutResult {
         let stop = Arc::clone(&stop);
         let completed = Arc::clone(&client_completed);
         let meta = Arc::clone(cluster.meta());
-        let net = Arc::clone(cluster.kv_network());
+        let net = Arc::clone(cluster.network());
         let records = config.records;
         client_joins.push(std::thread::spawn(move || {
             let client_config =

@@ -1,7 +1,7 @@
 //! The Shadowfax client library (paper §3.1.1), once for every client.
 //!
 //! Each client thread owns one [`ShadowfaxClient`].  It caches the cluster's
-//! ownership mappings, keeps one pipelined [`ClientSession`] per server, and
+//! ownership mappings, keeps one pipelined `ClientSession` per server, and
 //! issues fully asynchronous operations: [`ShadowfaxClient::issue`] buffers
 //! the operation with a completion callback and returns immediately;
 //! [`ShadowfaxClient::try_poll`] drains replies, runs callbacks, and
@@ -13,7 +13,7 @@
 //! (`Arc<MetadataStore>`, which cannot fail), or the control plane of a
 //! serving process (`shadowfax_rpc::RemoteClient`, whose refreshes fail with
 //! an RPC error).  Sessions run over any [`Transport`]: the simulated fabric
-//! or TCP.
+//! or TCP, both carrying the same frames.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -23,11 +23,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use shadowfax_faster::KeyHash;
-use shadowfax_net::{ClientSession, KvRequest, KvResponse, SessionStats, Transport};
+use shadowfax_net::{KvRequest, KvResponse, SimNetwork, Transport};
 
 use crate::config::ClientConfig;
 use crate::meta::{MetadataStore, OwnershipSnapshot};
-use crate::server::KvNetwork;
+use crate::session::{ClientSession, SessionStats};
+use crate::wire::{PeerLink, DATA_SEND_BUDGET};
 use crate::ServerId;
 
 /// Callback type used by the asynchronous operation API.
@@ -98,7 +99,7 @@ impl<O> std::fmt::Debug for ShadowfaxClient<O> {
 impl ShadowfaxClient {
     /// Creates a client bound to the given metadata store and simulated
     /// fabric.
-    pub fn new(config: ClientConfig, meta: Arc<MetadataStore>, net: Arc<KvNetwork>) -> Self {
+    pub fn new(config: ClientConfig, meta: Arc<MetadataStore>, net: Arc<SimNetwork>) -> Self {
         let Ok(client) = Self::with_source(config, meta, net);
         client
     }
@@ -250,14 +251,11 @@ impl<O: OwnershipSource> ShadowfaxClient<O> {
                 };
                 let thread = self.config.thread_id % meta.threads.max(1);
                 let addr = format!("{}/t{}", meta.address, thread);
-                let Ok(link) = self.transport.connect_link(&addr) else {
+                let Ok(stream) = self.transport.connect_link(&addr) else {
                     return Some((request, callback));
                 };
-                e.insert(ClientSession::from_link(
-                    link,
-                    meta.view,
-                    self.config.session,
-                ))
+                let link = PeerLink::new(stream, addr, DATA_SEND_BUDGET);
+                e.insert(ClientSession::new(link, meta.view, self.config.session))
             }
         };
         session.issue(request, callback);
@@ -395,11 +393,12 @@ impl<O: OwnershipSource> ShadowfaxClient<O> {
 mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-    use shadowfax_net::{BatchReply, Connection, RequestBatch};
+    use shadowfax_net::{BatchReply, Listener};
 
     use super::*;
     use crate::hash_range::RangeSet;
     use crate::meta::ServerMeta;
+    use crate::wire::testing::FramedPeer;
 
     /// An ownership source that serves the snapshot a test installs and
     /// fails while it is down.
@@ -450,14 +449,14 @@ mod tests {
     }
 
     struct Fixture {
-        net: Arc<KvNetwork>,
+        net: Arc<SimNetwork>,
         source: Scripted,
         client: ShadowfaxClient<Scripted>,
         done: Arc<AtomicUsize>,
     }
 
     fn fixture(servers: &[(u32, u64, bool)]) -> Fixture {
-        let net = KvNetwork::new();
+        let net = SimNetwork::new();
         let source = Scripted::default();
         source.install(servers);
         let client = ShadowfaxClient::with_source(
@@ -493,15 +492,18 @@ mod tests {
         }
     }
 
-    type ServerEnd = Connection<BatchReply, RequestBatch>;
+    /// The server end of the next connection to `listener`.
+    fn accept(listener: &Listener) -> FramedPeer {
+        FramedPeer::new(listener.try_accept().expect("the client dialled"))
+    }
 
     /// Executes every batch the server end holds; returns the operations.
-    fn execute(server: &ServerEnd) -> usize {
+    fn execute(server: &mut FramedPeer) -> usize {
         let mut ops = 0;
-        for batch in server.drain() {
+        for batch in server.batches() {
             ops += batch.ops.len();
             let results = vec![KvResponse::Ok; batch.ops.len()];
-            server.send(BatchReply::Executed {
+            server.reply(BatchReply::Executed {
                 seq: batch.seq,
                 results,
             });
@@ -510,10 +512,10 @@ mod tests {
     }
 
     /// Rejects every batch the server end holds as stale.
-    fn reject(server: &ServerEnd, server_view: u64) {
-        for batch in server.drain() {
+    fn reject(server: &mut FramedPeer, server_view: u64) {
+        for batch in server.batches() {
             let seq = batch.seq;
-            server.send(BatchReply::Rejected { seq, server_view });
+            server.reply(BatchReply::Rejected { seq, server_view });
         }
     }
 
@@ -535,7 +537,8 @@ mod tests {
         f.source.install(&[(0, 2, false), (1, 1, true)]);
         f.source.set_down(false);
         assert_eq!(f.client.try_poll(), Ok(0));
-        assert_eq!(execute(&sv1.try_accept().unwrap()), 10);
+        let mut sv1 = accept(&sv1);
+        assert_eq!(execute(&mut sv1), 10);
         assert_eq!(f.client.try_poll(), Ok(10));
         assert_eq!((f.done(), f.client.outstanding_ops()), (10, 0));
         let stats = f.client.stats();
@@ -548,10 +551,12 @@ mod tests {
         let (sv0, sv1) = (f.net.listen("sv0/t0"), f.net.listen("sv1/t0"));
         f.issue(10);
         f.client.flush();
-        reject(&sv0.try_accept().unwrap(), 2);
+        let mut sv0 = accept(&sv0);
+        reject(&mut sv0, 2);
         f.source.install(&[(0, 2, false), (1, 2, true)]);
         assert_eq!(f.client.try_poll(), Ok(0));
-        assert_eq!(execute(&sv1.try_accept().unwrap()), 10);
+        let mut sv1 = accept(&sv1);
+        assert_eq!(execute(&mut sv1), 10);
         assert_eq!(f.client.try_poll(), Ok(10));
         assert_eq!((f.done(), f.client.outstanding_ops()), (10, 0));
         let stats = f.client.stats();
@@ -566,7 +571,8 @@ mod tests {
         let sv0 = f.net.listen("sv0/t0");
         f.issue(1);
         f.client.flush();
-        reject(&sv0.try_accept().unwrap(), 2);
+        let mut sv0 = accept(&sv0);
+        reject(&mut sv0, 2);
         // The range left server 0, and no owner is registered yet.
         f.source.install(&[(0, 2, false)]);
         for _ in 0..3 {
@@ -576,7 +582,8 @@ mod tests {
         let sv1 = f.net.listen("sv1/t0");
         f.source.install(&[(0, 2, false), (1, 1, true)]);
         assert_eq!(f.client.try_poll(), Ok(0));
-        assert_eq!(execute(&sv1.try_accept().unwrap()), 1);
+        let mut sv1 = accept(&sv1);
+        assert_eq!(execute(&mut sv1), 1);
         assert_eq!(f.client.try_poll(), Ok(1));
         assert_eq!((f.done(), f.client.outstanding_ops()), (1, 0));
         assert_eq!(f.client.stats().issued, 1);

@@ -2,14 +2,16 @@
 //!
 //! The paper's deployment is a set of Azure VMs, a ZooKeeper ensemble, and an
 //! Azure blob storage account.  [`Cluster`] assembles the equivalent inside
-//! one process: a metadata store, a simulated client/server fabric, a
-//! simulated migration fabric, a shared blob tier, and `n` servers whose
-//! dispatch threads run on real OS threads.  Examples, integration tests and
+//! one process: a metadata store, a simulated fabric of in-process byte
+//! pipes (clients and migrating peers alike speak the wire codec over it),
+//! a shared blob tier, and `n` servers whose dispatch threads run on real
+//! OS threads.  Examples, integration tests and
 //! the benchmark harness all build clusters through this type.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use shadowfax_net::SimNetwork;
 use shadowfax_obs::{Counter, MetricsRegistry};
 use shadowfax_storage::{LogId, SharedBlobTier, TierRecord, TierService};
 
@@ -19,7 +21,7 @@ use crate::dispatch::DispatchHandle;
 use crate::hash_range::{HashRange, RangeSet};
 use crate::layout::{ClusterLayout, LayoutError};
 use crate::meta::{MergeOutcome, MetaReplica, MetadataStore};
-use crate::server::{KvNetwork, MigrationConnector, MigrationNetwork, Server, ServerHandle};
+use crate::server::{MigrationConnector, Server, ServerHandle};
 use crate::ServerId;
 
 /// One view-tagged request to read a spilled chain out of this process's
@@ -223,8 +225,7 @@ impl ClusterConfig {
 /// A running in-process cluster.
 pub struct Cluster {
     meta: Arc<MetadataStore>,
-    kv_net: Arc<KvNetwork>,
-    mig_net: Arc<MigrationNetwork>,
+    net: Arc<SimNetwork>,
     shared_tier: Arc<SharedBlobTier>,
     metrics: Arc<MetricsRegistry>,
     chain_stats: ChainFetchStats,
@@ -273,8 +274,7 @@ impl Cluster {
         let mut assignment = config.layout.resolve(&members)?;
 
         let meta = MetadataStore::new();
-        let kv_net: Arc<KvNetwork> = KvNetwork::new();
-        let mig_net: Arc<MigrationNetwork> = MigrationNetwork::new();
+        let net = SimNetwork::new();
         let shared_tier = SharedBlobTier::new(config.shared_tier_capacity);
         let metrics = Arc::new(MetricsRegistry::new());
         let chain_stats = ChainFetchStats::registered(&metrics);
@@ -310,8 +310,7 @@ impl Cluster {
                 server_config,
                 ranges,
                 Arc::clone(&meta),
-                Arc::clone(&kv_net),
-                Arc::clone(&mig_net),
+                Arc::clone(&net),
                 Arc::clone(&shared_tier),
                 Arc::clone(&metrics),
             );
@@ -319,8 +318,7 @@ impl Cluster {
         }
         Ok(Cluster {
             meta,
-            kv_net,
-            mig_net,
+            net,
             shared_tier,
             metrics,
             chain_stats,
@@ -395,14 +393,10 @@ impl Cluster {
         self.server(server).map(|s| s.dispatch_handle(thread))
     }
 
-    /// The client/server fabric (used to build additional clients).
-    pub fn kv_network(&self) -> &Arc<KvNetwork> {
-        &self.kv_net
-    }
-
-    /// The server/server migration fabric.
-    pub fn migration_network(&self) -> &Arc<MigrationNetwork> {
-        &self.mig_net
+    /// The in-process fabric: clients dial dispatch threads at `…/t{n}`
+    /// (used to build additional clients), peer servers at `…/m{n}`.
+    pub fn network(&self) -> &Arc<SimNetwork> {
+        &self.net
     }
 
     /// The shared blob tier.
@@ -528,7 +522,7 @@ impl Cluster {
 
     /// Builds a client bound to this cluster.
     pub fn client(&self, config: ClientConfig) -> ShadowfaxClient {
-        ShadowfaxClient::new(config, Arc::clone(&self.meta), Arc::clone(&self.kv_net))
+        ShadowfaxClient::new(config, Arc::clone(&self.meta), Arc::clone(&self.net))
     }
 
     /// Total operations completed across every server.
@@ -663,8 +657,7 @@ impl Cluster {
             config,
             RangeSet::empty(),
             Arc::clone(&self.meta),
-            Arc::clone(&self.kv_net),
-            Arc::clone(&self.mig_net),
+            Arc::clone(&self.net),
             Arc::clone(&self.shared_tier),
             Arc::clone(&self.metrics),
         );

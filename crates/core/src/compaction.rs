@@ -26,7 +26,8 @@ use shadowfax_faster::{compact_until, record_is_foreign, CompactionStats, Dispos
 
 use crate::indirection::IndirectionRecord;
 use crate::messages::MigrationMsg;
-use crate::server::{Server, ServerMigConn};
+use crate::server::Server;
+use crate::wire::PeerLink;
 use crate::ServerId;
 
 /// The result of one [`Server::compact_log`] pass.
@@ -60,7 +61,7 @@ impl Server {
         let snapshot = self.meta.snapshot();
         let my_id = self.id();
 
-        let mut conns: HashMap<ServerId, Option<ServerMigConn>> = HashMap::new();
+        let mut conns: HashMap<ServerId, Option<PeerLink>> = HashMap::new();
         let mut handed_off_records = 0u64;
         let mut dropped_indirections = 0u64;
         let mut kept_unreachable = 0u64;
@@ -108,19 +109,20 @@ impl Server {
                 key: record.key(),
                 value: record.value().to_vec(),
             };
-            match conn {
-                Some(conn) if conn.send_msg(handoff).is_ok() => {
-                    // Drain acknowledgements/noise so the channel never backs up.
-                    while let Ok(Some(_)) = conn.try_recv_msg() {}
-                    handed_off_records += 1;
-                    Disposition::Handled
-                }
+            let sent = conn
+                .as_mut()
+                .is_some_and(|conn| conn.send_migration(handoff).is_ok());
+            if !sent {
                 // Nobody took the record: it stays here.
-                _ => {
-                    kept_unreachable += 1;
-                    Disposition::Keep
-                }
+                kept_unreachable += 1;
+                return Disposition::Keep;
             }
+            // Drain acknowledgements/noise so the stream never backs up.
+            if let Some(conn) = conn {
+                while let Ok(Some(_)) = conn.recv_migration() {}
+            }
+            handed_off_records += 1;
+            Disposition::Handled
         });
 
         CompactionOutcome {
@@ -137,15 +139,16 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::hash_range::{HashRange, RangeSet};
-    use crate::server::{MigrationConnector, MigrationNetwork};
+    use crate::server::MigrationConnector;
+    use shadowfax_net::{ByteStream, SimNetwork};
 
-    /// Opens links whose peer endpoint is already gone, so every send on
+    /// Opens streams whose peer endpoint is already gone, so every send on
     /// them fails.
     struct DroppedPeer;
 
     impl MigrationConnector for DroppedPeer {
-        fn connect_migration(&self, _: &str, _: ServerId, _: usize) -> Option<ServerMigConn> {
-            let net = MigrationNetwork::new();
+        fn connect_migration(&self, _: &str, _: ServerId, _: usize) -> Option<Box<dyn ByteStream>> {
+            let net = SimNetwork::new();
             let listener = net.listen("gone");
             let link = net.connect("gone")?;
             drop(listener.try_accept());

@@ -3,9 +3,11 @@
 //! connections it serves.
 //!
 //! A data-plane request touches exactly one thread (paper §3.1,
-//! "partitioned sessions, shared data"): the dispatch thread polls its own
-//! sockets, decodes, validates the view, executes against the shared store,
-//! encodes and writes the reply on one stack.  When a loop iteration finds
+//! "partitioned sessions, shared data"): the dispatch thread reads its own
+//! connections — TCP sockets the front end handed over and in-process sim
+//! pipes alike, both through [`Framed`] — decodes, validates the view,
+//! executes against the shared store, encodes and writes the reply on one
+//! stack.  When a loop iteration finds
 //! nothing to do, nothing is pended and the server holds no migration role,
 //! the thread blocks in [`Reactor::poll`] instead of spinning.  After an
 //! iteration that found work it waits out the rest of its tick on the CPU
@@ -27,13 +29,10 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use shadowfax_net::{
-    BatchReply, Event, Interest, MigrationLink, Reactor, ServerKvLink, Token, Waker,
-};
+use shadowfax_net::{BatchReply, Event, Interest, Reactor, Token, Waker};
 use shadowfax_obs::{Counter, Histogram, MetricsRegistry};
 
-use crate::messages::MigrationMsg;
-use crate::server::ServerMigConn;
+use crate::wire::{Framed, KvLatency, PeerLink, ServedKvLink};
 
 /// How other threads reach one dispatch thread.
 pub(crate) struct Mailbox {
@@ -84,6 +83,7 @@ impl Mailbox {
 #[derive(Clone)]
 pub struct DispatchHandle {
     pub(crate) mailbox: Arc<Mailbox>,
+    pub(crate) lat: KvLatency,
 }
 
 impl std::fmt::Debug for DispatchHandle {
@@ -93,16 +93,18 @@ impl std::fmt::Debug for DispatchHandle {
 }
 
 impl DispatchHandle {
-    /// Gives the thread a client data connection (with whatever input the
-    /// link already buffered).
-    pub fn adopt_kv(&self, link: Box<dyn ServerKvLink>) {
+    /// Gives the thread a client data connection (with whatever input its
+    /// decoder already buffered behind the HELLO).
+    pub fn adopt_kv(&self, io: Framed) {
+        let link = ServedKvLink::new(io, self.lat.clone());
         self.mailbox.adopt(Link::Kv(link));
     }
 
     /// Gives the thread an incoming migration connection from a peer
-    /// serving process.
-    pub fn adopt_migration(&self, link: Box<dyn MigrationLink<MigrationMsg>>) {
-        self.mailbox.adopt(Link::Mig(link));
+    /// serving process (with whatever followed its MIG_HELLO); `label`
+    /// names the peer in diagnostics.
+    pub fn adopt_migration(&self, io: Framed, label: String) {
+        self.mailbox.adopt(Link::Mig(PeerLink::accepted(io, label)));
     }
 }
 
@@ -146,8 +148,16 @@ pub(crate) struct ConnId {
 }
 
 pub(crate) enum Link {
-    Kv(Box<dyn ServerKvLink>),
-    Mig(ServerMigConn),
+    Kv(ServedKvLink),
+    Mig(PeerLink),
+}
+
+impl Link {
+    /// Input a per-pass bound left behind.  Only data connections are
+    /// read through `Framed`'s bounds; a migration link drains its stream.
+    fn has_deferred_input(&self) -> bool {
+        matches!(self, Link::Kv(l) if l.has_deferred_input())
+    }
 }
 
 pub(crate) struct Conn {
@@ -165,7 +175,7 @@ struct Slot {
 }
 
 /// The connections one dispatch thread serves: a generation-counted slab,
-/// the list of in-process links (polled every iteration, as they have no
+/// the list of in-process pipes (polled every iteration, as they have no
 /// readiness to wait for) and the list of socket-backed connections with
 /// something to do, so a pass costs O(active) with thousands parked.
 pub(crate) struct ConnTable {
@@ -281,7 +291,7 @@ impl ConnTable {
     }
 
     /// Runs `serve` over every connection that may have input: all
-    /// in-process links, and the socket-backed ones on the active list.
+    /// in-process pipes, and the socket-backed ones on the active list.
     /// `serve` returns `Ok(progressed)` or `Err(())` for a finished
     /// connection.  Returns whether anything progressed, and whether a
     /// socket-backed connection did.
@@ -298,7 +308,10 @@ impl ConnTable {
                 continue;
             };
             match serve(id, &mut conn.link) {
-                Ok(p) => progressed |= p,
+                // A pipe has no readiness to announce input a per-pass
+                // bound left behind (a frame longer than one pass reads):
+                // it counts as work, so the thread does not park on it.
+                Ok(p) => progressed |= p || conn.link.has_deferred_input(),
                 Err(()) => self.dead.push(id),
             }
         }
@@ -321,9 +334,7 @@ impl ConnTable {
                         // Input a per-pass bound left behind keeps the
                         // connection scheduled; otherwise it waits for its
                         // next readiness event.
-                        Ok(()) => {
-                            keep = matches!(&conn.link, Link::Kv(l) if l.has_deferred_input())
-                        }
+                        Ok(()) => keep = conn.link.has_deferred_input(),
                         Err(()) => self.dead.push(id),
                     }
                 }
@@ -418,21 +429,28 @@ impl ConnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadowfax_net::{RequestBatch, SimNetwork};
+    use crate::wire::testing::FramedPeer;
+    use crate::wire::{WireMsg, MAX_FRAME_BYTES};
+    use shadowfax_net::SimNetwork;
 
-    type Net = SimNetwork<RequestBatch, BatchReply>;
-
-    fn sim_link(net: &Arc<Net>, addr: &str) -> (Box<dyn shadowfax_net::KvLink>, Link) {
+    /// A served data connection over a sim pipe, and the client's end of
+    /// the pipe.
+    fn sim_link(net: &SimNetwork, addr: &str) -> (FramedPeer, Link) {
         let listener = net.listen(addr);
-        let client = shadowfax_net::Transport::connect_link(net.as_ref(), addr).unwrap();
-        let server = listener.try_accept().unwrap();
+        let client = net.connect(addr).unwrap();
+        let served = listener.try_accept().unwrap();
         net.unlisten(addr);
-        (client, Link::Kv(Box::new(server)))
+        let io = Framed::new(Box::new(served), MAX_FRAME_BYTES, None);
+        let lat = KvLatency::register(&MetricsRegistry::new());
+        (
+            FramedPeer::new(client),
+            Link::Kv(ServedKvLink::new(io, lat)),
+        )
     }
 
     #[test]
     fn a_reaped_connections_id_never_reaches_the_slots_next_tenant() {
-        let net: Arc<Net> = SimNetwork::new();
+        let net = SimNetwork::new();
         let mut table = ConnTable::new(Mailbox::new());
         let (first_client, first) = sim_link(&net, "a");
         table.insert(first);
@@ -447,13 +465,16 @@ mod tests {
         // the slot.
         drop(first_client);
         table.serve_ready(|_, link| match link {
-            Link::Kv(l) => l.try_recv_batch().map(|b| b.is_some()).map_err(|_| ()),
+            Link::Kv(l) => {
+                l.begin_pass();
+                l.try_recv_batch().map(|b| b.is_some()).map_err(|_| ())
+            }
             Link::Mig(_) => Ok(false),
         });
         assert_eq!(table.reap(), vec![old]);
 
         // A new connection takes the same slot under a new generation.
-        let (second_client, second) = sim_link(&net, "b");
+        let (mut second_client, second) = sim_link(&net, "b");
         table.insert(second);
         let reply = BatchReply::Rejected {
             seq: 1,
@@ -463,7 +484,7 @@ mod tests {
             !table.reply(old, reply.clone()),
             "stale id reached a tenant"
         );
-        assert!(second_client.try_recv_reply().unwrap().is_none());
+        assert!(second_client.frames().is_empty());
         let mut now = Vec::new();
         table.serve_ready(|id, _| {
             now.push(id);
@@ -471,7 +492,48 @@ mod tests {
         });
         assert_eq!(now[0].idx, old.idx);
         assert_ne!(now[0], old);
-        assert!(table.reply(now[0], reply));
-        assert_eq!(second_client.try_recv_reply().unwrap().unwrap().seq(), 1);
+        assert!(table.reply(now[0], reply.clone()));
+        assert_eq!(second_client.frames(), vec![WireMsg::Reply(reply)]);
+    }
+
+    /// A sim pipe has no readiness event to announce what a per-pass bound
+    /// left unread, so a pass that stops mid-frame must still count as
+    /// work: a thread that parked on it would wait for a write that never
+    /// comes (the client is waiting for the reply).
+    #[test]
+    fn a_pipe_with_input_left_behind_a_bound_keeps_the_thread_busy() {
+        let net = SimNetwork::new();
+        let mut table = ConnTable::new(Mailbox::new());
+        let (mut client, link) = sim_link(&net, "a");
+        table.insert(link);
+        let value = vec![7u8; 2 << 20];
+        let ops = vec![shadowfax_net::KvRequest::Upsert { key: 1, value }];
+        let batch = shadowfax_net::RequestBatch {
+            view: 1,
+            seq: 1,
+            ops,
+        };
+        assert!(client.send(&WireMsg::Batch(batch)));
+        let mut passes = 0;
+        loop {
+            passes += 1;
+            let mut got = false;
+            let (progressed, _) = table.serve_ready(|_, link| match link {
+                Link::Kv(l) => {
+                    l.begin_pass();
+                    got = l.try_recv_batch().map_err(|_| ())?.is_some();
+                    Ok(got)
+                }
+                Link::Mig(_) => Ok(false),
+            });
+            if got {
+                break;
+            }
+            assert!(
+                progressed,
+                "pass {passes} stopped mid-frame and looked idle"
+            );
+        }
+        assert!(passes > 1, "a 2 MiB frame should take more than one pass");
     }
 }

@@ -54,6 +54,8 @@ mod meta;
 mod migration;
 mod recovery;
 mod server;
+mod session;
+pub mod wire;
 
 pub use client::{ClientStats, OpCallback, OwnershipSource, ShadowfaxClient};
 pub use cluster::{
@@ -75,7 +77,8 @@ pub use meta::{
 };
 pub use migration::{MigrationReport, MigrationRole};
 pub use recovery::{CrashedServer, RecoveryOutcome};
-pub use server::{KvNetwork, MigrationConnector, MigrationNetwork, Server, ServerHandle};
+pub use server::{MigrationConnector, Server, ServerHandle};
+pub use session::SessionStats;
 
 // Re-export the request/response types clients interact with.
 pub use shadowfax_net::{KvRequest, KvResponse, SessionConfig};

@@ -32,13 +32,15 @@ use shadowfax_faster::{
     take_checkpoint, Address, FasterSession, KeyHash, ReadOutcome, RecordFlags, RecordOwned,
 };
 use shadowfax_hlog::{LogScanner, RecordHeader, RECORD_HEADER_BYTES};
+use shadowfax_net::TransportError;
 use shadowfax_storage::{LogId, SharedBlobTier, TierRecord, TierService};
 
 use crate::config::MigrationMode;
 use crate::hash_range::HashRange;
 use crate::indirection::IndirectionRecord;
 use crate::messages::{MigratedItem, MigrationMsg};
-use crate::server::{Server, ServerMigConn};
+use crate::server::Server;
+use crate::wire::PeerLink;
 use crate::ServerId;
 
 mod protocol;
@@ -106,7 +108,7 @@ pub(crate) struct OutgoingMigration {
     pub(crate) regions: Vec<Mutex<RegionCursor>>,
     pub(crate) regions_done: AtomicUsize,
     /// Control connection to the target (thread 0 of its migration fabric).
-    pub(crate) control: Mutex<ServerMigConn>,
+    pub(crate) control: Mutex<PeerLink>,
     /// Rocksteady disk-scan cursor.
     pub(crate) disk_cursor: Mutex<Address>,
     // Accounting (Figure 13).
@@ -204,7 +206,7 @@ impl<'a> MigrationBatchIter<'a> {
 pub(crate) struct SourceThreadState {
     pub(crate) thread_id: usize,
     /// Lazily created connection to the target for record batches.
-    pub(crate) records_conn: Option<ServerMigConn>,
+    pub(crate) records_conn: Option<PeerLink>,
     pub(crate) region_done_reported: bool,
     pub(crate) batch: Vec<MigratedItem>,
     pub(crate) batch_bytes: usize,
@@ -369,10 +371,10 @@ impl Server {
         let mut did_work = false;
         if phase == SourcePhase::Migrate as u8 {
             did_work |= self.drive_migrate_phase(&out, state, session);
-        } else if let Some(conn) = &state.records_conn {
+        } else if let Some(conn) = &mut state.records_conn {
             // The target's final ack travels on whichever link delivered the
             // finalizing message, which can be this thread's records link.
-            while let Ok(Some(msg)) = conn.try_recv_msg() {
+            while let Ok(Some(msg)) = conn.recv_migration() {
                 out.inbox.lock().push(SourceEvent::Received(msg));
             }
         }
@@ -380,12 +382,12 @@ impl Server {
             return did_work;
         }
         let mut events = std::mem::take(&mut *out.inbox.lock());
-        let control = out.control.lock();
+        let mut control = out.control.lock();
         let error = loop {
-            match control.try_recv_msg() {
+            match control.recv_migration() {
                 Ok(Some(msg)) => events.push(SourceEvent::Received(msg)),
-                Ok(None) if control.is_open() => break None,
-                Ok(None) => break Some("control link closed".to_string()),
+                Ok(None) => break None,
+                Err(TransportError::PeerClosed) => break Some("control link closed".to_string()),
                 Err(e) => break Some(format!("control link receive failed: {e}")),
             }
         };
@@ -478,9 +480,9 @@ impl Server {
         session: &FasterSession,
     ) -> Option<SourceEvent> {
         let send = |msg| {
-            let sent = out.control.lock().send_msg(msg);
+            let sent = out.control.lock().send_migration(msg);
             sent.err()
-                .map(|e| SourceEvent::LinkError(format!("control link send failed: {}", e.error)))
+                .map(|(e, _)| SourceEvent::LinkError(format!("control link send failed: {e}")))
         };
         match action {
             SourceAction::Send(msg) => return send(msg),
@@ -762,9 +764,7 @@ impl Server {
     /// to the control link if the thread's link is missing or fails.  If the
     /// target is unreachable on both, the batch is put back for retry:
     /// every item in it is already counted in `total_items`, so dropping it
-    /// would leave the target waiting forever.  In the rare case a transport
-    /// consumes a message it could not deliver, the count is rolled back
-    /// instead, keeping the target's expected total honest.
+    /// would leave the target waiting forever.
     fn ship_migration_items(
         &self,
         outgoing: &Arc<OutgoingMigration>,
@@ -774,44 +774,30 @@ impl Server {
         if items.is_empty() {
             return;
         }
-        let count = items.len() as u64;
         let mut msg = MigrationMsg::PushRecordBatch {
             migration_id: outgoing.migration_id,
             target_view: outgoing.target_view,
             items,
         };
-        if let Some(conn) = &state.records_conn {
-            match conn.send_msg(msg) {
+        if let Some(conn) = &mut state.records_conn {
+            match conn.send_migration(msg) {
                 Ok(()) => {
-                    // Drain acknowledgements/noise so the channel never
+                    // Drain acknowledgements/noise so the stream never
                     // backs up.
-                    while let Ok(Some(_)) = conn.try_recv_msg() {}
+                    while let Ok(Some(_)) = conn.recv_migration() {}
                     return;
                 }
-                Err(err) => {
-                    // The link failed; drop it so the next iteration redials.
+                // The link failed; drop it so the next iteration redials.
+                Err((_, unsent)) => {
                     state.records_conn = None;
-                    match err.msg {
-                        Some(recovered) => msg = recovered,
-                        None => {
-                            outgoing.total_items.fetch_sub(count, Ordering::SeqCst);
-                            return;
-                        }
-                    }
+                    msg = unsent;
                 }
             }
         }
-        match outgoing.control.lock().send_msg(msg) {
-            Ok(()) => {}
-            Err(err) => match err.msg {
-                Some(MigrationMsg::PushRecordBatch { mut items, .. }) => {
-                    items.append(&mut state.batch);
-                    state.batch = items;
-                }
-                _ => {
-                    outgoing.total_items.fetch_sub(count, Ordering::SeqCst);
-                }
-            },
+        let sent = outgoing.control.lock().send_migration(msg);
+        if let Err((_, MigrationMsg::PushRecordBatch { mut items, .. })) = sent {
+            items.append(&mut state.batch);
+            state.batch = items;
         }
     }
 
@@ -892,7 +878,7 @@ impl Server {
         self: &Arc<Self>,
         now: Instant,
         msg: MigrationMsg,
-        conn: &ServerMigConn,
+        conn: &mut PeerLink,
         session: &FasterSession,
     ) {
         let reason = "peer cancelled the migration";
@@ -919,7 +905,7 @@ impl Server {
         self: &Arc<Self>,
         now: Instant,
         event: TargetEvent,
-        conn: Option<&ServerMigConn>,
+        mut conn: Option<&mut PeerLink>,
         session: &FasterSession,
     ) -> bool {
         let mut next = Some(event);
@@ -939,7 +925,7 @@ impl Server {
             }
             for action in actions {
                 acted = true;
-                if let Some(event) = self.execute_target(action, conn, session) {
+                if let Some(event) = self.execute_target(action, conn.as_deref_mut(), session) {
                     next = Some(event);
                 }
             }
@@ -952,13 +938,13 @@ impl Server {
     fn execute_target(
         self: &Arc<Self>,
         action: TargetAction,
-        conn: Option<&ServerMigConn>,
+        conn: Option<&mut PeerLink>,
         session: &FasterSession,
     ) -> Option<TargetEvent> {
         match action {
             TargetAction::Reply(msg) => {
                 if let Some(conn) = conn {
-                    let _ = conn.send_msg(msg);
+                    let _ = conn.send_migration(msg);
                 }
             }
             TargetAction::AdoptRanges(ranges, view) => {
@@ -1002,8 +988,9 @@ impl Server {
                     .snapshot()
                     .server(source)
                     .map(|s| s.address.clone());
-                if let Some(link) = address.and_then(|a| self.connect_migration(&a, source, 0)) {
-                    let _ = link.send_msg(MigrationMsg::CancelMigration {
+                if let Some(mut link) = address.and_then(|a| self.connect_migration(&a, source, 0))
+                {
+                    let _ = link.send_migration(MigrationMsg::CancelMigration {
                         migration_id,
                         view: 0,
                     });
@@ -1272,9 +1259,21 @@ mod tests {
     use crate::config::ClientConfig;
     use crate::hash_range::RangeSet;
     use crate::messages::MigrationAckPhase;
-    use crate::server::ServerMigConn;
+    use crate::wire::testing::FramedPeer;
+    use crate::wire::{WireMsg, MIGRATION_SEND_BUDGET};
     use shadowfax_net::LivenessConfig;
     use std::time::Duration;
+
+    /// A loopback migration connection standing in for a source's control
+    /// link: the end the target replies on, and the far end the replies
+    /// can be read from.
+    fn loopback(cluster: &Cluster, addr: &str) -> (PeerLink, FramedPeer) {
+        let listener = cluster.network().listen(addr);
+        let stream = cluster.network().connect(addr).unwrap();
+        let far = FramedPeer::new(listener.try_accept().unwrap());
+        let link = PeerLink::new(Box::new(stream), addr.into(), MIGRATION_SEND_BUDGET);
+        (link, far)
+    }
 
     /// Satellite of the cancellation work: after the target cancels an
     /// incoming migration, a revived source's frames from the dead epoch —
@@ -1300,12 +1299,7 @@ mod tests {
             .transfer_ownership(crate::ServerId(0), crate::ServerId(1), &[moving])
             .unwrap();
 
-        // A loopback migration connection standing in for the source's
-        // control link.
-        let listener = cluster.migration_network().listen("unit-source");
-        let conn: ServerMigConn =
-            Box::new(cluster.migration_network().connect("unit-source").unwrap());
-        let source_side = listener.try_accept().unwrap();
+        let (mut conn, mut source_side) = loopback(&cluster, "unit-source");
 
         target.handle_migration_msg(
             Instant::now(),
@@ -1315,7 +1309,7 @@ mod tests {
                 source: crate::ServerId(0),
                 target_view,
             },
-            &conn,
+            &mut conn,
             &session,
         );
         assert_eq!(target.serving_view(), target_view);
@@ -1332,7 +1326,7 @@ mod tests {
                     value: b"live".to_vec(),
                 }],
             },
-            &conn,
+            &mut conn,
             &session,
         );
         assert_eq!(session.read(42).unwrap(), Some(b"live".to_vec()));
@@ -1365,7 +1359,7 @@ mod tests {
                     value: b"stale".to_vec(),
                 }],
             },
-            &conn,
+            &mut conn,
             &session,
         );
         assert_eq!(
@@ -1380,7 +1374,7 @@ mod tests {
                 target_view,
                 records: vec![(44, b"stale-hot".to_vec())],
             },
-            &conn,
+            &mut conn,
             &session,
         );
         assert_eq!(
@@ -1390,13 +1384,13 @@ mod tests {
         );
 
         // The live phase of the protocol acked on the link.
-        let acked = source_side.drain();
+        let acked = source_side.frames();
         assert!(acked.iter().any(|m| matches!(
             m,
-            MigrationMsg::Ack {
+            WireMsg::Migration(MigrationMsg::Ack {
                 phase: MigrationAckPhase::Prepared,
                 ..
-            }
+            })
         )));
 
         drop(conn);
@@ -1435,14 +1429,7 @@ mod tests {
         assert_eq!(registered, target_view + 1);
         assert_eq!(target.serving_view(), 1, "no prep was ever delivered");
 
-        let listener = cluster.migration_network().listen("unit-source-2");
-        let conn: ServerMigConn = Box::new(
-            cluster
-                .migration_network()
-                .connect("unit-source-2")
-                .unwrap(),
-        );
-        let _source_side = listener.try_accept().unwrap();
+        let (mut conn, _source_side) = loopback(&cluster, "unit-source-2");
 
         // A cancel for an *unknown* migration carrying no fence (view 0,
         // the target -> source relay form) must not move the view.
@@ -1452,7 +1439,7 @@ mod tests {
                 migration_id: migration_id + 7,
                 view: 0,
             },
-            &conn,
+            &mut conn,
             &session,
         );
         assert_eq!(target.serving_view(), 1);
@@ -1466,7 +1453,7 @@ mod tests {
                 migration_id,
                 view: target_view,
             },
-            &conn,
+            &mut conn,
             &session,
         );
         assert_eq!(target.serving_view(), registered);
@@ -1478,7 +1465,7 @@ mod tests {
                 migration_id,
                 view: target_view,
             },
-            &conn,
+            &mut conn,
             &session,
         );
         assert_eq!(target.serving_view(), registered);
@@ -1512,7 +1499,7 @@ mod tests {
         cluster
             .meta()
             .register_server(crate::ServerId(9), "phantom", 1, RangeSet::empty());
-        let _phantom = cluster.migration_network().listen("phantom/m0");
+        let _phantom = cluster.network().listen("phantom/m0");
 
         let migration_id = cluster
             .migrate_fraction(crate::ServerId(0), crate::ServerId(9), 0.5)

@@ -27,13 +27,14 @@
 use std::sync::Arc;
 
 use shadowfax_faster::{recover_from_checkpoint, take_checkpoint, Checkpoint, Faster};
+use shadowfax_net::SimNetwork;
 use shadowfax_storage::{Device, LogId, SharedBlobTier};
 
 use crate::cluster::Cluster;
 use crate::config::ServerConfig;
 use crate::hash_range::RangeSet;
 use crate::meta::MetadataStore;
-use crate::server::{KvNetwork, MigrationNetwork, Server};
+use crate::server::Server;
 use crate::ServerId;
 
 /// Everything that survives a server crash: the durable devices and the last
@@ -121,8 +122,7 @@ impl Server {
     pub fn recover(
         config: ServerConfig,
         meta: Arc<MetadataStore>,
-        kv_net: Arc<KvNetwork>,
-        mig_net: Arc<MigrationNetwork>,
+        net: Arc<SimNetwork>,
         shared_tier: Arc<SharedBlobTier>,
         ssd: Arc<dyn Device>,
         checkpoint: Option<&Checkpoint>,
@@ -156,8 +156,7 @@ impl Server {
         Arc::new(Server {
             store,
             meta,
-            kv_net,
-            mig_net,
+            net,
             shared_tier,
             tier_service,
             serving_view: AtomicU64::new(view),
@@ -188,6 +187,7 @@ impl Server {
                 .map(|_| crate::dispatch::Mailbox::new())
                 .collect(),
             park: instruments.park,
+            kv_latency: instruments.kv_latency,
             shutdown: AtomicBool::new(false),
             threads_running: AtomicUsize::new(0),
             config,
@@ -255,8 +255,7 @@ impl Cluster {
         let server = Server::recover(
             crashed.config,
             Arc::clone(self.meta()),
-            Arc::clone(self.kv_network()),
-            Arc::clone(self.migration_network()),
+            Arc::clone(self.network()),
             Arc::clone(self.shared_tier()),
             crashed.ssd,
             crashed.checkpoint.as_ref(),

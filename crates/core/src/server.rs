@@ -2,11 +2,12 @@
 //! instance (paper §3.1, Figure 4).
 //!
 //! Each server runs one dispatch thread per (v)CPU.  A thread's loop polls
-//! its own connections (in-process fabric links and the sockets the TCP
-//! front end handed it), drains request batches from them, validates each
-//! batch's view with a single integer comparison, executes the operations
-//! against the shared FASTER instance, and replies on the same connection —
-//! no request or result ever crosses threads.  Between batches the thread
+//! its own connections (in-process sim pipes and the sockets the TCP front
+//! end handed it, served alike through the wire codec and `Framed`), drains
+//! request batches from them, validates each batch's view with a single
+//! integer comparison, executes the operations against the shared FASTER
+//! instance, and replies on the same connection — no request or result
+//! ever crosses threads.  Between batches the thread
 //! refreshes its epoch slot (letting global cuts complete), retries pending
 //! operations, and contributes its share of any in-flight migration (paper
 //! §3.3: migration work is interleaved with request processing).  A thread
@@ -24,8 +25,7 @@ use parking_lot::{Mutex, RwLock};
 
 use shadowfax_faster::{Checkpoint, Faster, FasterSession, KeyHash, ReadOutcome, RecordFlags};
 use shadowfax_net::{
-    BatchReply, KvRequest, KvResponse, MigrationLink, RequestBatch, ServerKvLink, SimNetwork,
-    TransportError,
+    BatchReply, ByteStream, KvRequest, KvResponse, RequestBatch, SimNetwork, TransportError,
 };
 use shadowfax_obs::{Counter, EventTimeline, Gauge, MetricsRegistry};
 use shadowfax_storage::{
@@ -36,48 +36,43 @@ use crate::config::{OwnershipCheck, ServerConfig};
 use crate::dispatch::{ConnId, ConnTable, DispatchHandle, Link, Mailbox, ParkInstruments};
 use crate::hash_range::RangeSet;
 use crate::indirection::IndirectionRecord;
-use crate::messages::MigrationMsg;
 use crate::meta::MetadataStore;
 use crate::migration::{
     OutgoingMigration, PendMode, SourceThreadState, TargetEvent, TargetMachine,
 };
+use crate::wire::{
+    Framed, KvLatency, PeerLink, ServedKvLink, MAX_FRAME_BYTES, MIGRATION_SEND_BUDGET,
+};
 use crate::ServerId;
 
-/// The client-facing fabric type.
-pub type KvNetwork = SimNetwork<RequestBatch, BatchReply>;
-/// The server-to-server (migration) fabric type.
-pub type MigrationNetwork = SimNetwork<MigrationMsg, MigrationMsg>;
-
-/// A server-side migration connection: either an in-process fabric
-/// connection or (via `shadowfax-rpc`) a real TCP migration link.
-pub(crate) type ServerMigConn = Box<dyn MigrationLink<MigrationMsg>>;
-
-/// Opens outgoing migration links to peer servers.
+/// Opens outgoing migration connections to peer servers.
 ///
 /// Two implementations, one rule each: the in-process fabric (the default,
 /// for clusters whose servers share one process) dials fabric names, and
 /// `shadowfax-rpc`'s TCP transport, installed by `shadowfax-server`, dials
 /// every peer's socket address over a dedicated migration connection.
+/// Either way the server frames migration messages onto the stream itself.
 pub trait MigrationConnector: Send + Sync {
-    /// Opens a migration link to dispatch thread `thread` of server `server`,
-    /// whose address registered at the metadata store is `address`.
+    /// Opens a migration stream to dispatch thread `thread` of server
+    /// `server`, whose address registered at the metadata store is
+    /// `address`.
     fn connect_migration(
         &self,
         address: &str,
         server: ServerId,
         thread: usize,
-    ) -> Option<ServerMigConn>;
+    ) -> Option<Box<dyn ByteStream>>;
 }
 
-impl MigrationConnector for MigrationNetwork {
+impl MigrationConnector for SimNetwork {
     fn connect_migration(
         &self,
         address: &str,
         _server: ServerId,
         thread: usize,
-    ) -> Option<ServerMigConn> {
-        self.connect(&format!("{address}/m{thread}"))
-            .map(|c| Box::new(c) as ServerMigConn)
+    ) -> Option<Box<dyn ByteStream>> {
+        let conn = self.connect(&format!("{address}/m{thread}"))?;
+        Some(Box::new(conn))
     }
 }
 
@@ -105,6 +100,7 @@ pub(crate) struct ServerInstruments {
     pub(crate) migration_insert_failed: Counter,
     pub(crate) chain_insert_failed: Counter,
     pub(crate) park: ParkInstruments,
+    pub(crate) kv_latency: KvLatency,
 }
 
 impl ServerInstruments {
@@ -131,6 +127,7 @@ impl ServerInstruments {
             migration_insert_failed: metrics.counter(&format!("{p}.migration.insert_failed")),
             chain_insert_failed: metrics.counter(&format!("{p}.chain.insert_failed")),
             park: ParkInstruments::register(metrics, &p),
+            kv_latency: KvLatency::register(metrics),
         };
         // The FASTER store and the SSD already keep their own relaxed
         // atomics; contribute them at snapshot time instead of rewriting
@@ -166,8 +163,8 @@ pub struct Server {
     pub(crate) config: ServerConfig,
     pub(crate) store: Arc<Faster>,
     pub(crate) meta: Arc<MetadataStore>,
-    pub(crate) kv_net: Arc<KvNetwork>,
-    pub(crate) mig_net: Arc<MigrationNetwork>,
+    /// The in-process fabric: clients dial `…/t{n}`, peer servers `…/m{n}`.
+    pub(crate) net: Arc<SimNetwork>,
     pub(crate) shared_tier: Arc<SharedBlobTier>,
     /// Resolves spilled record chains named by indirection records.  Defaults
     /// to the process-local [`SharedBlobTier`]; the RPC layer installs a
@@ -181,7 +178,7 @@ pub struct Server {
     pub(crate) owned: RwLock<RangeSet>,
     /// Overrides how outgoing migration links are opened (installed by the
     /// RPC layer so migrations can cross OS processes); `None` uses
-    /// [`Server::mig_net`].
+    /// [`Server::net`].
     pub(crate) mig_connector: RwLock<Option<Arc<dyn MigrationConnector>>>,
     /// The target side of the migration protocol.
     pub(crate) incoming: Mutex<TargetMachine>,
@@ -249,6 +246,8 @@ pub struct Server {
     pub(crate) mailboxes: Box<[Arc<Mailbox>]>,
     /// `sv{id}.dispatch.*` parking counters and `sv{id}.ops.pended_dropped`.
     pub(crate) park: ParkInstruments,
+    /// `rpc.latency.*` of the client data connections this server serves.
+    pub(crate) kv_latency: KvLatency,
     pub(crate) shutdown: AtomicBool,
     pub(crate) threads_running: AtomicUsize,
 }
@@ -272,8 +271,7 @@ impl Server {
         config: ServerConfig,
         initial_ranges: RangeSet,
         meta: Arc<MetadataStore>,
-        kv_net: Arc<KvNetwork>,
-        mig_net: Arc<MigrationNetwork>,
+        net: Arc<SimNetwork>,
         shared_tier: Arc<SharedBlobTier>,
         metrics: Arc<MetricsRegistry>,
     ) -> Arc<Self> {
@@ -307,8 +305,7 @@ impl Server {
         Arc::new(Server {
             store,
             meta,
-            kv_net,
-            mig_net,
+            net,
             shared_tier,
             tier_service: RwLock::new(tier_service),
             serving_view: AtomicU64::new(view),
@@ -335,6 +332,7 @@ impl Server {
             loop_generation: (0..config.threads).map(|_| AtomicU64::new(0)).collect(),
             mailboxes: (0..config.threads).map(|_| Mailbox::new()).collect(),
             park: instruments.park,
+            kv_latency: instruments.kv_latency,
             shutdown: AtomicBool::new(false),
             threads_running: AtomicUsize::new(0),
             config,
@@ -460,12 +458,14 @@ impl Server {
         address: &str,
         server: ServerId,
         thread: usize,
-    ) -> Option<ServerMigConn> {
+    ) -> Option<PeerLink> {
         let connector = self.mig_connector.read().clone();
-        match connector {
+        let stream = match connector {
             Some(c) => c.connect_migration(address, server, thread),
-            None => self.mig_net.connect_migration(address, server, thread),
-        }
+            None => self.net.connect_migration(address, server, thread),
+        }?;
+        let label = format!("{address}/m{thread}");
+        Some(PeerLink::new(stream, label, MIGRATION_SEND_BUDGET))
     }
 
     /// The network address of dispatch thread `t`.
@@ -536,6 +536,7 @@ impl Server {
     pub fn dispatch_handle(&self, t: usize) -> DispatchHandle {
         DispatchHandle {
             mailbox: Arc::clone(&self.mailboxes[t % self.mailboxes.len()]),
+            lat: self.kv_latency.clone(),
         }
     }
 
@@ -546,12 +547,11 @@ impl Server {
     fn run_thread(self: Arc<Self>, thread_id: usize) {
         let session = self.store.start_session();
         let mailbox = Arc::clone(&self.mailboxes[thread_id]);
+        let mig_address = self.migration_address(thread_id);
         let kv_listener = self
-            .kv_net
+            .net
             .listen_with_waker(&self.thread_address(thread_id), mailbox.waker());
-        let mig_listener = self
-            .mig_net
-            .listen_with_waker(&self.migration_address(thread_id), mailbox.waker());
+        let mig_listener = self.net.listen_with_waker(&mig_address, mailbox.waker());
         self.threads_running.fetch_add(1, Ordering::SeqCst);
 
         let mut conns = ConnTable::new(Arc::clone(&mailbox));
@@ -574,17 +574,20 @@ impl Server {
             let mut did_work = conns.adopt_from_mailbox();
             for conn in kv_listener.accept_all() {
                 did_work = true;
-                conns.insert(Link::Kv(Box::new(conn)));
+                let io = Framed::new(Box::new(conn), MAX_FRAME_BYTES, None);
+                conns.insert(Link::Kv(ServedKvLink::new(io, self.kv_latency.clone())));
             }
             for conn in mig_listener.accept_all() {
                 did_work = true;
-                conns.insert(Link::Mig(Box::new(conn)));
+                let io = Framed::new(Box::new(conn), MAX_FRAME_BYTES, None);
+                let label = format!("{mig_address} (accepted)");
+                conns.insert(Link::Mig(PeerLink::accepted(io, label)));
             }
 
             // Client request batches and migration messages from peers:
             // read, decode, execute and answer, connection by connection.
             let (served, served_sockets) = conns.serve_ready(|id, link| match link {
-                Link::Kv(link) => self.serve_kv(id, link.as_mut(), &mut pending, &session),
+                Link::Kv(link) => self.serve_kv(id, link, &mut pending, &session),
                 Link::Mig(link) => self.serve_mig(pass_start, link, &session),
             });
             did_work |= served;
@@ -678,8 +681,8 @@ impl Server {
             }
         }
 
-        self.kv_net.unlisten(&self.thread_address(thread_id));
-        self.mig_net.unlisten(&self.migration_address(thread_id));
+        self.net.unlisten(&self.thread_address(thread_id));
+        self.net.unlisten(&mig_address);
         self.threads_running.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -700,7 +703,7 @@ impl Server {
     fn serve_kv(
         &self,
         id: ConnId,
-        link: &mut dyn ServerKvLink,
+        link: &mut ServedKvLink,
         pending: &mut Vec<PendingBatch>,
         session: &FasterSession,
     ) -> Result<bool, ()> {
@@ -717,26 +720,21 @@ impl Server {
         Ok(progressed)
     }
 
-    /// Drains one migration connection from a peer server.
+    /// Drains one migration connection from a peer server.  Messages the
+    /// peer sent before hanging up are handled before the close ends the
+    /// connection.
     fn serve_mig(
         self: &Arc<Self>,
         now: Instant,
-        link: &ServerMigConn,
+        link: &mut PeerLink,
         session: &FasterSession,
     ) -> Result<bool, ()> {
-        // Sampled before the drain: a peer seen closed here can send
-        // nothing more, so running dry after it really is the end.
-        let open = link.is_open();
         let mut progressed = false;
-        while let Some(msg) = link.try_recv_msg().map_err(|_| ())? {
+        while let Some(msg) = link.recv_migration().map_err(|_| ())? {
             progressed = true;
             self.handle_migration_msg(now, msg, link, session);
         }
-        if open {
-            Ok(progressed)
-        } else {
-            Err(())
-        }
+        Ok(progressed)
     }
 
     // ------------------------------------------------------------------
@@ -766,7 +764,7 @@ impl Server {
         &self,
         batch: RequestBatch,
         conn: ConnId,
-        link: &mut dyn ServerKvLink,
+        link: &mut ServedKvLink,
         pending: &mut Vec<PendingBatch>,
         session: &FasterSession,
     ) -> Result<(), TransportError> {
@@ -1266,7 +1264,7 @@ const MAX_NESTED_HOPS: u8 = 4;
 /// tick after the pass began before it looks again.  A look that finds
 /// nothing parks the thread; a pass that took longer than a tick, leaves
 /// input behind a per-pass bound, runs under a pend or a migration role,
-/// or served only in-process links (which have no hypervisor between them
+/// or served only in-process pipes (which have no hypervisor between them
 /// and their client) is followed by the next at once.
 ///
 /// This is a fixed interrupt-throttle rate (1,333 looks per second), and it

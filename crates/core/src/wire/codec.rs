@@ -1,6 +1,7 @@
 //! The length-prefixed binary wire codec.
 //!
-//! Every frame on a Shadowfax TCP connection is:
+//! Every frame on a Shadowfax connection — a TCP socket or an in-process
+//! sim pipe — is:
 //!
 //! ```text
 //! ┌───────────────┬──────────┬─────────────────┐
@@ -19,15 +20,16 @@
 //! build environment has no serde format crates); what each frame is *for*
 //! is documented on its [`WireMsg`] variant.  The tags are part of the wire
 //! format — append a tag, never renumber, and a retired tag stays reserved —
-//! and `tests/golden/wire_frames.hex` pins the bytes of every one of them.
+//! and `crates/core/tests/golden/wire_frames.hex` pins the bytes of every one of them.
 
-use shadowfax::{
-    ChainFetchQuery, ChainFetchReply, HashRange, MetaReplica, MigratedItem, MigrationAckPhase,
-    MigrationDep, MigrationMsg, RangeSet, ServerId, ServerMeta,
-};
 use shadowfax_net::{BatchReply, KvRequest, KvResponse, RequestBatch, StatusCode};
 use shadowfax_obs::{HistogramSnapshot, MetricsSnapshot, TimelineEvent};
 use shadowfax_storage::TierRecord;
+
+use crate::{
+    ChainFetchQuery, ChainFetchReply, HashRange, MetaReplica, MigratedItem, MigrationAckPhase,
+    MigrationDep, MigrationMsg, RangeSet, ServerId, ServerMeta,
+};
 
 /// Default per-frame size limit (16 MiB): far above any sane batch, low
 /// enough that a corrupt length prefix cannot OOM the receiver.
@@ -118,13 +120,13 @@ pub struct WireServerInfo {
 
 impl WireServerInfo {
     /// `true` if `hash` falls in one of this server's owned ranges.
-    /// Delegates to [`shadowfax::HashRange::contains`] so client-side
+    /// Delegates to [`HashRange::contains`] so client-side
     /// routing can never diverge from server-side ownership validation.
     pub fn owns_hash(&self, hash: u64) -> bool {
         self.ranges.iter().any(|&(start, end)| {
             // Guard against hostile wire data; HashRange::new asserts on
             // inverted ranges.
-            start <= end && shadowfax::HashRange { start, end }.contains(hash)
+            start <= end && HashRange { start, end }.contains(hash)
         })
     }
 }
@@ -148,7 +150,7 @@ impl WireOwnership {
     }
 }
 
-/// Every message that can travel on a Shadowfax TCP connection.
+/// Every message that can travel on a Shadowfax connection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMsg {
     /// First frame on a data connection: binds it to the dispatch thread
@@ -1142,7 +1144,7 @@ mod tests {
     /// variant, with that tag byte where the layout puts it.
     #[test]
     fn golden_file_pins_every_tag_in_the_table() {
-        let golden: Vec<(&str, Vec<u8>)> = include_str!("../tests/golden/wire_frames.hex")
+        let golden: Vec<(&str, Vec<u8>)> = include_str!("../../tests/golden/wire_frames.hex")
             .lines()
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .map(|l| {

@@ -12,16 +12,16 @@
 //! To pin a new frame, add its sample below and paste the `name = hex` line
 //! the failing assertion prints.  Never edit an existing line.
 
+use shadowfax::wire::{
+    decode_frame, encode_frame, Role, WireBrokerPeer, WireBrokerStatus, WireMigrationState,
+    WireMsg, WireOwnership, WireServerInfo, WireTierLog, WireTierStatus, MAX_FRAME_BYTES,
+};
 use shadowfax::{
     ChainFetchQuery, ChainFetchReply, HashRange, MetaReplica, MigratedItem, MigrationAckPhase,
     MigrationDep, MigrationMsg, RangeSet, ServerId, ServerMeta,
 };
 use shadowfax_net::{BatchReply, KvRequest, KvResponse, RequestBatch, StatusCode};
 use shadowfax_obs::{HistogramSnapshot, MetricsSnapshot, TimelineEvent};
-use shadowfax_rpc::{
-    decode_frame, encode_frame, Role, WireBrokerPeer, WireBrokerStatus, WireMigrationState,
-    WireMsg, WireOwnership, WireServerInfo, WireTierLog, WireTierStatus, MAX_FRAME_BYTES,
-};
 use shadowfax_storage::TierRecord;
 
 fn hex(bytes: &[u8]) -> String {

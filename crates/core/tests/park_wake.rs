@@ -7,7 +7,8 @@
 //! through one of the four routes that exist:
 //!
 //! * a batch over the in-process fabric (the listener's waker),
-//! * a batch on an adopted socket (reactor readiness),
+//! * a batch on an adopted socket (reactor readiness) — both real frames,
+//!   served through the same `Framed` link,
 //! * `start_migration` (which every thread of the source must notice),
 //! * shutdown.
 //!
@@ -17,12 +18,12 @@
 //! answered within one second — a lost wake-up would hang forever.
 
 use std::io::{ErrorKind, Read, Write};
-use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
+use shadowfax::wire::{encode_frame, FrameDecoder, Framed, WireMsg, MAX_FRAME_BYTES};
 use shadowfax::{Cluster, ClusterConfig, ServerId};
-use shadowfax_net::{BatchReply, KvLink, RequestBatch, ServerKvLink, Transport, TransportError};
+use shadowfax_net::{BatchReply, Connection, RequestBatch};
 use shadowfax_obs::Counter;
 
 const STEPS: usize = 10_000;
@@ -32,53 +33,53 @@ const SHUTDOWN_EVERY: usize = 500;
 /// A migration every this many steps.
 const MIGRATE_EVERY: usize = 50;
 
-/// The serving end of a socket pair speaking a 16-byte request (view, seq)
-/// and an 8-byte reply (seq): the smallest real-fd `ServerKvLink`.
-struct PipeLink {
-    stream: UnixStream,
-    buf: Vec<u8>,
+/// The client's end of a data connection, driven by hand: request frames
+/// out, reply frames in.
+struct Peer<S> {
+    stream: S,
+    decoder: FrameDecoder,
 }
 
-impl ServerKvLink for PipeLink {
-    fn raw_fd(&self) -> Option<RawFd> {
-        Some(self.stream.as_raw_fd())
+impl<S: Read + Write> Peer<S> {
+    fn new(stream: S) -> Self {
+        Peer {
+            stream,
+            decoder: FrameDecoder::new(MAX_FRAME_BYTES),
+        }
     }
 
-    fn try_recv_batch(&mut self) -> Result<Option<RequestBatch>, TransportError> {
-        // Edge-triggered registration: read until the socket runs dry.
+    /// Sends one batch and waits (within the step deadline) for its reply.
+    fn round_trip(&mut self, batch: RequestBatch, what: &str) -> BatchReply {
+        self.stream
+            .write_all(&encode_frame(&WireMsg::Batch(batch)))
+            .unwrap();
+        let deadline = Instant::now() + STEP_DEADLINE;
         let mut chunk = [0u8; 256];
         loop {
+            match self.decoder.next_msg().unwrap() {
+                Some(WireMsg::Reply(reply)) => return reply,
+                Some(other) => panic!("{what}: unexpected frame {other:?}"),
+                None => {}
+            }
+            assert!(Instant::now() < deadline, "{what} within {STEP_DEADLINE:?}");
             match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(TransportError::PeerClosed),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Io(e.to_string())),
+                Ok(0) => panic!("{what}: the server hung up"),
+                Ok(n) => self.decoder.extend(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    std::thread::yield_now()
+                }
+                Err(e) => panic!("{what}: {e}"),
             }
         }
-        if self.buf.len() < 16 {
-            return Ok(None);
-        }
-        let word = |i: usize| u64::from_le_bytes(self.buf[i..i + 8].try_into().unwrap());
-        let (view, seq) = (word(0), word(8));
-        self.buf.drain(..16);
-        let ops = Vec::new();
-        Ok(Some(RequestBatch { view, seq, ops }))
-    }
-
-    fn send_reply(&mut self, reply: BatchReply) -> Result<(), TransportError> {
-        self.stream
-            .write_all(&reply.seq().to_le_bytes())
-            .map_err(|e| TransportError::Io(e.to_string()))
     }
 }
 
-/// One cluster with, per dispatch thread of server 0, a fabric link and an
-/// adopted socket.
+/// One cluster with, per dispatch thread of server 0, a fabric pipe and an
+/// adopted socket, both carrying real frames.
 struct Rig {
     cluster: Cluster,
-    sim: Vec<Box<dyn KvLink>>,
-    pipes: Vec<UnixStream>,
+    sim: Vec<Peer<Connection>>,
+    pipes: Vec<Peer<UnixStream>>,
     parks: Counter,
 }
 
@@ -92,20 +93,14 @@ impl Rig {
         let mut sim = Vec::new();
         let mut pipes = Vec::new();
         for t in 0..threads {
-            sim.push(
-                cluster
-                    .kv_network()
-                    .connect_link(&server.thread_address(t))
-                    .unwrap(),
-            );
+            let conn = cluster.network().connect(&server.thread_address(t));
+            sim.push(Peer::new(conn.unwrap()));
             let (client, served) = UnixStream::pair().unwrap();
             served.set_nonblocking(true).unwrap();
             client.set_read_timeout(Some(STEP_DEADLINE)).unwrap();
-            server.dispatch_handle(t).adopt_kv(Box::new(PipeLink {
-                stream: served,
-                buf: Vec::new(),
-            }));
-            pipes.push(client);
+            let io = Framed::new(Box::new(served), MAX_FRAME_BYTES, None);
+            server.dispatch_handle(t).adopt_kv(io);
+            pipes.push(Peer::new(client));
         }
         let parks = cluster.metrics().counter("sv0.dispatch.parks");
         Rig {
@@ -168,27 +163,17 @@ fn alternate(threads: usize) {
                 rig.cluster.wait_for_migrations(STEP_DEADLINE),
                 "step {step}: migration did not complete within {STEP_DEADLINE:?}"
             );
-        } else if step % 2 == 0 {
-            let ops = Vec::new();
-            rig.sim[t]
-                .send_batch(RequestBatch { view, seq, ops })
-                .unwrap();
-            let mut reply = None;
-            wait_until(&format!("step {step}: no reply on the fabric link"), || {
-                reply = rig.sim[t].try_recv_reply().unwrap();
-                reply.is_some()
-            });
-            assert_eq!(reply.unwrap().seq(), seq);
         } else {
-            let mut frame = [0u8; 16];
-            frame[..8].copy_from_slice(&view.to_le_bytes());
-            frame[8..].copy_from_slice(&seq.to_le_bytes());
-            rig.pipes[t].write_all(&frame).unwrap();
-            let mut answer = [0u8; 8];
-            rig.pipes[t]
-                .read_exact(&mut answer)
-                .unwrap_or_else(|e| panic!("step {step}: no reply on the adopted socket: {e}"));
-            assert_eq!(u64::from_le_bytes(answer), seq);
+            let ops = Vec::new();
+            let batch = RequestBatch { view, seq, ops };
+            let reply = if step % 2 == 0 {
+                let what = format!("step {step}: a reply on the fabric pipe");
+                rig.sim[t].round_trip(batch, &what)
+            } else {
+                let what = format!("step {step}: a reply on the adopted socket");
+                rig.pipes[t].round_trip(batch, &what)
+            };
+            assert_eq!(reply.seq(), seq);
         }
     }
     rig.cluster.shutdown();

@@ -136,7 +136,7 @@ impl fmt::Display for TransportError {
 
 impl Error for TransportError {}
 
-/// Errors surfaced by a [`ClientSession`](crate::ClientSession).
+/// Errors surfaced by a client session (the core crate's `ClientSession`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
     /// The server rejected a batch because the session's view is stale.  The

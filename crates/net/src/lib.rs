@@ -1,31 +1,32 @@
-//! Networking substrate: wire messages, sessions with pipelined batches, a
-//! pluggable transport layer, and a zero-cost in-process fabric.
+//! Networking substrate: wire messages, session knobs, the byte-stream
+//! seam both fabrics implement, and a zero-cost in-process fabric.
 //!
 //! The paper's servers and clients communicate over ordinary Linux TCP
-//! (§3.1).  This crate defines the messages, the client session, and the
-//! seams real transports plug into:
+//! (§3.1).  This crate defines the messages, the session knobs, and the
+//! seam real transports plug into:
 //!
 //! * **messages** — [`KvRequest`]s travel in [`RequestBatch`]es tagged with
 //!   the client's cached view number; [`BatchReply`] either answers every
 //!   operation or rejects the whole batch with the server's current view
 //!   (paper §3.2).
-//! * **sessions** — a [`ClientSession`] connects one client thread to one
-//!   server thread, carrying pipelined batches of asynchronous requests with
-//!   completion callbacks (paper §3.1.1, §3.2).
-//! * **transports** — the [`Transport`] / [`KvLink`] traits decouple the
-//!   session machinery from the bytes underneath:
+//! * **sessions** — [`SessionConfig`] and [`Callback`]: the batching and
+//!   pipelining knobs of a client session and its completion callback (the
+//!   session itself lives in the core crate, paper §3.1, §3.2).
+//! * **transports** — one seam, [`ByteStream`]: a non-blocking byte stream
+//!   that a [`Transport`] dials.  Everything above it (codec, framing,
+//!   sessions, serving) is written once against bytes:
 //!
 //!   | implementation | where | what it is |
 //!   |---|---|---|
-//!   | [`SimNetwork`] | this crate | in-process fabric: typed messages over channels, no cost model and no codec |
-//!   | `TcpTransport` | `shadowfax-rpc` | real loopback/LAN TCP sockets speaking the length-prefixed wire codec |
+//!   | [`SimNetwork`] | this crate | in-process fabric: byte pipes with a waker, no cost model |
+//!   | `TcpTransport` | `shadowfax-rpc` | real loopback/LAN TCP sockets |
 //!
-//!   A [`Transport`] opens [`KvLink`]s to string addresses.  Fabric
-//!   addresses name a server dispatch thread (`"sv0/t3"`); the TCP transport
-//!   prefixes the socket address (`"127.0.0.1:4870/sv0/t3"`).  Because
-//!   [`ClientSession`] is written purely against `dyn KvLink`, the paper's
-//!   client-side properties (batching, pipelining, view stamping, parking on
-//!   rejection) hold identically over the simulator and over real sockets.
+//!   Fabric addresses name a server dispatch thread (`"sv0/t3"`); the TCP
+//!   transport prefixes the socket address (`"127.0.0.1:4870/sv0/t3"`).
+//!   Because both fabrics carry the same frames, the paper's client-side
+//!   properties (batching, pipelining, view stamping, parking on rejection)
+//!   and the wire format they travel in hold identically over the
+//!   simulator and over real sockets.
 //! * **typed errors** — [`TransportError`] / [`SessionError`] replace the
 //!   old ad-hoc `bool`/`Option` signalling, and carry a stable one-byte
 //!   [`StatusCode`] so the RPC layer can put them on the wire.
@@ -40,9 +41,9 @@
 //!   server's I/O threads and the tier daemon's event loop are built on
 //!   it, so idle connections cost no CPU.
 //!
-//! The simulated fabric remains generic over the message type; the Shadowfax
-//! core crate instantiates it with its client/server and server/server
-//! message enums.
+//! The simulated fabric carries bytes, not messages: the core crate's codec
+//! frames client batches and migration messages onto it exactly as onto a
+//! TCP socket.
 
 #![warn(missing_docs)]
 
@@ -58,6 +59,6 @@ pub use error::{SessionError, StatusCode, TransportError};
 pub use liveness::{LivenessConfig, PeerLiveness};
 pub use message::{BatchReply, KvRequest, KvResponse, RequestBatch};
 pub use reactor::{raise_nofile_limit, Event, Interest, Reactor, Token};
-pub use session::{Callback, ClientSession, SessionConfig, SessionStats};
+pub use session::{Callback, SessionConfig};
 pub use sim::{Connection, Listener, SimNetwork, Waker};
-pub use transport::{KvLink, MigrationLink, MigrationSendError, ServerKvLink, Transport};
+pub use transport::{ByteStream, Transport};

@@ -1,129 +1,138 @@
-//! The simulated transport (see `transport` for the trait layer): in-process
-//! connections between client threads and server threads.
+//! The simulated transport (see `transport` for the stream seam):
+//! in-process byte pipes between client threads and server threads.
 //!
 //! A [`SimNetwork`] plays the role of the cloud fabric.  Server threads
-//! register listeners under string addresses (e.g. `"server-0/thread-3"`),
-//! clients connect to those addresses, and each side gets a [`Connection`]
-//! carrying typed messages.  The fabric is zero-cost: a message is
-//! deliverable as soon as it is sent, and no clock is read.
+//! register listeners under string addresses (e.g. `"sv0/t3"`), clients
+//! connect to those addresses, and each side gets a [`Connection`]: one end
+//! of a non-blocking byte pipe that reads and writes like a socket, so the
+//! codec and framing that run over TCP run over it unchanged.  The fabric
+//! is zero-cost: a write is readable as soon as it returns, a pipe has no
+//! capacity limit (a write never blocks), and no clock is read.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-/// Called after a connection or a message has been published toward a
+/// Called after a connection or a write has been published toward a
 /// listener's owner, so an owner that blocks when idle (a dispatch thread
 /// parked in its reactor) learns about it.  Must be cheap when the owner
-/// is busy: it runs on every client send.
+/// is busy: it runs on every client write.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
-/// One endpoint of a bidirectional connection that sends messages of type `S`
-/// and receives messages of type `R`.
-pub struct Connection<S, R> {
-    tx: Sender<S>,
-    rx: Receiver<R>,
-    peer_closed_marker: Arc<()>,
-    /// Wakes the peer's owner after each send (client ends of connections
-    /// to a listener registered with [`SimNetwork::listen_with_waker`]).
-    peer_waker: Option<Waker>,
-    /// Messages handed out in the current service pass, when a dispatch
-    /// thread serves this end (`ServerKvLink`).
-    pub(crate) served_this_pass: usize,
+/// One direction of a pipe.
+#[derive(Default)]
+struct Half {
+    bytes: Mutex<VecDeque<u8>>,
+    /// The writing end was dropped: once `bytes` is drained, reads see EOF.
+    writer_gone: AtomicBool,
+    /// The reading end was dropped: writes fail with `BrokenPipe`.
+    reader_gone: AtomicBool,
 }
 
-impl<S, R> std::fmt::Debug for Connection<S, R> {
+/// One end of a bidirectional in-process byte pipe.
+///
+/// A read copies out what is buffered, returns `WouldBlock` when nothing
+/// is, and returns `Ok(0)` once the peer end is dropped and everything it
+/// wrote has been read.  A write toward a dropped peer fails with
+/// `BrokenPipe`.
+pub struct Connection {
+    tx: Arc<Half>,
+    rx: Arc<Half>,
+    /// Wakes the peer's owner after each write (client ends of connections
+    /// to a listener registered with [`SimNetwork::listen_with_waker`]).
+    peer_waker: Option<Waker>,
+}
+
+impl std::fmt::Debug for Connection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
-            .field("peer_closed", &self.peer_closed())
+            .field("peer_closed", &self.rx.writer_gone.load(Ordering::SeqCst))
             .finish()
     }
 }
 
-impl<S, R> Connection<S, R> {
-    /// Sends `msg` to the peer.  Returns `false` if the peer end has been
-    /// dropped.
-    pub fn send(&self, msg: S) -> bool {
-        self.try_send(msg).is_ok()
+impl Read for Connection {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        // Sampled before the buffer: a peer seen gone here has written
+        // everything it ever will, so an empty buffer after it is the end.
+        let peer_gone = self.rx.writer_gone.load(Ordering::SeqCst);
+        let mut bytes = self.rx.bytes.lock();
+        if bytes.is_empty() && !buf.is_empty() {
+            return if peer_gone {
+                Ok(0)
+            } else {
+                Err(ErrorKind::WouldBlock.into())
+            };
+        }
+        bytes.read(buf)
     }
+}
 
-    /// Like [`Connection::send`], but hands the message back if the peer end
-    /// has been dropped, so the caller can retry or re-route it.
-    pub fn try_send(&self, msg: S) -> Result<(), S> {
-        self.tx.send(msg).map_err(|e| e.0)?;
+impl Write for Connection {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.tx.reader_gone.load(Ordering::SeqCst) {
+            return Err(ErrorKind::BrokenPipe.into());
+        }
+        self.tx.bytes.lock().extend(buf);
         // Published first, then the wake: a parked owner either sees the
-        // message on its pre-park re-check or is woken by this call.
+        // bytes on its pre-park re-check or is woken by this call.
         if let Some(wake) = &self.peer_waker {
             wake();
         }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
+}
 
-    /// Receives one message, if one is waiting.
-    pub fn try_recv(&self) -> Option<R> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Drains every waiting message.
-    pub fn drain(&self) -> Vec<R> {
-        let mut out = Vec::new();
-        while let Some(m) = self.try_recv() {
-            out.push(m);
-        }
-        out
-    }
-
-    /// `true` once the peer endpoint has been dropped.
-    pub fn peer_closed(&self) -> bool {
-        // Two strong references exist while both ends are alive (one per end).
-        Arc::strong_count(&self.peer_closed_marker) < 2
+impl Drop for Connection {
+    fn drop(&mut self) {
+        self.tx.writer_gone.store(true, Ordering::SeqCst);
+        self.rx.reader_gone.store(true, Ordering::SeqCst);
     }
 }
 
-/// A listener registered under an address; yields the server-side endpoint of
-/// each accepted connection.  The server-side endpoint sends `S2C` messages
-/// and receives `C2S` messages.
-pub struct Listener<C2S, S2C> {
-    incoming: Receiver<Connection<S2C, C2S>>,
+/// A listener registered under an address; yields the server-side endpoint
+/// of each accepted connection.
+pub struct Listener {
+    incoming: Receiver<Connection>,
 }
 
-impl<C2S, S2C> std::fmt::Debug for Listener<C2S, S2C> {
+impl std::fmt::Debug for Listener {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("Listener")
     }
 }
 
-impl<C2S, S2C> Listener<C2S, S2C> {
+impl Listener {
     /// Accepts one pending connection, if any.
-    pub fn try_accept(&self) -> Option<Connection<S2C, C2S>> {
+    pub fn try_accept(&self) -> Option<Connection> {
         self.incoming.try_recv().ok()
     }
 
     /// Accepts every pending connection.
-    pub fn accept_all(&self) -> Vec<Connection<S2C, C2S>> {
-        let mut out = Vec::new();
-        while let Ok(c) = self.incoming.try_recv() {
-            out.push(c);
-        }
-        out
+    pub fn accept_all(&self) -> Vec<Connection> {
+        std::iter::from_fn(|| self.incoming.try_recv().ok()).collect()
     }
 }
 
 /// The in-process fabric: a registry of listeners by address.
-///
-/// `C2S` is the client-to-server message type, `S2C` the server-to-client
-/// message type.
-pub struct SimNetwork<C2S, S2C> {
-    listeners: Mutex<HashMap<String, ListenerEntry<C2S, S2C>>>,
+pub struct SimNetwork {
+    listeners: Mutex<HashMap<String, ListenerEntry>>,
 }
 
-struct ListenerEntry<C2S, S2C> {
-    accept_tx: Sender<Connection<S2C, C2S>>,
+struct ListenerEntry {
+    accept_tx: Sender<Connection>,
     waker: Option<Waker>,
 }
 
-impl<C2S, S2C> std::fmt::Debug for SimNetwork<C2S, S2C> {
+impl std::fmt::Debug for SimNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNetwork")
             .field("listeners", &self.listeners.lock().len())
@@ -131,7 +140,7 @@ impl<C2S, S2C> std::fmt::Debug for SimNetwork<C2S, S2C> {
     }
 }
 
-impl<C2S, S2C> SimNetwork<C2S, S2C> {
+impl SimNetwork {
     /// Creates an empty fabric.
     pub fn new() -> Arc<Self> {
         Arc::new(SimNetwork {
@@ -140,18 +149,18 @@ impl<C2S, S2C> SimNetwork<C2S, S2C> {
     }
 
     /// Registers a listener at `addr`.  Panics if the address is taken.
-    pub fn listen(&self, addr: &str) -> Listener<C2S, S2C> {
+    pub fn listen(&self, addr: &str) -> Listener {
         self.register(addr, None)
     }
 
     /// Registers a listener whose owner blocks when idle: `waker` runs after
-    /// every connect to `addr` and after every message a client sends on a
+    /// every connect to `addr` and after every write a client makes on a
     /// connection accepted from it.
-    pub fn listen_with_waker(&self, addr: &str, waker: Waker) -> Listener<C2S, S2C> {
+    pub fn listen_with_waker(&self, addr: &str, waker: Waker) -> Listener {
         self.register(addr, Some(waker))
     }
 
-    fn register(&self, addr: &str, waker: Option<Waker>) -> Listener<C2S, S2C> {
+    fn register(&self, addr: &str, waker: Option<Waker>) -> Listener {
         let (accept_tx, rx) = unbounded();
         let entry = ListenerEntry { accept_tx, waker };
         let prev = self.listeners.lock().insert(addr.to_string(), entry);
@@ -165,28 +174,22 @@ impl<C2S, S2C> SimNetwork<C2S, S2C> {
     }
 
     /// Connects to the listener at `addr`.
-    pub fn connect(&self, addr: &str) -> Option<Connection<C2S, S2C>> {
+    pub fn connect(&self, addr: &str) -> Option<Connection> {
         let (accept_tx, waker) = {
             let listeners = self.listeners.lock();
             let entry = listeners.get(addr)?;
             (entry.accept_tx.clone(), entry.waker.clone())
         };
-        let (c2s_tx, c2s_rx) = unbounded();
-        let (s2c_tx, s2c_rx) = unbounded();
-        let marker = Arc::new(());
+        let (c2s, s2c) = (Arc::new(Half::default()), Arc::new(Half::default()));
         let client_end = Connection {
-            tx: c2s_tx,
-            rx: s2c_rx,
-            peer_closed_marker: Arc::clone(&marker),
+            tx: Arc::clone(&c2s),
+            rx: Arc::clone(&s2c),
             peer_waker: waker.clone(),
-            served_this_pass: 0,
         };
         let server_end = Connection {
-            tx: s2c_tx,
-            rx: c2s_rx,
-            peer_closed_marker: marker,
+            tx: s2c,
+            rx: c2s,
             peer_waker: None,
-            served_this_pass: 0,
         };
         accept_tx.send(server_end).ok()?;
         if let Some(wake) = waker {
@@ -199,45 +202,48 @@ impl<C2S, S2C> SimNetwork<C2S, S2C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{KvRequest, RequestBatch};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
-    fn batch(seq: u64) -> RequestBatch {
-        RequestBatch {
-            view: 1,
-            seq,
-            ops: vec![KvRequest::Read { key: seq }],
-        }
+    /// Everything `conn` holds right now, or the error a read ended with.
+    fn read_now(conn: &mut Connection) -> io::Result<Vec<u8>> {
+        let mut buf = [0u8; 64];
+        let n = conn.read(&mut buf)?;
+        Ok(buf[..n].to_vec())
     }
 
     #[test]
-    fn connect_and_exchange_messages() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
+    fn bytes_flow_both_ways_in_order() {
+        let net = SimNetwork::new();
         let listener = net.listen("server-0/0");
-        let client = net.connect("server-0/0").unwrap();
-        let server = listener.try_accept().unwrap();
+        let mut client = net.connect("server-0/0").unwrap();
+        let mut server = listener.try_accept().unwrap();
 
-        assert!(client.send(batch(1)));
-        assert!(client.send(batch(2)));
-        let got = server.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].seq, 1);
-        assert_eq!(got[1].seq, 2);
+        client.write_all(b"ab").unwrap();
+        client.write_all(b"cd").unwrap();
+        assert_eq!(read_now(&mut server).unwrap(), b"abcd");
+        let err = read_now(&mut server).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            ErrorKind::WouldBlock,
+            "empty pipe must not block"
+        );
 
-        assert!(server.send(batch(3)));
-        assert_eq!(client.try_recv().unwrap().seq, 3);
-        assert!(client.try_recv().is_none());
+        server.write_all(b"xyz").unwrap();
+        let mut two = [0u8; 2];
+        assert_eq!(client.read(&mut two).unwrap(), 2);
+        assert_eq!(&two, b"xy");
+        assert_eq!(read_now(&mut client).unwrap(), b"z");
     }
 
     #[test]
     fn connect_to_unknown_address_fails() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
+        let net = SimNetwork::new();
         assert!(net.connect("nowhere").is_none());
     }
 
     #[test]
-    fn waker_runs_after_connect_and_after_each_client_send() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
+    fn waker_runs_after_connect_and_after_each_client_write() {
+        let net = SimNetwork::new();
         let wakes = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&wakes);
         let listener = net.listen_with_waker(
@@ -246,33 +252,35 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
             }),
         );
-        let client = net.connect("s").unwrap();
+        let mut client = net.connect("s").unwrap();
         assert_eq!(wakes.load(Ordering::SeqCst), 1, "connect did not wake");
         // The connection is already published when the waker runs.
-        let server = listener.try_accept().unwrap();
-        client.send(batch(1));
-        assert_eq!(wakes.load(Ordering::SeqCst), 2, "send did not wake");
-        assert_eq!(server.try_recv().unwrap().seq, 1);
+        let mut server = listener.try_accept().unwrap();
+        client.write_all(&[1]).unwrap();
+        assert_eq!(wakes.load(Ordering::SeqCst), 2, "write did not wake");
+        assert_eq!(read_now(&mut server).unwrap(), [1]);
         // Replies flow toward the client, whose owner polls: no wake.
-        server.send(batch(2));
+        server.write_all(&[2]).unwrap();
         assert_eq!(wakes.load(Ordering::SeqCst), 2);
     }
 
     #[test]
-    fn peer_closed_detection() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
+    fn a_dropped_peer_is_eof_after_its_bytes_and_refuses_writes() {
+        let net = SimNetwork::new();
         let listener = net.listen("s");
-        let client = net.connect("s").unwrap();
-        let server = listener.try_accept().unwrap();
-        assert!(!client.peer_closed());
+        let mut client = net.connect("s").unwrap();
+        let mut server = listener.try_accept().unwrap();
+        server.write_all(b"last").unwrap();
         drop(server);
-        assert!(client.peer_closed());
-        assert!(!client.send(batch(1)), "send to a closed peer should fail");
+        assert_eq!(read_now(&mut client).unwrap(), b"last");
+        assert_eq!(read_now(&mut client).unwrap(), b"", "EOF after the drain");
+        let err = client.write(&[1]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::BrokenPipe);
     }
 
     #[test]
     fn duplicate_listener_panics() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
+        let net = SimNetwork::new();
         let _a = net.listen("dup");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.listen("dup")));
         assert!(result.is_err());
@@ -280,43 +288,42 @@ mod tests {
 
     #[test]
     fn unlisten_frees_address() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
+        let net = SimNetwork::new();
         let _a = net.listen("addr");
         net.unlisten("addr");
         let _b = net.listen("addr");
     }
 
     #[test]
-    fn cross_thread_usage() {
-        let net: Arc<SimNetwork<RequestBatch, RequestBatch>> = SimNetwork::new();
+    fn cross_thread_echo() {
+        let net = SimNetwork::new();
         let listener = net.listen("s");
         let net2 = Arc::clone(&net);
         let client_thread = std::thread::spawn(move || {
-            let client = net2.connect("s").unwrap();
-            for i in 0..100 {
-                client.send(batch(i));
+            let mut client = net2.connect("s").unwrap();
+            for i in 0..100u8 {
+                client.write_all(&[i]).unwrap();
             }
-            // Wait for 100 acks.
-            let mut acks = 0;
-            while acks < 100 {
-                if client.try_recv().is_some() {
-                    acks += 1;
+            let mut echoed = Vec::new();
+            while echoed.len() < 100 {
+                if let Ok(bytes) = read_now(&mut client) {
+                    echoed.extend(bytes);
                 }
             }
-            acks
+            echoed
         });
-        let server = loop {
+        let mut server = loop {
             if let Some(c) = listener.try_accept() {
                 break c;
             }
         };
         let mut echoed = 0;
         while echoed < 100 {
-            if let Some(m) = server.try_recv() {
-                server.send(m);
-                echoed += 1;
+            if let Ok(bytes) = read_now(&mut server) {
+                server.write_all(&bytes).unwrap();
+                echoed += bytes.len();
             }
         }
-        assert_eq!(client_thread.join().unwrap(), 100);
+        assert_eq!(client_thread.join().unwrap(), (0..100).collect::<Vec<u8>>());
     }
 }

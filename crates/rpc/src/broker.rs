@@ -46,10 +46,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use shadowfax::wire::{encode_frame, Role, WireBrokerPeer, WireBrokerStatus, WireMsg};
 use shadowfax::{Cluster, MetaError, MetaReplica};
 use shadowfax_net::{LivenessConfig, PeerLiveness};
 
-use crate::codec::{Role, WireBrokerPeer, WireBrokerStatus};
 use crate::ctrl::CtrlClient;
 
 /// Tuning for a [`Coordinator`].
@@ -445,8 +445,7 @@ impl CoordinatorLoop {
                 continue;
             }
             let bytes = *frame_bytes.get_or_insert_with(|| {
-                crate::codec::encode_frame(&crate::codec::WireMsg::MetaMerge(local.clone())).len()
-                    as u64
+                encode_frame(&WireMsg::MetaMerge(local.clone())).len() as u64
             });
             if let Some((epoch, _changed)) =
                 with_conn(peer, timeout, |conn| conn.merge_meta(&local))
@@ -600,7 +599,7 @@ impl CoordinatorLoop {
 fn replica_content_hash(replica: &MetaReplica) -> u64 {
     let mut normalized = replica.clone();
     normalized.epoch = 0;
-    let frame = crate::codec::encode_frame(&crate::codec::WireMsg::MetaMerge(normalized));
+    let frame = encode_frame(&WireMsg::MetaMerge(normalized));
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in &frame {
         hash ^= b as u64;

@@ -13,12 +13,12 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Duration;
 
+use shadowfax::wire::WireOwnership;
 use shadowfax::{
     ClientConfig, HashRange, KvRequest, KvResponse, OwnershipSnapshot, OwnershipSource, RangeSet,
     ServerId, ServerMeta, SessionConfig, ShadowfaxClient,
 };
 
-use crate::codec::WireOwnership;
 use crate::ctrl::{CtrlClient, RpcError};
 use crate::tcp::TcpTransport;
 
@@ -135,7 +135,6 @@ impl RemoteClient {
         };
         let transport = Arc::new(TcpTransport {
             connect_timeout: config.timeout,
-            ..TcpTransport::default()
         });
         let client_config = ClientConfig {
             thread_id: config.thread_id,
@@ -214,7 +213,7 @@ impl RemoteClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::WireServerInfo;
+    use shadowfax::wire::WireServerInfo;
 
     #[test]
     fn routes_dial_peers_directly_and_drop_inverted_ranges() {

@@ -17,14 +17,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use shadowfax::{ChainFetchQuery, ChainFetchReply, MetaError, MetaReplica};
-use shadowfax_net::StatusCode;
-use shadowfax_obs::MetricsSnapshot;
-
-use crate::codec::{
+use shadowfax::wire::{
     encode_frame, CodecError, FrameDecoder, WireBrokerStatus, WireMigrationState, WireMsg,
     WireOwnership, WireTierStatus, MAX_FRAME_BYTES,
 };
+use shadowfax::{ChainFetchQuery, ChainFetchReply, MetaError, MetaReplica};
+use shadowfax_net::StatusCode;
+use shadowfax_obs::MetricsSnapshot;
 
 /// Errors from RPC client operations.
 ///

@@ -14,17 +14,15 @@
 
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use shadowfax::wire::{ConnMetrics, Framed, WireMsg};
 use shadowfax_net::{Interest, Reactor, StatusCode, Token};
 use shadowfax_obs::MetricsRegistry;
-
-use crate::codec::WireMsg;
-use crate::framed::{ConnMetrics, Framed};
 
 /// How a dispatch thread takes a socket over from the loop.
 pub(crate) type Adopt = Box<dyn FnOnce(Framed) + Send>;
@@ -48,6 +46,8 @@ const LISTENER_TOKEN: Token = Token(u64::MAX - 1);
 /// One connection in a loop's slab.
 struct Conn {
     io: Framed,
+    /// The socket under `io`, as registered with the reactor.
+    fd: RawFd,
     /// Whether the reactor registration currently includes write
     /// interest (kept in sync with `io.out` by the loop).
     wants_write: bool,
@@ -231,10 +231,8 @@ fn run(
                         slots.len() - 1
                     });
                     let token = Token::for_slot(idx as u32, slots[idx].gen);
-                    if reactor
-                        .register(stream.as_raw_fd(), token, Interest::READABLE)
-                        .is_err()
-                    {
+                    let fd = stream.as_raw_fd();
+                    if reactor.register(fd, token, Interest::READABLE).is_err() {
                         // Registration fails only under fd exhaustion; drop
                         // the connection rather than the thread.
                         conn_metrics.dropped_dead.inc();
@@ -242,7 +240,8 @@ fn run(
                         return;
                     }
                     slots[idx].conn = Some(Conn {
-                        io: Framed::new(stream, max_frame, conn_metrics.clone()),
+                        io: Framed::new(Box::new(stream), max_frame, Some(conn_metrics.clone())),
+                        fd,
                         wants_write: false,
                         in_active: true,
                     });
@@ -285,7 +284,7 @@ fn run(
             let gone = handoff.is_some() || conn.io.dead || conn.io.finished();
             if gone {
                 let conn = slots[idx].conn.take().expect("checked Some above");
-                let _ = reactor.deregister(conn.io.stream.as_raw_fd());
+                let _ = reactor.deregister(conn.fd);
                 slots[idx].gen = gen.wrapping_add(1);
                 free.push(idx);
                 active.swap_remove(i);
@@ -303,9 +302,8 @@ fn run(
                 } else {
                     Interest::READABLE
                 };
-                let fd = conn.io.stream.as_raw_fd();
                 if reactor
-                    .reregister(fd, Token::for_slot(idx as u32, gen), interest)
+                    .reregister(conn.fd, Token::for_slot(idx as u32, gen), interest)
                     .is_err()
                 {
                     conn.io.dead = true;

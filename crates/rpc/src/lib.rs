@@ -1,15 +1,15 @@
 //! The real TCP serving path for Shadowfax.
 //!
-//! The core crates serve a cluster over an in-process simulated fabric; this
-//! crate puts the same cluster behind real sockets:
+//! The core crate serves a cluster over an in-process fabric of byte pipes,
+//! speaking its wire codec (`shadowfax::wire`: the length-prefixed frames
+//! for request batches, batch replies with the view number used for
+//! ownership validation, paper §3.1.1/§3.2, migration messages and control
+//! frames; re-exported here).  This crate puts the same cluster behind real
+//! sockets:
 //!
-//! * [`codec`] — the length-prefixed binary wire format for
-//!   [`RequestBatch`](shadowfax_net::RequestBatch)es, batch replies (with
-//!   the view number used for ownership validation, paper §3.1.1/§3.2), and
-//!   control frames.
-//! * [`TcpTransport`] — a `shadowfax_net::Transport` implementation over
-//!   non-blocking TCP, so `ClientSession`s pipeline batches over loopback or
-//!   a LAN exactly as they do over the simulator.
+//! * [`TcpTransport`] — the `shadowfax_net::Transport` that dials
+//!   non-blocking TCP streams, so client sessions pipeline the same frames
+//!   over loopback or a LAN as they do over the simulator.
 //! * [`RpcServer`] — the TCP front end: N control I/O threads, each running
 //!   the one readiness loop of this crate (`io_loop`: accept inline, serve
 //!   `Framed` connections with per-pass fairness bounds and a bounded
@@ -25,13 +25,12 @@
 //!   control plane as its ownership source and [`TcpTransport`] links.
 //!   Every other process's server is dialled directly, so one client spans
 //!   a multi-process cluster.
-//! * [`TcpMigrationLink`] — the migration data plane, opened by
-//!   [`TcpTransport`] as the server's migration connector: dedicated TCP
-//!   connections carrying the view-tagged migration protocol
-//!   (`PrepForTransfer`, `TakeOwnership`, `PushHotRecords`,
-//!   `PushRecordBatch`, `CompleteMigration`) between serving processes, so
-//!   hash-range ownership and the records underneath it move between OS
-//!   processes under live load.
+//! * The migration data plane: [`TcpTransport`] is also the server's
+//!   migration connector, dialling dedicated TCP connections that carry the
+//!   view-tagged migration protocol (`PrepForTransfer`, `TakeOwnership`,
+//!   `PushHotRecords`, `PushRecordBatch`, `CompleteMigration`) between
+//!   serving processes, so hash-range ownership and the records underneath
+//!   it move between OS processes under live load.
 //! * [`TierDaemon`] — the `shadowfax-tier` blob tier daemon: one genuinely
 //!   shared tier process serving lease-guarded appends and open reads over
 //!   `TIER_LEASE` / `TIER_APPEND` / `TIER_READ` frames, on one copy of the
@@ -62,9 +61,7 @@
 
 mod broker;
 mod client;
-pub mod codec;
 mod ctrl;
-mod framed;
 mod io_loop;
 mod server;
 mod tcp;
@@ -73,15 +70,14 @@ mod tierd;
 
 pub use broker::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use client::{ControlPlaneOwnership, RemoteClient, RemoteClientConfig};
-pub use codec::{
+pub use ctrl::{CtrlClient, RpcError};
+pub use server::{ControlPlane, RpcServer, RpcServerConfig, RpcServerHandle};
+pub use shadowfax::wire::{
     decode_frame, encode_frame, CodecError, FrameDecoder, Role, WireBrokerPeer, WireBrokerStatus,
     WireMigrationState, WireMsg, WireOwnership, WireServerInfo, WireTierLog, WireTierStatus,
-    MAX_FRAME_BYTES,
+    MAX_FRAME_BYTES, OUTBOUND_BUDGET_BYTES,
 };
-pub use ctrl::{CtrlClient, RpcError};
-pub use framed::OUTBOUND_BUDGET_BYTES;
-pub use server::{ControlPlane, RpcServer, RpcServerConfig, RpcServerHandle};
 pub use shadowfax::{ClientStats, OpCallback};
-pub use tcp::{TcpLink, TcpMigrationLink, TcpTransport};
+pub use tcp::TcpTransport;
 pub use tier::{RemoteSharedTier, RemoteTierService};
 pub use tierd::{TierDaemon, TierDaemonConfig, TierDaemonHandle, MAX_TIER_READ_BYTES};

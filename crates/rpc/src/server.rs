@@ -6,18 +6,18 @@
 //! frame is [`ControlPlane::serve`]:
 //!
 //! * `HELLO <fabric addr>` makes it a **data connection**.  The socket
-//!   itself — the [`Framed`] stream, decoder with whatever bytes are
+//!   itself — the [`Framed`](shadowfax::wire::Framed) stream, decoder with whatever bytes are
 //!   already buffered behind the HELLO, outbound buffer — is handed to the
-//!   dispatch thread the address names ([`ServedKvLink`] via
-//!   [`DispatchHandle::adopt_kv`](shadowfax::DispatchHandle::adopt_kv)).
-//!   From then on that thread alone polls the socket, decodes, validates
-//!   the view, executes, encodes and writes the reply: the paper's
-//!   deployment shape (§3.1: partitioned client sessions terminate on
-//!   server dispatch threads; no request or reply crosses threads once
-//!   bound).
-//! * `MIG_HELLO <server> <thread>` hands the socket over the same way as a
-//!   [`TcpMigrationLink`] for the migration protocol between serving
-//!   processes.
+//!   dispatch thread the address names
+//!   ([`DispatchHandle::adopt_kv`](shadowfax::DispatchHandle::adopt_kv)),
+//!   which serves it exactly as it serves an in-process sim pipe.  From
+//!   then on that thread alone polls the socket, decodes, validates the
+//!   view, executes, encodes and writes the reply: the paper's deployment
+//!   shape (§3.1: partitioned client sessions terminate on server dispatch
+//!   threads; no request or reply crosses threads once bound).
+//! * `MIG_HELLO <server> <thread>` hands the socket over the same way
+//!   ([`DispatchHandle::adopt_migration`](shadowfax::DispatchHandle::adopt_migration))
+//!   for the migration protocol between serving processes.
 //! * Anything else is a **control frame**, answered on the I/O thread
 //!   straight from the [`Cluster`]: ownership snapshots, migration
 //!   triggers and status, metrics, metadata replication, chain fetches,
@@ -29,27 +29,21 @@
 //! here (`Migrate`, `CancelMigration`): a follower whose broker failed its
 //! last probe and is not yet declared dead refuses them.
 
-use std::collections::VecDeque;
 use std::net::TcpListener;
-use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use shadowfax::{ChainFetchError, Cluster, MigrationDep, OwnershipSnapshot, ServerId};
-use shadowfax_net::{
-    BatchReply, KvRequest, RequestBatch, ServerKvLink, StatusCode, TransportError,
-};
-use shadowfax_obs::{Counter, Histogram, MetricsRegistry};
-
-use crate::broker::{broker_status, CoordinatorHandle};
-use crate::codec::{
+use shadowfax::wire::{
     Role, WireBrokerStatus, WireMigrationState, WireMsg, WireOwnership, WireServerInfo,
     MAX_FRAME_BYTES,
 };
+use shadowfax::{ChainFetchError, Cluster, MigrationDep, OwnershipSnapshot, ServerId};
+use shadowfax_net::{StatusCode, TransportError};
+use shadowfax_obs::{Histogram, MetricsRegistry};
+
+use crate::broker::{broker_status, CoordinatorHandle};
 use crate::ctrl::{CtrlClient, RpcError};
-use crate::framed::Framed;
 use crate::io_loop::{IoLoops, Served};
-use crate::tcp::{codec_err, TcpMigrationLink};
 use crate::tier::RemoteSharedTier;
 
 /// Budget for relaying a control operation (migrate / cancel) to the peer
@@ -204,27 +198,13 @@ impl ControlPlane {
         let cluster = &self.cluster;
         match msg {
             WireMsg::Hello { fabric_addr } => match cluster.dispatch_thread(&fabric_addr) {
-                Some(thread) => {
-                    let lat = lat.clone();
-                    Served::HandOff(Box::new(move |io| {
-                        thread.adopt_kv(Box::new(ServedKvLink {
-                            io,
-                            lat,
-                            inflight: VecDeque::new(),
-                        }))
-                    }))
-                }
+                Some(thread) => Served::HandOff(Box::new(move |io| thread.adopt_kv(io))),
                 None => refuse(TransportError::ConnectionRefused { addr: fabric_addr }),
             },
             WireMsg::MigHello { server, thread } => {
                 match cluster.migration_thread(ServerId(server), thread as usize) {
                     Some(handle) => Served::HandOff(Box::new(move |io| {
-                        let label = format!("sv{server}/m{thread} (accepted)");
-                        // A failed fd duplication drops the connection; the
-                        // peer sees the close and re-dials.
-                        if let Ok(link) = TcpMigrationLink::from_accepted(io, label) {
-                            handle.adopt_migration(Box::new(link));
-                        }
+                        handle.adopt_migration(io, format!("sv{server}/m{thread} (accepted)"))
                     })),
                     None => refuse(TransportError::ConnectionRefused {
                         addr: format!("sv{server} (not hosted in this process)"),
@@ -341,29 +321,21 @@ impl ControlPlane {
     }
 }
 
-/// Serving-path latency histograms, one per op type.  Handles are cheap
-/// clones of the registry's instruments; recording is a relaxed atomic add
-/// into the calling thread's shard.
-#[derive(Clone)]
+/// Control-path latency histograms.  (The data path's,
+/// `rpc.latency.{read,upsert}`, are recorded by the dispatch threads that
+/// serve the handed-off connections.)  Handles are cheap clones of the
+/// registry's instruments; recording is a relaxed atomic add into the
+/// calling thread's shard.
 struct ServingLatency {
-    read: Histogram,
-    upsert: Histogram,
     migrate_ctrl: Histogram,
     chain_fetch: Histogram,
-    /// Batch timing entries shed by the bounded in-flight table; their
-    /// eventual replies go unmeasured, so the histograms under-sample —
-    /// visibly, via this counter, instead of silently.
-    timings_dropped: Counter,
 }
 
 impl ServingLatency {
     fn new(metrics: &MetricsRegistry) -> Self {
         ServingLatency {
-            read: metrics.histogram("rpc.latency.read"),
-            upsert: metrics.histogram("rpc.latency.upsert"),
             migrate_ctrl: metrics.histogram("rpc.latency.migrate_ctrl"),
             chain_fetch: metrics.histogram("rpc.latency.chain_fetch"),
-            timings_dropped: metrics.counter("rpc.latency.timings_dropped"),
         }
     }
 }
@@ -446,113 +418,5 @@ impl RpcServer {
             move |msg| control.serve(msg, &latency),
         )?;
         Ok(RpcServerHandle { local_addr, loops })
-    }
-}
-
-/// Most in-flight batch timings a connection retains for latency
-/// measurement.  A client that never reads replies sheds the oldest
-/// timings rather than growing without bound (each shed is counted in
-/// `rpc.latency.timings_dropped`).
-const MAX_INFLIGHT_TIMINGS: usize = 1024;
-
-/// A client data connection after its HELLO: the socket as one dispatch
-/// thread owns and serves it.  `rpc.latency.{read,upsert}` are recorded
-/// here, per batch, from frame decoded to reply handed to the socket.
-pub(crate) struct ServedKvLink {
-    io: Framed,
-    lat: ServingLatency,
-    /// `(seq, decoded at, reads, upserts)` for batches not answered yet.
-    inflight: VecDeque<(u64, Instant, usize, usize)>,
-}
-
-impl ServedKvLink {
-    /// Tells the peer why the connection is ending (best effort) and
-    /// returns the error that ends it.
-    fn reject(&mut self, error: TransportError) -> TransportError {
-        self.io.queue(&WireMsg::CtrlErr {
-            status: error.status_code(),
-            message: error.to_string(),
-        });
-        self.io.flush_out();
-        error
-    }
-
-    fn failure(&self) -> TransportError {
-        if self.io.guard.slow_reader {
-            TransportError::Io("outbound budget exhausted: peer is not reading".into())
-        } else {
-            TransportError::PeerClosed
-        }
-    }
-}
-
-impl ServerKvLink for ServedKvLink {
-    fn raw_fd(&self) -> Option<RawFd> {
-        Some(self.io.stream.as_raw_fd())
-    }
-
-    fn begin_pass(&mut self) {
-        self.io.begin_pass();
-    }
-
-    fn try_recv_batch(&mut self) -> Result<Option<RequestBatch>, TransportError> {
-        let batch = match self.io.next_frame() {
-            Ok(Some(WireMsg::Batch(batch))) => batch,
-            Ok(Some(other)) => {
-                return Err(self.reject(TransportError::Malformed(format!(
-                    "unexpected frame on a data connection: {other:?}"
-                ))))
-            }
-            Ok(None) if self.io.finished() || self.io.dead => return Err(self.failure()),
-            Ok(None) => return Ok(None),
-            Err(e) => return Err(self.reject(codec_err(e))),
-        };
-        let reads = batch
-            .ops
-            .iter()
-            .filter(|op| matches!(op, KvRequest::Read { .. }))
-            .count();
-        if self.inflight.len() >= MAX_INFLIGHT_TIMINGS {
-            // The shed entry's eventual reply will go unmeasured; count it
-            // so the histograms' under-sampling is visible.
-            self.inflight.pop_front();
-            self.lat.timings_dropped.inc();
-        }
-        self.inflight
-            .push_back((batch.seq, Instant::now(), reads, batch.ops.len() - reads));
-        Ok(Some(batch))
-    }
-
-    fn send_reply(&mut self, reply: BatchReply) -> Result<(), TransportError> {
-        // Once per op type the batch carried.
-        if let Some(pos) = self.inflight.iter().position(|e| e.0 == reply.seq()) {
-            let (_, start, reads, upserts) = self.inflight.remove(pos).unwrap();
-            let elapsed = start.elapsed();
-            if reads > 0 {
-                self.lat.read.record(elapsed);
-            }
-            if upserts > 0 {
-                self.lat.upsert.record(elapsed);
-            }
-        }
-        self.io.queue(&WireMsg::Reply(reply));
-        if self.io.dead {
-            Err(self.failure())
-        } else {
-            Ok(())
-        }
-    }
-
-    fn flush(&mut self) -> Result<bool, TransportError> {
-        self.io.flush_out();
-        if self.io.dead {
-            Err(self.failure())
-        } else {
-            Ok(!self.io.out.is_empty())
-        }
-    }
-
-    fn has_deferred_input(&self) -> bool {
-        self.io.has_deferred_input()
     }
 }

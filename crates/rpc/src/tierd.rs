@@ -33,11 +33,11 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use shadowfax::wire::{WireMsg, WireTierLog, WireTierStatus, MAX_FRAME_BYTES};
 use shadowfax_net::StatusCode;
 use shadowfax_obs::MetricsRegistry;
 use shadowfax_storage::{LogId, SharedBlobTier};
 
-use crate::codec::{WireMsg, WireTierLog, WireTierStatus, MAX_FRAME_BYTES};
 use crate::io_loop::{IoLoops, Served};
 
 /// Hard cap on one [`WireMsg::TierRead`]'s length: well under
@@ -295,9 +295,9 @@ impl TierDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_frame, encode_frame};
     use crate::ctrl::CtrlClient;
     use crate::{RpcError, OUTBOUND_BUDGET_BYTES};
+    use shadowfax::wire::{decode_frame, encode_frame};
     use std::io::{ErrorKind, Read, Write};
     use std::net::TcpStream;
     use std::time::{Duration, Instant};

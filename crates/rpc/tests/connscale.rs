@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shadowfax_net::{KvRequest, SessionConfig};
-use shadowfax_rpc::codec::{encode_frame, WireMsg};
+use shadowfax_rpc::{encode_frame, WireMsg};
 use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig};
 
 mod util;

@@ -17,10 +17,9 @@ use std::time::{Duration, Instant};
 
 use shadowfax::{Cluster, ClusterConfig, ServerId};
 use shadowfax_net::{BatchReply, KvRequest, KvResponse, RequestBatch};
-use shadowfax_rpc::codec::{encode_frame, FrameDecoder, WireMsg, MAX_FRAME_BYTES};
 use shadowfax_rpc::{
-    ControlPlane, RemoteClient, RemoteClientConfig, RpcServer, RpcServerConfig, RpcServerHandle,
-    OUTBOUND_BUDGET_BYTES,
+    encode_frame, ControlPlane, FrameDecoder, RemoteClient, RemoteClientConfig, RpcServer,
+    RpcServerConfig, RpcServerHandle, WireMsg, MAX_FRAME_BYTES, OUTBOUND_BUDGET_BYTES,
 };
 
 /// A two-server cluster whose servers run one dispatch thread each (so

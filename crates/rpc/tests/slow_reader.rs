@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use shadowfax_net::KvRequest;
-use shadowfax_rpc::codec::{encode_frame, WireMsg};
+use shadowfax_rpc::{encode_frame, WireMsg};
 use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig};
 
 mod util;

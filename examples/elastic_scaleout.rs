@@ -35,7 +35,7 @@ fn main() {
         let stop = Arc::clone(&stop);
         let done_ops = Arc::clone(&done_ops);
         let meta = Arc::clone(cluster.meta());
-        let net = Arc::clone(cluster.kv_network());
+        let net = Arc::clone(cluster.network());
         std::thread::spawn(move || {
             let mut client = shadowfax::ShadowfaxClient::new(
                 ClientConfig::default().with_session(SessionConfig {

@@ -58,7 +58,7 @@ fn counters_survive_migration_under_concurrent_load() {
         let stop = Arc::clone(&stop);
         let increments = Arc::clone(&increments);
         let meta = Arc::clone(cluster.meta());
-        let net = Arc::clone(cluster.kv_network());
+        let net = Arc::clone(cluster.network());
         std::thread::spawn(move || {
             let mut client = ShadowfaxClient::new(
                 ClientConfig::default().with_session(SessionConfig {
@@ -241,7 +241,7 @@ fn sampling_ships_hot_records_with_ownership_transfer() {
     let toucher = {
         let stop = Arc::clone(&stop);
         let meta = Arc::clone(cluster.meta());
-        let net = Arc::clone(cluster.kv_network());
+        let net = Arc::clone(cluster.network());
         std::thread::spawn(move || {
             let mut client = ShadowfaxClient::new(ClientConfig::default(), meta, net);
             let mut i = 0u64;
