@@ -9,9 +9,11 @@
 //! executes against the shared store, encodes and writes the reply on one
 //! stack.  When a loop iteration finds
 //! nothing to do, nothing is pended and the server holds no migration role,
-//! the thread blocks in [`Reactor::poll`] instead of spinning.  After an
-//! iteration that found work it waits out the rest of its tick on the CPU
-//! (`PASS_TICK` in `server.rs`) before it looks again.
+//! the thread blocks in [`Reactor::poll`] instead of spinning, once it has
+//! kept looking for `PASS_TICK` (in `server.rs`) after its last iteration
+//! that found work.  After an iteration that served a socket it waits out
+//! the rest of a tick on the CPU before it looks again: `PASS_TICK` after
+//! a pipeline, the much shorter `SYNC_TICK` after a handful of operations.
 //!
 //! **Wake-ups.**  Everything that can give a parked thread work from
 //! another thread publishes its state first and then calls

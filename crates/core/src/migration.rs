@@ -884,9 +884,12 @@ impl Server {
         let reason = "peer cancelled the migration";
         match msg {
             // Not part of a migration (paper §3.3.3): the sender compacted a
-            // record of a range it no longer owns.
+            // record of a range it no longer owns.  The new owner already
+            // holds every live record of its ranges, so any local version
+            // beats the hand-off's.
             MigrationMsg::CompactionHandoff { key, value } => {
-                self.insert_migrated(MigratedItem::Record { key, value }, session);
+                let item = MigratedItem::Record { key, value };
+                self.insert_migrated(item, Address::new(0), session);
             }
             // A target relays a cancellation to its source here.
             MigrationMsg::CancelMigration { migration_id, .. }
@@ -948,6 +951,8 @@ impl Server {
                 }
             }
             TargetAction::AdoptRanges(ranges, view) => {
+                let tail = self.store.log().tail_address().raw();
+                self.incoming_floor.store(tail, Ordering::SeqCst);
                 self.serving_view.fetch_max(view, Ordering::SeqCst);
                 self.owned.write().add(&ranges);
             }
@@ -956,14 +961,16 @@ impl Server {
             }
             TargetAction::Insert(migration_id, items) => {
                 let count = items.len() as u64;
+                let floor = Address::new(self.incoming_floor.load(Ordering::SeqCst));
                 for item in items {
-                    self.insert_migrated(item, session);
+                    self.insert_migrated(item, floor, session);
                 }
                 return Some(TargetEvent::Inserted(migration_id, count));
             }
             TargetAction::InsertHot(records) => {
+                let floor = Address::new(self.incoming_floor.load(Ordering::SeqCst));
                 for (key, value) in records {
-                    self.insert_migrated(MigratedItem::Record { key, value }, session);
+                    self.insert_migrated(MigratedItem::Record { key, value }, floor, session);
                 }
             }
             TargetAction::Checkpoint => self.checkpoint(session),
@@ -1007,17 +1014,18 @@ impl Server {
     }
 
     /// Inserts an item a peer shipped (by migration or a compaction
-    /// hand-off).  A record is skipped if a newer version already exists
-    /// locally (a client may have written — or deleted — the key after
+    /// hand-off).  A record is skipped if a local version at or past
+    /// `floor` exists (a client wrote — or deleted — the key after
     /// ownership transferred; a local tombstone is a newer version too, and
-    /// overwriting it would resurrect the key).
-    fn insert_migrated(&self, item: MigratedItem, session: &FasterSession) {
+    /// overwriting it would resurrect the key).  A local version below
+    /// `floor` predates the migration: the source's newer value wins.
+    fn insert_migrated(&self, item: MigratedItem, floor: Address, session: &FasterSession) {
         let (hash, key, value, flags) = match item {
             MigratedItem::Record { key, value } => {
-                if let Ok(ReadOutcome::Found { record, .. }) =
+                if let Ok(ReadOutcome::Found { address, record }) =
                     self.store.read_record_for(key, session)
                 {
-                    if !record.is_indirection() {
+                    if !record.is_indirection() && address >= floor {
                         return;
                     }
                 }

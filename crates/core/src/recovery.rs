@@ -167,6 +167,7 @@ impl Server {
             )),
             outgoing: RwLock::new(None),
             incoming_active: AtomicBool::new(false),
+            incoming_floor: AtomicU64::new(0),
             pend_flush_epoch: AtomicU64::new(0),
             completed_report: Mutex::new(None),
             latest_checkpoint: Mutex::new(checkpoint.cloned()),

@@ -12,9 +12,12 @@
 //! operations, and contributes its share of any in-flight migration (paper
 //! §3.3: migration work is interleaved with request processing).  A thread
 //! with nothing to do, nothing pended and no migration role parks in its
-//! reactor (see [`crate::dispatch`]); one that found work looks again one
-//! `PASS_TICK` after that pass began, so what a pipelined session gets is
-//! set by the clock and not by how two busy loops happen to interleave.
+//! reactor (see [`crate::dispatch`]), once it has kept looking for a
+//! `PASS_TICK` after its last pass that found work.  One that served a
+//! socket looks again one tick after that pass began: `PASS_TICK` after a
+//! pipeline, `SYNC_TICK` after a synchronous request, so what a session
+//! gets is set by the clock and not by how two busy loops happen to
+//! interleave.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -188,6 +191,9 @@ pub struct Server {
     /// Fast-path flag: `true` while `incoming` holds an active migration, so
     /// the per-operation check avoids the mutex in the common case.
     pub(crate) incoming_active: AtomicBool,
+    /// The log tail when the latest `PrepForTransfer` arrived: a local
+    /// record of its ranges below it predates that migration.
+    pub(crate) incoming_floor: AtomicU64,
     /// Bumped whenever in-flight migration state is dropped without
     /// completing (cancellation, crash-recovery abort).  Dispatch threads
     /// react by rejecting pended batches that reference hashes this server
@@ -314,6 +320,7 @@ impl Server {
             incoming: Mutex::new(TargetMachine::new(config.migration.liveness)),
             outgoing: RwLock::new(None),
             incoming_active: AtomicBool::new(false),
+            incoming_floor: AtomicU64::new(0),
             pend_flush_epoch: AtomicU64::new(0),
             completed_report: Mutex::new(None),
             latest_checkpoint: Mutex::new(None),
@@ -558,9 +565,10 @@ impl Server {
         let mut pending: Vec<PendingBatch> = Vec::new();
         let mut source_state = SourceThreadState::new(thread_id);
         let mut pend_flush_seen = self.pend_flush_epoch.load(Ordering::SeqCst);
-        // The parked flag is up and one more look for work is owed before
-        // blocking (see `dispatch` on lost wake-ups).
-        let mut armed = false;
+        let mut cadence = Cadence {
+            last_work: Instant::now(),
+            armed: false,
+        };
         let mut unparked = UnparkedWatch::default();
 
         while !self.shutdown.load(Ordering::SeqCst) {
@@ -586,8 +594,9 @@ impl Server {
 
             // Client request batches and migration messages from peers:
             // read, decode, execute and answer, connection by connection.
+            let mut served_ops = 0;
             let (served, served_sockets) = conns.serve_ready(|id, link| match link {
-                Link::Kv(link) => self.serve_kv(id, link, &mut pending, &session),
+                Link::Kv(link) => self.serve_kv(id, link, &mut pending, &session, &mut served_ops),
                 Link::Mig(link) => self.serve_mig(pass_start, link, &session),
             });
             did_work |= served;
@@ -637,47 +646,46 @@ impl Server {
             // out, liveness deadlines are checked and `loop_generation`
             // advances exactly as if the thread never parked.
             let blocker = self.park_blocker(pending.len());
-            if (did_work || blocker.is_some()) && std::mem::take(&mut armed) {
+            match &blocker {
+                Some(why) if !did_work => unparked.observe(why, self.id(), thread_id),
+                Some(_) => {}
+                None => unparked = UnparkedWatch::default(),
+            }
+            // Passes that serve sockets start a tick apart (see `PASS_TICK`),
+            // unless a per-pass bound left input behind.
+            let paced = (served_sockets && !conns.has_backlog()).then_some(served_ops);
+            let was_armed = cadence.armed;
+            let next = cadence.after_pass(pass_start, did_work, paced, blocker.is_some());
+            if was_armed && next != NextLook::Park {
                 mailbox.set_parked(false);
             }
-            if let Some(why) = blocker {
-                if !did_work {
-                    unparked.observe(&why, self.id(), thread_id);
-                    std::thread::yield_now();
-                }
-                continue;
-            }
-            unparked = UnparkedWatch::default();
-            if did_work {
-                // Passes that serve sockets start a tick apart (see
-                // `PASS_TICK`), unless a per-pass bound left input behind.
-                if served_sockets && !conns.has_backlog() {
+            match next {
+                NextLook::Now => {}
+                NextLook::WaitUntil(until) => {
                     self.park.paced.inc();
-                    wait_out_tick(pass_start);
+                    wait_until(until);
                 }
-                continue;
-            }
-            if !armed {
+                NextLook::Yield => std::thread::yield_now(),
                 // Raise the flag, then look for work once more: whatever is
                 // published from here on comes with a reactor wake.
-                mailbox.set_parked(true);
-                armed = true;
-                continue;
-            }
-            // A cut whose last straggler was another thread's unprotect may
-            // have nobody left to run its action; we are unprotected now.
-            self.store.epoch().try_drain();
-            self.park.parks.inc();
-            let parked_at = Instant::now();
-            let (signalled, sockets) = conns.poll(None);
-            self.park.park_us.record(parked_at.elapsed());
-            mailbox.set_parked(false);
-            armed = false;
-            if signalled {
-                self.park.wakes_signal.inc();
-            }
-            if sockets > 0 {
-                self.park.wakes_socket.inc();
+                NextLook::Arm => mailbox.set_parked(true),
+                NextLook::Park => {
+                    // A cut whose last straggler was another thread's
+                    // unprotect may have nobody left to run its action; we
+                    // are unprotected now.
+                    self.store.epoch().try_drain();
+                    self.park.parks.inc();
+                    let parked_at = Instant::now();
+                    let (signalled, sockets) = conns.poll(None);
+                    self.park.park_us.record(parked_at.elapsed());
+                    mailbox.set_parked(false);
+                    if signalled {
+                        self.park.wakes_signal.inc();
+                    }
+                    if sockets > 0 {
+                        self.park.wakes_socket.inc();
+                    }
+                }
             }
         }
 
@@ -706,11 +714,13 @@ impl Server {
         link: &mut ServedKvLink,
         pending: &mut Vec<PendingBatch>,
         session: &FasterSession,
+        served_ops: &mut usize,
     ) -> Result<bool, ()> {
         link.begin_pass();
         let mut progressed = false;
         while let Some(batch) = link.try_recv_batch().map_err(|_| ())? {
             progressed = true;
+            *served_ops += batch.ops.len();
             self.process_batch(batch, id, link, pending, session)
                 .map_err(|_| ())?;
             // Each reply leaves as soon as it exists, so the client works on
@@ -962,6 +972,14 @@ impl Server {
             KvRequest::Read { key } | KvRequest::RmwAdd { key, .. } => {
                 // Both need the current record; look it up first.
                 match session.read_outcome(*key) {
+                    // A local version below the floor predates this
+                    // migration: the source's newer one is still on its way.
+                    Ok(ReadOutcome::Found { address, .. })
+                        if pend_mode == Some(PendMode::PendMissing)
+                            && address.raw() < self.incoming_floor.load(Ordering::SeqCst) =>
+                    {
+                        ExecOutcome::Pend
+                    }
                     Ok(ReadOutcome::Found { record, .. }) if record.is_indirection() => {
                         if !is_retry {
                             // Defer the shared-tier access: the op pends and a
@@ -1261,11 +1279,14 @@ const MAX_NESTED_HOPS: u8 = 4;
 /// How far apart a dispatch thread's looks at its sockets are while they
 /// keep finding work: a pass serves everything that is ready, and if a
 /// socket was among it the thread waits (on its CPU, yielding) until one
-/// tick after the pass began before it looks again.  A look that finds
-/// nothing parks the thread; a pass that took longer than a tick, leaves
-/// input behind a per-pass bound, runs under a pend or a migration role,
-/// or served only in-process pipes (which have no hypervisor between them
-/// and their client) is followed by the next at once.
+/// tick after the pass began before it looks again; the tick is
+/// [`SYNC_TICK`] after a pass of at most [`SYNC_PASS_OPS`] operations.  A
+/// pass that took longer than a tick, leaves input behind a per-pass bound,
+/// runs under a pend or a migration role, or served only in-process pipes
+/// (which have no hypervisor between them and their client) is followed by
+/// the next at once.  An idle pass yields and looks again until one
+/// `PASS_TICK` after the last pass that found work began, then parks: up to
+/// 750 us of one core after each burst.
 ///
 /// This is a fixed interrupt-throttle rate (1,333 looks per second), and it
 /// is there for steadiness, not speed.  Unpaced, the thread either parks
@@ -1282,17 +1303,93 @@ const MAX_NESTED_HOPS: u8 = 4;
 /// host: serving 8 x 64 reads takes about 350 us of it and 8 x 64 upserts
 /// into a spilling log 600-700 us; at 500 us the same runs spread five
 /// times wider.  The price: a request that arrives just after a pass waits
-/// up to one tick, a synchronous client gets one round trip per tick, and a
-/// session needs `rate x PASS_TICK` operations in flight to reach `rate`.
+/// up to one tick, and a session needs `rate x PASS_TICK` operations in
+/// flight to reach `rate`.
 const PASS_TICK: Duration = Duration::from_micros(750);
 
-/// Waits until one [`PASS_TICK`] after `pass_start`.  Never sleeps: a
-/// timer wake of a halted vCPU is as unsteady as the IPI wake the tick is
-/// there to avoid.  Yields, so whatever else is runnable on this CPU (a
-/// control I/O thread, a sibling server process) gets it meanwhile.
-fn wait_out_tick(pass_start: Instant) {
-    let next = pass_start + PASS_TICK;
-    while Instant::now() < next {
+/// The tick after a pass that served at most [`SYNC_PASS_OPS`] operations,
+/// which is what synchronous clients send.  Such a client's next request
+/// comes one loopback round trip after the reply (13-20 us on the 2-vCPU
+/// benchmark host), inside this tick, so it gets one round trip per tick,
+/// set by the clock as a pipeline's throughput is by [`PASS_TICK`].  A
+/// request that misses the look is served by the idle looks that follow.
+const SYNC_TICK: Duration = Duration::from_micros(50);
+
+/// The most operations a pass may serve and still be paced by
+/// [`SYNC_TICK`]: a handful, whose service fits well inside that tick; a
+/// pipelined batch holds more.
+const SYNC_PASS_OPS: usize = 8;
+
+/// What a dispatch thread does after a pass: look again at once, wait out
+/// a tick and look, yield the CPU and look, raise the mailbox's parked flag
+/// and look once more, or block in the reactor until a socket or a notify
+/// wakes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NextLook {
+    Now,
+    WaitUntil(Instant),
+    Yield,
+    Arm,
+    Park,
+}
+
+/// What a dispatch thread's cadence remembers from pass to pass.
+struct Cadence {
+    /// When the last pass that did work began.
+    last_work: Instant,
+    /// The mailbox's parked flag is up and one more look for work is owed
+    /// before blocking (see `dispatch` on lost wake-ups).
+    armed: bool,
+}
+
+impl Cadence {
+    /// The end-of-pass decision for a pass that began at `now`.  `paced`
+    /// is the number of operations the pass served if it served a socket
+    /// and left no input behind.  Work is followed at once while `blocked`
+    /// (a pend, a migration role) or unpaced, else after its tick.  An idle
+    /// pass yields while `blocked` or within [`PASS_TICK`] of the last
+    /// work, then arms, and the next idle pass parks.  Only `Arm` leaves
+    /// the flag up.
+    fn after_pass(
+        &mut self,
+        now: Instant,
+        did_work: bool,
+        paced: Option<usize>,
+        blocked: bool,
+    ) -> NextLook {
+        if did_work {
+            self.last_work = now;
+        }
+        let next = if blocked {
+            if did_work {
+                NextLook::Now
+            } else {
+                NextLook::Yield
+            }
+        } else if did_work {
+            match paced {
+                Some(ops) if ops <= SYNC_PASS_OPS => NextLook::WaitUntil(now + SYNC_TICK),
+                Some(_) => NextLook::WaitUntil(now + PASS_TICK),
+                None => NextLook::Now,
+            }
+        } else if now - self.last_work < PASS_TICK {
+            NextLook::Yield
+        } else if self.armed {
+            NextLook::Park
+        } else {
+            NextLook::Arm
+        };
+        self.armed = next == NextLook::Arm;
+        next
+    }
+}
+
+/// Waits until `until`.  Never sleeps: a timer wake of a halted vCPU is as
+/// unsteady as the IPI wake the tick is there to avoid.  Yields, so
+/// whatever else is runnable on this CPU (a control I/O thread, a sibling
+/// server process) gets it meanwhile.
+fn wait_until(until: Instant) {
+    while Instant::now() < until {
         std::thread::yield_now();
     }
 }
@@ -1787,5 +1884,100 @@ mod tests {
             "a deleted key must stay deleted, not resurrect its pre-delete value"
         );
         cluster.shutdown();
+    }
+
+    const US: Duration = Duration::from_micros(1);
+
+    fn idle_since(t0: Instant) -> Cadence {
+        Cadence {
+            last_work: t0,
+            armed: false,
+        }
+    }
+
+    #[test]
+    fn a_paced_pass_waits_out_the_tick_its_size_picks() {
+        let t0 = Instant::now();
+        let mut c = idle_since(t0);
+        let sync = Some(SYNC_PASS_OPS);
+        let pipeline = Some(SYNC_PASS_OPS + 1);
+        assert_eq!(
+            c.after_pass(t0, true, sync, false),
+            NextLook::WaitUntil(t0 + SYNC_TICK)
+        );
+        assert_eq!(
+            c.after_pass(t0, true, Some(1), false),
+            NextLook::WaitUntil(t0 + SYNC_TICK)
+        );
+        assert_eq!(
+            c.after_pass(t0, true, pipeline, false),
+            NextLook::WaitUntil(t0 + PASS_TICK)
+        );
+        // Unpaced (in-process pipes only, or input left behind), or
+        // blocked: the next look comes at once.
+        assert_eq!(c.after_pass(t0, true, None, false), NextLook::Now);
+        assert_eq!(c.after_pass(t0, true, pipeline, true), NextLook::Now);
+        // Armed, then work: the flag comes down.
+        let t1 = t0 + 20 * PASS_TICK;
+        assert_eq!(c.after_pass(t1, false, None, false), NextLook::Arm);
+        assert_eq!(c.after_pass(t1 + US, true, None, false), NextLook::Now);
+        assert!(!c.armed);
+    }
+
+    #[test]
+    fn an_idle_pass_yields_inside_the_tick_then_arms_then_parks() {
+        let t0 = Instant::now();
+        let mut c = idle_since(t0);
+        let after_sync = t0 + SYNC_TICK;
+        assert_eq!(
+            c.after_pass(after_sync, false, None, false),
+            NextLook::Yield
+        );
+        let last = t0 + PASS_TICK - US;
+        assert_eq!(c.after_pass(last, false, None, false), NextLook::Yield);
+        assert!(!c.armed);
+        // A pipeline's tick ends where the looking does: the first idle
+        // pass after it arms.
+        assert_eq!(
+            c.after_pass(t0 + PASS_TICK, false, None, false),
+            NextLook::Arm
+        );
+        assert!(c.armed);
+        let spent = t0 + PASS_TICK + US;
+        assert_eq!(c.after_pass(spent, false, None, false), NextLook::Park);
+        assert!(!c.armed);
+        // Woken with nothing to do: the looking is still over.
+        assert_eq!(c.after_pass(spent + US, false, None, false), NextLook::Arm);
+    }
+
+    #[test]
+    fn a_blocker_yields_and_never_parks() {
+        let t0 = Instant::now();
+        let mut c = idle_since(t0);
+        for k in 1..100u32 {
+            let now = t0 + k * PASS_TICK;
+            assert_eq!(c.after_pass(now, false, None, true), NextLook::Yield);
+        }
+        // An armed thread that picks up a blocker disarms instead of parking.
+        let t1 = t0 + 200 * PASS_TICK;
+        assert_eq!(c.after_pass(t1, false, None, false), NextLook::Arm);
+        assert_eq!(c.after_pass(t1 + US, false, None, true), NextLook::Yield);
+        assert!(!c.armed);
+    }
+
+    #[test]
+    fn the_looking_restarts_after_each_pass_that_did_work() {
+        let t0 = Instant::now();
+        let mut c = idle_since(t0);
+        let later = t0 + PASS_TICK / 2;
+        assert_eq!(
+            c.after_pass(later, true, Some(1), false),
+            NextLook::WaitUntil(later + SYNC_TICK)
+        );
+        // Past a tick counted from `t0`, inside it counted from `later`.
+        let idle = t0 + PASS_TICK + US;
+        assert_eq!(c.after_pass(idle, false, None, false), NextLook::Yield);
+        let spent = later + PASS_TICK;
+        assert_eq!(c.after_pass(spent, false, None, false), NextLook::Arm);
     }
 }
