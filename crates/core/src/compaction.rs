@@ -6,9 +6,9 @@
 //!
 //! * A live record whose hash range this server **no longer owns** is shipped
 //!   to the range's current owner instead of being kept.  On receipt the
-//!   owner inserts it only if its own latest version for the key is still an
-//!   indirection record — i.e. the key was never fetched from the shared tier
-//!   after migration — otherwise the copy is discarded
+//!   owner inserts it only if it holds no live version of the key (an
+//!   indirection record does not count), as it does a migrated record;
+//!   otherwise the copy is discarded
 //!   ([`crate::messages::MigrationMsg::CompactionHandoff`]).
 //! * An indirection record whose contained hash range this server no longer
 //!   owns is dropped (the owner keeps its own copy).

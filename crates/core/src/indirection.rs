@@ -14,8 +14,9 @@
 //! produced by [`IndirectionRecord::encode_value`]: the first 16 bytes carry
 //! the covered hash range (which is what the FASTER chain traversal uses to
 //! decide whether a lookup "hits" the record), followed by the chain address,
-//! the source log id, and a representative hash used to place the record in
-//! the correct bucket chain.
+//! the source log id, a representative hash used to place the record in the
+//! correct bucket chain, and the floor of the chain it names: the source's
+//! records below it were dead there, so a fetch stops at it.
 
 use shadowfax_faster::{Address, RecordFlags};
 use shadowfax_storage::LogId;
@@ -39,6 +40,9 @@ pub struct IndirectionRecord {
     /// A hash value that maps to the same bucket and tag as the source's
     /// bucket entry; the target inserts the record under this hash.
     pub representative_hash: u64,
+    /// The source's floor for `range` when it shipped the record: the chain
+    /// ends there, as the source's own walks did.
+    pub floor: Address,
 }
 
 impl IndirectionRecord {
@@ -50,14 +54,14 @@ impl IndirectionRecord {
         v.extend_from_slice(&self.chain_address.raw().to_le_bytes());
         v.extend_from_slice(&self.source_log.0.to_le_bytes());
         v.extend_from_slice(&self.representative_hash.to_le_bytes());
-        v.extend_from_slice(&0u64.to_le_bytes()); // reserved
+        v.extend_from_slice(&self.floor.raw().to_le_bytes());
         v
     }
 
     /// Decodes a payload produced by [`encode_value`](Self::encode_value).
     /// Returns `None` if the bytes are too short or malformed.
     pub fn decode_value(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < INDIRECTION_VALUE_BYTES - 8 {
+        if bytes.len() < INDIRECTION_VALUE_BYTES {
             return None;
         }
         let read = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
@@ -71,6 +75,7 @@ impl IndirectionRecord {
             chain_address: Address::new(read(16) & ((1 << 48) - 1)),
             source_log: LogId(read(24)),
             representative_hash: read(32),
+            floor: Address::new(read(40) & ((1 << 48) - 1)),
         })
     }
 
@@ -91,6 +96,7 @@ mod tests {
             chain_address: Address::new(0xABCDEF),
             source_log: LogId(7),
             representative_hash: 0x1234_5678_9ABC_DEF0,
+            floor: Address::new(0x40),
         };
         let bytes = rec.encode_value();
         assert_eq!(bytes.len(), INDIRECTION_VALUE_BYTES);
@@ -116,6 +122,7 @@ mod tests {
             chain_address: Address::new(64),
             source_log: LogId(1),
             representative_hash: 0,
+            floor: Address::new(0),
         };
         let bytes = rec.encode_value();
         assert_eq!(u64::from_le_bytes(bytes[0..8].try_into().unwrap()), 111);

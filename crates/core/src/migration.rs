@@ -674,7 +674,11 @@ impl Server {
     }
 
     /// Collects records for the migrating ranges from main-table buckets
-    /// `region` and appends them to this thread's outgoing batch.
+    /// `region` and appends them to this thread's outgoing batch.  Like
+    /// every walk of the store, each stops at the floor: a record below its
+    /// range's floor is dead here and is not shipped, and a spilled tail
+    /// gets an indirection record only for the ranges it is not wholly
+    /// below, each carrying that range's floor.
     fn collect_region(
         self: &Arc<Self>,
         outgoing: &Arc<OutgoingMigration>,
@@ -684,65 +688,94 @@ impl Server {
     ) {
         let log = self.store.log();
         let head = log.head_address();
+        let pieces: Vec<(HashRange, Address)> = outgoing
+            .ranges
+            .iter()
+            .flat_map(|r| self.store.floors_within(r.start, r.end))
+            .map(|(start, end, floor)| (HashRange::new(start, end), floor))
+            .collect();
+        let floor_of = |hash: u64| pieces.iter().find(|(r, _)| r.contains(hash)).map(|p| p.1);
+        let lowest = pieces.iter().map(|p| p.1).min().unwrap_or(head);
+        let stop = log.begin_address().max(lowest);
         let guard = session.thread().protect();
         for snap in self.store.index().scan_region(region) {
+            let representative = representative_hash(snap.bucket, snap.entry.tag);
             let mut addr = snap.entry.address;
             let mut seen_keys: Vec<u64> = Vec::new();
-            while addr.is_valid() && addr >= log.begin_address() {
+            while addr.is_valid() && addr >= stop {
                 if addr < head {
                     // The rest of this chain lives on the SSD / shared tier.
-                    match self.config.migration.mode {
-                        MigrationMode::Shadowfax => {
-                            let representative = representative_hash(
-                                snap.bucket,
-                                snap.entry.tag,
-                                self.store.index().table_bits(),
-                            );
+                    if self.config.migration.mode == MigrationMode::Shadowfax {
+                        for &(range, floor) in pieces.iter().filter(|p| addr >= p.1) {
                             let ind = IndirectionRecord {
-                                range: enclosing_range(&outgoing.ranges, HashRange::FULL),
+                                range,
                                 chain_address: addr,
                                 source_log: self.log_id(),
                                 representative_hash: representative,
+                                floor,
                             };
-                            let item = MigratedItem::Indirection {
-                                representative_hash: representative,
-                                payload: ind.encode_value(),
-                            };
-                            outgoing.indirections_sent.fetch_add(1, Ordering::Relaxed);
-                            self.push_migration_item(outgoing, state, item);
-                        }
-                        MigrationMode::Rocksteady => {
-                            // The disk-scan phase will pick these up.
+                            self.push_indirection(outgoing, state, ind);
                         }
                     }
+                    // Rocksteady: the disk-scan phase picks these up.
                     break;
                 }
                 let Ok(record) = log.read_record(addr, &guard) else {
                     break;
                 };
                 let key = record.key();
-                let hash = KeyHash::of(key).raw();
-                let in_range = outgoing.ranges.iter().any(|r| r.contains(hash));
-                let is_dup = seen_keys.contains(&key);
-                if in_range
-                    && !is_dup
-                    && !record.is_tombstone()
-                    && !record.header.flags.contains(RecordFlags::INDIRECTION)
-                {
-                    let item = MigratedItem::Record {
-                        key,
-                        value: record.value().to_vec(),
+                if record.is_indirection() {
+                    // An indirection this server received and still holds
+                    // names the only copy of the keys it covers: it moves on
+                    // with the range, cut to the live part of each piece.
+                    let Some(ind) = IndirectionRecord::decode_value(record.value()) else {
+                        addr = record.header.prev;
+                        continue;
                     };
-                    outgoing.records_sent.fetch_add(1, Ordering::Relaxed);
-                    self.push_migration_item(outgoing, state, item);
-                }
-                if in_range {
+                    for &(range, _) in pieces.iter().filter(|p| addr >= p.1) {
+                        let (start, end) = (
+                            range.start.max(ind.range.start),
+                            range.end.min(ind.range.end),
+                        );
+                        if start < end {
+                            let range = HashRange::new(start, end);
+                            let ind = IndirectionRecord {
+                                range,
+                                representative_hash: representative,
+                                ..ind
+                            };
+                            self.push_indirection(outgoing, state, ind);
+                        }
+                    }
+                } else if let Some(floor) = floor_of(KeyHash::of(key).raw()) {
+                    if addr >= floor && !seen_keys.contains(&key) && !record.is_tombstone() {
+                        let item = MigratedItem::Record {
+                            key,
+                            value: record.value().to_vec(),
+                        };
+                        outgoing.records_sent.fetch_add(1, Ordering::Relaxed);
+                        self.push_migration_item(outgoing, state, item);
+                    }
                     seen_keys.push(key);
                 }
                 addr = record.header.prev;
             }
         }
         drop(guard);
+    }
+
+    fn push_indirection(
+        &self,
+        outgoing: &Arc<OutgoingMigration>,
+        state: &mut SourceThreadState,
+        ind: IndirectionRecord,
+    ) {
+        let item = MigratedItem::Indirection {
+            representative_hash: ind.representative_hash,
+            payload: ind.encode_value(),
+        };
+        outgoing.indirections_sent.fetch_add(1, Ordering::Relaxed);
+        self.push_migration_item(outgoing, state, item);
     }
 
     fn push_migration_item(
@@ -884,12 +917,10 @@ impl Server {
         let reason = "peer cancelled the migration";
         match msg {
             // Not part of a migration (paper §3.3.3): the sender compacted a
-            // record of a range it no longer owns.  The new owner already
-            // holds every live record of its ranges, so any local version
-            // beats the hand-off's.
+            // record of a range it no longer owns.  A live local version
+            // beats it, as it beats a migrated one.
             MigrationMsg::CompactionHandoff { key, value } => {
-                let item = MigratedItem::Record { key, value };
-                self.insert_migrated(item, Address::new(0), session);
+                self.insert_migrated(MigratedItem::Record { key, value }, session);
             }
             // A target relays a cancellation to its source here.
             MigrationMsg::CancelMigration { migration_id, .. }
@@ -951,8 +982,10 @@ impl Server {
                 }
             }
             TargetAction::AdoptRanges(ranges, view) => {
-                let tail = self.store.log().tail_address().raw();
-                self.incoming_floor.store(tail, Ordering::SeqCst);
+                // Whatever this server kept of the ranges is dead from here
+                // on; the floor is up before the ranges are served.
+                let pairs: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start, r.end)).collect();
+                self.store.raise_floors(&pairs);
                 self.serving_view.fetch_max(view, Ordering::SeqCst);
                 self.owned.write().add(&ranges);
             }
@@ -961,16 +994,14 @@ impl Server {
             }
             TargetAction::Insert(migration_id, items) => {
                 let count = items.len() as u64;
-                let floor = Address::new(self.incoming_floor.load(Ordering::SeqCst));
                 for item in items {
-                    self.insert_migrated(item, floor, session);
+                    self.insert_migrated(item, session);
                 }
                 return Some(TargetEvent::Inserted(migration_id, count));
             }
             TargetAction::InsertHot(records) => {
-                let floor = Address::new(self.incoming_floor.load(Ordering::SeqCst));
                 for (key, value) in records {
-                    self.insert_migrated(MigratedItem::Record { key, value }, floor, session);
+                    self.insert_migrated(MigratedItem::Record { key, value }, session);
                 }
             }
             TargetAction::Checkpoint => self.checkpoint(session),
@@ -1013,32 +1044,29 @@ impl Server {
         None
     }
 
-    /// Inserts an item a peer shipped (by migration or a compaction
-    /// hand-off).  A record is skipped if a local version at or past
-    /// `floor` exists (a client wrote — or deleted — the key after
-    /// ownership transferred; a local tombstone is a newer version too, and
-    /// overwriting it would resurrect the key).  A local version below
-    /// `floor` predates the migration: the source's newer value wins.
-    fn insert_migrated(&self, item: MigratedItem, floor: Address, session: &FasterSession) {
-        let (hash, key, value, flags) = match item {
+    /// Inserts an item a peer shipped, by migration or a compaction
+    /// hand-off: an indirection record as it is, a record unless the key
+    /// has a live local version ([`Faster::insert_unless_live`]).
+    ///
+    /// [`Faster::insert_unless_live`]: shadowfax_faster::Faster::insert_unless_live
+    fn insert_migrated(&self, item: MigratedItem, session: &FasterSession) {
+        let (key, inserted) = match item {
             MigratedItem::Record { key, value } => {
-                if let Ok(ReadOutcome::Found { address, record }) =
-                    self.store.read_record_for(key, session)
-                {
-                    if !record.is_indirection() && address >= floor {
-                        return;
-                    }
-                }
-                (KeyHash::of(key).raw(), key, value, RecordFlags::empty())
+                let flags = RecordFlags::empty();
+                let inserted = self.store.insert_unless_live(key, &value, flags, session);
+                (key, inserted.map(drop))
             }
             MigratedItem::Indirection {
                 representative_hash: hash,
                 payload,
-            } => (hash, hash, payload, RecordFlags::INDIRECTION),
+            } => {
+                let flags = RecordFlags::INDIRECTION;
+                let inserted = self
+                    .store
+                    .insert_record_at_hash(hash, hash, &payload, flags, session);
+                (hash, inserted.map(drop))
+            }
         };
-        let inserted = self
-            .store
-            .insert_record_at_hash(hash, key, &value, flags, session);
         self.check_insert(inserted, &self.migration_insert_failed, "migrated", key);
     }
 }
@@ -1046,20 +1074,8 @@ impl Server {
 /// Builds a hash value that maps to the same bucket and tag as the given
 /// source bucket entry, so the target (whose table is the same size) places
 /// the indirection record in the equivalent chain.
-pub(crate) fn representative_hash(bucket: usize, tag: u16, _table_bits: u32) -> u64 {
+pub(crate) fn representative_hash(bucket: usize, tag: u16) -> u64 {
     ((tag as u64) << 48) | bucket as u64
-}
-
-/// The smallest single range enclosing all migrating ranges (indirection
-/// records store one contiguous range; migrations in this reproduction and in
-/// the paper's experiments move one contiguous range at a time).
-fn enclosing_range(ranges: &[HashRange], default: HashRange) -> HashRange {
-    if ranges.is_empty() {
-        return default;
-    }
-    let start = ranges.iter().map(|r| r.start).min().unwrap();
-    let end = ranges.iter().map(|r| r.end).max().unwrap();
-    HashRange::new(start, end)
 }
 
 /// What a local chain walk produced.
@@ -1082,71 +1098,64 @@ pub(crate) enum LocalChainFetch {
 }
 
 /// Follows a record chain stored on a *locally readable* shared-tier log
-/// (the [`TierService`] answered `Local` for it) looking for `key`.
-/// Indirection records on the chain whose range covers the key are followed
-/// onto the named log — on an in-process tier every log is readable, so
-/// multi-hop chains resolve transitively.
+/// (the [`TierService`] answered `Local` for it) looking for `key`, down to
+/// the chain's `floor`.  The walk applies the store's rule: an exact-key
+/// record on the chain beats an indirection record covering the key, which
+/// is followed onto the log it names only when the chain holds no such
+/// record — on an in-process tier every log is readable, so multi-hop
+/// chains resolve transitively.
 pub(crate) fn fetch_from_shared_chain(
     tier: &dyn TierService,
-    source_log: LogId,
-    addr: Address,
+    ind: &IndirectionRecord,
     key: u64,
 ) -> LocalChainFetch {
     let hash = shadowfax_faster::KeyHash::of(key).raw();
-    // Chain positions still to visit, LIFO: when an indirection is followed
-    // onto another log, that continuation is visited *before* the rest of
-    // the current chain (it holds the newer versions of covered keys).
-    let mut work: Vec<(LogId, Address)> = vec![(source_log, addr)];
+    let mut chain = Some((ind.source_log, ind.chain_address, ind.floor));
     let mut hops = 0;
-    while let Some((log, addr)) = work.pop() {
-        if !addr.is_valid() {
-            continue;
-        }
-        hops += 1;
-        if hops > 1_000_000 {
-            return LocalChainFetch::Unreadable;
-        }
-        let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
-        if tier.read_log(log, addr.raw(), &mut header_bytes).is_err() {
-            return LocalChainFetch::Unreadable;
-        }
-        let header = RecordHeader::decode(&header_bytes);
-        if header.is_null() {
-            continue;
-        }
-        if header.flags.contains(RecordFlags::INDIRECTION) {
-            // The chain continues on another log; follow it if it can cover
-            // the key (its payload carries the covered range).
-            let mut payload = vec![0u8; header.value_len as usize];
-            if tier
-                .read_log(log, addr.raw() + RECORD_HEADER_BYTES as u64, &mut payload)
-                .is_err()
-            {
+    while let Some((log, mut addr, floor)) = chain.take() {
+        while addr.is_valid() && addr >= floor {
+            hops += 1;
+            if hops > 1_000_000 {
                 return LocalChainFetch::Unreadable;
             }
-            work.push((log, header.prev));
-            if let Some(ind) = IndirectionRecord::decode_value(&payload) {
-                if ind.range.contains(hash) {
-                    work.push((ind.source_log, ind.chain_address));
+            let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
+            if tier.read_log(log, addr.raw(), &mut header_bytes).is_err() {
+                return LocalChainFetch::Unreadable;
+            }
+            let header = RecordHeader::decode(&header_bytes);
+            if header.is_null() {
+                break;
+            }
+            let at = addr.raw() + RECORD_HEADER_BYTES as u64;
+            addr = header.prev;
+            if header.flags.contains(RecordFlags::INVALID) {
+                continue;
+            }
+            if header.flags.contains(RecordFlags::INDIRECTION) {
+                // The chain continues on another log, if no exact-key record
+                // turns up on this one.
+                if chain.is_none() {
+                    let mut payload = vec![0u8; header.value_len as usize];
+                    if tier.read_log(log, at, &mut payload).is_err() {
+                        return LocalChainFetch::Unreadable;
+                    }
+                    chain = IndirectionRecord::decode_value(&payload)
+                        .filter(|nested| nested.range.contains(hash))
+                        .map(|n| (n.source_log, n.chain_address, n.floor));
                 }
+                continue;
             }
-            continue;
+            if header.key == key {
+                if header.flags.contains(RecordFlags::TOMBSTONE) {
+                    return LocalChainFetch::Tombstone;
+                }
+                let mut value = vec![0u8; header.value_len as usize];
+                if !value.is_empty() && tier.read_log(log, at, &mut value).is_err() {
+                    return LocalChainFetch::Unreadable;
+                }
+                return LocalChainFetch::Found(RecordOwned { header, value });
+            }
         }
-        if header.key == key {
-            let mut value = vec![0u8; header.value_len as usize];
-            if !value.is_empty()
-                && tier
-                    .read_log(log, addr.raw() + RECORD_HEADER_BYTES as u64, &mut value)
-                    .is_err()
-            {
-                return LocalChainFetch::Unreadable;
-            }
-            if header.flags.contains(RecordFlags::TOMBSTONE) {
-                return LocalChainFetch::Tombstone;
-            }
-            return LocalChainFetch::Found(RecordOwned { header, value });
-        }
-        work.push((log, header.prev));
     }
     LocalChainFetch::Missing
 }
@@ -1246,21 +1255,10 @@ mod tests {
         let table_bits = 12u32;
         let bucket = 1234usize;
         let tag = 0x2ABCu16 & 0x3FFF;
-        let rep = representative_hash(bucket, tag, table_bits);
+        let rep = representative_hash(bucket, tag);
         let h = KeyHash(rep);
         assert_eq!(h.bucket(table_bits), bucket);
         assert_eq!(h.tag(), tag);
-    }
-
-    #[test]
-    fn enclosing_range_spans_inputs() {
-        let ranges = vec![HashRange::new(100, 200), HashRange::new(400, 500)];
-        let e = enclosing_range(&ranges, HashRange::FULL);
-        assert_eq!(e, HashRange::new(100, 500));
-        assert_eq!(
-            enclosing_range(&[], HashRange::new(1, 2)),
-            HashRange::new(1, 2)
-        );
     }
 
     use crate::cluster::{Cluster, ClusterConfig};

@@ -371,8 +371,10 @@ pub(crate) struct TargetMachine {
     liveness: LivenessConfig,
     current: Option<Incoming>,
     /// Items received per migration before its `PrepForTransfer` (records
-    /// links can beat the control link over TCP).
-    strays: HashMap<u64, u64>,
+    /// links can beat the control link over TCP), held until the ranges
+    /// are adopted: inserted before the floor goes up, they would land
+    /// below it and be dead.
+    strays: HashMap<u64, Vec<MigratedItem>>,
 }
 
 #[derive(Debug)]
@@ -434,9 +436,8 @@ impl TargetMachine {
                 return self.cancel(migration_id, reason, 0, false)
             }
             TargetEvent::Inserted(migration_id, count) => {
-                match self.heard(migration_id, None) {
-                    Some(m) => m.items_received += count,
-                    None => *self.strays.entry(migration_id).or_insert(0) += count,
+                if let Some(m) = self.heard(migration_id, None) {
+                    m.items_received += count;
                 }
                 return self.finalize(now);
             }
@@ -454,23 +455,28 @@ impl TargetMachine {
                 if target_view < view {
                     return Vec::new();
                 }
-                // Fold in the items that beat this message.  Strays of
-                // *other* migrations are from dead epochs (a target receives
-                // one migration at a time) and dropped.
-                let early = self.strays.remove(&migration_id).unwrap_or(0);
+                // Insert the items that beat this message once the ranges
+                // are adopted.  Strays of *other* migrations are from dead
+                // epochs (a target receives one migration at a time) and
+                // dropped.
+                let early = self.strays.remove(&migration_id).unwrap_or_default();
                 self.strays.clear();
                 self.current = Some(Incoming {
                     migration_id,
                     source,
                     ranges: RangeSet::from_ranges(ranges.iter().copied()),
                     mode: PendMode::PendAll,
-                    items_received: early,
+                    items_received: 0,
                     expected_items: None,
                     started: now,
                     liveness: PeerLiveness::new(self.liveness, now),
                 });
-                let ack = ack(migration_id, MigrationAckPhase::Prepared);
-                vec![A::AdoptRanges(ranges, target_view), ack]
+                let mut actions = vec![A::AdoptRanges(ranges, target_view)];
+                if !early.is_empty() {
+                    actions.push(A::Insert(migration_id, early));
+                }
+                actions.push(ack(migration_id, MigrationAckPhase::Prepared));
+                actions
             }
             M::TakeOwnership {
                 migration_id,
@@ -499,8 +505,12 @@ impl TargetMachine {
                 target_view,
                 items,
             } if target_view >= view => {
-                self.heard(migration_id, seen);
-                vec![A::Insert(migration_id, items)]
+                if self.heard(migration_id, seen).is_some() {
+                    vec![A::Insert(migration_id, items)]
+                } else {
+                    self.strays.entry(migration_id).or_default().extend(items);
+                    Vec::new()
+                }
             }
             M::CompleteMigration {
                 migration_id,
@@ -1083,13 +1093,21 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_that_beats_its_prepare_is_counted_once_prepared() {
+    fn a_batch_that_beats_its_prepare_is_inserted_once_the_ranges_are_adopted() {
         let t0 = Instant::now();
         let mut t = target();
-        let early = t.step(t0, received(batch(TARGET_VIEW, 4), 1));
-        assert!(t.step(t0, inserted(ID, early)).is_empty());
+        assert!(t.step(t0, received(batch(TARGET_VIEW, 4), 1)).is_empty());
         assert!(!t.is_active());
-        t.step(t0, received(prep(TARGET_VIEW), 1));
+        let prepared = t.step(t0, received(prep(TARGET_VIEW), 1));
+        assert!(
+            matches!(
+                prepared.as_slice(),
+                [T::AdoptRanges(..), T::Insert(ID, _), T::Reply(_)]
+            ),
+            "the held batch goes in after the ranges are adopted: {prepared:?}"
+        );
+        let early = prepared.into_iter().filter(|a| matches!(a, T::Insert(..)));
+        assert!(t.step(t0, inserted(ID, early.collect())).is_empty());
         let complete = M::CompleteMigration {
             migration_id: ID,
             target_view: TARGET_VIEW,

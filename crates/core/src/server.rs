@@ -191,9 +191,6 @@ pub struct Server {
     /// Fast-path flag: `true` while `incoming` holds an active migration, so
     /// the per-operation check avoids the mutex in the common case.
     pub(crate) incoming_active: AtomicBool,
-    /// The log tail when the latest `PrepForTransfer` arrived: a local
-    /// record of its ranges below it predates that migration.
-    pub(crate) incoming_floor: AtomicU64,
     /// Bumped whenever in-flight migration state is dropped without
     /// completing (cancellation, crash-recovery abort).  Dispatch threads
     /// react by rejecting pended batches that reference hashes this server
@@ -320,7 +317,6 @@ impl Server {
             incoming: Mutex::new(TargetMachine::new(config.migration.liveness)),
             outgoing: RwLock::new(None),
             incoming_active: AtomicBool::new(false),
-            incoming_floor: AtomicU64::new(0),
             pend_flush_epoch: AtomicU64::new(0),
             completed_report: Mutex::new(None),
             latest_checkpoint: Mutex::new(None),
@@ -970,81 +966,66 @@ impl Server {
                 Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
             },
             KvRequest::Read { key } | KvRequest::RmwAdd { key, .. } => {
-                // Both need the current record; look it up first.
-                match session.read_outcome(*key) {
-                    // A local version below the floor predates this
-                    // migration: the source's newer one is still on its way.
-                    Ok(ReadOutcome::Found { address, .. })
-                        if pend_mode == Some(PendMode::PendMissing)
-                            && address.raw() < self.incoming_floor.load(Ordering::SeqCst) =>
+                // Both need the current live record; look it up first.  The
+                // store's floors decide what is live: a version this server
+                // kept from before it took the range reads as absent.
+                let mut outcome = session.read_outcome(*key);
+                let mut resolved = false;
+                if let Ok(ReadOutcome::Found { record, .. }) = &outcome {
+                    if record.is_indirection() {
+                        if !is_retry {
+                            // Defer the shared-tier access: the op pends and
+                            // a later retry performs the fetch (paper
+                            // §3.3.2).
+                            return ExecOutcome::Pend;
+                        }
+                        outcome = match self.resolve_indirection(*key, record.value(), session) {
+                            IndirectionFetch::Resolved => session.read_outcome(*key),
+                            IndirectionFetch::Missing => Ok(ReadOutcome::NotFound),
+                            // The chain lives in a process we could not
+                            // reach (or the fetch was rejected): the record
+                            // is not resolvable *yet*, which must never be
+                            // reported as a miss.  Stay pending and retry.
+                            IndirectionFetch::Unavailable => return ExecOutcome::Pend,
+                        };
+                        resolved = true;
+                    }
+                }
+                match (outcome, op) {
+                    // The fetched record did not make it into the store.
+                    (Ok(ReadOutcome::Found { record, .. }), _) if record.is_indirection() => {
+                        ExecOutcome::Pend
+                    }
+                    (Ok(ReadOutcome::Found { record, .. }), KvRequest::Read { .. }) => {
+                        ExecOutcome::Done(KvResponse::Value(Some(record.value)))
+                    }
+                    // The record may simply not have been migrated yet.
+                    (Ok(ReadOutcome::NotFound), _)
+                        if pend_mode == Some(PendMode::PendMissing) && !resolved =>
                     {
                         ExecOutcome::Pend
                     }
-                    Ok(ReadOutcome::Found { record, .. }) if record.is_indirection() => {
-                        if !is_retry {
-                            // Defer the shared-tier access: the op pends and a
-                            // later retry performs the fetch (paper §3.3.2).
-                            return ExecOutcome::Pend;
-                        }
-                        match self.resolve_indirection(*key, record.value(), session) {
-                            IndirectionFetch::Resolved => self.execute_resolved(op, session),
-                            IndirectionFetch::Missing => self.finish_missing(op, session),
-                            // The chain lives in a process we could not reach
-                            // (or the fetch was rejected): the record is not
-                            // resolvable *yet*, which must never be reported
-                            // as a miss.  Stay pending and retry.
-                            IndirectionFetch::Unavailable => ExecOutcome::Pend,
-                        }
+                    (Ok(ReadOutcome::NotFound), KvRequest::Read { .. }) => {
+                        ExecOutcome::Done(KvResponse::Value(None))
                     }
-                    Ok(ReadOutcome::Found { .. }) => self.execute_resolved(op, session),
-                    Ok(ReadOutcome::NotFound) => {
-                        if pend_mode == Some(PendMode::PendMissing) {
-                            // The record may simply not have been migrated yet.
-                            ExecOutcome::Pend
-                        } else {
-                            self.finish_missing(op, session)
-                        }
-                    }
-                    Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
+                    // YCSB-F semantics: a missing record is created with a
+                    // zeroed 256-byte value before the increment is applied.
+                    (Ok(_), _) => self.rmw_add(op, session),
+                    (Err(e), _) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
                 }
             }
         }
     }
 
-    /// Executes a read or RMW once the record is known to be locally present.
-    fn execute_resolved(&self, op: &KvRequest, session: &FasterSession) -> ExecOutcome {
-        match op {
-            KvRequest::Read { key } => match session.read(*key) {
-                Ok(v) => ExecOutcome::Done(KvResponse::Value(v)),
-                Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
-            },
-            KvRequest::RmwAdd { key, delta } => {
-                // The record exists; the initial value is only used if it was
-                // concurrently deleted, in which case YCSB-F semantics apply.
-                let initial = vec![0u8; 256];
-                match session.rmw_add(*key, *delta, &initial) {
-                    Ok(counter) => ExecOutcome::Done(KvResponse::Counter(counter)),
-                    Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
-                }
-            }
-            _ => unreachable!("execute_resolved only handles reads and RMWs"),
-        }
-    }
-
-    /// Completes a read or RMW for a key that genuinely does not exist.
-    fn finish_missing(&self, op: &KvRequest, session: &FasterSession) -> ExecOutcome {
-        match op {
-            KvRequest::Read { .. } => ExecOutcome::Done(KvResponse::Value(None)),
-            KvRequest::RmwAdd { key, delta } => {
-                // YCSB-F semantics: missing records are created with a zeroed
-                // 256-byte value before the increment is applied.
-                let initial = vec![0u8; 256];
-                match session.rmw_add(*key, *delta, &initial) {
-                    Ok(counter) => ExecOutcome::Done(KvResponse::Counter(counter)),
-                    Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
-                }
-            }
-            _ => unreachable!(),
+    /// Applies an RMW: to the live record if there is one, else to a
+    /// zeroed 256-byte initial value.
+    fn rmw_add(&self, op: &KvRequest, session: &FasterSession) -> ExecOutcome {
+        let KvRequest::RmwAdd { key, delta } = op else {
+            unreachable!("rmw_add only handles RMWs")
+        };
+        match session.rmw_add(*key, *delta, &[0u8; 256]) {
+            Ok(counter) => ExecOutcome::Done(KvResponse::Counter(counter)),
+            Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
         }
     }
 
@@ -1092,15 +1073,10 @@ impl Server {
         match service.fetch_chain(&request) {
             ChainFetch::Local => {
                 self.tier_direct_chains.inc();
-                match crate::migration::fetch_from_shared_chain(
-                    service.as_ref(),
-                    ind.source_log,
-                    ind.chain_address,
-                    key,
-                ) {
+                match crate::migration::fetch_from_shared_chain(service.as_ref(), ind, key) {
                     crate::migration::LocalChainFetch::Found(record) => {
                         self.indirection_fetches.inc();
-                        self.insert_fetched_record(key, record.value(), false, session);
+                        self.insert_fetched(key, record.value(), false, session);
                         IndirectionFetch::Resolved
                     }
                     crate::migration::LocalChainFetch::Tombstone => {
@@ -1110,7 +1086,7 @@ impl Server {
                         // was a nested hop — the caller's fallback to older
                         // records is gated by the cached tombstone instead of
                         // resurrecting a pre-delete version.
-                        self.insert_fetched_record(key, &[], true, session);
+                        self.insert_fetched(key, &[], true, session);
                         IndirectionFetch::Missing
                     }
                     crate::migration::LocalChainFetch::Missing => IndirectionFetch::Missing,
@@ -1206,7 +1182,7 @@ impl Server {
                     IndirectionFetch::Resolved
                 });
                 if range.contains(rec_hash) {
-                    self.insert_fetched_record(rec.key, &rec.value, tombstone, session);
+                    self.insert_fetched(rec.key, &rec.value, tombstone, session);
                 }
                 continue;
             }
@@ -1219,34 +1195,21 @@ impl Server {
             // Tombstones are cached too: overwriting the local indirection
             // record means later reads of the deleted key resolve locally
             // instead of re-fetching the chain on every attempt.
-            self.insert_fetched_record(rec.key, &rec.value, tombstone, session);
+            self.insert_fetched(rec.key, &rec.value, tombstone, session);
         }
         requested.unwrap_or(IndirectionFetch::Missing)
     }
 
-    /// Inserts a record fetched from the shared tier unless a newer local
-    /// version (anything that is not an indirection record — a local
-    /// tombstone counts: it must not be overwritten by an older fetched
-    /// value) already exists.
-    fn insert_fetched_record(
-        &self,
-        key: u64,
-        value: &[u8],
-        tombstone: bool,
-        session: &FasterSession,
-    ) {
-        match self.store.read_record_for(key, session) {
-            Ok(ReadOutcome::Found { ref record, .. }) if !record.is_indirection() => {}
-            _ => {
-                let flags = if tombstone {
-                    RecordFlags::TOMBSTONE
-                } else {
-                    RecordFlags::empty()
-                };
-                let inserted = self.store.insert_record(key, value, flags, session);
-                self.check_insert(inserted, &self.chain_insert_failed, "fetched", key);
-            }
-        }
+    /// Caches a version fetched through an indirection record, unless the
+    /// key has a live local version ([`Faster::insert_unless_live`]).
+    fn insert_fetched(&self, key: u64, value: &[u8], tombstone: bool, session: &FasterSession) {
+        let flags = if tombstone {
+            RecordFlags::TOMBSTONE
+        } else {
+            RecordFlags::empty()
+        };
+        let inserted = self.store.insert_unless_live(key, value, flags, session);
+        self.check_insert(inserted, &self.chain_insert_failed, "fetched", key);
     }
 
     /// Counts, next to its siblings, and reports an insert made on a peer's
@@ -1534,6 +1497,7 @@ mod tests {
             chain_address: Address::new(address),
             source_log: LogId(log),
             representative_hash: 0,
+            floor: Address::new(0),
         }
         .encode_value()
     }

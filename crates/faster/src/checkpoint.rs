@@ -8,8 +8,8 @@
 //! at which each thread picked up the new version.
 //!
 //! The captured state is a *fold-over* image: the hash index, the log's
-//! boundary addresses, and the in-memory pages that have not yet been flushed
-//! to the SSD.  Together with the (simulated) SSD contents — which survive a
+//! boundary addresses, the per-range log floors, and the in-memory pages
+//! that have not yet been flushed to the SSD.  Together with the (simulated) SSD contents — which survive a
 //! "crash" in this reproduction just as a real SSD would — this is sufficient
 //! to reconstruct the store.  Shadowfax checkpoints both the source and the
 //! target at the end of a migration so that either can be recovered
@@ -38,6 +38,9 @@ pub struct Checkpoint {
     pub tail: Address,
     /// Serialized hash index.
     pub index: IndexSnapshot,
+    /// The per-range floor table, as `(start, floor)` segments: a record
+    /// below its range's floor stays dead after recovery.
+    pub floors: Vec<(u64, u64)>,
     /// In-memory pages (page number, raw bytes) that were not yet durable on
     /// the SSD at capture time.
     pub memory_pages: Vec<(u64, Vec<u8>)>,
@@ -95,6 +98,7 @@ pub fn take_checkpoint(store: &Arc<Faster>, session: &FasterSession) -> Checkpoi
         read_only: stats.read_only,
         tail: stats.tail,
         index: store.index().serialize(),
+        floors: store.floors.snapshot(),
         memory_pages,
     }
 }
@@ -117,6 +121,7 @@ pub fn recover_from_checkpoint(store: &Arc<Faster>, checkpoint: &Checkpoint) {
         log.restore_page(*page, bytes);
     }
     store.index().restore(&checkpoint.index);
+    store.floors.restore(&checkpoint.floors);
 }
 
 #[cfg(test)]

@@ -73,8 +73,18 @@ where
         // Indirection records are keyed by a *representative hash* chosen to
         // land in a specific bucket, so the usual by-key staleness check does
         // not apply to them: they are never superseded by a newer version of
-        // the same key, only dropped or kept by the disposer.
+        // the same key, only dropped or kept by the disposer — and cut down
+        // to the part of their hash range whose floor they are not below.
         let is_indirection = record.is_indirection();
+        let live_ranges = if is_indirection {
+            live_part(store, addr, &record)
+        } else {
+            Vec::new()
+        };
+        if is_indirection && live_ranges.is_empty() {
+            stats.stale += 1;
+            continue;
+        }
         if !is_indirection {
             // Is this record still the newest version of its key?
             let latest = match store.read_record_for(record.key(), session) {
@@ -98,15 +108,20 @@ where
                 // records must stay in the bucket their representative hash
                 // names; ordinary records re-hash their key to the same place.
                 if is_indirection {
-                    store
-                        .insert_record_at_hash(
-                            record.key(),
-                            record.key(),
-                            record.value(),
-                            record.header.flags,
-                            session,
-                        )
-                        .expect("re-append of indirection record during compaction failed");
+                    for (start, end) in live_ranges {
+                        let mut value = record.value().to_vec();
+                        value[0..8].copy_from_slice(&start.to_le_bytes());
+                        value[8..16].copy_from_slice(&end.to_le_bytes());
+                        store
+                            .insert_record_at_hash(
+                                record.key(),
+                                record.key(),
+                                &value,
+                                record.header.flags,
+                                session,
+                            )
+                            .expect("re-append of indirection record during compaction failed");
+                    }
                 } else {
                     store
                         .insert_record(record.key(), record.value(), record.header.flags, session)
@@ -121,6 +136,22 @@ where
     log.truncate_until(until);
     stats.new_begin = log.begin_address();
     stats
+}
+
+/// The pieces of an indirection record's hash range whose floor lies at or
+/// below the record: re-appending it at the tail unchanged would revive it
+/// for a range taken again since it was written.
+fn live_part(store: &Faster, addr: Address, record: &RecordOwned) -> Vec<(u64, u64)> {
+    let value = record.value();
+    if value.len() < 16 {
+        return Vec::new();
+    }
+    let word = |i: usize| u64::from_le_bytes(value[i..i + 8].try_into().unwrap());
+    let pieces = store.floors_within(word(0), word(8)).into_iter();
+    pieces
+        .filter(|p| addr >= p.2)
+        .map(|(s, e, _)| (s, e))
+        .collect()
 }
 
 /// Convenience wrapper: compacts everything below the read-only boundary,

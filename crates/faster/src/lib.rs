@@ -29,6 +29,7 @@
 mod checkpoint;
 mod compaction;
 mod config;
+mod floors;
 mod hash_index;
 mod key_hash;
 mod stats;

@@ -18,6 +18,7 @@ use shadowfax_hlog::{Address, HybridLog, LogError, RecordFlags, RecordOwned};
 use shadowfax_storage::{Device, SharedTierHandle};
 
 use crate::config::FasterConfig;
+use crate::floors::Floors;
 use crate::hash_index::HashIndex;
 use crate::key_hash::KeyHash;
 use crate::stats::StoreStats;
@@ -89,6 +90,8 @@ pub struct Faster {
     /// CPR checkpoint version; bumped over a global cut by `checkpoint`.
     version: AtomicU32,
     sampling: RwLock<Option<SamplingState>>,
+    /// Per-hash-range floors below which records are dead.
+    pub(crate) floors: Floors,
 }
 
 impl std::fmt::Debug for Faster {
@@ -119,6 +122,7 @@ impl Faster {
             stats: StoreStats::new(),
             version: AtomicU32::new(1),
             sampling: RwLock::new(None),
+            floors: Floors::new(),
         })
     }
 
@@ -222,15 +226,47 @@ impl Faster {
     // Core operation implementations (called via FasterSession)
     // ------------------------------------------------------------------
 
-    /// Walks the record chain starting at `head` looking for `key`.
-    /// Returns the first (newest) record for the key, if any.
+    /// Raises the floor of each `[start, end)` hash range (an `end` of
+    /// `u64::MAX` runs to the top of the space) to the log tail, and returns
+    /// it.  Every record of those ranges already in the log is dead from
+    /// here on; a server calls this as it takes ranges (paper §3.3), before
+    /// it serves them.  A walk that starts after this returns sees the floor.
+    pub fn raise_floors(&self, ranges: &[(u64, u64)]) -> Address {
+        let tail = self.log.tail_address();
+        for &(start, end) in ranges {
+            self.floors.raise(start, end, tail.raw());
+        }
+        tail
+    }
+
+    /// The floor of the hash range holding `hash`: records below it are
+    /// dead.
+    pub fn floor_of(&self, hash: u64) -> Address {
+        Address::new(self.floors.floor_of(hash))
+    }
+
+    /// The `(start, end, floor)` pieces of the hash range `[start, end)`,
+    /// one per floor it spans.
+    pub fn floors_within(&self, start: u64, end: u64) -> Vec<(u64, u64, Address)> {
+        let pieces = self.floors.within(start, end).into_iter();
+        pieces.map(|(s, e, f)| (s, e, Address::new(f))).collect()
+    }
+
+    /// Walks the record chain starting at `addr` for the newest *live*
+    /// record of `key`: one at or past the key's floor, which is the log's
+    /// begin address raised per hash range ([`Faster::raise_floors`]).
+    /// The walk stops at the floor; a record below it is dead and the key
+    /// reads as absent.  The one rule every reader and writer of the store
+    /// shares.
     ///
     /// A record carrying [`RecordFlags::INDIRECTION`] matches not by key but
     /// by *hash range*: its first 16 value bytes encode a `[start, end)` range
     /// of the 64-bit key-hash space (Shadowfax's indirection records, paper
-    /// §3.3.2).  If the looked-up key's hash falls in that range the
-    /// indirection record is returned so the caller can resolve it against
-    /// the shared storage tier.
+    /// §3.3.2).  It is returned, so the caller can resolve it against the
+    /// shared storage tier, only if no exact-key record lies at or past the
+    /// floor, wherever each sits in the chain: a migration ships a chain's
+    /// in-memory records and the indirection for its spilled part in no
+    /// fixed order, and the target's own writes are newer than both.
     fn find_in_chain(
         &self,
         mut addr: Address,
@@ -238,38 +274,52 @@ impl Faster {
         guard: &Guard<'_>,
     ) -> Result<Option<(Address, RecordOwned)>> {
         let key_hash = KeyHash::of(key).raw();
+        // `stop` starts at the highest floor of any range, and falls to the
+        // key's own floor the first time the walk reaches it.
+        let begin = self.log.begin_address();
+        let mut stop = begin.max(Address::new(self.floors.highest()));
+        let mut stop_is_exact = stop == begin;
+        let mut indirection = None;
         let mut hops = 0usize;
         while addr.is_valid() {
-            if addr < self.log.begin_address() {
-                return Ok(None);
+            if addr < stop {
+                if stop_is_exact {
+                    break;
+                }
+                stop = begin.max(self.floor_of(key_hash));
+                stop_is_exact = true;
+                if addr < stop {
+                    break;
+                }
             }
             let was_stable = addr < self.log.head_address();
             let record = match self.log.read_record(addr, guard) {
                 Ok(r) => r,
-                Err(LogError::Truncated(_)) => return Ok(None),
+                Err(LogError::Truncated(_)) => break,
                 Err(e) => return Err(e.into()),
             };
             if was_stable {
                 self.stats.record_stable_read();
             }
+            let prev = record.header.prev;
             if !record.header.flags.contains(RecordFlags::INVALID) {
                 if record.header.flags.contains(RecordFlags::INDIRECTION) {
-                    if record.value().len() >= 16 {
+                    if indirection.is_none() && record.value().len() >= 16 {
                         let start = u64::from_le_bytes(record.value()[0..8].try_into().unwrap());
                         let end = u64::from_le_bytes(record.value()[8..16].try_into().unwrap());
                         if key_hash >= start && key_hash < end {
-                            return Ok(Some((addr, record)));
+                            indirection = Some((addr, record));
                         }
                     }
                 } else if record.key() == key {
                     return Ok(Some((addr, record)));
                 }
             }
-            addr = record.header.prev;
+            addr = prev;
             hops += 1;
             debug_assert!(hops < 1_000_000, "hash chain cycle detected");
         }
-        Ok(None)
+        Ok(indirection)
     }
 
     fn read_impl(&self, key: u64, session: &FasterSession) -> Result<ReadOutcome> {
@@ -545,14 +595,48 @@ impl Faster {
         }
     }
 
+    /// Appends `value` for `key` with `flags` unless the key has a live
+    /// local version that is not an indirection record.  Returns whether it
+    /// inserted.  This is how a version that arrives from elsewhere (a
+    /// migration, a compaction hand-off, a chain fetched through an
+    /// indirection) enters the store: a live local version, a tombstone
+    /// included, was written here after this server took the range and is
+    /// newer, while one below the range's floor is dead and loses.  The
+    /// check and the append are one compare-and-swap on the bucket entry, so
+    /// a client write that lands in between makes this retry, never lose.
+    pub fn insert_unless_live(
+        &self,
+        key: u64,
+        value: &[u8],
+        flags: RecordFlags,
+        session: &FasterSession,
+    ) -> Result<bool> {
+        let hash = KeyHash::of(key);
+        let version = self.current_version();
+        loop {
+            let guard = session.thread.protect();
+            let (slot, entry) = self.index.find_or_create_entry(hash);
+            if entry.address.is_valid() {
+                if let Some((_, record)) = self.find_in_chain(entry.address, key, &guard)? {
+                    if !record.is_indirection() {
+                        return Ok(false);
+                    }
+                }
+            }
+            let new_addr =
+                self.log
+                    .append(key, value, entry.address, version, flags, &session.thread)?;
+            if self.index.try_update_entry(slot, entry, new_addr).is_ok() {
+                return Ok(true);
+            }
+        }
+    }
+
     /// Looks up a key but, unlike [`FasterSession::read`], does not resolve
-    /// tombstones or indirection records — it simply reports the newest
-    /// record, with its flags intact.  Shadowfax's server uses this to
-    /// detect indirection records, to answer migration-time queries, and as
-    /// the "does a newer local version exist?" guard on migration-time
-    /// inserts — where a local tombstone *is* a newer version (resolving it
-    /// to `NotFound`, as [`FasterSession::read_outcome`] does, would let a
-    /// stale migrated value resurrect a deleted key).
+    /// tombstones or indirection records: it reports the newest live record
+    /// (the same walk, stopping at the key's floor), with its flags intact.
+    /// Shadowfax's server uses this to ship the hot set, and compaction and
+    /// the Rocksteady disk scan use it to tell a record's live version.
     pub fn read_record_for(&self, key: u64, session: &FasterSession) -> Result<ReadOutcome> {
         let guard = session.thread.protect();
         let hash = KeyHash::of(key);
@@ -577,7 +661,8 @@ impl Faster {
                 let Ok(rec) = self.log.read_record(addr, &guard) else {
                     break;
                 };
-                if seen.insert(rec.key()) && !rec.is_tombstone() {
+                let live = addr >= self.floor_of(KeyHash::of(rec.key()).raw());
+                if seen.insert(rec.key()) && live && !rec.is_tombstone() {
                     count += 1;
                 }
                 addr = rec.header.prev;
@@ -872,6 +957,73 @@ mod tests {
             ReadOutcome::Found { record, .. } => assert!(record.is_indirection()),
             other => panic!("unexpected outcome {other:?}"),
         }
+
+        // An exact-key record at or past the floor beats a newer matching
+        // indirection ...
+        let value_of = |key| match s.read_record_for(key, &session).unwrap() {
+            ReadOutcome::Found { record, .. } => record,
+            ReadOutcome::NotFound => panic!("key {key} not found"),
+        };
+        raise_floor_of(&s, 6);
+        session.upsert(6, b"written-after-the-floor").unwrap();
+        s.insert_record(6, &payload, RecordFlags::INDIRECTION, &session)
+            .unwrap();
+        assert_eq!(value_of(6).value(), b"written-after-the-floor");
+        // ... and the indirection is returned when the key's only record
+        // lies below the floor.
+        session.upsert(7, b"dead").unwrap();
+        raise_floor_of(&s, 7);
+        s.insert_record(7, &payload, RecordFlags::INDIRECTION, &session)
+            .unwrap();
+        assert!(value_of(7).is_indirection());
+    }
+
+    /// Raises the floor of the one-hash range holding `key`.
+    fn raise_floor_of(s: &Faster, key: u64) -> Address {
+        let h = KeyHash::of(key).raw();
+        s.raise_floors(&[(h, h + 1)])
+    }
+
+    #[test]
+    fn records_below_their_floor_are_dead_to_every_operation() {
+        let s = store();
+        let session = s.start_session();
+        let (dead, live): (Vec<u64>, Vec<u64>) =
+            (0..64u64).partition(|&k| KeyHash::of(k).raw() < u64::MAX / 2);
+        for &k in dead.iter().chain(&live) {
+            session.upsert(k, &[1u8; 8]).unwrap();
+        }
+        let floor = s.raise_floors(&[(0, u64::MAX / 2)]);
+        let in_place = || s.stats().snapshot().in_place_updates;
+        let before = in_place();
+        let [read, record, upsert, rmw, delete, ..] = dead[..] else {
+            panic!("too few keys below the split");
+        };
+        assert_eq!(session.read(read).unwrap(), None);
+        assert_eq!(
+            s.read_record_for(record, &session).unwrap(),
+            ReadOutcome::NotFound
+        );
+        assert!(!session.delete(delete).unwrap());
+        // A write goes to a new record past the floor, not in place.
+        session.upsert(upsert, &[2u8; 8]).unwrap();
+        assert_eq!(session.rmw_add(rmw, 5, &[0u8; 8]).unwrap(), 5);
+        assert_eq!(in_place(), before);
+        for key in [upsert, rmw] {
+            match s.read_record_for(key, &session).unwrap() {
+                ReadOutcome::Found { address, .. } => assert!(address >= floor),
+                other => panic!("key {key}: {other:?}"),
+            }
+        }
+        assert_eq!(session.read(upsert).unwrap(), Some(vec![2u8; 8]));
+        // The neighbouring range keeps its records, in place included.
+        for &k in &live {
+            assert_eq!(session.read(k).unwrap(), Some(vec![1u8; 8]));
+        }
+        session.upsert(live[0], &[3u8; 8]).unwrap();
+        assert_eq!(in_place(), before + 1);
+        assert!(session.delete(live[1]).unwrap());
+        assert_eq!(s.approximate_key_count(&session), live.len() + 1);
     }
 
     #[test]

@@ -311,12 +311,16 @@ impl HybridLog {
             let cur = self.tail.load(Ordering::SeqCst);
             let cur_page = cur >> self.page_bits;
             let cur_off = (cur & ((1 << self.page_bits) - 1)) as usize;
-            let (start, opens_page) = if cur_off + size > self.page_size {
-                ((cur_page + 1) << self.page_bits, true)
+            let start = if cur_off + size > self.page_size {
+                (cur_page + 1) << self.page_bits
             } else {
-                (cur, false)
+                cur
             };
             let start_page = start >> self.page_bits;
+            // Exactly one allocation per page starts at its first byte,
+            // whether it skipped there or the last record ended there: it
+            // alone opens the page.
+            let opens_page = start & ((1 << self.page_bits) - 1) == 0;
             // Make sure the frame that will hold `start_page` is recyclable
             // before we commit the allocation.
             self.ensure_frame_available(start_page, thread);
@@ -326,7 +330,7 @@ impl HybridLog {
                 .compare_exchange(cur, new_tail, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                if opens_page || start_page >= self.config.memory_pages {
+                if opens_page {
                     self.open_page_if_needed(start_page);
                 }
                 // Keep the mutable region bounded: ask for the read-only
