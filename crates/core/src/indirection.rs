@@ -15,8 +15,10 @@
 //! the covered hash range (which is what the FASTER chain traversal uses to
 //! decide whether a lookup "hits" the record), followed by the chain address,
 //! the source log id, a representative hash used to place the record in the
-//! correct bucket chain, and the floor of the chain it names: the source's
-//! records below it were dead there, so a fetch stops at it.
+//! correct bucket chain, the floor of the chain it names (the source's
+//! records below it were dead there, so a fetch stops at it), and its hops:
+//! a server may hold one record for the chain its source wrote and others
+//! the source forwarded from earlier owners, and fewer hops is newer data.
 
 use shadowfax_faster::{Address, RecordFlags};
 use shadowfax_storage::LogId;
@@ -24,7 +26,7 @@ use shadowfax_storage::LogId;
 use crate::hash_range::HashRange;
 
 /// Size of the encoded indirection payload.
-pub const INDIRECTION_VALUE_BYTES: usize = 48;
+pub const INDIRECTION_VALUE_BYTES: usize = 56;
 
 /// A decoded indirection record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +45,9 @@ pub struct IndirectionRecord {
     /// The source's floor for `range` when it shipped the record: the chain
     /// ends there, as the source's own walks did.
     pub floor: Address,
+    /// Ownership hand-overs between the writes the chain holds and the
+    /// server holding this record: fewer is newer.
+    pub hops: u64,
 }
 
 impl IndirectionRecord {
@@ -55,6 +60,7 @@ impl IndirectionRecord {
         v.extend_from_slice(&self.source_log.0.to_le_bytes());
         v.extend_from_slice(&self.representative_hash.to_le_bytes());
         v.extend_from_slice(&self.floor.raw().to_le_bytes());
+        v.extend_from_slice(&self.hops.to_le_bytes());
         v
     }
 
@@ -76,6 +82,7 @@ impl IndirectionRecord {
             source_log: LogId(read(24)),
             representative_hash: read(32),
             floor: Address::new(read(40) & ((1 << 48) - 1)),
+            hops: read(48),
         })
     }
 
@@ -97,6 +104,7 @@ mod tests {
             source_log: LogId(7),
             representative_hash: 0x1234_5678_9ABC_DEF0,
             floor: Address::new(0x40),
+            hops: 2,
         };
         let bytes = rec.encode_value();
         assert_eq!(bytes.len(), INDIRECTION_VALUE_BYTES);
@@ -123,6 +131,7 @@ mod tests {
             source_log: LogId(1),
             representative_hash: 0,
             floor: Address::new(0),
+            hops: 1,
         };
         let bytes = rec.encode_value();
         assert_eq!(u64::from_le_bytes(bytes[0..8].try_into().unwrap()), 111);

@@ -22,6 +22,7 @@
 //!   check the source's liveness.  No dispatch thread ever stalls on a
 //!   phase change: each observes it between request batches.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,7 +34,7 @@ use shadowfax_faster::{
 };
 use shadowfax_hlog::{LogScanner, RecordHeader, RECORD_HEADER_BYTES};
 use shadowfax_net::TransportError;
-use shadowfax_storage::{LogId, SharedBlobTier, TierRecord, TierService};
+use shadowfax_storage::{LogId, SharedBlobTier, TierRecord};
 
 use crate::config::MigrationMode;
 use crate::hash_range::HashRange;
@@ -676,9 +677,11 @@ impl Server {
     /// Collects records for the migrating ranges from main-table buckets
     /// `region` and appends them to this thread's outgoing batch.  Like
     /// every walk of the store, each stops at the floor: a record below its
-    /// range's floor is dead here and is not shipped, and a spilled tail
-    /// gets an indirection record only for the ranges it is not wholly
-    /// below, each carrying that range's floor.
+    /// range's floor is dead here and is not shipped, and an indirection
+    /// record — one for a spilled tail, or one this server holds — moves
+    /// only for the pieces it is live for ([`Faster::live_pieces`]).
+    ///
+    /// [`Faster::live_pieces`]: shadowfax_faster::Faster::live_pieces
     fn collect_region(
         self: &Arc<Self>,
         outgoing: &Arc<OutgoingMigration>,
@@ -697,6 +700,18 @@ impl Server {
         let floor_of = |hash: u64| pieces.iter().find(|(r, _)| r.contains(hash)).map(|p| p.1);
         let lowest = pieces.iter().map(|p| p.1).min().unwrap_or(head);
         let stop = log.begin_address().max(lowest);
+        // The pieces of the migrating ranges within `covered` that a record
+        // at `at` is live for, each with its floor.
+        let live = |covered: HashRange, at: Address| -> Vec<(HashRange, Address)> {
+            let clipped = outgoing.ranges.iter().filter_map(|r| {
+                let (start, end) = (r.start.max(covered.start), r.end.min(covered.end));
+                (start < end).then(|| self.store.live_pieces(start, end, at))
+            });
+            let pieces = clipped.flatten();
+            pieces
+                .map(|(start, end, floor)| (HashRange::new(start, end), floor))
+                .collect()
+        };
         let guard = session.thread().protect();
         for snap in self.store.index().scan_region(region) {
             let representative = representative_hash(snap.bucket, snap.entry.tag);
@@ -706,13 +721,14 @@ impl Server {
                 if addr < head {
                     // The rest of this chain lives on the SSD / shared tier.
                     if self.config.migration.mode == MigrationMode::Shadowfax {
-                        for &(range, floor) in pieces.iter().filter(|p| addr >= p.1) {
+                        for (range, floor) in live(HashRange::FULL, addr) {
                             let ind = IndirectionRecord {
                                 range,
                                 chain_address: addr,
                                 source_log: self.log_id(),
                                 representative_hash: representative,
                                 floor,
+                                hops: 1,
                             };
                             self.push_indirection(outgoing, state, ind);
                         }
@@ -727,21 +743,13 @@ impl Server {
                 if record.is_indirection() {
                     // An indirection this server received and still holds
                     // names the only copy of the keys it covers: it moves on
-                    // with the range, cut to the live part of each piece.
-                    let Some(ind) = IndirectionRecord::decode_value(record.value()) else {
-                        addr = record.header.prev;
-                        continue;
-                    };
-                    for &(range, _) in pieces.iter().filter(|p| addr >= p.1) {
-                        let (start, end) = (
-                            range.start.max(ind.range.start),
-                            range.end.min(ind.range.end),
-                        );
-                        if start < end {
-                            let range = HashRange::new(start, end);
+                    // with the range, one hand-over further from its writes.
+                    if let Some(ind) = IndirectionRecord::decode_value(record.value()) {
+                        for (range, _) in live(ind.range, addr) {
                             let ind = IndirectionRecord {
                                 range,
                                 representative_hash: representative,
+                                hops: ind.hops + 1,
                                 ..ind
                             };
                             self.push_indirection(outgoing, state, ind);
@@ -942,9 +950,9 @@ impl Server {
         mut conn: Option<&mut PeerLink>,
         session: &FasterSession,
     ) -> bool {
-        let mut next = Some(event);
+        let mut events = VecDeque::from([event]);
         let mut acted = false;
-        while let Some(event) = next.take() {
+        while let Some(event) = events.pop_front() {
             let (actions, activated) = {
                 let mut target = self.incoming.lock();
                 let actions = target.step(now, event);
@@ -959,9 +967,8 @@ impl Server {
             }
             for action in actions {
                 acted = true;
-                if let Some(event) = self.execute_target(action, conn.as_deref_mut(), session) {
-                    next = Some(event);
-                }
+                let answer = self.execute_target(action, conn.as_deref_mut(), session);
+                events.extend(answer);
             }
         }
         acted
@@ -981,13 +988,15 @@ impl Server {
                     let _ = conn.send_migration(msg);
                 }
             }
-            TargetAction::AdoptRanges(ranges, view) => {
+            TargetAction::AdoptRanges(migration_id, ranges, view) => {
                 // Whatever this server kept of the ranges is dead from here
-                // on; the floor is up before the ranges are served.
+                // on; the floor is up before the ranges are served, and
+                // before any migrated item goes in.
                 let pairs: Vec<(u64, u64)> = ranges.iter().map(|r| (r.start, r.end)).collect();
                 self.store.raise_floors(&pairs);
                 self.serving_view.fetch_max(view, Ordering::SeqCst);
                 self.owned.write().add(&ranges);
+                return Some(TargetEvent::Adopted(migration_id));
             }
             TargetAction::AdoptView(view) => {
                 self.serving_view.fetch_max(view, Ordering::SeqCst);
@@ -1076,88 +1085,6 @@ impl Server {
 /// the indirection record in the equivalent chain.
 pub(crate) fn representative_hash(bucket: usize, tag: u16) -> u64 {
     ((tag as u64) << 48) | bucket as u64
-}
-
-/// What a local chain walk produced.
-#[derive(Debug)]
-pub(crate) enum LocalChainFetch {
-    /// The key's newest live record.
-    Found(RecordOwned),
-    /// The chain was fully walked and holds no record for the key at all.
-    Missing,
-    /// The key's newest record on the chain is a tombstone: the key was
-    /// deleted.  Distinct from [`LocalChainFetch::Missing`] so the caller
-    /// can cache the deletion locally — without it, a fallback path that
-    /// treats "absent from this chain" as "older records elsewhere decide"
-    /// would resurrect a pre-delete version.
-    Tombstone,
-    /// A read failed mid-walk (e.g. a nested indirection named a log this
-    /// process cannot read).  The caller must keep the operation pending —
-    /// the record may exist where the walk could not reach.
-    Unreadable,
-}
-
-/// Follows a record chain stored on a *locally readable* shared-tier log
-/// (the [`TierService`] answered `Local` for it) looking for `key`, down to
-/// the chain's `floor`.  The walk applies the store's rule: an exact-key
-/// record on the chain beats an indirection record covering the key, which
-/// is followed onto the log it names only when the chain holds no such
-/// record — on an in-process tier every log is readable, so multi-hop
-/// chains resolve transitively.
-pub(crate) fn fetch_from_shared_chain(
-    tier: &dyn TierService,
-    ind: &IndirectionRecord,
-    key: u64,
-) -> LocalChainFetch {
-    let hash = shadowfax_faster::KeyHash::of(key).raw();
-    let mut chain = Some((ind.source_log, ind.chain_address, ind.floor));
-    let mut hops = 0;
-    while let Some((log, mut addr, floor)) = chain.take() {
-        while addr.is_valid() && addr >= floor {
-            hops += 1;
-            if hops > 1_000_000 {
-                return LocalChainFetch::Unreadable;
-            }
-            let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
-            if tier.read_log(log, addr.raw(), &mut header_bytes).is_err() {
-                return LocalChainFetch::Unreadable;
-            }
-            let header = RecordHeader::decode(&header_bytes);
-            if header.is_null() {
-                break;
-            }
-            let at = addr.raw() + RECORD_HEADER_BYTES as u64;
-            addr = header.prev;
-            if header.flags.contains(RecordFlags::INVALID) {
-                continue;
-            }
-            if header.flags.contains(RecordFlags::INDIRECTION) {
-                // The chain continues on another log, if no exact-key record
-                // turns up on this one.
-                if chain.is_none() {
-                    let mut payload = vec![0u8; header.value_len as usize];
-                    if tier.read_log(log, at, &mut payload).is_err() {
-                        return LocalChainFetch::Unreadable;
-                    }
-                    chain = IndirectionRecord::decode_value(&payload)
-                        .filter(|nested| nested.range.contains(hash))
-                        .map(|n| (n.source_log, n.chain_address, n.floor));
-                }
-                continue;
-            }
-            if header.key == key {
-                if header.flags.contains(RecordFlags::TOMBSTONE) {
-                    return LocalChainFetch::Tombstone;
-                }
-                let mut value = vec![0u8; header.value_len as usize];
-                if !value.is_empty() && tier.read_log(log, at, &mut value).is_err() {
-                    return LocalChainFetch::Unreadable;
-                }
-                return LocalChainFetch::Found(RecordOwned { header, value });
-            }
-        }
-    }
-    LocalChainFetch::Missing
 }
 
 /// The outcome of one serving-side chain walk page.

@@ -328,6 +328,9 @@ pub(crate) enum TargetEvent {
     /// `(migration, count)`: the items of one [`TargetAction::Insert`] are
     /// in the store.
     Inserted(u64, u64),
+    /// A migration's [`TargetAction::AdoptRanges`] has run: the ranges'
+    /// floors are up, so its items may go in.
+    Adopted(u64),
     /// An operator cancels a migration, for a reason.
     Cancel(u64, String),
 }
@@ -337,8 +340,9 @@ pub(crate) enum TargetEvent {
 pub(crate) enum TargetAction {
     /// Answer on the link the message arrived on.
     Reply(MigrationMsg),
-    /// Take responsibility for the ranges and serve at least the view.
-    AdoptRanges(Vec<HashRange>, u64),
+    /// Take responsibility for a migration's ranges and serve at least the
+    /// view, then report [`TargetEvent::Adopted`].
+    AdoptRanges(u64, Vec<HashRange>, u64),
     AdoptView(u64),
     /// Insert a migration's shipped items, then report
     /// [`TargetEvent::Inserted`].
@@ -370,10 +374,9 @@ pub(crate) struct TargetMachine {
     /// errors first — wins the race to cancel cleanly at the store.
     liveness: LivenessConfig,
     current: Option<Incoming>,
-    /// Items received per migration before its `PrepForTransfer` (records
-    /// links can beat the control link over TCP), held until the ranges
-    /// are adopted: inserted before the floor goes up, they would land
-    /// below it and be dead.
+    /// Items received per migration before its ranges are adopted (records
+    /// links can beat the control link over TCP), held until then: inserted
+    /// before the floor goes up, they would land below it and be dead.
     strays: HashMap<u64, Vec<MigratedItem>>,
 }
 
@@ -387,6 +390,8 @@ struct Incoming {
     items_received: u64,
     /// The total the source announced in `CompleteMigration`.
     expected_items: Option<u64>,
+    /// [`TargetEvent::Adopted`] arrived: items go straight in.
+    adopted: bool,
     started: Instant,
     liveness: PeerLiveness,
 }
@@ -441,6 +446,14 @@ impl TargetMachine {
                 }
                 return self.finalize(now);
             }
+            TargetEvent::Adopted(migration_id) => {
+                let Some(m) = self.heard(migration_id, None) else {
+                    return Vec::new();
+                };
+                m.adopted = true;
+                let held = self.strays.remove(&migration_id).into_iter();
+                return held.map(|items| A::Insert(migration_id, items)).collect();
+            }
         };
         let seen = Some(now);
         match msg {
@@ -455,12 +468,9 @@ impl TargetMachine {
                 if target_view < view {
                     return Vec::new();
                 }
-                // Insert the items that beat this message once the ranges
-                // are adopted.  Strays of *other* migrations are from dead
-                // epochs (a target receives one migration at a time) and
-                // dropped.
-                let early = self.strays.remove(&migration_id).unwrap_or_default();
-                self.strays.clear();
+                // Strays of *other* migrations are from dead epochs (a
+                // target receives one migration at a time) and dropped.
+                self.strays.retain(|&id, _| id == migration_id);
                 self.current = Some(Incoming {
                     migration_id,
                     source,
@@ -468,15 +478,14 @@ impl TargetMachine {
                     mode: PendMode::PendAll,
                     items_received: 0,
                     expected_items: None,
+                    adopted: false,
                     started: now,
                     liveness: PeerLiveness::new(self.liveness, now),
                 });
-                let mut actions = vec![A::AdoptRanges(ranges, target_view)];
-                if !early.is_empty() {
-                    actions.push(A::Insert(migration_id, early));
-                }
-                actions.push(ack(migration_id, MigrationAckPhase::Prepared));
-                actions
+                vec![
+                    A::AdoptRanges(migration_id, ranges, target_view),
+                    ack(migration_id, MigrationAckPhase::Prepared),
+                ]
             }
             M::TakeOwnership {
                 migration_id,
@@ -490,14 +499,16 @@ impl TargetMachine {
                 let ack = ack(migration_id, MigrationAckPhase::OwnershipReceived);
                 vec![A::AdoptView(target_view), ack]
             }
-            // Only the migration being received takes a hot set: a delayed
-            // push from a cancelled one must not resurrect stale values
-            // (the Migrate phase ships every live record again anyway).
+            // Only the migration being received takes a hot set, once
+            // adopted: a delayed push from a cancelled one must not resurrect
+            // stale values (the Migrate phase ships every record again).
             M::PushHotRecords {
                 migration_id,
                 records,
                 ..
-            } if self.heard(migration_id, seen).is_some() => vec![A::InsertHot(records)],
+            } if self.heard(migration_id, seen).is_some_and(|m| m.adopted) => {
+                vec![A::InsertHot(records)]
+            }
             // A batch tagged with a view older than the one already served
             // is from a dead migration epoch.
             M::PushRecordBatch {
@@ -505,7 +516,7 @@ impl TargetMachine {
                 target_view,
                 items,
             } if target_view >= view => {
-                if self.heard(migration_id, seen).is_some() {
+                if self.heard(migration_id, seen).is_some_and(|m| m.adopted) {
                     vec![A::Insert(migration_id, items)]
                 } else {
                     self.strays.entry(migration_id).or_default().extend(items);
@@ -1023,10 +1034,11 @@ mod tests {
         assert_eq!(
             t.step(t0, received(prep(TARGET_VIEW), 1)),
             vec![
-                T::AdoptRanges(ranges(), TARGET_VIEW),
+                T::AdoptRanges(ID, ranges(), TARGET_VIEW),
                 ack(ID, MigrationAckPhase::Prepared),
             ]
         );
+        assert!(t.step(t0, TE::Adopted(ID)).is_empty());
         t
     }
 
@@ -1092,26 +1104,48 @@ mod tests {
         assert_eq!(t.pend_mode(1), None);
     }
 
+    /// Items go in only after `AdoptRanges` has raised the floors: those
+    /// that beat the prepare and those stepped between the prepare and the
+    /// end of its `AdoptRanges`, which another thread may still be running.
     #[test]
-    fn a_batch_that_beats_its_prepare_is_inserted_once_the_ranges_are_adopted() {
+    fn batches_wait_for_the_ranges_to_be_adopted() {
         let t0 = Instant::now();
         let mut t = target();
         assert!(t.step(t0, received(batch(TARGET_VIEW, 4), 1)).is_empty());
         assert!(!t.is_active());
-        let prepared = t.step(t0, received(prep(TARGET_VIEW), 1));
-        assert!(
-            matches!(
-                prepared.as_slice(),
-                [T::AdoptRanges(..), T::Insert(ID, _), T::Reply(_)]
-            ),
-            "the held batch goes in after the ranges are adopted: {prepared:?}"
+        assert_eq!(
+            t.step(t0, received(prep(TARGET_VIEW), 1)),
+            vec![
+                T::AdoptRanges(ID, ranges(), TARGET_VIEW),
+                ack(ID, MigrationAckPhase::Prepared),
+            ]
         );
-        let early = prepared.into_iter().filter(|a| matches!(a, T::Insert(..)));
-        assert!(t.step(t0, inserted(ID, early.collect())).is_empty());
+        assert!(
+            t.step(t0, received(batch(TARGET_VIEW, 2), TARGET_VIEW))
+                .is_empty(),
+            "a batch stepped before the adoption ran is held"
+        );
+        let hot = M::PushHotRecords {
+            migration_id: ID,
+            target_view: TARGET_VIEW,
+            records: vec![(5, vec![5])],
+        };
+        assert!(
+            t.step(t0, received(hot, TARGET_VIEW)).is_empty(),
+            "a hot set before the adoption is dropped; the Migrate phase ships it again"
+        );
+        let held = t.step(t0, TE::Adopted(ID));
+        assert!(
+            matches!(held.as_slice(), [T::Insert(ID, items)] if items.len() == 6),
+            "both held batches go in once the ranges are adopted: {held:?}"
+        );
+        assert!(t.step(t0, inserted(ID, held)).is_empty());
+        let later = t.step(t0, received(batch(TARGET_VIEW, 1), TARGET_VIEW));
+        assert!(t.step(t0, inserted(ID, later)).is_empty());
         let complete = M::CompleteMigration {
             migration_id: ID,
             target_view: TARGET_VIEW,
-            total_items: 4,
+            total_items: 7,
         };
         let finalized = t.step(t0, received(complete, TARGET_VIEW));
         assert_eq!(finalized.last(), Some(&T::Reply(completed())));

@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use shadowfax_faster::{Checkpoint, Faster, FasterSession, KeyHash, ReadOutcome, RecordFlags};
+use shadowfax_hlog::{RecordHeader, RECORD_HEADER_BYTES};
 use shadowfax_net::{
     BatchReply, ByteStream, KvRequest, KvResponse, RequestBatch, SimNetwork, TransportError,
 };
@@ -37,7 +38,7 @@ use shadowfax_storage::{
 
 use crate::config::{OwnershipCheck, ServerConfig};
 use crate::dispatch::{ConnId, ConnTable, DispatchHandle, Link, Mailbox, ParkInstruments};
-use crate::hash_range::RangeSet;
+use crate::hash_range::{HashRange, RangeSet};
 use crate::indirection::IndirectionRecord;
 use crate::meta::MetadataStore;
 use crate::migration::{
@@ -979,14 +980,15 @@ impl Server {
                             // §3.3.2).
                             return ExecOutcome::Pend;
                         }
-                        outcome = match self.resolve_indirection(*key, record.value(), session) {
-                            IndirectionFetch::Resolved => session.read_outcome(*key),
-                            IndirectionFetch::Missing => Ok(ReadOutcome::NotFound),
+                        outcome = match self.resolve_indirections(*key, session) {
+                            Ok(IndirectionFetch::Resolved) => session.read_outcome(*key),
+                            Ok(IndirectionFetch::Missing) => Ok(ReadOutcome::NotFound),
                             // The chain lives in a process we could not
                             // reach (or the fetch was rejected): the record
                             // is not resolvable *yet*, which must never be
                             // reported as a miss.  Stay pending and retry.
-                            IndirectionFetch::Unavailable => return ExecOutcome::Pend,
+                            Ok(IndirectionFetch::Unavailable) => return ExecOutcome::Pend,
+                            Err(e) => Err(e),
                         };
                         resolved = true;
                     }
@@ -1029,20 +1031,43 @@ impl Server {
         }
     }
 
-    /// Fetches the record for `key` by following the chain named by an
-    /// indirection record's payload — through the installed [`TierService`],
-    /// so the chain may live on the process-local shared tier or in another
-    /// process reached over the wire — and inserts what it finds locally.
-    fn resolve_indirection(
+    /// Fetches the record for `key` through the indirection records covering
+    /// it, via the installed [`TierService`] (the process-local shared tier
+    /// or another process), and inserts what it finds.  They are tried
+    /// fewest [`IndirectionRecord::hops`] (newest data) first until one
+    /// holds the key; their order in the chain says nothing.
+    fn resolve_indirections(
         &self,
         key: u64,
-        payload: &[u8],
         session: &FasterSession,
-    ) -> IndirectionFetch {
-        let Some(ind) = IndirectionRecord::decode_value(payload) else {
-            return IndirectionFetch::Missing;
-        };
-        self.resolve_indirection_record(key, &ind, 0, session)
+    ) -> shadowfax_faster::Result<IndirectionFetch> {
+        let found = self.store.indirections_for(key, session)?;
+        let mut inds: Vec<IndirectionRecord> = found
+            .iter()
+            .filter_map(|r| IndirectionRecord::decode_value(r.value()))
+            .collect();
+        inds.sort_by_key(|ind| ind.hops);
+        let hash = KeyHash::of(key).raw();
+        for ind in inds {
+            // A chain its sender wrote holds the newest version of every key
+            // it covers; one forwarded from an earlier owner may hold older
+            // versions of keys a newer chain covers: cache only this key.
+            let range = match ind.hops {
+                1 => ind.range,
+                _ => HashRange::new(hash, hash.saturating_add(1)),
+            };
+            let ind = IndirectionRecord { range, ..ind };
+            match self.resolve_indirection_record(key, &ind, 0, session) {
+                IndirectionFetch::Missing => {}
+                outcome => return Ok(outcome),
+            }
+        }
+        // None covers the key any more: a live record of it arrived since
+        // the first walk.
+        Ok(match found.is_empty() {
+            true => IndirectionFetch::Resolved,
+            false => IndirectionFetch::Missing,
+        })
     }
 
     /// Resolves one indirection record through the tier service.  `depth`
@@ -1073,25 +1098,7 @@ impl Server {
         match service.fetch_chain(&request) {
             ChainFetch::Local => {
                 self.tier_direct_chains.inc();
-                match crate::migration::fetch_from_shared_chain(service.as_ref(), ind, key) {
-                    crate::migration::LocalChainFetch::Found(record) => {
-                        self.indirection_fetches.inc();
-                        self.insert_fetched(key, record.value(), false, session);
-                        IndirectionFetch::Resolved
-                    }
-                    crate::migration::LocalChainFetch::Tombstone => {
-                        self.indirection_fetches.inc();
-                        // Cache the deletion locally: later reads resolve here
-                        // instead of re-walking the chain, and — when this walk
-                        // was a nested hop — the caller's fallback to older
-                        // records is gated by the cached tombstone instead of
-                        // resurrecting a pre-delete version.
-                        self.insert_fetched(key, &[], true, session);
-                        IndirectionFetch::Missing
-                    }
-                    crate::migration::LocalChainFetch::Missing => IndirectionFetch::Missing,
-                    crate::migration::LocalChainFetch::Unreadable => IndirectionFetch::Unavailable,
-                }
+                self.fetch_local_chain(service.as_ref(), ind, key, session)
             }
             ChainFetch::Records(records) => {
                 self.indirection_fetches.inc();
@@ -1100,6 +1107,66 @@ impl Server {
             }
             ChainFetch::Unavailable(_) => IndirectionFetch::Unavailable,
         }
+    }
+
+    /// Walks a chain on a *locally readable* shared-tier log (the
+    /// [`TierService`] answered `Local`) down to its floor, and inserts the
+    /// key's record if it finds one, a tombstone too.  As in the store, an
+    /// exact-key record beats the indirections on the chain; those covering
+    /// the key are followed only if there is none, fewest hops first, so
+    /// multi-hop chains resolve transitively on an in-process tier.
+    fn fetch_local_chain(
+        &self,
+        tier: &dyn TierService,
+        ind: &IndirectionRecord,
+        key: u64,
+        session: &FasterSession,
+    ) -> IndirectionFetch {
+        let hash = KeyHash::of(key).raw();
+        // Chains left to walk, each with its hops from this server: a nested
+        // record's hops count from the server whose log holds it.
+        let mut chains = vec![*ind];
+        let mut steps = 0;
+        while let Some(next) = (0..chains.len()).min_by_key(|&i| chains[i].hops) {
+            let chain = chains.swap_remove(next);
+            let (log, mut addr) = (chain.source_log, chain.chain_address);
+            while addr.is_valid() && addr >= chain.floor {
+                steps += 1;
+                let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
+                if steps > 1_000_000 || tier.read_log(log, addr.raw(), &mut header_bytes).is_err() {
+                    // A cycle, or a log this process cannot read: the record
+                    // may exist where the walk could not reach.
+                    return IndirectionFetch::Unavailable;
+                }
+                let header = RecordHeader::decode(&header_bytes);
+                if header.is_null() {
+                    break;
+                }
+                let at = addr.raw() + RECORD_HEADER_BYTES as u64;
+                addr = header.prev;
+                let indirection = header.flags.contains(RecordFlags::INDIRECTION);
+                let exact = header.key == key && !indirection;
+                if header.flags.contains(RecordFlags::INVALID) || !(exact || indirection) {
+                    continue;
+                }
+                let mut value = vec![0u8; header.value_len as usize];
+                if !value.is_empty() && tier.read_log(log, at, &mut value).is_err() {
+                    return IndirectionFetch::Unavailable;
+                }
+                if exact {
+                    self.indirection_fetches.inc();
+                    let tombstone = header.flags.contains(RecordFlags::TOMBSTONE);
+                    self.insert_fetched(key, &value, tombstone, session);
+                    return IndirectionFetch::Resolved;
+                }
+                let nested = IndirectionRecord::decode_value(&value);
+                if let Some(nested) = nested.filter(|n| n.range.contains(hash)) {
+                    let hops = chain.hops + nested.hops;
+                    chains.push(IndirectionRecord { hops, ..nested });
+                }
+            }
+        }
+        IndirectionFetch::Missing
     }
 
     /// Applies a remotely fetched chain batch: every live record whose hash
@@ -1115,7 +1182,7 @@ impl Server {
     fn absorb_chain_records(
         &self,
         key: u64,
-        range: &crate::hash_range::HashRange,
+        range: &HashRange,
         records: &[TierRecord],
         depth: u8,
         session: &FasterSession,
@@ -1130,7 +1197,7 @@ impl Server {
         // behind it on the third process's log: neither their values nor
         // their outcomes can be trusted, so they are skipped entirely —
         // caching one would later serve a stale version.
-        let mut shadowed: Vec<crate::hash_range::HashRange> = Vec::new();
+        let mut shadowed: Vec<HashRange> = Vec::new();
         for rec in records {
             let flags = RecordFlags::from_bits(rec.flags);
             if flags.contains(RecordFlags::INDIRECTION) {
@@ -1404,7 +1471,8 @@ impl UnparkedWatch {
 
 /// What resolving an indirection record produced.
 enum IndirectionFetch {
-    /// The record was fetched and inserted locally.
+    /// The key's record (a tombstone included) was fetched and inserted
+    /// locally.
     Resolved,
     /// The chain holds no live record for the key.
     Missing,
@@ -1448,7 +1516,6 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::config::ClientConfig;
-    use crate::hash_range::HashRange;
     use crate::ServerId;
     use shadowfax_faster::Address;
     use shadowfax_storage::{ChainFetch, ChainFetchRequest, DeviceError};
@@ -1492,14 +1559,74 @@ mod tests {
     }
 
     fn indirection_payload(log: u64, address: u64) -> Vec<u8> {
+        payload_with_hops(log, address, 1)
+    }
+
+    fn payload_with_hops(log: u64, address: u64, hops: u64) -> Vec<u8> {
         IndirectionRecord {
             range: HashRange::FULL,
             chain_address: Address::new(address),
             source_log: LogId(log),
             representative_hash: 0,
             floor: Address::new(0),
+            hops,
         }
         .encode_value()
+    }
+
+    fn record(key: u64, value: &[u8]) -> TierRecord {
+        TierRecord {
+            key,
+            flags: 0,
+            value: value.to_vec(),
+        }
+    }
+
+    /// A server holding two indirection records for one key (the chain its
+    /// source wrote, and one the source forwarded from an earlier owner)
+    /// resolves them fewest hops first, wherever each sits in its chain,
+    /// and falls back to the next when one does not hold the key.
+    #[test]
+    fn covering_indirections_resolve_fewest_hops_first() {
+        let cluster = Cluster::start(ClusterConfig::two_server_test());
+        let server = cluster.server(ServerId(0)).unwrap();
+        let session = server.store().start_session();
+        let (only_first_owner, both, only_source) = (1_001u64, 2_002u64, 3_003u64);
+        // Log 51 holds the source's own writes (1 hop), log 50 the first
+        // owner's (2 hops).
+        let tier = Arc::new(ScriptedTier {
+            chains: HashMap::from([
+                (
+                    51,
+                    vec![record(both, b"newer"), record(only_source, b"source")],
+                ),
+                (
+                    50,
+                    vec![record(only_first_owner, b"first"), record(both, b"older")],
+                ),
+            ]),
+            fetched: Mutex::new(Vec::new()),
+            local: None,
+        });
+        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
+        for key in [only_first_owner, both, only_source] {
+            // The 1-hop record sits *older* in the chain, as after a
+            // compaction re-appended the 2-hop one.
+            for (log, hops) in [(51, 1), (50, 2)] {
+                let payload = payload_with_hops(log, 64, hops);
+                let flags = RecordFlags::INDIRECTION;
+                server
+                    .store()
+                    .insert_record(key, &payload, flags, &session)
+                    .unwrap();
+            }
+        }
+
+        let mut client = cluster.client(ClientConfig::default());
+        assert_eq!(client.read(both), Some(b"newer".to_vec()));
+        assert_eq!(client.read(only_first_owner), Some(b"first".to_vec()));
+        assert_eq!(client.read(only_source), Some(b"source".to_vec()));
+        cluster.shutdown();
     }
 
     fn indirection_record(log: u64, address: u64) -> TierRecord {

@@ -85,6 +85,13 @@ pub fn take_checkpoint(store: &Arc<Faster>, session: &FasterSession) -> Checkpoi
     let page_bits = log.page_bits();
     let first_unflushed_page = stats.flushed_until.raw() >> page_bits;
     let last_page = stats.tail.raw() >> page_bits;
+    // A floor raised since the tail was read lies past it: every record the
+    // image holds of that range is below it, and so is the tail.  Saving it
+    // at the tail keeps the image's records dead without also killing the
+    // range's first writes after recovery.
+    let tail = stats.tail.raw();
+    let floors = store.floors.snapshot();
+    let floors = floors.into_iter().map(|(s, f)| (s, f.min(tail))).collect();
     let mut memory_pages = Vec::new();
     for page in first_unflushed_page..=last_page {
         if let Some(bytes) = log.page_bytes(page) {
@@ -98,7 +105,7 @@ pub fn take_checkpoint(store: &Arc<Faster>, session: &FasterSession) -> Checkpoi
         read_only: stats.read_only,
         tail: stats.tail,
         index: store.index().serialize(),
-        floors: store.floors.snapshot(),
+        floors,
         memory_pages,
     }
 }
@@ -154,6 +161,28 @@ mod tests {
             let v = session2.read(k).unwrap().unwrap();
             assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), k * 3);
         }
+    }
+
+    /// A floor raised after the checkpoint read the tail is saved at the
+    /// tail: the recovered store keeps the range's old records dead and
+    /// its new writes live.
+    #[test]
+    fn checkpointed_floors_stop_at_the_saved_tail() {
+        let ssd: Arc<SimSsd> = Arc::new(SimSsd::new(1 << 30));
+        let store = Faster::standalone(FasterConfig::small_for_tests(), ssd.clone());
+        let session = store.start_session();
+        session.upsert(1, b"before").unwrap();
+        store.floors.raise(0, u64::MAX, 1 << 40);
+        let cp = take_checkpoint(&store, &session);
+        assert_eq!(cp.floors, vec![(0, cp.tail.raw())]);
+        drop(session);
+
+        let recovered = Faster::standalone(FasterConfig::small_for_tests(), ssd);
+        recover_from_checkpoint(&recovered, &cp);
+        let session = recovered.start_session();
+        assert_eq!(session.read(1).unwrap(), None);
+        session.upsert(1, b"after").unwrap();
+        assert_eq!(session.read(1).unwrap(), Some(b"after".to_vec()));
     }
 
     #[test]

@@ -147,11 +147,8 @@ fn live_part(store: &Faster, addr: Address, record: &RecordOwned) -> Vec<(u64, u
         return Vec::new();
     }
     let word = |i: usize| u64::from_le_bytes(value[i..i + 8].try_into().unwrap());
-    let pieces = store.floors_within(word(0), word(8)).into_iter();
-    pieces
-        .filter(|p| addr >= p.2)
-        .map(|(s, e, _)| (s, e))
-        .collect()
+    let pieces = store.live_pieces(word(0), word(8), addr).into_iter();
+    pieces.map(|(s, e, _)| (s, e)).collect()
 }
 
 /// Convenience wrapper: compacts everything below the read-only boundary,

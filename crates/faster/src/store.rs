@@ -241,7 +241,7 @@ impl Faster {
 
     /// The floor of the hash range holding `hash`: records below it are
     /// dead.
-    pub fn floor_of(&self, hash: u64) -> Address {
+    fn floor_of(&self, hash: u64) -> Address {
         Address::new(self.floors.floor_of(hash))
     }
 
@@ -250,6 +250,16 @@ impl Faster {
     pub fn floors_within(&self, start: u64, end: u64) -> Vec<(u64, u64, Address)> {
         let pieces = self.floors.within(start, end).into_iter();
         pieces.map(|(s, e, f)| (s, e, Address::new(f))).collect()
+    }
+
+    /// The pieces of the hash range `[start, end)` that a record at `addr`
+    /// is live for: those whose floor is at or below it.  An indirection
+    /// record at `addr` covering `[start, end)` still names the keys of
+    /// these pieces, and only of these.
+    pub fn live_pieces(&self, start: u64, end: u64, addr: Address) -> Vec<(u64, u64, Address)> {
+        let mut pieces = self.floors_within(start, end);
+        pieces.retain(|p| addr >= p.2);
+        pieces
     }
 
     /// Walks the record chain starting at `addr` for the newest *live*
@@ -262,16 +272,36 @@ impl Faster {
     /// A record carrying [`RecordFlags::INDIRECTION`] matches not by key but
     /// by *hash range*: its first 16 value bytes encode a `[start, end)` range
     /// of the 64-bit key-hash space (Shadowfax's indirection records, paper
-    /// §3.3.2).  It is returned, so the caller can resolve it against the
-    /// shared storage tier, only if no exact-key record lies at or past the
-    /// floor, wherever each sits in the chain: a migration ships a chain's
-    /// in-memory records and the indirection for its spilled part in no
-    /// fixed order, and the target's own writes are newer than both.
+    /// §3.3.2).  The newest one covering the key is returned, so the caller
+    /// can resolve it against the shared storage tier, only if no exact-key
+    /// record lies at or past the floor, wherever each sits in the chain: a
+    /// migration ships a chain's in-memory records and the indirection for
+    /// its spilled part in no fixed order, and the target's own writes are
+    /// newer than both.  [`Faster::indirections_for`] lists every covering
+    /// one.
     fn find_in_chain(
+        &self,
+        addr: Address,
+        key: u64,
+        guard: &Guard<'_>,
+    ) -> Result<Option<(Address, RecordOwned)>> {
+        let mut indirection = None;
+        let exact = self.walk_chain(addr, key, guard, |addr, record| {
+            indirection.get_or_insert((addr, record));
+        })?;
+        Ok(exact.or(indirection))
+    }
+
+    /// The walk behind [`Faster::find_in_chain`]: returns the newest live
+    /// exact-key record of `key`, handing each live indirection record that
+    /// covers the key to `covering` on the way, newest first.
+    #[inline]
+    fn walk_chain(
         &self,
         mut addr: Address,
         key: u64,
         guard: &Guard<'_>,
+        mut covering: impl FnMut(Address, RecordOwned),
     ) -> Result<Option<(Address, RecordOwned)>> {
         let key_hash = KeyHash::of(key).raw();
         // `stop` starts at the highest floor of any range, and falls to the
@@ -279,7 +309,6 @@ impl Faster {
         let begin = self.log.begin_address();
         let mut stop = begin.max(Address::new(self.floors.highest()));
         let mut stop_is_exact = stop == begin;
-        let mut indirection = None;
         let mut hops = 0usize;
         while addr.is_valid() {
             if addr < stop {
@@ -304,11 +333,11 @@ impl Faster {
             let prev = record.header.prev;
             if !record.header.flags.contains(RecordFlags::INVALID) {
                 if record.header.flags.contains(RecordFlags::INDIRECTION) {
-                    if indirection.is_none() && record.value().len() >= 16 {
+                    if record.value().len() >= 16 {
                         let start = u64::from_le_bytes(record.value()[0..8].try_into().unwrap());
                         let end = u64::from_le_bytes(record.value()[8..16].try_into().unwrap());
                         if key_hash >= start && key_hash < end {
-                            indirection = Some((addr, record));
+                            covering(addr, record);
                         }
                     }
                 } else if record.key() == key {
@@ -319,7 +348,7 @@ impl Faster {
             hops += 1;
             debug_assert!(hops < 1_000_000, "hash chain cycle detected");
         }
-        Ok(indirection)
+        Ok(None)
     }
 
     fn read_impl(&self, key: u64, session: &FasterSession) -> Result<ReadOutcome> {
@@ -649,6 +678,23 @@ impl Faster {
         }
     }
 
+    /// Every live indirection record covering `key`, newest first — empty
+    /// if the key has a live record of its own, which beats them all.  A
+    /// server that took a range holds one per chain a previous owner wrote
+    /// and shipped; the caller decides which to resolve first.
+    pub fn indirections_for(&self, key: u64, session: &FasterSession) -> Result<Vec<RecordOwned>> {
+        let guard = session.thread.protect();
+        let Some((_slot, entry)) = self.index.find_entry(KeyHash::of(key)) else {
+            return Ok(Vec::new());
+        };
+        let mut found = Vec::new();
+        let exact = self.walk_chain(entry.address, key, &guard, |_, record| found.push(record))?;
+        if exact.is_some() {
+            found.clear();
+        }
+        Ok(found)
+    }
+
     /// Number of live keys reachable from the index (linear scan; test/debug
     /// helper, not a hot-path operation).
     pub fn approximate_key_count(&self, session: &FasterSession) -> usize {
@@ -976,6 +1022,29 @@ mod tests {
         s.insert_record(7, &payload, RecordFlags::INDIRECTION, &session)
             .unwrap();
         assert!(value_of(7).is_indirection());
+
+        // Every covering indirection past the floor is listed, newest
+        // first; none once the key has a live record of its own.
+        let mut second = payload.clone();
+        second.extend_from_slice(b"-newer");
+        s.insert_record(7, &second, RecordFlags::INDIRECTION, &session)
+            .unwrap();
+        let listed = s.indirections_for(7, &session).unwrap();
+        let tails: Vec<&[u8]> = listed.iter().map(|r| &r.value()[16..]).collect();
+        assert_eq!(tails, [&b"ptr-data-newer"[..], b"ptr-data"]);
+        assert!(s.indirections_for(6, &session).unwrap().is_empty());
+    }
+
+    #[test]
+    fn live_pieces_are_those_at_or_below_the_record() {
+        let s = store();
+        let floor = s.raise_floors(&[(100, 200)]);
+        let below = Address::new(floor.raw() - 1);
+        assert_eq!(
+            s.live_pieces(50, 300, below),
+            vec![(50, 100, Address::new(0)), (200, 300, Address::new(0))]
+        );
+        assert_eq!(s.live_pieces(50, 300, floor).len(), 3);
     }
 
     /// Raises the floor of the one-hash range holding `key`.
