@@ -10,7 +10,7 @@
 //! stack.  When a loop iteration finds
 //! nothing to do, nothing is pended and the server holds no migration role,
 //! the thread blocks in [`Reactor::poll`] instead of spinning, once it has
-//! kept looking for `PASS_TICK` (in `server.rs`) after its last iteration
+//! kept looking for `LOOK_WINDOW` (in `server.rs`) after its last iteration
 //! that found work.  After an iteration that served a socket it waits out
 //! the rest of a tick on the CPU before it looks again: `PASS_TICK` after
 //! a pipeline, the much shorter `SYNC_TICK` after a handful of operations.

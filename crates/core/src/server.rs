@@ -12,8 +12,8 @@
 //! operations, and contributes its share of any in-flight migration (paper
 //! §3.3: migration work is interleaved with request processing).  A thread
 //! with nothing to do, nothing pended and no migration role parks in its
-//! reactor (see [`crate::dispatch`]), once it has kept looking for a
-//! `PASS_TICK` after its last pass that found work.  One that served a
+//! reactor (see [`crate::dispatch`]), once it has kept looking for
+//! `LOOK_WINDOW` after its last pass that found work.  One that served a
 //! socket looks again one tick after that pass began: `PASS_TICK` after a
 //! pipeline, `SYNC_TICK` after a synchronous request, so what a session
 //! gets is set by the clock and not by how two busy loops happen to
@@ -26,7 +26,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
-use shadowfax_faster::{Checkpoint, Faster, FasterSession, KeyHash, ReadOutcome, RecordFlags};
+use shadowfax_faster::{
+    Checkpoint, Faster, FasterSession, KeyHash, ReadOutcome, RecordFlags, RmwOutcome,
+};
 use shadowfax_hlog::{RecordHeader, RECORD_HEADER_BYTES};
 use shadowfax_net::{
     BatchReply, ByteStream, KvRequest, KvResponse, RequestBatch, SimNetwork, TransportError,
@@ -966,10 +968,9 @@ impl Server {
                 Ok(existed) => ExecOutcome::Done(KvResponse::Deleted(existed)),
                 Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
             },
-            KvRequest::Read { key } | KvRequest::RmwAdd { key, .. } => {
-                // Both need the current live record; look it up first.  The
-                // store's floors decide what is live: a version this server
-                // kept from before it took the range reads as absent.
+            KvRequest::Read { key } => {
+                // The store's floors decide what is live: a version this
+                // server kept from before it took the range reads as absent.
                 let mut outcome = session.read_outcome(*key);
                 let mut resolved = false;
                 if let Ok(ReadOutcome::Found { record, .. }) = &outcome {
@@ -993,40 +994,66 @@ impl Server {
                         resolved = true;
                     }
                 }
-                match (outcome, op) {
+                match outcome {
                     // The fetched record did not make it into the store.
-                    (Ok(ReadOutcome::Found { record, .. }), _) if record.is_indirection() => {
+                    Ok(ReadOutcome::Found { record, .. }) if record.is_indirection() => {
                         ExecOutcome::Pend
                     }
-                    (Ok(ReadOutcome::Found { record, .. }), KvRequest::Read { .. }) => {
+                    Ok(ReadOutcome::Found { record, .. }) => {
                         ExecOutcome::Done(KvResponse::Value(Some(record.value)))
                     }
                     // The record may simply not have been migrated yet.
-                    (Ok(ReadOutcome::NotFound), _)
+                    Ok(ReadOutcome::NotFound)
                         if pend_mode == Some(PendMode::PendMissing) && !resolved =>
                     {
                         ExecOutcome::Pend
                     }
-                    (Ok(ReadOutcome::NotFound), KvRequest::Read { .. }) => {
-                        ExecOutcome::Done(KvResponse::Value(None))
-                    }
-                    // YCSB-F semantics: a missing record is created with a
-                    // zeroed 256-byte value before the increment is applied.
-                    (Ok(_), _) => self.rmw_add(op, session),
-                    (Err(e), _) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
+                    Ok(ReadOutcome::NotFound) => ExecOutcome::Done(KvResponse::Value(None)),
+                    Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
                 }
+            }
+            KvRequest::RmwAdd { key, delta } => {
+                let pend_missing = pend_mode == Some(PendMode::PendMissing);
+                self.rmw_add(*key, *delta, pend_missing, is_retry, session)
             }
         }
     }
 
-    /// Applies an RMW: to the live record if there is one, else to a
-    /// zeroed 256-byte initial value.
-    fn rmw_add(&self, op: &KvRequest, session: &FasterSession) -> ExecOutcome {
-        let KvRequest::RmwAdd { key, delta } = op else {
-            unreachable!("rmw_add only handles RMWs")
-        };
-        match session.rmw_add(*key, *delta, &[0u8; 256]) {
-            Ok(counter) => ExecOutcome::Done(KvResponse::Counter(counter)),
+    /// Applies an RMW in one walk of the key's chain: to the live record if
+    /// there is one, else to a zeroed 256-byte initial value (YCSB-F
+    /// semantics).  A live indirection record is resolved first, as a read
+    /// resolves it; an absent key pends while `pend_missing`, since its
+    /// record may simply not have been migrated yet.
+    fn rmw_add(
+        &self,
+        key: u64,
+        delta: u64,
+        pend_missing: bool,
+        is_retry: bool,
+        session: &FasterSession,
+    ) -> ExecOutcome {
+        const INITIAL: [u8; 256] = [0; 256];
+        let initial = (!pend_missing).then_some(&INITIAL[..]);
+        let mut outcome = session.rmw_add_outcome(key, delta, initial);
+        if let Ok(RmwOutcome::Indirection) = outcome {
+            if !is_retry {
+                return ExecOutcome::Pend;
+            }
+            match self.resolve_indirections(key, session) {
+                Ok(IndirectionFetch::Resolved) => {}
+                // No chain holds the key: a tombstone says so, and the add
+                // starts from the initial value above it.
+                Ok(IndirectionFetch::Missing) => self.insert_fetched(key, &[], true, session),
+                Ok(IndirectionFetch::Unavailable) => return ExecOutcome::Pend,
+                Err(e) => return ExecOutcome::Done(KvResponse::Error(e.to_string())),
+            }
+            outcome = session.rmw_add_outcome(key, delta, Some(&INITIAL));
+        }
+        match outcome {
+            Ok(RmwOutcome::Applied(counter)) => ExecOutcome::Done(KvResponse::Counter(counter)),
+            // Absent while missing keys pend, or the fetched record did not
+            // make it into the store.
+            Ok(RmwOutcome::Absent | RmwOutcome::Indirection) => ExecOutcome::Pend,
             Err(e) => ExecOutcome::Done(KvResponse::Error(e.to_string())),
         }
     }
@@ -1314,11 +1341,10 @@ const MAX_NESTED_HOPS: u8 = 4;
 /// pass that took longer than a tick, leaves input behind a per-pass bound,
 /// runs under a pend or a migration role, or served only in-process pipes
 /// (which have no hypervisor between them and their client) is followed by
-/// the next at once.  An idle pass yields and looks again until one
-/// `PASS_TICK` after the last pass that found work began, then parks: up to
-/// 750 us of one core after each burst.
+/// the next at once.  An idle pass yields and looks again until
+/// [`LOOK_WINDOW`] after the last pass that found work began, then parks.
 ///
-/// This is a fixed interrupt-throttle rate (1,333 looks per second), and it
+/// This is a fixed interrupt-throttle rate (2,000 looks per second), and it
 /// is there for steadiness, not speed.  Unpaced, the thread either parks
 /// between the batches of a pipelined session, and then every batch pays a
 /// vCPU halt and an IPI wake whose cost the hypervisor decides, or it polls
@@ -1328,14 +1354,27 @@ const MAX_NESTED_HOPS: u8 = 4;
 /// Paced, a session with a full pipeline gets exactly one pipeline served
 /// per tick as long as client and server each finish their share inside
 /// it, so its throughput is `ops in flight / PASS_TICK`, set by the clock
-/// (8 x 64 operations in flight: 683k ops/s, under 1% from run to run).
+/// (8 x 64 operations in flight: at most 1.02M ops/s; the benchmark's
+/// pipelined rows run at 0.81M-1.0M, 1-6% between quartiles).
 /// The tick is sized for slack, which is what absorbs a slow phase of the
-/// host: serving 8 x 64 reads takes about 350 us of it and 8 x 64 upserts
-/// into a spilling log 600-700 us; at 500 us the same runs spread five
-/// times wider.  The price: a request that arrives just after a pass waits
-/// up to one tick, and a session needs `rate x PASS_TICK` operations in
-/// flight to reach `rate`.
-const PASS_TICK: Duration = Duration::from_micros(750);
+/// host.  On that host, serving 8 x 64 in-memory reads and RMWs takes about
+/// 130 us of it, 8 x 64 reads of a spilled log 240-290 us, and 8 x 64
+/// upserts into a spilling log 140-230 us, because an upsert's chain walk
+/// reads only headers and stops at the read-only address; a walk that
+/// copied every record down into the stable region made that pass
+/// 410-580 us, too close to this tick.  The price: a request that arrives
+/// just after a pass waits up to one tick, and a session needs
+/// `rate x PASS_TICK` operations in flight to reach `rate`.
+const PASS_TICK: Duration = Duration::from_micros(500);
+
+/// How long an idle dispatch thread keeps looking (yielding between looks)
+/// after the last pass that found work began, before it parks.  Longer than
+/// [`PASS_TICK`]: an open-loop client whose next batch is due a little
+/// after a tick finds the thread still looking, not halted, and pays no
+/// wake.  On the 2-vCPU benchmark host a 500 us window raised the p95 of
+/// `rmw-zipf-rate` (150k ops/s, open loop) in 5 of 6 paired runs, median
+/// 357 -> 579 us.  The price: up to 750 us of one core after each burst.
+const LOOK_WINDOW: Duration = Duration::from_micros(750);
 
 /// The tick after a pass that served at most [`SYNC_PASS_OPS`] operations,
 /// which is what synchronous clients send.  Such a client's next request
@@ -1377,7 +1416,7 @@ impl Cadence {
     /// is the number of operations the pass served if it served a socket
     /// and left no input behind.  Work is followed at once while `blocked`
     /// (a pend, a migration role) or unpaced, else after its tick.  An idle
-    /// pass yields while `blocked` or within [`PASS_TICK`] of the last
+    /// pass yields while `blocked` or within [`LOOK_WINDOW`] of the last
     /// work, then arms, and the next idle pass parks.  Only `Arm` leaves
     /// the flag up.
     fn after_pass(
@@ -1402,7 +1441,7 @@ impl Cadence {
                 Some(_) => NextLook::WaitUntil(now + PASS_TICK),
                 None => NextLook::Now,
             }
-        } else if now - self.last_work < PASS_TICK {
+        } else if now - self.last_work < LOOK_WINDOW {
             NextLook::Yield
         } else if self.armed {
             NextLook::Park
@@ -1626,6 +1665,44 @@ mod tests {
         assert_eq!(client.read(both), Some(b"newer".to_vec()));
         assert_eq!(client.read(only_first_owner), Some(b"first".to_vec()));
         assert_eq!(client.read(only_source), Some(b"source".to_vec()));
+        cluster.shutdown();
+    }
+
+    /// An RMW on a key whose live version is an indirection record resolves
+    /// it first, as a read does: it adds to the fetched counter, or, when
+    /// the chain does not hold the key, starts from the zeroed value.  It
+    /// never appends its own counter over the indirection unresolved.
+    #[test]
+    fn an_rmw_through_an_indirection_adds_to_the_fetched_counter() {
+        let cluster = Cluster::start(ClusterConfig::two_server_test());
+        let server = cluster.server(ServerId(0)).unwrap();
+        let session = server.store().start_session();
+        let (held, missing) = (4_004u64, 5_005u64);
+        let mut counter = vec![0u8; 256];
+        counter[0..8].copy_from_slice(&40u64.to_le_bytes());
+        let tier = Arc::new(ScriptedTier {
+            chains: HashMap::from([(60, vec![record(held, &counter)])]),
+            fetched: Mutex::new(Vec::new()),
+            local: None,
+        });
+        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
+        for key in [held, missing] {
+            let payload = indirection_payload(60, 64);
+            let flags = RecordFlags::INDIRECTION;
+            server
+                .store()
+                .insert_record(key, &payload, flags, &session)
+                .unwrap();
+        }
+
+        let mut client = cluster.client(ClientConfig::default());
+        assert_eq!(client.rmw_add(held, 2), Some(42));
+        assert_eq!(client.rmw_add(held, 1), Some(43));
+        assert_eq!(client.rmw_add(missing, 5), Some(5));
+        assert_eq!(client.rmw_add(missing, 1), Some(6));
+        let value = client.read(missing).expect("the counter was created");
+        assert_eq!(value.len(), 256);
+        assert_eq!(value[0..8], 6u64.to_le_bytes());
         cluster.shutdown();
     }
 
@@ -2024,17 +2101,16 @@ mod tests {
             c.after_pass(after_sync, false, None, false),
             NextLook::Yield
         );
-        let last = t0 + PASS_TICK - US;
+        let last = t0 + LOOK_WINDOW - US;
         assert_eq!(c.after_pass(last, false, None, false), NextLook::Yield);
         assert!(!c.armed);
-        // A pipeline's tick ends where the looking does: the first idle
-        // pass after it arms.
+        // The first idle pass after the look window arms.
         assert_eq!(
-            c.after_pass(t0 + PASS_TICK, false, None, false),
+            c.after_pass(t0 + LOOK_WINDOW, false, None, false),
             NextLook::Arm
         );
         assert!(c.armed);
-        let spent = t0 + PASS_TICK + US;
+        let spent = t0 + LOOK_WINDOW + US;
         assert_eq!(c.after_pass(spent, false, None, false), NextLook::Park);
         assert!(!c.armed);
         // Woken with nothing to do: the looking is still over.
@@ -2060,15 +2136,39 @@ mod tests {
     fn the_looking_restarts_after_each_pass_that_did_work() {
         let t0 = Instant::now();
         let mut c = idle_since(t0);
-        let later = t0 + PASS_TICK / 2;
+        let later = t0 + LOOK_WINDOW / 2;
         assert_eq!(
             c.after_pass(later, true, Some(1), false),
             NextLook::WaitUntil(later + SYNC_TICK)
         );
-        // Past a tick counted from `t0`, inside it counted from `later`.
-        let idle = t0 + PASS_TICK + US;
+        // Past the window counted from `t0`, inside it counted from `later`.
+        let idle = t0 + LOOK_WINDOW + US;
         assert_eq!(c.after_pass(idle, false, None, false), NextLook::Yield);
-        let spent = later + PASS_TICK;
+        let spent = later + LOOK_WINDOW;
         assert_eq!(c.after_pass(spent, false, None, false), NextLook::Arm);
+    }
+
+    #[test]
+    fn after_a_paced_pass_the_looking_outlasts_the_tick() {
+        let t0 = Instant::now();
+        let mut c = idle_since(t0);
+        let pipeline = Some(SYNC_PASS_OPS + 1);
+        assert_eq!(
+            c.after_pass(t0, true, pipeline, false),
+            NextLook::WaitUntil(t0 + PASS_TICK)
+        );
+        // The tick is shorter than the look window: idle passes from the
+        // end of the tick to the end of the window yield, and only then
+        // does the thread arm.
+        assert!(PASS_TICK < LOOK_WINDOW);
+        let mut now = t0 + PASS_TICK;
+        while now < t0 + LOOK_WINDOW {
+            assert_eq!(c.after_pass(now, false, None, false), NextLook::Yield);
+            now += 10 * US;
+        }
+        assert_eq!(
+            c.after_pass(t0 + LOOK_WINDOW, false, None, false),
+            NextLook::Arm
+        );
     }
 }

@@ -43,7 +43,7 @@ pub use config::FasterConfig;
 pub use hash_index::{BucketEntry, EntrySnapshot, HashIndex, IndexSnapshot, ENTRIES_PER_BUCKET};
 pub use key_hash::KeyHash;
 pub use stats::{StatsSnapshot, StoreStats};
-pub use store::{Faster, FasterError, FasterSession, ReadOutcome, Result};
+pub use store::{Faster, FasterError, FasterSession, ReadOutcome, Result, RmwOutcome};
 
 // Re-export the log types most callers need alongside the store.
 pub use shadowfax_hlog::{Address, RecordFlags, RecordOwned, INVALID_ADDRESS};

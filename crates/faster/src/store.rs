@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use shadowfax_epoch::{EpochManager, Guard, ThreadEpoch};
-use shadowfax_hlog::{Address, HybridLog, LogError, RecordFlags, RecordOwned};
+use shadowfax_hlog::{Address, HybridLog, LogError, RecordFlags, RecordHeader, RecordOwned};
 use shadowfax_storage::{Device, SharedTierHandle};
 
 use crate::config::FasterConfig;
@@ -28,12 +28,16 @@ use crate::stats::StoreStats;
 pub enum FasterError {
     /// The underlying log failed (device error, oversized record, ...).
     Log(LogError),
+    /// The key's live version is an indirection record, which only the
+    /// Shadowfax server can resolve; nothing was written.
+    Indirection,
 }
 
 impl std::fmt::Display for FasterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FasterError::Log(e) => write!(f, "log error: {e}"),
+            FasterError::Indirection => write!(f, "the key's live version is an indirection"),
         }
     }
 }
@@ -64,6 +68,20 @@ pub enum ReadOutcome {
     /// The key does not exist (never written, or latest version is a
     /// tombstone).
     NotFound,
+}
+
+/// What one read-modify-write did: its one walk of the key's chain decides
+/// whether the add can be applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RmwOutcome {
+    /// The add was applied; the new counter value.
+    Applied(u64),
+    /// The key's live version is an indirection record: nothing was
+    /// written, and the caller must resolve the record first.
+    Indirection,
+    /// The key has no live version and no initial value was given: nothing
+    /// was written.
+    Absent,
 }
 
 /// Sampling state installed during a migration's Sampling phase
@@ -286,65 +304,75 @@ impl Faster {
         guard: &Guard<'_>,
     ) -> Result<Option<(Address, RecordOwned)>> {
         let mut indirection = None;
-        let exact = self.walk_chain(addr, key, guard, |addr, record| {
+        let exact = self.walk_chain(addr, key, Address::new(0), guard, |addr, record| {
             indirection.get_or_insert((addr, record));
         })?;
-        Ok(exact.or(indirection))
+        match exact {
+            Some((addr, header)) => {
+                let value = self.log.read_value(addr, &header, guard)?;
+                Ok(Some((addr, RecordOwned { header, value })))
+            }
+            None => Ok(indirection),
+        }
     }
 
-    /// The walk behind [`Faster::find_in_chain`]: returns the newest live
-    /// exact-key record of `key`, handing each live indirection record that
-    /// covers the key to `covering` on the way, newest first.
+    /// The walk behind [`Faster::find_in_chain`]: returns the address and
+    /// header of the newest live exact-key record of `key` at or past
+    /// `bottom`, handing each live indirection record that covers the key
+    /// to `covering` on the way, newest first.  It reads only the header of
+    /// each hop, and the value only of an indirection record, whose range it
+    /// must decode: the caller copies the value of the record it wants.
     #[inline]
     fn walk_chain(
         &self,
         mut addr: Address,
         key: u64,
+        bottom: Address,
         guard: &Guard<'_>,
         mut covering: impl FnMut(Address, RecordOwned),
-    ) -> Result<Option<(Address, RecordOwned)>> {
+    ) -> Result<Option<(Address, RecordHeader)>> {
         let key_hash = KeyHash::of(key).raw();
         // `stop` starts at the highest floor of any range, and falls to the
         // key's own floor the first time the walk reaches it.
-        let begin = self.log.begin_address();
-        let mut stop = begin.max(Address::new(self.floors.highest()));
-        let mut stop_is_exact = stop == begin;
+        let bottom = bottom.max(self.log.begin_address());
+        let mut stop = bottom.max(Address::new(self.floors.highest()));
+        let mut stop_is_exact = stop == bottom;
         let mut hops = 0usize;
         while addr.is_valid() {
             if addr < stop {
                 if stop_is_exact {
                     break;
                 }
-                stop = begin.max(self.floor_of(key_hash));
+                stop = bottom.max(self.floor_of(key_hash));
                 stop_is_exact = true;
                 if addr < stop {
                     break;
                 }
             }
             let was_stable = addr < self.log.head_address();
-            let record = match self.log.read_record(addr, guard) {
-                Ok(r) => r,
+            let header = match self.log.read_header(addr, guard) {
+                Ok(h) => h,
                 Err(LogError::Truncated(_)) => break,
                 Err(e) => return Err(e.into()),
             };
             if was_stable {
                 self.stats.record_stable_read();
             }
-            let prev = record.header.prev;
-            if !record.header.flags.contains(RecordFlags::INVALID) {
-                if record.header.flags.contains(RecordFlags::INDIRECTION) {
-                    if record.value().len() >= 16 {
-                        let start = u64::from_le_bytes(record.value()[0..8].try_into().unwrap());
-                        let end = u64::from_le_bytes(record.value()[8..16].try_into().unwrap());
+            if !header.flags.contains(RecordFlags::INVALID) {
+                if header.flags.contains(RecordFlags::INDIRECTION) {
+                    let value = self.log.read_value(addr, &header, guard)?;
+                    if value.len() >= 16 {
+                        let start = u64::from_le_bytes(value[0..8].try_into().unwrap());
+                        let end = u64::from_le_bytes(value[8..16].try_into().unwrap());
                         if key_hash >= start && key_hash < end {
-                            covering(addr, record);
+                            covering(addr, RecordOwned { header, value });
                         }
                     }
-                } else if record.key() == key {
-                    return Ok(Some((addr, record)));
+                } else if header.key == key {
+                    return Ok(Some((addr, header)));
                 }
             }
-            addr = prev;
+            addr = header.prev;
             hops += 1;
             debug_assert!(hops < 1_000_000, "hash chain cycle detected");
         }
@@ -381,12 +409,14 @@ impl Faster {
             let guard = session.thread.protect();
             let (slot, entry) = self.index.find_or_create_entry(hash);
             // Fast path: in-place update of an existing same-size record in
-            // the mutable region.
+            // the mutable region.  No version below it can be updated in
+            // place, so the walk stops at the read-only address.
             if entry.address.is_valid() {
-                if let Some((addr, record)) = self.find_in_chain(entry.address, key, &guard)? {
-                    if !record.is_tombstone()
-                        && !record.is_indirection()
-                        && record.value().len() == value.len()
+                let read_only = self.log.read_only_address();
+                let live = self.walk_chain(entry.address, key, read_only, &guard, |_, _| {})?;
+                if let Some((addr, header)) = live {
+                    if !header.flags.contains(RecordFlags::TOMBSTONE)
+                        && header.value_len as usize == value.len()
                         && self.log.try_update_in_place(addr, value, &guard)?
                     {
                         self.maybe_sample(hash, addr, key);
@@ -423,16 +453,19 @@ impl Faster {
 
     /// Read-modify-write specialised for 8-byte counters (the paper's YCSB-F
     /// workload): adds `delta` to the first 8 bytes of the value, creating
-    /// the record with `initial` if absent.
+    /// the record from `initial` if the key has no live version and
+    /// `initial` is given.  One walk of the chain decides, and a key whose
+    /// live version is an indirection record is left alone: the caller (the
+    /// Shadowfax server) must first resolve it against the shared tier.
     fn rmw_add_impl(
         &self,
         key: u64,
         delta: u64,
-        initial: &[u8],
+        initial: Option<&[u8]>,
         session: &FasterSession,
-    ) -> Result<u64> {
+    ) -> Result<RmwOutcome> {
         assert!(
-            initial.len() >= 8,
+            initial.is_none_or(|v| v.len() >= 8),
             "rmw_add requires at least an 8-byte value"
         );
         let hash = KeyHash::of(key);
@@ -440,53 +473,37 @@ impl Faster {
         loop {
             let guard = session.thread.protect();
             let (slot, entry) = self.index.find_or_create_entry(hash);
-            if entry.address.is_valid() {
-                if let Some((addr, record)) = self.find_in_chain(entry.address, key, &guard)? {
-                    // Indirection records cannot be updated here: the caller
-                    // (the Shadowfax server) must first resolve them against
-                    // the shared tier and insert the real record.
-                    if !record.is_tombstone() && !record.is_indirection() {
-                        // Fast path: atomic in-place add in the mutable region.
-                        if let Some(prev) = self.log.try_rmw_add_in_place(addr, 0, delta, &guard)? {
-                            self.maybe_sample(hash, addr, key);
-                            self.stats.record_in_place();
-                            self.stats.record_rmw();
-                            return Ok(prev.wrapping_add(delta));
-                        }
-                        // Slow path: read-copy-update.  Values shorter than
-                        // the 8-byte counter (written by a plain upsert) are
-                        // zero-extended so the counter always fits.
-                        let mut new_value = record.value().to_vec();
-                        if new_value.len() < 8 {
-                            new_value.resize(8, 0);
-                        }
-                        let prev = u64::from_le_bytes(new_value[0..8].try_into().unwrap());
-                        let next = prev.wrapping_add(delta);
-                        new_value[0..8].copy_from_slice(&next.to_le_bytes());
-                        let new_addr = self.log.append(
-                            key,
-                            &new_value,
-                            entry.address,
-                            version,
-                            RecordFlags::empty(),
-                            &session.thread,
-                        )?;
-                        match self.index.try_update_entry(slot, entry, new_addr) {
-                            Ok(()) => {
-                                self.maybe_sample(hash, new_addr, key);
-                                self.stats.record_rcu();
-                                self.stats.record_rmw();
-                                return Ok(next);
-                            }
-                            Err(_) => continue,
-                        }
+            let mut covered = false;
+            let live = self.walk_chain(entry.address, key, Address::new(0), &guard, |_, _| {
+                covered = true
+            })?;
+            let mut new_value = match live {
+                Some((addr, header)) if !header.flags.contains(RecordFlags::TOMBSTONE) => {
+                    // Fast path: atomic in-place add in the mutable region.
+                    if let Some(prev) = self.log.try_rmw_add_in_place(addr, 0, delta, &guard)? {
+                        self.maybe_sample(hash, addr, key);
+                        self.stats.record_in_place();
+                        self.stats.record_rmw();
+                        return Ok(RmwOutcome::Applied(prev.wrapping_add(delta)));
                     }
+                    // Slow path: read-copy-update.  Values shorter than the
+                    // 8-byte counter (written by a plain upsert) are
+                    // zero-extended so the counter always fits.
+                    self.log.read_value(addr, &header, &guard)?
                 }
+                None if covered => return Ok(RmwOutcome::Indirection),
+                // No live version: create the initial record with the delta
+                // applied.
+                _ => match initial {
+                    Some(initial) => initial.to_vec(),
+                    None => return Ok(RmwOutcome::Absent),
+                },
+            };
+            if new_value.len() < 8 {
+                new_value.resize(8, 0);
             }
-            // Not found: create the initial record with the delta applied.
-            let mut new_value = initial.to_vec();
-            let base = u64::from_le_bytes(new_value[0..8].try_into().unwrap());
-            let next = base.wrapping_add(delta);
+            let prev = u64::from_le_bytes(new_value[0..8].try_into().unwrap());
+            let next = prev.wrapping_add(delta);
             new_value[0..8].copy_from_slice(&next.to_le_bytes());
             let new_addr = self.log.append(
                 key,
@@ -496,13 +513,11 @@ impl Faster {
                 RecordFlags::empty(),
                 &session.thread,
             )?;
-            match self.index.try_update_entry(slot, entry, new_addr) {
-                Ok(()) => {
-                    self.stats.record_rcu();
-                    self.stats.record_rmw();
-                    return Ok(next);
-                }
-                Err(_) => continue,
+            if self.index.try_update_entry(slot, entry, new_addr).is_ok() {
+                self.maybe_sample(hash, new_addr, key);
+                self.stats.record_rcu();
+                self.stats.record_rmw();
+                return Ok(RmwOutcome::Applied(next));
             }
         }
     }
@@ -645,12 +660,12 @@ impl Faster {
         loop {
             let guard = session.thread.protect();
             let (slot, entry) = self.index.find_or_create_entry(hash);
-            if entry.address.is_valid() {
-                if let Some((_, record)) = self.find_in_chain(entry.address, key, &guard)? {
-                    if !record.is_indirection() {
-                        return Ok(false);
-                    }
-                }
+            if entry.address.is_valid()
+                && self
+                    .walk_chain(entry.address, key, Address::new(0), &guard, |_, _| {})?
+                    .is_some()
+            {
+                return Ok(false);
             }
             let new_addr =
                 self.log
@@ -688,7 +703,9 @@ impl Faster {
             return Ok(Vec::new());
         };
         let mut found = Vec::new();
-        let exact = self.walk_chain(entry.address, key, &guard, |_, record| found.push(record))?;
+        let exact = self.walk_chain(entry.address, key, Address::new(0), &guard, |_, record| {
+            found.push(record)
+        })?;
         if exact.is_some() {
             found.clear();
         }
@@ -776,8 +793,25 @@ impl FasterSession {
     }
 
     /// Adds `delta` to the 8-byte counter at the start of the record's value,
-    /// creating it from `initial` if absent.  Returns the new counter value.
+    /// creating it from `initial` if absent.  Returns the new counter value,
+    /// or [`FasterError::Indirection`] if the key's live version is an
+    /// indirection record.
     pub fn rmw_add(&self, key: u64, delta: u64, initial: &[u8]) -> Result<u64> {
+        match self.store.rmw_add_impl(key, delta, Some(initial), self)? {
+            RmwOutcome::Applied(counter) => Ok(counter),
+            RmwOutcome::Indirection => Err(FasterError::Indirection),
+            RmwOutcome::Absent => unreachable!("an RMW with an initial value creates the record"),
+        }
+    }
+
+    /// Like [`FasterSession::rmw_add`], but reports an indirection record as
+    /// an outcome, and with no `initial` leaves an absent key absent.
+    pub fn rmw_add_outcome(
+        &self,
+        key: u64,
+        delta: u64,
+        initial: Option<&[u8]>,
+    ) -> Result<RmwOutcome> {
         self.store.rmw_add_impl(key, delta, initial, self)
     }
 
@@ -1033,6 +1067,42 @@ mod tests {
         let tails: Vec<&[u8]> = listed.iter().map(|r| &r.value()[16..]).collect();
         assert_eq!(tails, [&b"ptr-data-newer"[..], b"ptr-data"]);
         assert!(s.indirections_for(6, &session).unwrap().is_empty());
+    }
+
+    #[test]
+    fn rmw_add_over_an_indirection_creates_no_record() {
+        let s = store();
+        let session = s.start_session();
+        let mut payload = 0u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&u64::MAX.to_le_bytes());
+        s.insert_record(9, &payload, RecordFlags::INDIRECTION, &session)
+            .unwrap();
+        let tail = s.log().tail_address();
+        assert_eq!(
+            session.rmw_add(9, 1, &[0u8; 8]),
+            Err(FasterError::Indirection)
+        );
+        assert_eq!(
+            session.rmw_add_outcome(9, 1, Some(&[0u8; 8])).unwrap(),
+            RmwOutcome::Indirection
+        );
+        assert_eq!(s.log().tail_address(), tail);
+        match s.read_record_for(9, &session).unwrap() {
+            ReadOutcome::Found { record, .. } => assert!(record.is_indirection()),
+            other => panic!("unexpected outcome {other:?}"),
+        }
+        // With no initial value an absent key stays absent ...
+        assert_eq!(
+            session.rmw_add_outcome(10, 1, None).unwrap(),
+            RmwOutcome::Absent
+        );
+        assert_eq!(s.log().tail_address(), tail);
+        // ... and a record of the key's own beats the indirection.
+        session.upsert(9, &[4u8, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+        assert_eq!(
+            session.rmw_add_outcome(9, 1, None).unwrap(),
+            RmwOutcome::Applied(5)
+        );
     }
 
     #[test]

@@ -513,90 +513,72 @@ impl HybridLog {
     ///
     /// The guard proves the caller is epoch-protected, which keeps in-memory
     /// frames from being recycled underneath the read.
-    pub fn read_record(&self, addr: Address, _guard: &Guard<'_>) -> Result<RecordOwned, LogError> {
+    pub fn read_record(&self, addr: Address, guard: &Guard<'_>) -> Result<RecordOwned, LogError> {
+        let header = self.read_header(addr, guard)?;
+        let value = self.read_value(addr, &header, guard)?;
+        Ok(RecordOwned { header, value })
+    }
+
+    /// The in-memory frame holding `addr`, if it still holds that page (the
+    /// head may have raced past it, and then the device has the copy).
+    fn frame_of(&self, addr: Address) -> Option<&PageFrame> {
+        if addr < self.head_address() {
+            return None;
+        }
+        let page = addr.page(self.page_bits);
+        let frame = &self.frames[(page % self.config.memory_pages) as usize];
+        (frame.current_page() == page).then_some(frame)
+    }
+
+    /// Reads only the record header at `addr` (used for chain traversal
+    /// without copying values).  Fails as [`HybridLog::read_record`] does:
+    /// below the begin address the record is [`LogError::Truncated`].
+    pub fn read_header(&self, addr: Address, _guard: &Guard<'_>) -> Result<RecordHeader, LogError> {
         if !addr.is_valid() {
             return Err(LogError::Corrupt(addr));
         }
         if addr < self.begin_address() {
             return Err(LogError::Truncated(addr));
         }
-        if addr >= self.head_address() {
-            self.read_record_from_memory(addr)
-        } else {
-            self.read_record_from_device(addr)
-        }
-    }
-
-    fn read_record_from_memory(&self, addr: Address) -> Result<RecordOwned, LogError> {
-        let page = addr.page(self.page_bits);
-        let frame = &self.frames[(page % self.config.memory_pages) as usize];
-        if frame.current_page() != page {
-            // The head raced ahead of us; fall back to the device copy.
-            return self.read_record_from_device(addr);
-        }
-        let off = addr.offset(self.page_bits);
         let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
-        frame.read(off, &mut header_bytes);
-        let header = RecordHeader::decode(&header_bytes);
-        if header.is_null() {
-            return Err(LogError::Corrupt(addr));
+        match self.frame_of(addr) {
+            Some(frame) => frame.read(addr.offset(self.page_bits), &mut header_bytes),
+            None => self.ssd.read(addr.raw(), &mut header_bytes)?,
         }
-        let vlen = header.value_len as usize;
-        if off + RecordHeader::record_size(vlen) > self.page_size {
-            return Err(LogError::Corrupt(addr));
-        }
-        let mut value = vec![0u8; vlen.div_ceil(8) * 8];
-        if vlen > 0 {
-            frame.read(off + RECORD_HEADER_BYTES, &mut value);
-            value.truncate(vlen);
-        } else {
-            value.clear();
-        }
-        Ok(RecordOwned { header, value })
-    }
-
-    fn read_record_from_device(&self, addr: Address) -> Result<RecordOwned, LogError> {
-        let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
-        self.ssd.read(addr.raw(), &mut header_bytes)?;
-        let header = RecordHeader::decode(&header_bytes);
-        if header.is_null() {
-            return Err(LogError::Corrupt(addr));
-        }
-        let vlen = header.value_len as usize;
-        let mut value = vec![0u8; vlen];
-        if vlen > 0 {
-            self.ssd
-                .read(addr.raw() + RECORD_HEADER_BYTES as u64, &mut value)?;
-        }
-        Ok(RecordOwned { header, value })
-    }
-
-    /// Reads only the record header at `addr` (used for chain traversal
-    /// without copying values).
-    pub fn read_header(&self, addr: Address, _guard: &Guard<'_>) -> Result<RecordHeader, LogError> {
-        if !addr.is_valid() {
-            return Err(LogError::Corrupt(addr));
-        }
-        if addr >= self.head_address() {
-            let page = addr.page(self.page_bits);
-            let frame = &self.frames[(page % self.config.memory_pages) as usize];
-            if frame.current_page() == page {
-                let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
-                frame.read(addr.offset(self.page_bits), &mut header_bytes);
-                let h = RecordHeader::decode(&header_bytes);
-                if h.is_null() {
-                    return Err(LogError::Corrupt(addr));
-                }
-                return Ok(h);
-            }
-        }
-        let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
-        self.ssd.read(addr.raw(), &mut header_bytes)?;
         let h = RecordHeader::decode(&header_bytes);
         if h.is_null() {
             return Err(LogError::Corrupt(addr));
         }
         Ok(h)
+    }
+
+    /// Reads the value of the record at `addr`, whose header the caller has
+    /// read with [`HybridLog::read_header`]: a chain walk reads the header of
+    /// every hop and copies the value of only the record it returns.
+    pub fn read_value(
+        &self,
+        addr: Address,
+        header: &RecordHeader,
+        _guard: &Guard<'_>,
+    ) -> Result<Vec<u8>, LogError> {
+        let vlen = header.value_len as usize;
+        let mut value = vec![0u8; vlen];
+        if vlen == 0 {
+            return Ok(value);
+        }
+        match self.frame_of(addr) {
+            Some(frame) => {
+                let off = addr.offset(self.page_bits);
+                if off + RecordHeader::record_size(vlen) > self.page_size {
+                    return Err(LogError::Corrupt(addr));
+                }
+                frame.read(off + RECORD_HEADER_BYTES, &mut value);
+            }
+            None => self
+                .ssd
+                .read(addr.raw() + RECORD_HEADER_BYTES as u64, &mut value)?,
+        }
+        Ok(value)
     }
 
     // ------------------------------------------------------------------
@@ -983,6 +965,25 @@ mod tests {
             log.read_record(a, &g),
             Err(LogError::Truncated(_))
         ));
+    }
+
+    #[test]
+    fn read_header_refuses_a_truncated_address_like_read_record() {
+        let (log, epoch) = test_log();
+        let t = epoch.register();
+        let g = t.protect();
+        let a = log
+            .append(5, b"x", INVALID_ADDRESS, 1, RecordFlags::empty(), &t)
+            .unwrap();
+        let b = log
+            .append(6, b"yy", a, 1, RecordFlags::TOMBSTONE, &t)
+            .unwrap();
+        let header = log.read_header(b, &g).unwrap();
+        assert_eq!(header, log.read_record(b, &g).unwrap().header);
+        assert_eq!((header.key, header.prev, header.value_len), (6, a, 2));
+        log.truncate_until(b);
+        assert_eq!(log.read_header(a, &g), Err(LogError::Truncated(a)));
+        assert_eq!(log.read_header(b, &g), Ok(header));
     }
 
     #[test]

@@ -212,7 +212,9 @@ impl<'a> RecordView<'a> {
 }
 
 /// An owned copy of a record (used for records read from SSD / the shared
-/// tier, for migration batches, and for scans).
+/// tier, for migration batches, and for scans).  A store's chain walk makes
+/// one only for the record it returns, or for an indirection record whose
+/// range it must decode; it reads just the header of every hop it skips.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordOwned {
     /// Decoded header.

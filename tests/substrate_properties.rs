@@ -90,6 +90,100 @@ fn faster_matches_model_map() {
     }
 }
 
+/// The same model check over a log that spills to the simulated SSD: values
+/// of about 200 bytes over 300 keys on the test-sized log.  After a load of
+/// every key, 15 of 16 operations go to a hot tenth of them: the versions
+/// of a hot key cross both the read-only and the head address, and a cold
+/// key's version ages into the stable region before the next touch.  Part-way
+/// through, the floor of a quarter of the hash space is raised, which kills
+/// every version of its keys already in the log; the model forgets them.
+/// A closing upsert-only phase never reads stable storage: an upsert looks
+/// for a version to update in place, and none lies below the read-only
+/// address.
+#[test]
+fn faster_matches_model_map_over_a_spilled_log() {
+    const KEYS: u64 = 300;
+    let dead_range = (0, u64::MAX / 4);
+    for case in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0x5B111ED + case);
+        let store = Faster::standalone(
+            FasterConfig::small_for_tests(),
+            Arc::new(SimSsd::new(1 << 28)),
+        );
+        let session = store.start_session();
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let check_all = |model: &HashMap<u64, Vec<u8>>, phase: &str| {
+            for k in 0..KEYS {
+                let read = session.read(k).unwrap();
+                assert_eq!(
+                    read.as_ref(),
+                    model.get(&k),
+                    "case {case}, {phase}, key {k}"
+                );
+            }
+        };
+        for k in 0..KEYS {
+            let v = vec![k as u8; 200];
+            session.upsert(k, &v).unwrap();
+            model.insert(k, v);
+        }
+        for i in 0..5000 {
+            if i == 2500 {
+                store.raise_floors(&[dead_range]);
+                model.retain(|k, _| KeyHash::of(*k).raw() >= dead_range.1);
+            }
+            let k = match rng.gen_range(0u32..16) {
+                0 => rng.gen_range(0..KEYS),
+                _ => rng.gen_range(0..KEYS / 10),
+            };
+            match rng.gen_range(0u32..8) {
+                0..=3 => {
+                    let v = vec![rng.gen::<u32>() as u8; rng.gen_range(190..210)];
+                    session.upsert(k, &v).unwrap();
+                    model.insert(k, v);
+                }
+                4 => {
+                    let d = rng.gen_range(1u64..16);
+                    let counter = session.rmw_add(k, d, &[0u8; 200]).unwrap();
+                    let entry = model.entry(k).or_insert_with(|| vec![0u8; 200]);
+                    let c = u64::from_le_bytes(entry[0..8].try_into().unwrap()).wrapping_add(d);
+                    entry[0..8].copy_from_slice(&c.to_le_bytes());
+                    assert_eq!(counter, c, "case {case}, op {i}");
+                }
+                5 => {
+                    let existed = session.delete(k).unwrap();
+                    assert_eq!(existed, model.remove(&k).is_some(), "case {case}, op {i}");
+                }
+                _ => {
+                    let read = session.read(k).unwrap();
+                    assert_eq!(read.as_ref(), model.get(&k), "case {case}, op {i}");
+                }
+            }
+        }
+        let log = store.log().stats();
+        assert!(log.head > log.begin, "case {case}: the log never spilled");
+        check_all(&model, "mixed");
+        assert!(
+            store.stats().snapshot().stable_reads > 0,
+            "case {case}: no read reached the stable region"
+        );
+
+        let stable_reads = store.stats().snapshot().stable_reads;
+        for _ in 0..2000 {
+            let k = rng.gen_range(0..KEYS);
+            let v = vec![rng.gen::<u32>() as u8; rng.gen_range(190..210)];
+            session.upsert(k, &v).unwrap();
+            model.insert(k, v);
+        }
+        assert_eq!(
+            store.stats().snapshot().stable_reads,
+            stable_reads,
+            "case {case}: an upsert read stable storage"
+        );
+        check_all(&model, "upserts");
+    }
+}
+
 /// Appending arbitrary records never violates the log's region ordering
 /// invariants, and every appended record reads back intact.
 #[test]
