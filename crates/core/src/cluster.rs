@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use shadowfax_net::SimNetwork;
-use shadowfax_obs::{Counter, MetricsRegistry};
-use shadowfax_storage::{LogId, SharedBlobTier, TierRecord, TierService};
+use shadowfax_obs::MetricsRegistry;
+use shadowfax_storage::{SharedBlobTier, TierService};
 
 use crate::client::ShadowfaxClient;
 use crate::config::{ClientConfig, ServerConfig};
@@ -23,138 +23,6 @@ use crate::layout::{ClusterLayout, LayoutError};
 use crate::meta::{MergeOutcome, MetaReplica, MetadataStore};
 use crate::server::{MigrationConnector, Server, ServerHandle};
 use crate::ServerId;
-
-/// One view-tagged request to read a spilled chain out of this process's
-/// shared tier on behalf of a peer process (the serving half of the
-/// cross-process chain-fetch protocol).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainFetchQuery {
-    /// Cluster-wide id of the server asking.
-    pub requester: u32,
-    /// The requester's current serving view.
-    pub view: u64,
-    /// The shared-tier log to read.
-    pub log: u64,
-    /// Byte offset of the chain's newest record.
-    pub address: u64,
-    /// Upper bound on records returned (the reply carries a resume address
-    /// when the chain is longer).
-    pub max_records: u32,
-}
-
-/// The record batch answering a [`ChainFetchQuery`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainFetchReply {
-    /// The log that was read.
-    pub log: u64,
-    /// The address the walk started from (echoed).
-    pub address: u64,
-    /// Address to resume the walk from, or 0 when the chain is exhausted.
-    pub next: u64,
-    /// The chain's records, newest first, at most one per key.
-    pub records: Vec<TierRecord>,
-}
-
-/// Why a chain fetch was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChainFetchError {
-    /// The request's view tag is older than the view this process's metadata
-    /// store records for the requester: the fetch is from a dead migration
-    /// epoch.
-    StaleView {
-        /// The view the metadata store holds for the requester.
-        expected: u64,
-        /// The view the request carried.
-        got: u64,
-    },
-    /// The address lies beyond everything the log has ever written.
-    OutOfRange {
-        /// The offending address.
-        address: u64,
-        /// The log's written extent.
-        extent: u64,
-    },
-    /// The log does not exist on this process's shared tier.
-    UnknownLog(u64),
-    /// The requester is not registered at this process's metadata store.
-    UnknownRequester(u32),
-    /// The tier failed to read mid-walk; the chain is currently unreadable
-    /// (as opposed to exhausted — the fetcher must keep the operation
-    /// pending, not report a miss).
-    Unreadable {
-        /// The log being walked.
-        log: u64,
-        /// The address whose read failed.
-        address: u64,
-    },
-}
-
-impl std::fmt::Display for ChainFetchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChainFetchError::StaleView { expected, got } => {
-                write!(f, "stale view {got} (requester is at view {expected})")
-            }
-            ChainFetchError::OutOfRange { address, extent } => {
-                write!(f, "address {address} beyond written extent {extent}")
-            }
-            ChainFetchError::UnknownLog(log) => write!(f, "log {log} not on this tier"),
-            ChainFetchError::UnknownRequester(id) => write!(f, "unknown requester server {id}"),
-            ChainFetchError::Unreadable { log, address } => {
-                write!(f, "log {log} unreadable at address {address}")
-            }
-        }
-    }
-}
-
-/// Counters for the chain-fetch serving path (queried over the control
-/// plane and published by CI alongside the bench numbers).
-///
-/// These are views over registry counters (`tier.chain.*`): the wire
-/// snapshot and the `GET_METRICS` frame read the same cells, so the two
-/// exposures can never disagree.
-#[derive(Debug, Default)]
-pub struct ChainFetchStats {
-    served: Counter,
-    records_served: Counter,
-    rejected_stale_view: Counter,
-    rejected_out_of_range: Counter,
-}
-
-/// A point-in-time copy of [`ChainFetchStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChainFetchSnapshot {
-    /// Fetches answered with a record batch.
-    pub served: u64,
-    /// Total records across all served batches.
-    pub records_served: u64,
-    /// Fetches rejected for carrying a stale view tag.
-    pub rejected_stale_view: u64,
-    /// Fetches rejected for an out-of-range address or unknown log.
-    pub rejected_out_of_range: u64,
-}
-
-impl ChainFetchStats {
-    /// Handles onto the registry's `tier.chain.*` counters.
-    pub fn registered(metrics: &MetricsRegistry) -> Self {
-        ChainFetchStats {
-            served: metrics.counter("tier.chain.served"),
-            records_served: metrics.counter("tier.chain.records_served"),
-            rejected_stale_view: metrics.counter("tier.chain.rejected_stale_view"),
-            rejected_out_of_range: metrics.counter("tier.chain.rejected_out_of_range"),
-        }
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> ChainFetchSnapshot {
-        ChainFetchSnapshot {
-            served: self.served.value(),
-            records_served: self.records_served.value(),
-            rejected_stale_view: self.rejected_stale_view.value(),
-            rejected_out_of_range: self.rejected_out_of_range.value(),
-        }
-    }
-}
 
 /// The one server another OS process hosts, registered with this process's
 /// metadata store so local servers can route migrations (and clients can
@@ -228,7 +96,6 @@ pub struct Cluster {
     net: Arc<SimNetwork>,
     shared_tier: Arc<SharedBlobTier>,
     metrics: Arc<MetricsRegistry>,
-    chain_stats: ChainFetchStats,
     handles: Vec<ServerHandle>,
 }
 
@@ -277,7 +144,6 @@ impl Cluster {
         let net = SimNetwork::new();
         let shared_tier = SharedBlobTier::new(config.shared_tier_capacity);
         let metrics = Arc::new(MetricsRegistry::new());
-        let chain_stats = ChainFetchStats::registered(&metrics);
         {
             let tier = Arc::clone(&shared_tier);
             metrics.register_source(
@@ -321,7 +187,6 @@ impl Cluster {
             net,
             shared_tier,
             metrics,
-            chain_stats,
             handles,
         })
     }
@@ -405,8 +270,8 @@ impl Cluster {
     }
 
     /// The process metrics registry: every local server's counter
-    /// families, the chain-fetch serving-path counters, the shared-tier
-    /// device counters, and the migration event timeline.
+    /// families, the shared-tier device counters, and the migration event
+    /// timeline.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -423,84 +288,12 @@ impl Cluster {
     }
 
     /// Installs a tier service on every local server, replacing the default
-    /// (the process-local shared tier).  The RPC layer uses this to resolve
-    /// indirection records whose chains live in peer processes.
+    /// (the process-local shared tier).  The RPC layer uses this to read
+    /// the spilled chains of logs that other processes host.
     pub fn set_tier_service(&self, service: Arc<dyn TierService>) {
         for handle in &self.handles {
             handle.server().set_tier_service(Arc::clone(&service));
         }
-    }
-
-    /// Serves one cross-process chain fetch out of this process's shared
-    /// tier: validates the request's view tag against the metadata store,
-    /// range-checks the address, then walks the chain and returns its
-    /// records (see [`ChainFetchReply`]).
-    pub fn serve_chain_fetch(
-        &self,
-        query: &ChainFetchQuery,
-    ) -> Result<ChainFetchReply, ChainFetchError> {
-        match self.meta.view_of(ServerId(query.requester)) {
-            None => {
-                self.chain_stats.rejected_stale_view.inc();
-                return Err(ChainFetchError::UnknownRequester(query.requester));
-            }
-            Some(expected) if query.view < expected => {
-                self.chain_stats.rejected_stale_view.inc();
-                return Err(ChainFetchError::StaleView {
-                    expected,
-                    got: query.view,
-                });
-            }
-            Some(_) => {}
-        }
-        let log = LogId(query.log);
-        let extent = match self.shared_tier.written_extent_of(log) {
-            Ok(extent) => extent,
-            Err(_) => {
-                self.chain_stats.rejected_out_of_range.inc();
-                return Err(ChainFetchError::UnknownLog(query.log));
-            }
-        };
-        if query.address >= extent {
-            self.chain_stats.rejected_out_of_range.inc();
-            return Err(ChainFetchError::OutOfRange {
-                address: query.address,
-                extent,
-            });
-        }
-        let max = (query.max_records as usize).clamp(1, 4096);
-        // Byte budget per reply: well under the 16 MiB frame limit even
-        // with per-record framing overhead, so a page of large values can
-        // always be encoded and decoded.
-        const MAX_CHAIN_REPLY_BYTES: usize = 4 * 1024 * 1024;
-        let (records, next) = match crate::migration::read_chain_records(
-            &self.shared_tier,
-            log,
-            shadowfax_faster::Address::new(query.address),
-            max,
-            MAX_CHAIN_REPLY_BYTES,
-        ) {
-            crate::migration::ChainWalk::Page(records, next) => (records, next),
-            crate::migration::ChainWalk::Unreadable { address } => {
-                return Err(ChainFetchError::Unreadable {
-                    log: query.log,
-                    address,
-                });
-            }
-        };
-        self.chain_stats.served.inc();
-        self.chain_stats.records_served.add(records.len() as u64);
-        Ok(ChainFetchReply {
-            log: query.log,
-            address: query.address,
-            next,
-            records,
-        })
-    }
-
-    /// Counters for the chain-fetch serving path.
-    pub fn chain_fetch_stats(&self) -> ChainFetchSnapshot {
-        self.chain_stats.snapshot()
     }
 
     /// The running servers.
@@ -731,186 +524,5 @@ impl Cluster {
         for h in self.handles {
             h.shutdown();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use shadowfax_hlog::{Address, RecordFlags, RecordHeader, RECORD_HEADER_BYTES};
-
-    /// Writes one encoded record at `offset` of `log` on the shared tier and
-    /// returns the offset (so chains can be built bottom-up).
-    fn put_record(
-        cluster: &Cluster,
-        log: LogId,
-        offset: u64,
-        key: u64,
-        prev: u64,
-        flags: RecordFlags,
-        value: &[u8],
-    ) -> u64 {
-        let header = RecordHeader {
-            prev: Address::new(prev),
-            flags,
-            version: 1,
-            value_len: value.len() as u32,
-            key,
-        };
-        let mut buf = vec![0u8; RECORD_HEADER_BYTES + value.len()];
-        header.encode_into(&mut buf);
-        buf[RECORD_HEADER_BYTES..].copy_from_slice(value);
-        cluster.shared_tier().write_log(log, offset, &buf).unwrap();
-        offset
-    }
-
-    fn query(requester: u32, view: u64, log: u64, address: u64) -> ChainFetchQuery {
-        ChainFetchQuery {
-            requester,
-            view,
-            log,
-            address,
-            max_records: 64,
-        }
-    }
-
-    #[test]
-    fn serve_chain_fetch_walks_dedups_and_rejects() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let log = LogId(41);
-        // Chain, oldest first: key 7 (old version) <- key 9 (tombstone)
-        // <- key 7 (new version).  The walk must return the newest version
-        // of 7 once and the tombstone of 9 with its flag intact.
-        let a = put_record(&cluster, log, 64, 7, 0, RecordFlags::empty(), b"old-7");
-        let b = put_record(&cluster, log, 256, 9, a, RecordFlags::TOMBSTONE, b"");
-        let c = put_record(&cluster, log, 512, 7, b, RecordFlags::empty(), b"new-7");
-
-        let reply = cluster
-            .serve_chain_fetch(&query(0, 1, log.0, c))
-            .expect("valid fetch");
-        assert_eq!(reply.next, 0, "short chain must be exhausted in one page");
-        assert_eq!(reply.records.len(), 2);
-        assert_eq!(reply.records[0].key, 7);
-        assert_eq!(reply.records[0].value, b"new-7");
-        assert_eq!(reply.records[1].key, 9);
-        assert!(RecordFlags::from_bits(reply.records[1].flags).contains(RecordFlags::TOMBSTONE));
-
-        // Stale view: the metadata store has server 0 at view 1.
-        assert!(matches!(
-            cluster.serve_chain_fetch(&query(0, 0, log.0, c)),
-            Err(ChainFetchError::StaleView {
-                expected: 1,
-                got: 0
-            })
-        ));
-        // Unknown requester.
-        assert!(matches!(
-            cluster.serve_chain_fetch(&query(99, 1, log.0, c)),
-            Err(ChainFetchError::UnknownRequester(99))
-        ));
-        // Out of range / unknown log.
-        assert!(matches!(
-            cluster.serve_chain_fetch(&query(0, 1, log.0, 1 << 40)),
-            Err(ChainFetchError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            cluster.serve_chain_fetch(&query(0, 1, 12345, c)),
-            Err(ChainFetchError::UnknownLog(12345))
-        ));
-
-        // Every outcome above was counted.
-        let stats = cluster.chain_fetch_stats();
-        assert_eq!(stats.served, 1);
-        assert_eq!(stats.records_served, 2);
-        assert_eq!(stats.rejected_stale_view, 2); // stale view + unknown requester
-        assert_eq!(stats.rejected_out_of_range, 2); // out of range + unknown log
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn serve_chain_fetch_pages_by_bytes_and_rejects_unreadable_chains() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let log = LogId(43);
-        // Three records with 2 MiB values: the 4 MiB reply budget must cut
-        // the page after two and hand back a resume address — never an
-        // undecodable oversized frame.
-        let big = vec![0xAB; 2 * 1024 * 1024];
-        let mut prev = 0u64;
-        for i in 0..3u64 {
-            prev = put_record(
-                &cluster,
-                log,
-                64 + i * (4 * 1024 * 1024),
-                200 + i,
-                prev,
-                RecordFlags::empty(),
-                &big,
-            );
-        }
-        let reply = cluster
-            .serve_chain_fetch(&query(0, 1, log.0, prev))
-            .expect("byte-budgeted fetch");
-        assert_eq!(reply.records.len(), 2, "byte budget did not cut the page");
-        assert_ne!(reply.next, 0);
-        let rest = cluster
-            .serve_chain_fetch(&query(0, 1, log.0, reply.next))
-            .expect("resumed fetch");
-        assert_eq!(rest.records.len(), 1);
-        assert_eq!(rest.next, 0);
-
-        // A chain whose prev pointer lands in never-written space is
-        // *unreadable*, not exhausted: reporting it exhausted would turn a
-        // tier I/O error into an acknowledged "not found" at the fetcher.
-        let broken = put_record(
-            &cluster,
-            log,
-            16 * 1024 * 1024,
-            777,
-            13 * 1024 * 1024, // unwritten offset
-            RecordFlags::empty(),
-            b"x",
-        );
-        match cluster.serve_chain_fetch(&query(0, 1, log.0, broken)) {
-            Err(ChainFetchError::Unreadable { address, .. }) => {
-                assert_eq!(address, 13 * 1024 * 1024)
-            }
-            other => panic!("expected Unreadable, got {other:?}"),
-        }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn serve_chain_fetch_pages_long_chains() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let log = LogId(42);
-        // 10 records, chained; ask for pages of 4.
-        let mut prev = 0u64;
-        let mut tops = Vec::new();
-        for i in 0..10u64 {
-            prev = put_record(
-                &cluster,
-                log,
-                64 + i * 64,
-                100 + i,
-                prev,
-                RecordFlags::empty(),
-                b"v",
-            );
-            tops.push(prev);
-        }
-        let mut q = query(0, 1, log.0, *tops.last().unwrap());
-        q.max_records = 4;
-        let first = cluster.serve_chain_fetch(&q).expect("first page");
-        assert_eq!(first.records.len(), 4);
-        assert_ne!(first.next, 0, "long chain must return a resume address");
-        q.address = first.next;
-        let second = cluster.serve_chain_fetch(&q).expect("second page");
-        assert_eq!(second.records.len(), 4);
-        // Pages do not overlap: the resume address continues the walk.
-        assert!(first
-            .records
-            .iter()
-            .all(|r| second.records.iter().all(|s| s.key != r.key)));
-        cluster.shutdown();
     }
 }

@@ -58,10 +58,7 @@ mod session;
 pub mod wire;
 
 pub use client::{ClientStats, OpCallback, OwnershipSource, ShadowfaxClient};
-pub use cluster::{
-    ChainFetchError, ChainFetchQuery, ChainFetchReply, ChainFetchSnapshot, ChainFetchStats,
-    Cluster, ClusterConfig, PeerServer,
-};
+pub use cluster::{Cluster, ClusterConfig, PeerServer};
 pub use compaction::CompactionOutcome;
 pub use config::{ClientConfig, MigrationConfig, MigrationMode, OwnershipCheck, ServerConfig};
 pub use dispatch::DispatchHandle;

@@ -32,9 +32,8 @@ use parking_lot::Mutex;
 use shadowfax_faster::{
     take_checkpoint, Address, FasterSession, KeyHash, ReadOutcome, RecordFlags, RecordOwned,
 };
-use shadowfax_hlog::{LogScanner, RecordHeader, RECORD_HEADER_BYTES};
+use shadowfax_hlog::LogScanner;
 use shadowfax_net::TransportError;
-use shadowfax_storage::{LogId, SharedBlobTier, TierRecord};
 
 use crate::config::MigrationMode;
 use crate::hash_range::HashRange;
@@ -1085,92 +1084,6 @@ impl Server {
 /// the indirection record in the equivalent chain.
 pub(crate) fn representative_hash(bucket: usize, tag: u16) -> u64 {
     ((tag as u64) << 48) | bucket as u64
-}
-
-/// The outcome of one serving-side chain walk page.
-#[derive(Debug)]
-pub(crate) enum ChainWalk {
-    /// The walk progressed: the page's records plus the address to resume
-    /// from (0 when the chain is exhausted).
-    Page(Vec<TierRecord>, u64),
-    /// The tier failed to read at `address` mid-walk.  The chain must be
-    /// reported as *unreadable*, never as exhausted — a fetcher that takes
-    /// a truncated walk for the full chain would turn a transient tier
-    /// error into an acknowledged "not found".
-    Unreadable {
-        /// The address whose read failed.
-        address: u64,
-    },
-}
-
-/// Walks the chain rooted at `addr` in `source_log` on the local shared
-/// tier, collecting records — newest first, one per key (the first
-/// occurrence on the chain is the newest version), skipping records marked
-/// invalid — until `max_records` or `max_bytes` of value payload is
-/// reached (at least one record always makes progress).  Tombstones and
-/// indirection records are included *with their flags* so the fetching side
-/// can distinguish "deleted" from "never existed".
-///
-/// This is the serving half of the cross-process chain-fetch protocol: the
-/// process hosting the log runs it on behalf of a peer that received an
-/// indirection record during migration.
-pub(crate) fn read_chain_records(
-    tier: &SharedBlobTier,
-    source_log: LogId,
-    mut addr: Address,
-    max_records: usize,
-    max_bytes: usize,
-) -> ChainWalk {
-    let mut records = Vec::new();
-    let mut seen_keys: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut bytes = 0usize;
-    let mut hops = 0;
-    while addr.is_valid() && hops < 1_000_000 {
-        if records.len() >= max_records || bytes >= max_bytes {
-            return ChainWalk::Page(records, addr.raw());
-        }
-        let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
-        if tier
-            .read_log(source_log, addr.raw(), &mut header_bytes)
-            .is_err()
-        {
-            return ChainWalk::Unreadable {
-                address: addr.raw(),
-            };
-        }
-        let header = RecordHeader::decode(&header_bytes);
-        if header.is_null() {
-            // Zeroed space: the chain ran into never-written padding, which
-            // only happens at the end of a chain.
-            break;
-        }
-        let skip = header.flags.contains(RecordFlags::INVALID) || !seen_keys.insert(header.key);
-        if !skip {
-            let mut value = vec![0u8; header.value_len as usize];
-            if !value.is_empty()
-                && tier
-                    .read_log(
-                        source_log,
-                        addr.raw() + RECORD_HEADER_BYTES as u64,
-                        &mut value,
-                    )
-                    .is_err()
-            {
-                return ChainWalk::Unreadable {
-                    address: addr.raw(),
-                };
-            }
-            bytes += RECORD_HEADER_BYTES + value.len();
-            records.push(TierRecord {
-                key: header.key,
-                flags: header.flags.bits(),
-                value,
-            });
-        }
-        addr = header.prev;
-        hops += 1;
-    }
-    ChainWalk::Page(records, 0)
 }
 
 #[cfg(test)]

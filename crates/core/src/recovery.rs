@@ -175,8 +175,6 @@ impl Server {
             pending_gauge: instruments.pending_gauge,
             total_pended: instruments.total_pended,
             indirection_fetches: instruments.indirection_fetches,
-            remote_chain_fetches: instruments.remote_chain_fetches,
-            tier_direct_chains: instruments.tier_direct_chains,
             migrations_cancelled: instruments.migrations_cancelled,
             records_rolled_back: instruments.records_rolled_back,
             heartbeats_missed: instruments.heartbeats_missed,

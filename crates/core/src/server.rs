@@ -34,13 +34,11 @@ use shadowfax_net::{
     BatchReply, ByteStream, KvRequest, KvResponse, RequestBatch, SimNetwork, TransportError,
 };
 use shadowfax_obs::{Counter, EventTimeline, Gauge, MetricsRegistry};
-use shadowfax_storage::{
-    ChainFetch, ChainFetchRequest, LogId, SharedBlobTier, TierRecord, TierService,
-};
+use shadowfax_storage::{LogId, SharedBlobTier, TierService};
 
 use crate::config::{OwnershipCheck, ServerConfig};
 use crate::dispatch::{ConnId, ConnTable, DispatchHandle, Link, Mailbox, ParkInstruments};
-use crate::hash_range::{HashRange, RangeSet};
+use crate::hash_range::RangeSet;
 use crate::indirection::IndirectionRecord;
 use crate::meta::MetadataStore;
 use crate::migration::{
@@ -98,8 +96,6 @@ pub(crate) struct ServerInstruments {
     pub(crate) pending_gauge: Gauge,
     pub(crate) total_pended: Counter,
     pub(crate) indirection_fetches: Counter,
-    pub(crate) remote_chain_fetches: Counter,
-    pub(crate) tier_direct_chains: Counter,
     pub(crate) migrations_cancelled: Counter,
     pub(crate) records_rolled_back: Counter,
     pub(crate) heartbeats_missed: Counter,
@@ -125,8 +121,6 @@ impl ServerInstruments {
             pending_gauge: metrics.gauge(&format!("{p}.ops.pending")),
             total_pended: metrics.counter(&format!("{p}.ops.pended_total")),
             indirection_fetches: metrics.counter(&format!("{p}.indirection.fetches")),
-            remote_chain_fetches: metrics.counter(&format!("{p}.chain.remote_fetches")),
-            tier_direct_chains: metrics.counter(&format!("{p}.chain.tier_direct")),
             migrations_cancelled: metrics.counter(&format!("{p}.migration.cancelled")),
             records_rolled_back: metrics.counter(&format!("{p}.migration.records_rolled_back")),
             heartbeats_missed: metrics.counter(&format!("{p}.migration.heartbeats_missed")),
@@ -172,10 +166,9 @@ pub struct Server {
     /// The in-process fabric: clients dial `…/t{n}`, peer servers `…/m{n}`.
     pub(crate) net: Arc<SimNetwork>,
     pub(crate) shared_tier: Arc<SharedBlobTier>,
-    /// Resolves spilled record chains named by indirection records.  Defaults
-    /// to the process-local [`SharedBlobTier`]; the RPC layer installs a
-    /// router that fetches chains from peer processes over TCP when the
-    /// indirection names a log this process does not host.
+    /// Reads the spilled record chains named by indirection records.
+    /// Defaults to the process-local [`SharedBlobTier`]; the RPC layer
+    /// installs one that also reads the logs other processes host.
     pub(crate) tier_service: RwLock<Arc<dyn TierService>>,
     /// The view number the server validates batches against.  Lags the
     /// metadata store's view until the appropriate migration phase flips it.
@@ -220,12 +213,6 @@ pub struct Server {
     /// Count of records fetched from the shared tier to resolve indirection
     /// records during normal operation.
     pub(crate) indirection_fetches: Counter,
-    /// Count of chain fetches answered by a *remote* tier service (the chain
-    /// was pulled from another process over the wire).
-    pub(crate) remote_chain_fetches: Counter,
-    /// Count of chain fetches the tier service resolved directly (the shared
-    /// tier served the foreign log, no peer chain-fetch round trip).
-    pub(crate) tier_direct_chains: Counter,
     /// Migrations this server cancelled (dead peer, operator request, or a
     /// peer-relayed cancellation), in either role.
     pub(crate) migrations_cancelled: Counter,
@@ -328,8 +315,6 @@ impl Server {
             pending_gauge: instruments.pending_gauge,
             total_pended: instruments.total_pended,
             indirection_fetches: instruments.indirection_fetches,
-            remote_chain_fetches: instruments.remote_chain_fetches,
-            tier_direct_chains: instruments.tier_direct_chains,
             migrations_cancelled: instruments.migrations_cancelled,
             records_rolled_back: instruments.records_rolled_back,
             heartbeats_missed: instruments.heartbeats_missed,
@@ -436,10 +421,10 @@ impl Server {
             || self.drive_target(now, cancel, None, session)
     }
 
-    /// Replaces the service used to resolve spilled chains named by
+    /// Replaces the service that reads the spilled chains named by
     /// indirection records.  The default reads the process-local
-    /// [`SharedBlobTier`]; the RPC layer installs a router that dials the
-    /// process hosting the log when the indirection names a remote one.
+    /// [`SharedBlobTier`]; the RPC layer installs one that also reads the
+    /// logs other processes host.
     pub fn set_tier_service(&self, service: Arc<dyn TierService>) {
         *self.tier_service.write() = service;
     }
@@ -984,9 +969,9 @@ impl Server {
                         outcome = match self.resolve_indirections(*key, session) {
                             Ok(IndirectionFetch::Resolved) => session.read_outcome(*key),
                             Ok(IndirectionFetch::Missing) => Ok(ReadOutcome::NotFound),
-                            // The chain lives in a process we could not
-                            // reach (or the fetch was rejected): the record
-                            // is not resolvable *yet*, which must never be
+                            // A chain could not be read (its log is out of
+                            // reach, or a read was refused): the record is
+                            // not resolvable *yet*, which must never be
                             // reported as a miss.  Stay pending and retry.
                             Ok(IndirectionFetch::Unavailable) => return ExecOutcome::Pend,
                             Err(e) => Err(e),
@@ -1059,100 +1044,31 @@ impl Server {
     }
 
     /// Fetches the record for `key` through the indirection records covering
-    /// it, via the installed [`TierService`] (the process-local shared tier
-    /// or another process), and inserts what it finds.  They are tried
-    /// fewest [`IndirectionRecord::hops`] (newest data) first until one
-    /// holds the key; their order in the chain says nothing.
+    /// it, reading their chains with the installed [`TierService`], and
+    /// inserts what it finds, a tombstone too.  The chains are walked fewest
+    /// [`IndirectionRecord::hops`] (newest data) first, the covering records
+    /// and the nested ones met on their chains in one order: a record's
+    /// place in a chain says nothing.  Each chain is walked down to its
+    /// floor, and, as in the store, an exact-key record there beats the
+    /// indirections on it.  A read the tier cannot serve leaves the key
+    /// [`IndirectionFetch::Unavailable`], never missing.
     fn resolve_indirections(
         &self,
         key: u64,
         session: &FasterSession,
     ) -> shadowfax_faster::Result<IndirectionFetch> {
         let found = self.store.indirections_for(key, session)?;
-        let mut inds: Vec<IndirectionRecord> = found
+        if found.is_empty() {
+            // None covers the key any more: a live record of it arrived
+            // since the first walk.
+            return Ok(IndirectionFetch::Resolved);
+        }
+        let mut chains: Vec<IndirectionRecord> = found
             .iter()
             .filter_map(|r| IndirectionRecord::decode_value(r.value()))
             .collect();
-        inds.sort_by_key(|ind| ind.hops);
+        let tier = self.tier_service.read().clone();
         let hash = KeyHash::of(key).raw();
-        for ind in inds {
-            // A chain its sender wrote holds the newest version of every key
-            // it covers; one forwarded from an earlier owner may hold older
-            // versions of keys a newer chain covers: cache only this key.
-            let range = match ind.hops {
-                1 => ind.range,
-                _ => HashRange::new(hash, hash.saturating_add(1)),
-            };
-            let ind = IndirectionRecord { range, ..ind };
-            match self.resolve_indirection_record(key, &ind, 0, session) {
-                IndirectionFetch::Missing => {}
-                outcome => return Ok(outcome),
-            }
-        }
-        // None covers the key any more: a live record of it arrived since
-        // the first walk.
-        Ok(match found.is_empty() {
-            true => IndirectionFetch::Resolved,
-            false => IndirectionFetch::Missing,
-        })
-    }
-
-    /// Resolves one indirection record through the tier service.  `depth`
-    /// counts nested hops already taken: a fetched chain may itself contain
-    /// an indirection record (the chain's owner was once a migration target
-    /// too — a three-or-more-process chain); such nested hops are followed
-    /// transitively up to [`MAX_NESTED_HOPS`], past which the operation is
-    /// kept pending.  When the tier answers [`ChainFetch::Local`] the walk
-    /// happens directly against the (process-local or genuinely shared)
-    /// tier, which follows nesting itself at no per-hop cost —
-    /// `chain.tier_direct` counts those; `chain.remote_fetches` counts
-    /// chains fetched through the per-hop RPC fallback instead.
-    fn resolve_indirection_record(
-        &self,
-        key: u64,
-        ind: &IndirectionRecord,
-        depth: u8,
-        session: &FasterSession,
-    ) -> IndirectionFetch {
-        let service = self.tier_service.read().clone();
-        let request = ChainFetchRequest {
-            log: ind.source_log,
-            address: ind.chain_address.raw(),
-            key,
-            requester: self.config.id.0 as u64,
-            view: self.serving_view(),
-        };
-        match service.fetch_chain(&request) {
-            ChainFetch::Local => {
-                self.tier_direct_chains.inc();
-                self.fetch_local_chain(service.as_ref(), ind, key, session)
-            }
-            ChainFetch::Records(records) => {
-                self.indirection_fetches.inc();
-                self.remote_chain_fetches.inc();
-                self.absorb_chain_records(key, &ind.range, &records, depth, session)
-            }
-            ChainFetch::Unavailable(_) => IndirectionFetch::Unavailable,
-        }
-    }
-
-    /// Walks a chain on a *locally readable* shared-tier log (the
-    /// [`TierService`] answered `Local`) down to its floor, and inserts the
-    /// key's record if it finds one, a tombstone too.  As in the store, an
-    /// exact-key record beats the indirections on the chain; those covering
-    /// the key are followed only if there is none, fewest hops first, so
-    /// multi-hop chains resolve transitively on an in-process tier.
-    fn fetch_local_chain(
-        &self,
-        tier: &dyn TierService,
-        ind: &IndirectionRecord,
-        key: u64,
-        session: &FasterSession,
-    ) -> IndirectionFetch {
-        let hash = KeyHash::of(key).raw();
-        // Chains left to walk, each with its hops from this server: a nested
-        // record's hops count from the server whose log holds it.
-        let mut chains = vec![*ind];
         let mut steps = 0;
         while let Some(next) = (0..chains.len()).min_by_key(|&i| chains[i].hops) {
             let chain = chains.swap_remove(next);
@@ -1161,9 +1077,9 @@ impl Server {
                 steps += 1;
                 let mut header_bytes = [0u8; RECORD_HEADER_BYTES];
                 if steps > 1_000_000 || tier.read_log(log, addr.raw(), &mut header_bytes).is_err() {
-                    // A cycle, or a log this process cannot read: the record
+                    // A cycle, or a log that cannot be read now: the record
                     // may exist where the walk could not reach.
-                    return IndirectionFetch::Unavailable;
+                    return Ok(IndirectionFetch::Unavailable);
                 }
                 let header = RecordHeader::decode(&header_bytes);
                 if header.is_null() {
@@ -1178,14 +1094,16 @@ impl Server {
                 }
                 let mut value = vec![0u8; header.value_len as usize];
                 if !value.is_empty() && tier.read_log(log, at, &mut value).is_err() {
-                    return IndirectionFetch::Unavailable;
+                    return Ok(IndirectionFetch::Unavailable);
                 }
                 if exact {
                     self.indirection_fetches.inc();
                     let tombstone = header.flags.contains(RecordFlags::TOMBSTONE);
                     self.insert_fetched(key, &value, tombstone, session);
-                    return IndirectionFetch::Resolved;
+                    return Ok(IndirectionFetch::Resolved);
                 }
+                // A nested record's hops count from the server whose log
+                // holds it.
                 let nested = IndirectionRecord::decode_value(&value);
                 if let Some(nested) = nested.filter(|n| n.range.contains(hash)) {
                     let hops = chain.hops + nested.hops;
@@ -1193,105 +1111,7 @@ impl Server {
                 }
             }
         }
-        IndirectionFetch::Missing
-    }
-
-    /// Applies a remotely fetched chain batch: every live record whose hash
-    /// falls in the indirection's covered range is inserted (unless a newer
-    /// local version exists), amortizing the round trip over the whole
-    /// chain.  Reports whether the requested `key` was found live.
-    ///
-    /// A fetched chain may itself contain an indirection record (the chain's
-    /// owner received it in an earlier migration — a three-or-more-process
-    /// chain).  When one covers the requested key it is followed
-    /// transitively with another fetch, up to [`MAX_NESTED_HOPS`] levels
-    /// deep; only nesting past that cap keeps the operation pending.
-    fn absorb_chain_records(
-        &self,
-        key: u64,
-        range: &HashRange,
-        records: &[TierRecord],
-        depth: u8,
-        session: &FasterSession,
-    ) -> IndirectionFetch {
-        // Records arrive newest-first; only the first relevant occurrence
-        // for the requested key (its newest spilled version, or the newest
-        // indirection whose range covers it) decides the outcome.
-        let hash = KeyHash::of(key).raw();
-        let mut requested: Option<IndirectionFetch> = None;
-        // Ranges covered by nested indirections seen so far on the chain.
-        // Records *below* such an indirection are older than whatever lives
-        // behind it on the third process's log: neither their values nor
-        // their outcomes can be trusted, so they are skipped entirely —
-        // caching one would later serve a stale version.
-        let mut shadowed: Vec<HashRange> = Vec::new();
-        for rec in records {
-            let flags = RecordFlags::from_bits(rec.flags);
-            if flags.contains(RecordFlags::INDIRECTION) {
-                // An indirection on the *source's* chain: the chain
-                // continues on a third process's log.
-                if let Some(nested) = IndirectionRecord::decode_value(&rec.value) {
-                    if requested.is_none() && nested.range.contains(hash) {
-                        requested = if depth < MAX_NESTED_HOPS {
-                            // Follow the nested hop from the requesting side.
-                            match self.resolve_indirection_record(key, &nested, depth + 1, session)
-                            {
-                                IndirectionFetch::Resolved => Some(IndirectionFetch::Resolved),
-                                // The nested chain holds no live record for
-                                // the key, so older records *below* this
-                                // indirection are the newest survivors — let
-                                // them decide the outcome.
-                                IndirectionFetch::Missing => None,
-                                // Not resolvable yet; must never read as a
-                                // miss.
-                                IndirectionFetch::Unavailable => {
-                                    Some(IndirectionFetch::Unavailable)
-                                }
-                            }
-                        } else {
-                            // Nesting past the hop cap: resolving it would
-                            // take yet another fetch against a chain that is
-                            // still growing hops; keep the operation pending
-                            // (a later retry resolves it through the shared
-                            // tier directly).
-                            Some(IndirectionFetch::Unavailable)
-                        };
-                    }
-                    shadowed.push(nested.range);
-                }
-                continue;
-            }
-            if flags.contains(RecordFlags::INVALID) {
-                continue;
-            }
-            let rec_hash = KeyHash::of(rec.key).raw();
-            let tombstone = flags.contains(RecordFlags::TOMBSTONE);
-            if rec.key == key && requested.is_none() {
-                // Reaching here with the key's hash shadowed means the
-                // nested hop reported the key missing behind the
-                // indirection, so this older record is its newest survivor.
-                requested = Some(if tombstone {
-                    IndirectionFetch::Missing
-                } else {
-                    IndirectionFetch::Resolved
-                });
-                if range.contains(rec_hash) {
-                    self.insert_fetched(rec.key, &rec.value, tombstone, session);
-                }
-                continue;
-            }
-            if shadowed.iter().any(|r| r.contains(rec_hash)) {
-                continue;
-            }
-            if !range.contains(rec_hash) {
-                continue;
-            }
-            // Tombstones are cached too: overwriting the local indirection
-            // record means later reads of the deleted key resolve locally
-            // instead of re-fetching the chain on every attempt.
-            self.insert_fetched(rec.key, &rec.value, tombstone, session);
-        }
-        requested.unwrap_or(IndirectionFetch::Missing)
+        Ok(IndirectionFetch::Missing)
     }
 
     /// Caches a version fetched through an indirection record, unless the
@@ -1324,14 +1144,6 @@ impl Server {
         }
     }
 }
-
-/// Nested indirection hops followed transitively while resolving one read
-/// through RPC-fetched chains (a chain that crossed N hosts carries N-1
-/// levels of nesting).  Deeper chains than any realistic migration
-/// sequence produces stay pending until the shared tier resolves them
-/// directly — the cap only guards against indirection cycles from
-/// corrupted records.
-const MAX_NESTED_HOPS: u8 = 4;
 
 /// How far apart a dispatch thread's looks at its sockets are while they
 /// keep finding work: a pass serves everything that is ready, and if a
@@ -1515,8 +1327,8 @@ enum IndirectionFetch {
     Resolved,
     /// The chain holds no live record for the key.
     Missing,
-    /// The chain could not be read right now (remote tier unreachable or the
-    /// fetch was rejected); the operation must stay pending.
+    /// A chain could not be read right now (its log unreachable, or a read
+    /// refused); the operation must stay pending.
     Unavailable,
 }
 
@@ -1555,53 +1367,91 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::config::ClientConfig;
+    use crate::hash_range::HashRange;
     use crate::ServerId;
     use shadowfax_faster::Address;
-    use shadowfax_storage::{ChainFetch, ChainFetchRequest, DeviceError};
-    use std::collections::HashMap;
+    use shadowfax_storage::DeviceError;
+    use std::collections::HashSet;
     use std::time::{Duration, Instant};
 
-    /// A tier service whose chains are scripted per log id, recording every
-    /// fetch.  Stands in for the RPC layer's `RemoteTierService` so the
-    /// requesting-side transitive-hop logic can be tested without three OS
-    /// processes.  Logs backed by `local` answer `Local` and are walked
-    /// through `read_log`, exactly as a log hosted by this process would be.
-    struct ScriptedTier {
-        chains: HashMap<u64, Vec<TierRecord>>,
-        fetched: Mutex<Vec<u64>>,
-        local: Option<(u64, Arc<SharedBlobTier>)>,
+    /// A shared tier of real log bytes: each chain is written as the hybrid
+    /// log writes it, header then value at the record's address, and reads
+    /// of the logs in `failing` fail, as reads of a log out of reach do.
+    /// Reads are traced by log, so a test sees which chains a walk visited.
+    struct ByteTier {
+        logs: Arc<SharedBlobTier>,
+        failing: HashSet<u64>,
+        visited: Mutex<Vec<u64>>,
     }
 
-    impl TierService for ScriptedTier {
+    /// One record of a chain: key, flags, value.
+    type Rec = (u64, RecordFlags, Vec<u8>);
+
+    impl ByteTier {
+        fn new(failing: &[u64]) -> Arc<Self> {
+            Arc::new(ByteTier {
+                logs: SharedBlobTier::new(1 << 20),
+                failing: failing.iter().copied().collect(),
+                visited: Mutex::new(Vec::new()),
+            })
+        }
+
+        /// Appends `records`, oldest first, to `log` as one chain and
+        /// returns the address of its newest record.
+        fn chain(&self, log: u64, records: &[Rec]) -> u64 {
+            let log = LogId(log);
+            let mut addr = self.logs.written_extent_of(log).unwrap_or(0).max(64);
+            let mut prev = 0;
+            for (key, flags, value) in records {
+                let header = RecordHeader {
+                    prev: Address::new(prev),
+                    flags: *flags,
+                    version: 1,
+                    value_len: value.len() as u32,
+                    key: *key,
+                };
+                let mut buf = vec![0u8; RECORD_HEADER_BYTES + value.len()];
+                header.encode_into(&mut buf);
+                buf[RECORD_HEADER_BYTES..].copy_from_slice(value);
+                self.logs.write_log(log, addr, &buf).unwrap();
+                prev = addr;
+                addr += buf.len().next_multiple_of(64) as u64;
+            }
+            prev
+        }
+
+        /// The logs read so far, in order, a repeat of the one before not
+        /// counted.
+        fn visited(&self) -> Vec<u64> {
+            self.visited.lock().clone()
+        }
+    }
+
+    impl TierService for ByteTier {
         fn read_log(
             &self,
             log: LogId,
             offset: u64,
             buf: &mut [u8],
         ) -> shadowfax_storage::Result<()> {
-            match &self.local {
-                Some((id, tier)) if *id == log.0 => tier.read_log(log, offset, buf),
-                _ => Err(DeviceError::UnknownLog(log.0)),
+            let mut visited = self.visited.lock();
+            if visited.last() != Some(&log.0) {
+                visited.push(log.0);
             }
-        }
-
-        fn fetch_chain(&self, req: &ChainFetchRequest) -> ChainFetch {
-            self.fetched.lock().push(req.log.0);
-            if matches!(&self.local, Some((id, _)) if *id == req.log.0) {
-                return ChainFetch::Local;
+            if self.failing.contains(&log.0) {
+                return Err(DeviceError::UnknownLog(log.0));
             }
-            match self.chains.get(&req.log.0) {
-                Some(records) => ChainFetch::Records(records.clone()),
-                None => ChainFetch::Unavailable(format!("no scripted chain for log {}", req.log)),
-            }
+            self.logs.read_log(log, offset, buf)
         }
     }
 
-    fn indirection_payload(log: u64, address: u64) -> Vec<u8> {
-        payload_with_hops(log, address, 1)
+    fn value(key: u64, value: &[u8]) -> Rec {
+        (key, RecordFlags::empty(), value.to_vec())
     }
 
-    fn payload_with_hops(log: u64, address: u64, hops: u64) -> Vec<u8> {
+    /// An indirection record to the chain at `address` of `log`, covering
+    /// every hash, down to the start of the log.
+    fn pointer(log: u64, address: u64, hops: u64) -> IndirectionRecord {
         IndirectionRecord {
             range: HashRange::FULL,
             chain_address: Address::new(address),
@@ -1610,15 +1460,35 @@ mod tests {
             floor: Address::new(0),
             hops,
         }
-        .encode_value()
     }
 
-    fn record(key: u64, value: &[u8]) -> TierRecord {
-        TierRecord {
-            key,
-            flags: 0,
-            value: value.to_vec(),
+    /// The indirection record as a chain holds it (under a placeholder key).
+    fn nested(pointer: IndirectionRecord) -> Rec {
+        (u64::MAX, RecordFlags::INDIRECTION, pointer.encode_value())
+    }
+
+    /// A two-server cluster that reads chains off `tier` and whose server 0
+    /// holds `pointers`, oldest first, for each of `keys`.
+    fn cluster_over(
+        tier: &Arc<ByteTier>,
+        keys: &[u64],
+        pointers: &[IndirectionRecord],
+    ) -> (Cluster, Arc<Server>) {
+        let cluster = Cluster::start(ClusterConfig::two_server_test());
+        cluster.set_tier_service(Arc::clone(tier) as Arc<dyn TierService>);
+        let server = cluster.server(ServerId(0)).unwrap();
+        let session = server.store().start_session();
+        for &key in keys {
+            for pointer in pointers {
+                let payload = pointer.encode_value();
+                let flags = RecordFlags::INDIRECTION;
+                server
+                    .store()
+                    .insert_record(key, &payload, flags, &session)
+                    .unwrap();
+            }
         }
+        (cluster, server)
     }
 
     /// A server holding two indirection records for one key (the chain its
@@ -1627,44 +1497,43 @@ mod tests {
     /// and falls back to the next when one does not hold the key.
     #[test]
     fn covering_indirections_resolve_fewest_hops_first() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
         let (only_first_owner, both, only_source) = (1_001u64, 2_002u64, 3_003u64);
         // Log 51 holds the source's own writes (1 hop), log 50 the first
         // owner's (2 hops).
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::from([
-                (
-                    51,
-                    vec![record(both, b"newer"), record(only_source, b"source")],
-                ),
-                (
-                    50,
-                    vec![record(only_first_owner, b"first"), record(both, b"older")],
-                ),
-            ]),
-            fetched: Mutex::new(Vec::new()),
-            local: None,
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        for key in [only_first_owner, both, only_source] {
-            // The 1-hop record sits *older* in the chain, as after a
-            // compaction re-appended the 2-hop one.
-            for (log, hops) in [(51, 1), (50, 2)] {
-                let payload = payload_with_hops(log, 64, hops);
-                let flags = RecordFlags::INDIRECTION;
-                server
-                    .store()
-                    .insert_record(key, &payload, flags, &session)
-                    .unwrap();
-            }
-        }
+        let tier = ByteTier::new(&[]);
+        let source = tier.chain(51, &[value(only_source, b"source"), value(both, b"newer")]);
+        let first = tier.chain(
+            50,
+            &[value(both, b"older"), value(only_first_owner, b"first")],
+        );
+        // The 1-hop record sits *older* in the chain, as after a compaction
+        // re-appended the 2-hop one.
+        let pointers = [pointer(51, source, 1), pointer(50, first, 2)];
+        let (cluster, _) = cluster_over(&tier, &[only_first_owner, both, only_source], &pointers);
 
         let mut client = cluster.client(ClientConfig::default());
         assert_eq!(client.read(both), Some(b"newer".to_vec()));
         assert_eq!(client.read(only_first_owner), Some(b"first".to_vec()));
         assert_eq!(client.read(only_source), Some(b"source".to_vec()));
+        cluster.shutdown();
+    }
+
+    /// Hop order is one order across every covering record: a nested record
+    /// found on the 1-hop chain, 3 hops further on, comes after the 2-hop
+    /// top-level record, so the old value behind it does not shadow the new
+    /// one.
+    #[test]
+    fn hop_order_is_global_across_covering_records() {
+        let key = 2_222u64;
+        let tier = ByteTier::new(&[]);
+        let old = tier.chain(70, &[value(key, b"old")]);
+        let a = tier.chain(51, &[nested(pointer(70, old, 3))]);
+        let b = tier.chain(50, &[value(key, b"new")]);
+        let (cluster, _) = cluster_over(&tier, &[key], &[pointer(51, a, 1), pointer(50, b, 2)]);
+
+        let mut client = cluster.client(ClientConfig::default());
+        assert_eq!(client.read(key), Some(b"new".to_vec()));
+        assert_eq!(tier.visited(), vec![51, 50], "the 4-hop chain was read");
         cluster.shutdown();
     }
 
@@ -1674,26 +1543,12 @@ mod tests {
     /// never appends its own counter over the indirection unresolved.
     #[test]
     fn an_rmw_through_an_indirection_adds_to_the_fetched_counter() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
         let (held, missing) = (4_004u64, 5_005u64);
         let mut counter = vec![0u8; 256];
         counter[0..8].copy_from_slice(&40u64.to_le_bytes());
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::from([(60, vec![record(held, &counter)])]),
-            fetched: Mutex::new(Vec::new()),
-            local: None,
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        for key in [held, missing] {
-            let payload = indirection_payload(60, 64);
-            let flags = RecordFlags::INDIRECTION;
-            server
-                .store()
-                .insert_record(key, &payload, flags, &session)
-                .unwrap();
-        }
+        let tier = ByteTier::new(&[]);
+        let chain = tier.chain(60, &[value(held, &counter)]);
+        let (cluster, _) = cluster_over(&tier, &[held, missing], &[pointer(60, chain, 1)]);
 
         let mut client = cluster.client(ClientConfig::default());
         assert_eq!(client.rmw_add(held, 2), Some(42));
@@ -1706,53 +1561,18 @@ mod tests {
         cluster.shutdown();
     }
 
-    fn indirection_record(log: u64, address: u64) -> TierRecord {
-        TierRecord {
-            key: u64::MAX, // placeholder key, as on a real chain
-            flags: RecordFlags::INDIRECTION.bits(),
-            value: indirection_payload(log, address),
-        }
-    }
-
-    /// ROADMAP limit (a) from the chain-fetch work, fixed: a remotely
-    /// fetched chain containing an indirection record (a three-process
-    /// chain) is followed one nested hop on the requesting side instead of
-    /// pending forever.
+    /// A chain holding an indirection record (a three-process chain) is
+    /// followed one nested hop on, to the log it names.
     #[test]
     fn nested_indirection_in_fetched_chain_is_followed_one_hop() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
         let key = 7_007u64;
-
         // The local store holds an indirection pointing at log 50; log 50's
         // chain holds only another indirection pointing at log 60, whose
         // chain holds the live record.
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::from([
-                (50, vec![indirection_record(60, 128)]),
-                (
-                    60,
-                    vec![TierRecord {
-                        key,
-                        flags: 0,
-                        value: b"behind-two-hops".to_vec(),
-                    }],
-                ),
-            ]),
-            fetched: Mutex::new(Vec::new()),
-            local: None,
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        server
-            .store()
-            .insert_record(
-                key,
-                &indirection_payload(50, 64),
-                RecordFlags::INDIRECTION,
-                &session,
-            )
-            .unwrap();
+        let tier = ByteTier::new(&[]);
+        let behind = tier.chain(60, &[value(key, b"behind-two-hops")]);
+        let chain = tier.chain(50, &[nested(pointer(60, behind, 1))]);
+        let (cluster, _) = cluster_over(&tier, &[key], &[pointer(50, chain, 1)]);
 
         let mut client = cluster.client(ClientConfig::default());
         assert_eq!(
@@ -1760,105 +1580,49 @@ mod tests {
             Some(b"behind-two-hops".to_vec()),
             "the nested hop was not followed"
         );
-        let fetched = tier.fetched.lock().clone();
         assert_eq!(
-            fetched,
+            tier.visited(),
             vec![50, 60],
-            "expected the first fetch to chase the nested indirection once"
+            "expected the walk to chase the nested indirection once"
         );
         cluster.shutdown();
     }
 
-    /// A nested chain that reports the key missing falls back to the older
-    /// records *below* the indirection on the first chain — they are the
-    /// newest surviving versions.
+    /// The key's record below a nested indirection on the same chain is
+    /// above the chain's floor, so it is live: the read returns it, and the
+    /// nested chain, which does not hold the key, changes nothing.
     #[test]
     fn nested_hop_miss_falls_back_to_records_below_the_indirection() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
         let key = 8_008u64;
-
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::from([
-                (
-                    50,
-                    vec![
-                        indirection_record(60, 128),
-                        // Below (older than) the indirection on log 50's
-                        // chain: the key's newest surviving version.
-                        TierRecord {
-                            key,
-                            flags: 0,
-                            value: b"survivor-below".to_vec(),
-                        },
-                    ],
-                ),
-                // The nested chain has records, none for the key.
-                (
-                    60,
-                    vec![TierRecord {
-                        key: 1,
-                        flags: 0,
-                        value: b"other".to_vec(),
-                    }],
-                ),
-            ]),
-            fetched: Mutex::new(Vec::new()),
-            local: None,
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        server
-            .store()
-            .insert_record(
-                key,
-                &indirection_payload(50, 64),
-                RecordFlags::INDIRECTION,
-                &session,
-            )
-            .unwrap();
+        let tier = ByteTier::new(&[]);
+        // The nested chain has records, none for the key.
+        let other = tier.chain(60, &[value(1, b"other")]);
+        let chain = tier.chain(
+            50,
+            &[
+                // Below (older than) the indirection on log 50's chain: the
+                // key's newest surviving version.
+                value(key, b"survivor-below"),
+                nested(pointer(60, other, 1)),
+            ],
+        );
+        let (cluster, _) = cluster_over(&tier, &[key], &[pointer(50, chain, 1)]);
 
         let mut client = cluster.client(ClientConfig::default());
         assert_eq!(client.read(key), Some(b"survivor-below".to_vec()));
         cluster.shutdown();
     }
 
-    /// The PR 4 residual, fixed: two levels of nesting (a four-process
-    /// chain) resolve by following both hops transitively instead of
-    /// pending forever.
+    /// Two levels of nesting (a four-process chain) resolve by following
+    /// both hops transitively instead of pending forever.
     #[test]
     fn doubly_nested_indirection_resolves_transitively() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
         let key = 9_009u64;
-
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::from([
-                (50, vec![indirection_record(60, 128)]),
-                (60, vec![indirection_record(70, 256)]),
-                (
-                    70,
-                    vec![TierRecord {
-                        key,
-                        flags: 0,
-                        value: b"three-hops-away".to_vec(),
-                    }],
-                ),
-            ]),
-            fetched: Mutex::new(Vec::new()),
-            local: None,
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        server
-            .store()
-            .insert_record(
-                key,
-                &indirection_payload(50, 64),
-                RecordFlags::INDIRECTION,
-                &session,
-            )
-            .unwrap();
+        let tier = ByteTier::new(&[]);
+        let last = tier.chain(70, &[value(key, b"three-hops-away")]);
+        let middle = tier.chain(60, &[nested(pointer(70, last, 1))]);
+        let first = tier.chain(50, &[nested(pointer(60, middle, 1))]);
+        let (cluster, server) = cluster_over(&tier, &[key], &[pointer(50, first, 1)]);
 
         let mut client = cluster.client(ClientConfig::default());
         assert_eq!(
@@ -1872,55 +1636,23 @@ mod tests {
             "nothing should be parked in the pending set"
         );
         // Every hop of the chain was chased exactly once.
-        let fetched = tier.fetched.lock().clone();
-        assert_eq!(fetched, vec![50, 60, 70], "fetch trace: {fetched:?}");
+        let visited = tier.visited();
+        assert_eq!(visited, vec![50, 60, 70], "walk trace: {visited:?}");
         cluster.shutdown();
     }
 
-    /// Nesting past [`MAX_NESTED_HOPS`] — deeper than any realistic
-    /// migration sequence, i.e. a corrupted or cyclic chain — still pends:
-    /// never a miss, and the walk stops at the cap instead of looping.
+    /// A nested log that cannot be read keeps the operation pending: the
+    /// key may live there, so the read never answers a miss.
     #[test]
-    fn nesting_past_the_hop_cap_keeps_the_operation_pending() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
+    fn an_unreadable_nested_log_keeps_the_operation_pending() {
         let key = 9_119u64;
-
-        // Five levels of nesting behind the local indirection: the walk may
-        // follow MAX_NESTED_HOPS (4) of them, so log 100 stays unreached.
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::from([
-                (50, vec![indirection_record(60, 128)]),
-                (60, vec![indirection_record(70, 128)]),
-                (70, vec![indirection_record(80, 128)]),
-                (80, vec![indirection_record(90, 128)]),
-                (90, vec![indirection_record(100, 128)]),
-                (
-                    100,
-                    vec![TierRecord {
-                        key,
-                        flags: 0,
-                        value: b"six-hops-away".to_vec(),
-                    }],
-                ),
-            ]),
-            fetched: Mutex::new(Vec::new()),
-            local: None,
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        server
-            .store()
-            .insert_record(
-                key,
-                &indirection_payload(50, 64),
-                RecordFlags::INDIRECTION,
-                &session,
-            )
-            .unwrap();
+        let tier = ByteTier::new(&[60]);
+        let behind = tier.chain(60, &[value(key, b"out-of-reach")]);
+        let chain = tier.chain(50, &[nested(pointer(60, behind, 1))]);
+        let (cluster, server) = cluster_over(&tier, &[key], &[pointer(50, chain, 1)]);
 
         let mut client = cluster.client(ClientConfig::default());
-        let completed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let completed = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&completed);
         assert!(client.issue_read(key, Box::new(move |_| flag.store(true, Ordering::SeqCst))));
         client.flush();
@@ -1931,17 +1663,13 @@ mod tests {
         }
         assert!(
             !completed.load(Ordering::SeqCst),
-            "a chain nested past the cap must pend, not complete"
+            "a read behind an unreadable log must pend, not complete"
         );
         assert!(
             server.pending_ops() > 0,
             "the read should be parked in the pending set"
         );
-        let fetched = tier.fetched.lock().clone();
-        assert!(
-            fetched.contains(&90) && !fetched.contains(&100),
-            "the walk should stop at the cap: {fetched:?}"
-        );
+        assert!(tier.visited().contains(&60), "the nested log was not tried");
         cluster.shutdown();
     }
 
@@ -1950,28 +1678,11 @@ mod tests {
     /// and the pending gauge returns to zero instead of leaking.
     #[test]
     fn a_pended_batch_is_dropped_with_its_connection() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
         let key = 5_005u64;
-
-        // An indirection whose chain no tier can serve: the read pends
+        // An indirection whose chain no read can reach: the read pends
         // until the connection goes away.
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::new(),
-            fetched: Mutex::new(Vec::new()),
-            local: None,
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        server
-            .store()
-            .insert_record(
-                key,
-                &indirection_payload(50, 64),
-                RecordFlags::INDIRECTION,
-                &session,
-            )
-            .unwrap();
+        let tier = ByteTier::new(&[50]);
+        let (cluster, server) = cluster_over(&tier, &[key], &[pointer(50, 64, 1)]);
 
         let mut client = cluster.client(ClientConfig::default());
         assert!(client.issue_read(key, Box::new(|_| {})));
@@ -1993,57 +1704,29 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// The nested hop can land on a *locally readable* log.  When that local
-    /// chain's newest record for the key is a tombstone, the deletion must
-    /// win — the older live record below the indirection on the remote chain
-    /// must not be resurrected.
+    /// A nested chain whose newest record for the key is a tombstone keeps
+    /// the key deleted.  The older live record on the outer chain lies
+    /// below that chain's floor (its owner took the range back after
+    /// writing it), so it must not be resurrected.
     #[test]
     fn nested_hop_tombstone_on_a_local_chain_is_not_resurrected() {
-        let cluster = Cluster::start(ClusterConfig::two_server_test());
-        let server = cluster.server(ServerId(0)).unwrap();
-        let session = server.store().start_session();
         let key = 6_006u64;
-
-        // A tombstone for the key on shared-tier log 60 (the "local" log of
-        // this process, as after a range round-trips between servers).
-        let local_tier = SharedBlobTier::new(1 << 20);
-        let header = shadowfax_hlog::RecordHeader {
-            prev: Address::new(0),
-            flags: RecordFlags::TOMBSTONE,
-            version: 1,
-            value_len: 0,
-            key,
-        };
-        let mut bytes = vec![0u8; shadowfax_hlog::RECORD_HEADER_BYTES];
-        header.encode_into(&mut bytes);
-        local_tier.write_log(LogId(60), 128, &bytes).unwrap();
-
-        let tier = Arc::new(ScriptedTier {
-            chains: HashMap::from([(
-                50,
-                vec![
-                    indirection_record(60, 128),
-                    // Older than the deletion behind the indirection.
-                    TierRecord {
-                        key,
-                        flags: 0,
-                        value: b"pre-delete".to_vec(),
-                    },
-                ],
-            )]),
-            fetched: Mutex::new(Vec::new()),
-            local: Some((60, local_tier)),
-        });
-        cluster.set_tier_service(Arc::clone(&tier) as Arc<dyn TierService>);
-        server
-            .store()
-            .insert_record(
-                key,
-                &indirection_payload(50, 64),
-                RecordFlags::INDIRECTION,
-                &session,
-            )
-            .unwrap();
+        let tier = ByteTier::new(&[]);
+        let deleted = tier.chain(60, &[(key, RecordFlags::TOMBSTONE, Vec::new())]);
+        let chain = tier.chain(
+            50,
+            &[
+                // Older than the deletion behind the indirection.
+                value(key, b"pre-delete"),
+                nested(pointer(60, deleted, 1)),
+            ],
+        );
+        let floor = Address::new(chain);
+        let pointers = [IndirectionRecord {
+            floor,
+            ..pointer(50, chain, 1)
+        }];
+        let (cluster, _) = cluster_over(&tier, &[key], &pointers);
 
         let mut client = cluster.client(ClientConfig::default());
         assert_eq!(

@@ -24,11 +24,10 @@
 
 use shadowfax_net::{BatchReply, KvRequest, KvResponse, RequestBatch, StatusCode};
 use shadowfax_obs::{HistogramSnapshot, MetricsSnapshot, TimelineEvent};
-use shadowfax_storage::TierRecord;
 
 use crate::{
-    ChainFetchQuery, ChainFetchReply, HashRange, MetaReplica, MigratedItem, MigrationAckPhase,
-    MigrationDep, MigrationMsg, RangeSet, ServerId, ServerMeta,
+    HashRange, MetaReplica, MigratedItem, MigrationAckPhase, MigrationDep, MigrationMsg, RangeSet,
+    ServerId, ServerMeta,
 };
 
 /// Default per-frame size limit (16 MiB): far above any sane batch, low
@@ -223,16 +222,6 @@ pub enum WireMsg {
     /// A migration-protocol message (either direction on a migration
     /// connection).
     Migration(MigrationMsg),
-    /// View-tagged request to read a spilled record chain out of the
-    /// receiving process's shared-tier log (sent by a process that received
-    /// an indirection record naming a log it does not host).  Answered with
-    /// [`WireMsg::ChainRecords`], or a [`WireMsg::CtrlErr`] carrying
-    /// [`StatusCode::StaleView`] (view tag older than the requester's
-    /// registered view) or [`StatusCode::OutOfRange`] (address beyond the
-    /// log's written extent, or unknown log).
-    FetchChain(ChainFetchQuery),
-    /// The record batch answering a [`WireMsg::FetchChain`].
-    ChainRecords(ChainFetchReply),
     /// Request a full metrics snapshot: every registry counter family,
     /// gauge, latency histogram, and the migration event timeline
     /// (control plane; `shadowfax-cli metrics`).
@@ -299,9 +288,10 @@ pub enum WireMsg {
         data: Vec<u8>,
     },
     /// Read `len` bytes at `offset` of tier log `log` (any process → tier
-    /// daemon; no lease needed).  Answered with [`WireMsg::TierData`], or a
-    /// [`WireMsg::CtrlErr`] with [`StatusCode::OutOfRange`] for an unknown
-    /// log or a read beyond its written extent.
+    /// daemon, or → the serving process hosting the log; no lease needed).
+    /// Answered with [`WireMsg::TierData`], or a [`WireMsg::CtrlErr`] with
+    /// [`StatusCode::OutOfRange`] for an unknown log, a read beyond its
+    /// written extent, or one longer than the per-read cap.
     TierRead {
         /// The tier log to read.
         log: u64,
@@ -373,8 +363,9 @@ pub struct WireBrokerStatus {
     pub epoch: u64,
     /// Per-peer convergence, broker role only (followers report empty).
     pub peers: Vec<WireBrokerPeer>,
-    /// The shared tier daemon this process resolves spilled chains against
-    /// (empty when none is configured and chain fetches use peer RPC).
+    /// The shared tier daemon this process reads spilled chains from
+    /// (empty when none is configured and foreign logs are read from their
+    /// owners).
     pub tier_addr: String,
     /// Whether the tier daemon answered this process's last append/read
     /// (`false` also when no daemon is configured).
@@ -717,8 +708,8 @@ wire! { enum WireMsg("frame kind") {
     // CANCEL_STATS pair; GetMetricsNs serves those counters).
     MigHello = 0x30 { server: u32, thread: u32 },
     Migration = 0x31 (MigrationMsg),
-    FetchChain = 0x40 (ChainFetchQuery),
-    ChainRecords = 0x41 (ChainFetchReply),
+    // 0x40, 0x41: reserved tags, never reuse (the retired FETCH_CHAIN /
+    // CHAIN_RECORDS pair; TierRead reads a peer's log instead).
     // 0x42, 0x43: reserved tags, never reuse (the retired GET_TIER_STATS /
     // TIER_STATS pair; GetMetricsNs serves those counters).
     GetMetrics = 0x50 {},
@@ -782,13 +773,6 @@ wire! { enum MigrationAckPhase("MigrationAckPhase") {
     OwnershipReceived = 1 {},
     Completed = 2 {},
 }}
-
-// Chain fetches against a peer's shared-tier log.
-wire! { struct ChainFetchQuery {
-    requester: u32, view: u64, log: u64, address: u64, max_records: u32,
-}}
-wire! { struct ChainFetchReply { log: u64, address: u64, next: u64, records: Vec<TierRecord> } }
-wire! { struct TierRecord { key: u64, flags: u16, value: Vec<u8> } }
 
 // Telemetry.
 wire! { struct MetricsSnapshot {
@@ -1128,7 +1112,7 @@ mod tests {
 
     #[test]
     fn generator_covers_every_tag_in_the_table() {
-        assert_eq!(WireMsg::tags().len(), 32, "frame kinds on the wire");
+        assert_eq!(WireMsg::tags().len(), 30, "frame kinds on the wire");
         assert_generator_covers::<WireMsg>();
         assert_generator_covers::<KvRequest>();
         assert_generator_covers::<KvResponse>();
@@ -1364,9 +1348,9 @@ mod tests {
     #[test]
     fn unknown_and_retired_tags_are_rejected() {
         let bad = |context, tag| Err(CodecError::BadTag { context, tag });
-        // 0x7F was never assigned; the other four carried the retired stats
-        // frames and must stay unknown.
-        for tag in [0x7F, 0x2A, 0x2B, 0x42, 0x43] {
+        // 0x7F was never assigned; the others carried retired frames and
+        // must stay unknown.
+        for tag in [0x7F, 0x2A, 0x2B, 0x40, 0x41, 0x42, 0x43] {
             assert_eq!(with_byte(&WireMsg::Ping(1), 4, tag), bad("frame kind", tag));
         }
         let ack = WireMsg::Migration(MigrationMsg::Ack {

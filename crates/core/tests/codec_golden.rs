@@ -17,12 +17,11 @@ use shadowfax::wire::{
     WireMsg, WireOwnership, WireServerInfo, WireTierLog, WireTierStatus, MAX_FRAME_BYTES,
 };
 use shadowfax::{
-    ChainFetchQuery, ChainFetchReply, HashRange, MetaReplica, MigratedItem, MigrationAckPhase,
-    MigrationDep, MigrationMsg, RangeSet, ServerId, ServerMeta,
+    HashRange, MetaReplica, MigratedItem, MigrationAckPhase, MigrationDep, MigrationMsg, RangeSet,
+    ServerId, ServerMeta,
 };
 use shadowfax_net::{BatchReply, KvRequest, KvResponse, RequestBatch, StatusCode};
 use shadowfax_obs::{HistogramSnapshot, MetricsSnapshot, TimelineEvent};
-use shadowfax_storage::TierRecord;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -323,36 +322,6 @@ fn samples() -> Vec<(&'static str, WireMsg)> {
             WireMsg::Migration(MigrationMsg::CancelMigration {
                 migration_id: 7,
                 view: 2,
-            }),
-        ),
-        (
-            "FetchChain",
-            WireMsg::FetchChain(ChainFetchQuery {
-                requester: 1,
-                view: 7,
-                log: 3,
-                address: 0x9_4000,
-                max_records: 256,
-            }),
-        ),
-        (
-            "ChainRecords",
-            WireMsg::ChainRecords(ChainFetchReply {
-                log: 3,
-                address: 0x40,
-                next: 0x1234,
-                records: vec![
-                    TierRecord {
-                        key: 11,
-                        flags: 0x0102,
-                        value: vec![0xEE; 4],
-                    },
-                    TierRecord {
-                        key: 12,
-                        flags: 1,
-                        value: Vec::new(),
-                    },
-                ],
             }),
         ),
         ("GetMetrics", WireMsg::GetMetrics),

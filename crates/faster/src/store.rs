@@ -642,7 +642,7 @@ impl Faster {
     /// Appends `value` for `key` with `flags` unless the key has a live
     /// local version that is not an indirection record.  Returns whether it
     /// inserted.  This is how a version that arrives from elsewhere (a
-    /// migration, a compaction hand-off, a chain fetched through an
+    /// migration, a compaction hand-off, a chain read through an
     /// indirection) enters the store: a live local version, a tombstone
     /// included, was written here after this server took the range and is
     /// newer, while one below the range's floor is dead and loses.  The

@@ -34,7 +34,7 @@ pub enum StatusCode {
     /// The server could not execute a control operation.
     ControlFailed = 7,
     /// The request referenced a log address beyond what the addressed log
-    /// has ever covered (chain fetches against the shared tier).
+    /// has ever covered (`TIER_READ`s against the shared tier).
     OutOfRange = 8,
 }
 

@@ -25,7 +25,7 @@
 //! Metric names are dot-separated, lowercase, most-general prefix first:
 //! per-server families are prefixed `sv{id}.` (e.g.
 //! `sv0.migration.cancelled`), process-wide families by their subsystem
-//! (`tier.chain.served`, `rpc.latency.read`).  Histograms record
+//! (`tier.peer.reads_served`, `rpc.latency.read`).  Histograms record
 //! nanoseconds; gauges are instantaneous values; counters only go up.
 
 #![warn(missing_docs)]

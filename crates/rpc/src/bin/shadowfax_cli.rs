@@ -30,8 +30,9 @@
 //!                                counters (heartbeats missed, migrations
 //!                                cancelled, records rolled back)
 //!
-//!   tier stats                   print the process's shared-tier chain-fetch
-//!                                counters
+//!   tier stats                   print the process's peer log reads: those
+//!                                it answered and refused, and those it
+//!                                issued
 //!   tier status                  dial a `shadowfax-tier` daemon (give its
 //!                                address as --addr) and print its served
 //!                                counters plus every log's extent and lease
@@ -211,7 +212,7 @@ fn main() {
                     if status.tier_reachable {
                         "reachable"
                     } else {
-                        "UNREACHABLE, serving chain fetches via peer fallback"
+                        "UNREACHABLE, reading foreign logs from their owners"
                     }
                 );
             }
@@ -386,26 +387,17 @@ fn main() {
             }
         }
         "tier-stats" => {
-            // `tier.chain.*` is what this process served; the per-server
-            // `sv<id>.chain.remote_fetches` family is what it asked of peers.
+            // `TIER_READ`s of this process's log answered for peers, and
+            // those it sent to the processes hosting other logs.
             let mut ctrl = ctrl_for(&addr);
-            let tier = ctrl.metrics_ns("tier.chain.").unwrap_or_else(|e| fail(e));
-            let per_server = ctrl.metrics_ns("sv").unwrap_or_else(|e| fail(e));
-            let served = |name: &str| tier.counter(&format!("tier.chain.{name}")).unwrap_or(0);
+            let peer = ctrl.metrics_ns("tier.peer.").unwrap_or_else(|e| fail(e));
+            let count = |name: &str| peer.counter(&format!("tier.peer.{name}")).unwrap_or(0);
             println!(
-                "chain fetches served: {} ({} records)",
-                served("served"),
-                served("records_served")
+                "peer reads served: {} ({} refused)",
+                count("reads_served"),
+                count("reads_refused")
             );
-            println!(
-                "rejected: {} stale-view, {} out-of-range",
-                served("rejected_stale_view"),
-                served("rejected_out_of_range")
-            );
-            println!(
-                "remote chain fetches issued: {}",
-                per_server.counter_family(".chain.remote_fetches")
-            );
+            println!("peer reads issued: {}", count("reads_issued"));
         }
         "tier-status" => {
             let mut ctrl = ctrl_for(&addr);

@@ -41,12 +41,13 @@
 //! namespace).
 //!
 //! `--tier` points the process at a `shadowfax-tier` blob tier daemon:
-//! spill writes are mirrored there under a per-log lease and foreign logs'
-//! chains — nested indirections included — are resolved against it
-//! directly, with the peer chain-fetch path demoted to a fallback for tier
-//! outages (watch the `tier.remote.*` metrics namespace and
-//! `shadowfax-cli tier status`).  Without the flag, chain fetches go to
-//! the owning peer as before.
+//! spill writes are mirrored there under a per-log lease, and a foreign
+//! log's chains (nested indirections included) are read off it, or from
+//! the process hosting the log while the daemon cannot serve it (watch the
+//! `tier.remote.*` and `tier.peer.*` metrics namespaces and
+//! `shadowfax-cli tier status`).  Without the flag, foreign logs are read
+//! from the processes hosting them.  Either way the process answers
+//! `TIER_READ` for the log it hosts.
 //!
 //! Malformed flag values and invalid layouts (overlaps, coverage gaps, id
 //! collisions) print the offending detail plus this usage text and exit
@@ -215,11 +216,11 @@ fn main() {
     // Every migration target is a peer process: dial it over a dedicated
     // TCP migration connection.
     cluster.set_migration_connector(Arc::new(TcpTransport::default()));
-    // Resolve indirection records whose chains live in peer processes.
-    // With `--tier`, spill writes mirror to the shared blob tier daemon and
-    // foreign chains are read straight from it (peer chain-fetch demoted to
-    // the outage fallback); without it, chains are fetched from the owning
-    // peer over TCP.  Local logs keep the in-memory read path either way.
+    // Read the chains of logs that peer processes host.  With `--tier`,
+    // spill writes mirror to the shared blob tier daemon and foreign logs
+    // are read off it, or from their owners while it cannot serve them;
+    // without it, from their owners over TCP.  The local log keeps the
+    // in-memory read path either way.
     let remote_tier = args.tier.as_ref().map(|addr| {
         let tier = RemoteSharedTier::new(
             addr.clone(),
@@ -237,6 +238,7 @@ fn main() {
             Arc::clone(cluster.shared_tier()),
             Arc::clone(cluster.meta()),
             args.base_id as u64,
+            cluster.metrics(),
         )));
     }
     // With peers, replicate metadata: every peer is one process, ranked

@@ -7,8 +7,8 @@
 //! Serves `TIER_LEASE` / `TIER_APPEND` / `TIER_READ` / `GET_TIER_STATUS`
 //! frames (plus the standard ping and metrics frames) over the
 //! length-prefixed wire codec.  Serving processes mirror their spilled
-//! chains here so any process can resolve any log's chains directly —
-//! including multi-hop nested indirections — without a per-hop owner RPC.
+//! chains here so any process can read any log's chains, nested
+//! indirections included, even while the log's owner is down.
 //!
 //! Prints `LISTENING <addr>` once ready (scripts and tests parse this),
 //! then serves until killed.

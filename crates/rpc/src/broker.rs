@@ -308,7 +308,6 @@ struct BrokerMetrics {
     peers_reachable: shadowfax_obs::Gauge,
     cluster_cancelled: shadowfax_obs::Gauge,
     cluster_rolled_back: shadowfax_obs::Gauge,
-    cluster_remote_fetches: shadowfax_obs::Gauge,
 }
 
 impl CoordinatorLoop {
@@ -330,7 +329,6 @@ impl CoordinatorLoop {
             peers_reachable: registry.gauge("broker.peers.reachable"),
             cluster_cancelled: registry.gauge("broker.cluster.migrations_cancelled"),
             cluster_rolled_back: registry.gauge("broker.cluster.records_rolled_back"),
-            cluster_remote_fetches: registry.gauge("broker.cluster.chain_remote_fetches"),
         };
         let peers = config
             .peers
@@ -519,13 +517,12 @@ impl CoordinatorLoop {
         );
     }
 
-    /// Aggregates every process's cancellation / chain-fetch counters into
+    /// Aggregates every process's cancellation counters into
     /// cluster-wide `broker.cluster.*` gauges.
     fn aggregate_cluster_counters(&mut self) {
         let local = self.cluster.metrics().snapshot();
         let mut cancelled = local.counter_family(".migration.cancelled");
         let mut rolled_back = local.counter_family(".migration.records_rolled_back");
-        let mut remote_fetches = local.counter_family(".chain.remote_fetches");
         let timeout = self.config.probe_timeout;
         for peer in &mut self.peers {
             if !peer.probe_ok {
@@ -534,12 +531,10 @@ impl CoordinatorLoop {
             if let Some(snap) = with_conn(peer, timeout, |conn| conn.metrics_ns("sv")) {
                 cancelled += snap.counter_family(".migration.cancelled");
                 rolled_back += snap.counter_family(".migration.records_rolled_back");
-                remote_fetches += snap.counter_family(".chain.remote_fetches");
             }
         }
         self.metrics.cluster_cancelled.set(cancelled);
         self.metrics.cluster_rolled_back.set(rolled_back);
-        self.metrics.cluster_remote_fetches.set(remote_fetches);
     }
 
     /// Publishes role / reachability / acked epochs for `BROKER_STATUS`

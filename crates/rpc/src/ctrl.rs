@@ -21,7 +21,7 @@ use shadowfax::wire::{
     encode_frame, CodecError, FrameDecoder, WireBrokerStatus, WireMigrationState, WireMsg,
     WireOwnership, WireTierStatus, MAX_FRAME_BYTES,
 };
-use shadowfax::{ChainFetchQuery, ChainFetchReply, MetaError, MetaReplica};
+use shadowfax::{MetaError, MetaReplica};
 use shadowfax_net::StatusCode;
 use shadowfax_obs::MetricsSnapshot;
 
@@ -240,16 +240,6 @@ impl CtrlClient {
         })
     }
 
-    /// Fetches a spilled record chain out of the peer process's shared
-    /// tier.  Stale-view and out-of-range rejections surface as
-    /// [`RpcError::Remote`] with the corresponding [`StatusCode`].
-    pub fn fetch_chain(&mut self, query: &ChainFetchQuery) -> Result<ChainFetchReply, RpcError> {
-        self.call(&WireMsg::FetchChain(*query), "ChainRecords", |m| match m {
-            WireMsg::ChainRecords(reply) => Ok(reply),
-            other => Err(other),
-        })
-    }
-
     /// Fetches the peer process's full metrics snapshot: every counter
     /// family, gauge, latency histogram, and the migration-phase event
     /// timeline in one versioned frame.
@@ -261,7 +251,7 @@ impl CtrlClient {
     }
 
     /// Fetches the slice of the peer's metrics whose instrument names
-    /// start with `prefix` (e.g. `"broker."`, `"tier.chain."`).
+    /// start with `prefix` (e.g. `"broker."`, `"tier.peer."`).
     pub fn metrics_ns(&mut self, prefix: &str) -> Result<MetricsSnapshot, RpcError> {
         let req = WireMsg::GetMetricsNs {
             prefix: prefix.to_string(),
@@ -332,8 +322,9 @@ impl CtrlClient {
     }
 
     /// Reads `len` bytes at `offset` of tier log `log` from a
-    /// `shadowfax-tier` daemon.  Unknown logs and reads beyond the written
-    /// extent surface as [`RpcError::Remote`] with
+    /// `shadowfax-tier` daemon, or from the serving process hosting the
+    /// log.  Unknown logs, reads beyond the written extent and reads over
+    /// the per-read cap surface as [`RpcError::Remote`] with
     /// [`StatusCode::OutOfRange`].
     pub fn tier_read(&mut self, log: u64, offset: u64, len: u32) -> Result<Vec<u8>, RpcError> {
         let req = WireMsg::TierRead { log, offset, len };

@@ -18,8 +18,8 @@
 //!   serves the socket itself from then on.  Everything else on a
 //!   connection is a control frame, answered from [`ControlPlane`]: one
 //!   concrete object over the `Cluster` (ownership snapshots, migration
-//!   triggers, metrics, metadata replication, chain fetches) standing in
-//!   for direct metadata-store access.
+//!   triggers, metrics, metadata replication, `TIER_READ`s of the logs the
+//!   process hosts) standing in for direct metadata-store access.
 //! * [`RemoteClient`] — the out-of-process client: `shadowfax`'s one
 //!   client ([`shadowfax::ShadowfaxClient`]) with a serving process's
 //!   control plane as its ownership source and [`TcpTransport`] links.
@@ -35,17 +35,16 @@
 //!   shared tier process serving lease-guarded appends and open reads over
 //!   `TIER_LEASE` / `TIER_APPEND` / `TIER_READ` frames, on one copy of the
 //!   same I/O loop.  Serving processes mirror their spill writes to it, so
-//!   any process resolves any log's chains — including multi-hop nested
-//!   indirections — directly.
+//!   any process reads any log, even one whose owner is gone.
 //! * [`RemoteSharedTier`] — the serving process's view of that daemon: it
-//!   mirrors spill appends under a per-log lease, reads foreign logs back
-//!   with `TIER_READ`, and demotes to the [`RemoteTierService`] chain-fetch
-//!   path when the daemon is unreachable.
-//! * [`RemoteTierService`] — the chain-fetch fallback: indirection records
-//!   naming a log another process hosts are resolved with view-tagged
-//!   `FetchChain` requests; the hosting process walks the spilled chain out
-//!   of its shared-tier log and returns the records in one batch (stale
-//!   views and out-of-range addresses are rejected).
+//!   mirrors spill appends under a per-log lease and reads a foreign log
+//!   back with `TIER_READ`, from the daemon or, while the daemon cannot
+//!   serve it, from the process hosting the log.
+//! * [`RemoteTierService`] — reads a log another process hosts from that
+//!   process with `TIER_READ`, which every `shadowfax-server` answers for
+//!   the logs it hosts, as the daemon does.  Without a daemon this is how
+//!   indirection records naming a foreign log are resolved.  Either way
+//!   the core walks the chain itself, one hop at a time.
 //! * [`Coordinator`] — metadata replication between serving processes:
 //!   replica pull/merge/fan-out, deterministic broker election, relayed
 //!   cancellations, and the gate that makes a follower refuse operator

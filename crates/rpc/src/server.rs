@@ -20,8 +20,9 @@
 //!   for the migration protocol between serving processes.
 //! * Anything else is a **control frame**, answered on the I/O thread
 //!   straight from the [`Cluster`]: ownership snapshots, migration
-//!   triggers and status, metrics, metadata replication, chain fetches,
-//!   pings.
+//!   triggers and status, metrics, metadata replication, `TIER_READ`s of
+//!   the logs this process hosts (answered as the tier daemon answers
+//!   them), pings.
 //!
 //! [`ControlPlane`] is one concrete object: the cluster plus the two things
 //! a deployment may or may not have, a metadata coordinator and a tier
@@ -37,14 +38,15 @@ use shadowfax::wire::{
     Role, WireBrokerStatus, WireMigrationState, WireMsg, WireOwnership, WireServerInfo,
     MAX_FRAME_BYTES,
 };
-use shadowfax::{ChainFetchError, Cluster, MigrationDep, OwnershipSnapshot, ServerId};
+use shadowfax::{Cluster, MigrationDep, OwnershipSnapshot, ServerId};
 use shadowfax_net::{StatusCode, TransportError};
-use shadowfax_obs::{Histogram, MetricsRegistry};
+use shadowfax_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::broker::{broker_status, CoordinatorHandle};
 use crate::ctrl::{CtrlClient, RpcError};
 use crate::io_loop::{IoLoops, Served};
 use crate::tier::RemoteSharedTier;
+use crate::tierd::serve_tier_read;
 
 /// Budget for relaying a control operation (migrate / cancel) to the peer
 /// process that hosts the relevant source server.  Bounded so a
@@ -107,19 +109,6 @@ fn wire_migration_state(migration_id: u64, dep: Option<MigrationDep>) -> WireMig
             target_complete: dep.target_complete,
             cancelled: dep.cancelled,
         },
-    }
-}
-
-/// The typed status a refused chain fetch is reported to the peer with.
-fn chain_fetch_status(e: &ChainFetchError) -> StatusCode {
-    match e {
-        ChainFetchError::StaleView { .. } | ChainFetchError::UnknownRequester(_) => {
-            StatusCode::StaleView
-        }
-        ChainFetchError::OutOfRange { .. } | ChainFetchError::UnknownLog(_) => {
-            StatusCode::OutOfRange
-        }
-        ChainFetchError::Unreadable { .. } => StatusCode::Io,
     }
 }
 
@@ -194,7 +183,7 @@ impl ControlPlane {
 
     /// Serves one decoded frame of a connection still on a control I/O
     /// thread.
-    fn serve(&self, msg: WireMsg, lat: &ServingLatency) -> Served {
+    fn serve(&self, msg: WireMsg, lat: &ServingInstruments) -> Served {
         let cluster = &self.cluster;
         match msg {
             WireMsg::Hello { fabric_addr } => match cluster.dispatch_thread(&fabric_addr) {
@@ -247,20 +236,21 @@ impl ControlPlane {
                     value: migration_id,
                 }))
             }
-            WireMsg::FetchChain(query) => {
-                let start = Instant::now();
-                let result = cluster.serve_chain_fetch(&query);
-                lat.chain_fetch.record(start.elapsed());
-                // A rejection is a protocol-level answer, not a framing
-                // violation: report the typed status and keep the
-                // connection alive for further fetches.
-                Served::Reply(match result {
-                    Ok(reply) => WireMsg::ChainRecords(reply),
-                    Err(e) => WireMsg::CtrlErr {
-                        status: chain_fetch_status(&e),
-                        message: e.to_string(),
+            WireMsg::TierRead { log, offset, len } => {
+                // A refusal is an answer, not a framing violation: the
+                // connection stays up for further reads.
+                Served::Reply(
+                    match serve_tier_read(cluster.shared_tier(), log, offset, len) {
+                        Ok(data) => {
+                            lat.peer_reads_served.inc();
+                            data
+                        }
+                        Err((status, message)) => {
+                            lat.peer_reads_refused.inc();
+                            WireMsg::CtrlErr { status, message }
+                        }
                     },
-                })
+                )
             }
             WireMsg::GetMetrics => Served::Reply(WireMsg::Metrics(cluster.metrics().snapshot())),
             WireMsg::GetMetricsNs { prefix } => Served::Reply(WireMsg::Metrics(
@@ -321,21 +311,24 @@ impl ControlPlane {
     }
 }
 
-/// Control-path latency histograms.  (The data path's,
+/// Control-path instruments: the migration-control latency histogram and
+/// the `TIER_READ`s answered for peers.  (The data path's latencies,
 /// `rpc.latency.{read,upsert}`, are recorded by the dispatch threads that
 /// serve the handed-off connections.)  Handles are cheap clones of the
 /// registry's instruments; recording is a relaxed atomic add into the
 /// calling thread's shard.
-struct ServingLatency {
+struct ServingInstruments {
     migrate_ctrl: Histogram,
-    chain_fetch: Histogram,
+    peer_reads_served: Counter,
+    peer_reads_refused: Counter,
 }
 
-impl ServingLatency {
+impl ServingInstruments {
     fn new(metrics: &MetricsRegistry) -> Self {
-        ServingLatency {
+        ServingInstruments {
             migrate_ctrl: metrics.histogram("rpc.latency.migrate_ctrl"),
-            chain_fetch: metrics.histogram("rpc.latency.chain_fetch"),
+            peer_reads_served: metrics.counter("tier.peer.reads_served"),
+            peer_reads_refused: metrics.counter("tier.peer.reads_refused"),
         }
     }
 }
@@ -408,7 +401,7 @@ impl RpcServer {
         let listener = TcpListener::bind(&config.listen)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::clone(control.cluster.metrics());
-        let latency = ServingLatency::new(&metrics);
+        let latency = ServingInstruments::new(&metrics);
         let loops = IoLoops::spawn(
             listener,
             config.io_threads.max(1),

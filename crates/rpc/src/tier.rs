@@ -1,67 +1,77 @@
-//! The remote tier service: resolving spilled chains across OS processes.
+//! Reading the logs other processes host: the tier services of a
+//! multi-process deployment.
 //!
 //! During migration the source ships *indirection records* naming a
 //! `(log id, address)` location on the shared tier instead of reading its
-//! own stable storage (paper §3.3.2).  In-process deployments resolve those
-//! against the process-local `SharedBlobTier`.  [`RemoteTierService`] lifts
-//! that to multi-process deployments: a log id is its server's id, so any
-//! log but the process's own belongs to a peer process, and its fetch is
-//! routed over TCP as a view-tagged `FetchChain` request; the peer's
-//! `RpcServer` walks the chain out of its shared-tier log, returning the
-//! records in one batch.
+//! own stable storage (paper §3.3.2).  The core walks the chain behind one
+//! hop at a time with `TierService::read_log`; in process every log lives
+//! in the one `SharedBlobTier`.  Across processes a log id is its server's
+//! id, and a log is read from one of three places, in this order:
 //!
-//! Failure semantics matter here: a chain that cannot be fetched right now
-//! (peer down, fetch rejected) is reported as
-//! [`ChainFetch::Unavailable`], which the core read path turns into a
-//! *pending* operation — never a miss.  A short per-peer backoff keeps an
-//! unreachable peer from stalling dispatch threads on every retry.
+//! 1. this process's own `SharedBlobTier`, which holds the log it hosts;
+//! 2. the `shadowfax-tier` daemon, when one is configured
+//!    ([`RemoteSharedTier`]), which every process mirrors its spills to;
+//! 3. the process hosting the log, at its registered address
+//!    ([`RemoteTierService`]): every `shadowfax-server` answers
+//!    `TIER_READ` for the logs it hosts with the daemon's own handler.
 //!
-//! [`RemoteSharedTier`] supersedes that per-hop RPC path whenever a
-//! `shadowfax-tier` daemon is configured: every spill write is mirrored to
-//! the daemon (as a [`TierSink`]) under a per-log lease, and chain
-//! resolution answers [`ChainFetch::Local`] so the core walker reads the
-//! chain — every hop of it, across any number of source logs — straight
-//! off the daemon with `TIER_READ` frames.  The RPC chain-fetch path above
-//! is demoted to the *fallback* taken while the daemon (or one log's
-//! mirror) is unavailable.
+//! All three read log bytes; the walker above them applies the floors,
+//! hop order and exact-key rule once.  A read that cannot be served right
+//! now (daemon and owner down, read refused) is an error, which the core
+//! turns into a *pending* operation, never a miss.  A short backoff per
+//! peer keeps an unreachable one from stalling dispatch threads on every
+//! retry.  A `TIER_READ` carries no view tag: log bytes below the tail
+//! never change, and what a requester may keep of them is decided by its
+//! own floors.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use shadowfax::{ChainFetchQuery, MetadataStore, ServerId};
+use shadowfax::{MetadataStore, ServerId};
 use shadowfax_net::StatusCode;
 use shadowfax_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use shadowfax_storage::{
-    ChainFetch, ChainFetchRequest, DeviceError, LogId, SharedBlobTier, TierRecord, TierSink,
-};
+use shadowfax_storage::{DeviceError, LogId, SharedBlobTier, TierService, TierSink};
 
 use crate::ctrl::{CtrlClient, PersistentCtrl, RpcError};
 use crate::tierd::MAX_TIER_READ_BYTES;
 
-/// Resume-address pages fetched per chain before giving up.  With the
-/// default page size this bounds one resolution at tens of thousands of
-/// records — far beyond any realistic bucket chain.
-const MAX_PAGES: usize = 64;
-
-/// Records requested per `FetchChain` page.
-const RECORDS_PER_FETCH: u32 = 512;
-
-/// Upper bound on value bytes accumulated across one chain resolution
-/// before the fetch is reported unavailable instead (a chain this large is
-/// pathological; buffering it unboundedly could exhaust memory).
-const MAX_CHAIN_BYTES: usize = 32 * 1024 * 1024;
-
-/// Dial / I/O timeout for chain-fetch and tier-daemon connections.
+/// Dial / I/O timeout for peer and tier-daemon connections.
 const PEER_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How long chain fetches avoid a peer after a connection failure.
-const FETCH_BACKOFF: Duration = Duration::from_millis(250);
+/// How long reads avoid a peer after a connection failure.
+const PEER_BACKOFF: Duration = Duration::from_millis(250);
+
+/// Fills `buf` from `offset` of `log` with `TIER_READ`s of at most
+/// [`MAX_TIER_READ_BYTES`] each, over one connection to the tier daemon or
+/// to the process hosting the log.
+fn read_chunked(
+    conn: &mut CtrlClient,
+    log: u64,
+    offset: u64,
+    buf: &mut [u8],
+) -> Result<(), RpcError> {
+    let mut at = offset;
+    for chunk in buf.chunks_mut(MAX_TIER_READ_BYTES as usize) {
+        let data = conn.tier_read(log, at, chunk.len() as u32)?;
+        if data.len() != chunk.len() {
+            return Err(RpcError::Protocol(format!(
+                "TIER_READ of {} bytes answered with {}",
+                chunk.len(),
+                data.len()
+            )));
+        }
+        chunk.copy_from_slice(&data);
+        at += chunk.len() as u64;
+    }
+    Ok(())
+}
 
 /// A `TierService` that reads the process's own log from its shared tier
-/// and fetches chains of every other log from the peer process hosting it.
+/// and every other log from the peer process hosting it
+/// (`tier.peer.reads_issued` counts those reads).
 pub struct RemoteTierService {
     local: Arc<SharedBlobTier>,
     meta: Arc<MetadataStore>,
@@ -69,6 +79,7 @@ pub struct RemoteTierService {
     own: u64,
     /// One persistent control connection per peer address.
     peers: Mutex<HashMap<String, Arc<PersistentCtrl>>>,
+    reads_issued: Counter,
 }
 
 impl std::fmt::Debug for RemoteTierService {
@@ -82,116 +93,60 @@ impl std::fmt::Debug for RemoteTierService {
 impl RemoteTierService {
     /// Creates a service over this process's shared tier and metadata store
     /// (whose peer registrations map log ids to socket addresses); `own` is
-    /// the id of the server this process hosts.
-    pub fn new(local: Arc<SharedBlobTier>, meta: Arc<MetadataStore>, own: u64) -> Self {
+    /// the id of the server this process hosts.  Registers
+    /// `tier.peer.reads_issued` on `registry`.
+    pub fn new(
+        local: Arc<SharedBlobTier>,
+        meta: Arc<MetadataStore>,
+        own: u64,
+        registry: &MetricsRegistry,
+    ) -> Self {
         RemoteTierService {
             local,
             meta,
             own,
             peers: Mutex::new(HashMap::new()),
+            reads_issued: registry.counter("tier.peer.reads_issued"),
         }
     }
 
-    /// Resolves the chain at the peer.  A chain that cannot be fetched
-    /// right now — peer down or backing off, fetch rejected (stale view,
-    /// out of range: the connection is still good, the fetch is not) — is
-    /// `Unavailable`, never a miss.
-    fn fetch_remote(&self, addr: &str, req: &ChainFetchRequest) -> ChainFetch {
+    /// Reads from the process registered for `log`: a peer that is down or
+    /// backing off, or refuses the read, is an error, never a miss.
+    fn read_owner(&self, log: LogId, offset: u64, buf: &mut [u8]) -> shadowfax_storage::Result<()> {
+        let snapshot = self.meta.snapshot();
+        let owner = u32::try_from(log.0)
+            .ok()
+            .and_then(|id| snapshot.server(ServerId(id)))
+            .ok_or(DeviceError::UnknownLog(log.0))?;
         let peer = Arc::clone(
             self.peers
                 .lock()
-                .entry(addr.to_string())
-                .or_insert_with(|| {
-                    Arc::new(PersistentCtrl::new(addr, PEER_TIMEOUT, FETCH_BACKOFF))
+                .entry(owner.address.clone())
+                .or_insert_with_key(|addr| {
+                    Arc::new(PersistentCtrl::new(addr, PEER_TIMEOUT, PEER_BACKOFF))
                 }),
         );
-        match peer.call(|conn| page_chain(conn, addr, req)) {
-            Ok(fetch) => fetch,
-            Err(RpcError::Remote { status, message }) => ChainFetch::Unavailable(format!(
-                "peer {addr} rejected the fetch ({status}): {message}"
-            )),
-            Err(e) => ChainFetch::Unavailable(format!("fetch from {addr}: {e}")),
-        }
+        self.reads_issued.inc();
+        peer.call(|conn| read_chunked(conn, log.0, offset, buf))
+            .map_err(|_| DeviceError::UnknownLog(log.0))
     }
 }
 
-/// Pages through the chain at the peer until the requested key shows up
-/// or the chain is exhausted.  Records are deduplicated first-wins
-/// across pages (the first occurrence is the newest version).
-fn page_chain(
-    conn: &mut CtrlClient,
-    addr: &str,
-    req: &ChainFetchRequest,
-) -> Result<ChainFetch, RpcError> {
-    let mut records: Vec<TierRecord> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut total_bytes = 0usize;
-    let mut cursor = req.address;
-    for _ in 0..MAX_PAGES {
-        let reply = conn.fetch_chain(&ChainFetchQuery {
-            requester: req.requester as u32,
-            view: req.view,
-            log: req.log.0,
-            address: cursor,
-            max_records: RECORDS_PER_FETCH,
-        })?;
-        let mut found = false;
-        for rec in reply.records {
-            if rec.key == req.key {
-                found = true;
-            }
-            if seen.insert(rec.key) {
-                total_bytes += rec.value.len();
-                records.push(rec);
-            }
-        }
-        if found || reply.next == 0 {
-            return Ok(ChainFetch::Records(records));
-        }
-        if total_bytes > MAX_CHAIN_BYTES {
-            return Ok(ChainFetch::Unavailable(format!(
-                "chain at {addr} log {} exceeded {MAX_CHAIN_BYTES} buffered bytes",
-                req.log
-            )));
-        }
-        cursor = reply.next;
-    }
-    // The chain outlived the page budget without surfacing the key.
-    // Returning the partial batch would read as "missing"; report the
-    // fetch as unresolvable instead.
-    Ok(ChainFetch::Unavailable(format!(
-        "chain at {addr} log {} exceeded {MAX_PAGES} pages",
-        req.log
-    )))
-}
-
-impl shadowfax_storage::TierService for RemoteTierService {
+impl TierService for RemoteTierService {
     fn read_log(&self, log: LogId, offset: u64, buf: &mut [u8]) -> shadowfax_storage::Result<()> {
-        self.local.read_log(log, offset, buf)
-    }
-
-    fn fetch_chain(&self, req: &ChainFetchRequest) -> ChainFetch {
         // The log id is the owning server's cluster id: this process's own
-        // log is read here, any other is fetched from its registered
-        // address.
-        if req.log.0 == self.own {
-            return ChainFetch::Local;
+        // log is read here, any other from its registered address.
+        if log.0 == self.own {
+            return self.local.read_log(log, offset, buf);
         }
-        let snapshot = self.meta.snapshot();
-        let Some(owner) = snapshot.server(ServerId(req.log.0 as u32)) else {
-            return ChainFetch::Unavailable(format!(
-                "no server registered for log {} (owner deregistered?)",
-                req.log
-            ));
-        };
-        self.fetch_remote(&owner.address.clone(), req)
+        self.read_owner(log, offset, buf)
     }
 }
 
 /// Bytes a log's mirror queue may buffer while the daemon is unreachable
 /// before the mirror is abandoned.  An abandoned mirror leaves the daemon's
 /// copy truncated-but-ordered (never holed), so readers of the tail get
-/// `OutOfRange` and demote to the chain-fetch fallback.
+/// `OutOfRange` and read the log from its owner instead.
 const MAX_MIRROR_QUEUE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Lease re-acquisitions attempted within one mirror drain before giving
@@ -215,36 +170,33 @@ struct MirrorState {
 const DAEMON_BACKOFF: Duration = Duration::from_millis(500);
 
 /// The serving process's view of the `shadowfax-tier` daemon: a
-/// `TierService` that resolves *any* log's chains directly against the
-/// genuinely shared tier, plus the [`TierSink`] that keeps the daemon's
-/// copy of this process's own spill log current.
+/// `TierService` that reads *any* log off the genuinely shared tier, plus
+/// the [`TierSink`] that keeps the daemon's copy of this process's own
+/// spill log current.
 ///
-/// Read path: local logs are read from the process's own
-/// [`SharedBlobTier`]; a log this process does not host is read back from
-/// the daemon with `TIER_READ` frames.  Because reads work for every log,
-/// [`RemoteSharedTier::fetch_chain`] answers [`ChainFetch::Local`] and
-/// lets the core chain walker follow arbitrarily deep nested indirections
-/// hop by hop — the capability the paper's shared tier provides and the
-/// per-hop RPC chain fetch could not.
+/// Read path: the process's own [`SharedBlobTier`] first (it holds the log
+/// this process hosts), then the daemon with `TIER_READ` frames
+/// (`tier.remote.reads`), then the process hosting the log through the
+/// wrapped [`RemoteTierService`] (`tier.peer.reads_issued`).
 ///
 /// Outage semantics: a transport failure marks the daemon down for a short
-/// backoff and subsequent resolutions demote to the wrapped
-/// [`RemoteTierService`] chain-fetch fallback (`tier.remote.fallbacks`
-/// counts them).  Spill appends that cannot be mirrored are queued in
-/// order and replayed when the daemon answers again; a queue that outgrows
-/// [`MAX_MIRROR_QUEUE_BYTES`] abandons the mirror for that log
-/// (`tier.remote.mirror_abandoned`) rather than hole the daemon's copy.
+/// backoff, and an `OutOfRange` answer marks one log down (its mirror is
+/// behind); reads in the meantime go to the log's owner.  Spill appends
+/// that cannot be mirrored are queued in order and replayed when the
+/// daemon answers again; a queue that outgrows [`MAX_MIRROR_QUEUE_BYTES`]
+/// abandons the mirror for that log (`tier.remote.mirror_abandoned`)
+/// rather than hole the daemon's copy.
 pub struct RemoteSharedTier {
     addr: String,
     local: Arc<SharedBlobTier>,
-    fallback: RemoteTierService,
+    owners: RemoteTierService,
     /// This process's server id: the lease holder id presented to the
-    /// daemon, and the id of the one log this process hosts.
+    /// daemon.
     holder: u64,
     /// The persistent control connection to the daemon.
     daemon: PersistentCtrl,
     /// Logs whose daemon copy recently answered `OutOfRange` (mirror
-    /// behind or abandoned): resolved via the fallback until the deadline.
+    /// behind or abandoned): read from their owners until the deadline.
     log_down_until: Mutex<HashMap<u64, Instant>>,
     mirrors: Mutex<HashMap<u64, Arc<Mutex<MirrorState>>>>,
     reads: Counter,
@@ -252,8 +204,6 @@ pub struct RemoteSharedTier {
     appends: Counter,
     append_bytes: Counter,
     lease_acquires: Counter,
-    direct_chains: Counter,
-    fallbacks: Counter,
     errors: Counter,
     mirror_abandoned: Counter,
     reachable: Gauge,
@@ -274,7 +224,7 @@ impl RemoteSharedTier {
     /// Creates the process's view of the daemon at `addr`, registering its
     /// `tier.remote.*` instruments on `registry`.  `holder` is the id of
     /// the server this process hosts: the lease holder id presented on
-    /// appends, and the one log resolved locally.
+    /// appends, and the one log read locally.
     pub fn new(
         addr: String,
         local: Arc<SharedBlobTier>,
@@ -282,14 +232,14 @@ impl RemoteSharedTier {
         holder: u64,
         registry: &MetricsRegistry,
     ) -> Arc<Self> {
-        let fallback = RemoteTierService::new(Arc::clone(&local), meta, holder);
+        let owners = RemoteTierService::new(Arc::clone(&local), meta, holder, registry);
         let reachable = registry.gauge("tier.remote.reachable");
         reachable.set(1);
         Arc::new(RemoteSharedTier {
             daemon: PersistentCtrl::new(&addr, PEER_TIMEOUT, DAEMON_BACKOFF),
             addr,
             local,
-            fallback,
+            owners,
             holder,
             log_down_until: Mutex::new(HashMap::new()),
             mirrors: Mutex::new(HashMap::new()),
@@ -298,8 +248,6 @@ impl RemoteSharedTier {
             appends: registry.counter("tier.remote.appends"),
             append_bytes: registry.counter("tier.remote.append_bytes"),
             lease_acquires: registry.counter("tier.remote.lease_acquires"),
-            direct_chains: registry.counter("tier.remote.direct_chains"),
-            fallbacks: registry.counter("tier.remote.fallbacks"),
             errors: registry.counter("tier.remote.errors"),
             mirror_abandoned: registry.counter("tier.remote.mirror_abandoned"),
             reachable,
@@ -413,7 +361,7 @@ impl RemoteSharedTier {
                     // Permanently refused (e.g. over capacity): replaying
                     // later cannot help, and skipping the append would hole
                     // the daemon's copy.  Abandon the mirror; readers of
-                    // this log demote to the chain-fetch fallback.
+                    // this log read it from this process instead.
                     self.abandon(state);
                     return;
                 }
@@ -424,8 +372,7 @@ impl RemoteSharedTier {
         }
     }
 
-    /// Reads `buf.len()` bytes of a foreign log back from the daemon,
-    /// chunked under [`MAX_TIER_READ_BYTES`].
+    /// Reads `buf.len()` bytes of a foreign log back from the daemon.
     fn daemon_read(
         &self,
         log: LogId,
@@ -436,39 +383,28 @@ impl RemoteSharedTier {
             return Err(DeviceError::UnknownLog(log.0));
         }
         let start = Instant::now();
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            let len = (buf.len() - filled).min(MAX_TIER_READ_BYTES as usize) as u32;
-            match self.with_daemon(|c| c.tier_read(log.0, offset + filled as u64, len)) {
-                Ok(data) if data.len() == len as usize => {
-                    buf[filled..filled + len as usize].copy_from_slice(&data);
-                    filled += len as usize;
-                }
-                Ok(_) => {
-                    self.errors.inc();
-                    return Err(DeviceError::UnknownLog(log.0));
-                }
-                Err(RpcError::Remote {
+        match self.with_daemon(|c| read_chunked(c, log.0, offset, buf)) {
+            Ok(()) => {
+                self.reads.inc();
+                self.read_bytes.add(buf.len() as u64);
+                self.read_latency.record(start.elapsed());
+                Ok(())
+            }
+            Err(e) => {
+                self.errors.inc();
+                if let RpcError::Remote {
                     status: StatusCode::OutOfRange,
                     ..
-                }) => {
+                } = e
+                {
                     // The daemon's copy of this log is behind (or the
-                    // address predates the mirror): demote this log to the
-                    // fallback for a while.
-                    self.errors.inc();
+                    // address predates the mirror): read this log from its
+                    // owner for a while.
                     self.mark_log_down(log.0);
-                    return Err(DeviceError::UnknownLog(log.0));
                 }
-                Err(_) => {
-                    self.errors.inc();
-                    return Err(DeviceError::UnknownLog(log.0));
-                }
+                Err(DeviceError::UnknownLog(log.0))
             }
         }
-        self.reads.inc();
-        self.read_bytes.add(buf.len() as u64);
-        self.read_latency.record(start.elapsed());
-        Ok(())
     }
 }
 
@@ -489,42 +425,28 @@ impl TierSink for RemoteSharedTier {
     }
 }
 
-impl shadowfax_storage::TierService for RemoteSharedTier {
+impl TierService for RemoteSharedTier {
     fn read_log(&self, log: LogId, offset: u64, buf: &mut [u8]) -> shadowfax_storage::Result<()> {
-        // Logs this process hosts are always served locally; only a log we
-        // have no copy of goes to the daemon.  Local errors other than
-        // UnknownLog (bad address, unwritten range) are genuine and must
-        // not be retried remotely — the daemon mirrors the same bytes.
+        // The log this process hosts is always read locally; only a log we
+        // have no copy of goes to the daemon, then to its owner.  Local
+        // errors other than UnknownLog (bad address, unwritten range) are
+        // genuine and must not be retried remotely: the daemon mirrors the
+        // same bytes.
         match self.local.read_log(log, offset, buf) {
-            Ok(()) => Ok(()),
-            Err(DeviceError::UnknownLog(_)) => self.daemon_read(log, offset, buf),
-            Err(e) => Err(e),
+            Err(DeviceError::UnknownLog(_)) => self
+                .daemon_read(log, offset, buf)
+                .or_else(|_| self.owners.read_log(log, offset, buf)),
+            other => other,
         }
-    }
-
-    fn fetch_chain(&self, req: &ChainFetchRequest) -> ChainFetch {
-        // Any log but this process's own is remote, including one whose
-        // owner was deregistered: the daemon can still serve its chain —
-        // one of the capabilities a genuinely shared tier adds.
-        if req.log.0 == self.holder {
-            return ChainFetch::Local;
-        }
-        if !self.daemon_is_down() && !self.log_is_down(req.log.0) {
-            // Answer Local so the core walker reads the chain straight off
-            // the daemon — every hop, across any number of source logs.
-            self.direct_chains.inc();
-            return ChainFetch::Local;
-        }
-        self.fallbacks.inc();
-        self.fallback.fetch_chain(req)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ControlPlane, RpcServer, RpcServerConfig, RpcServerHandle};
     use crate::tierd::{TierDaemon, TierDaemonConfig};
-    use shadowfax_storage::TierService;
+    use shadowfax::{Cluster, ClusterConfig};
 
     fn spawn_daemon(listen: &str) -> Arc<crate::tierd::TierDaemonHandle> {
         TierDaemon::serve(TierDaemonConfig {
@@ -621,43 +543,103 @@ mod tests {
         sock.local_addr().unwrap().to_string()
     }
 
-    fn chain_of(log: u64) -> ChainFetchRequest {
-        ChainFetchRequest {
-            log: LogId(log),
-            address: 64,
-            key: 1,
-            requester: 3,
-            view: 1,
-        }
+    /// A serving process over an in-process cluster whose shared tier holds
+    /// 32 bytes of 0xB4 at offset 64 of log 4.
+    fn owner_process() -> (Arc<Cluster>, RpcServerHandle) {
+        let cluster = Arc::new(Cluster::start(ClusterConfig::two_server_test()));
+        cluster
+            .shared_tier()
+            .write_log(LogId(4), 64, &[0xB4; 32])
+            .unwrap();
+        let rpc = RpcServer::serve(
+            ControlPlane::new(Arc::clone(&cluster)),
+            RpcServerConfig::default(),
+        )
+        .expect("bind owner process");
+        (cluster, rpc)
+    }
+
+    fn stop(cluster: Arc<Cluster>, rpc: RpcServerHandle) {
+        rpc.shutdown();
+        Arc::try_unwrap(cluster)
+            .expect("cluster still referenced after rpc shutdown")
+            .shutdown();
     }
 
     /// Locality is decided by server id, never by address syntax: this
-    /// process's own server, registered under a socket address, still
-    /// resolves its log locally, and a foreign log takes the remote path.
+    /// process's own server, registered under a socket address, still reads
+    /// its log locally, and a foreign log is read from the process
+    /// registered for it, which refuses a read past the log's extent.
     #[test]
-    fn own_log_is_local_by_id_and_foreign_logs_are_remote() {
+    fn own_log_is_local_by_id_and_foreign_logs_are_read_from_their_owner() {
+        let (owner, rpc) = owner_process();
         let meta = MetadataStore::new();
         meta.register_server(ServerId(3), dead_addr(), 2, shadowfax::RangeSet::full());
-        let peer = dead_addr();
-        meta.register_server(ServerId(4), peer.clone(), 2, shadowfax::RangeSet::empty());
+        let owner_addr = rpc.local_addr().to_string();
+        meta.register_server(ServerId(4), owner_addr, 2, shadowfax::RangeSet::empty());
+        meta.register_server(ServerId(5), dead_addr(), 2, shadowfax::RangeSet::empty());
         let local = SharedBlobTier::new(1 << 20);
-
-        let service = RemoteTierService::new(Arc::clone(&local), Arc::clone(&meta), 3);
-        assert_eq!(service.fetch_chain(&chain_of(3)), ChainFetch::Local);
-        match service.fetch_chain(&chain_of(4)) {
-            ChainFetch::Unavailable(why) => assert!(why.contains(&peer), "{why}"),
-            other => panic!("a foreign log must be fetched from its peer: {other:?}"),
-        }
-
-        // With a tier daemon configured, a foreign log is read off the
-        // daemon (counted as a direct chain walk); the own log never is.
+        local.write_log(LogId(3), 64, &[0x3C; 32]).unwrap();
         let registry = MetricsRegistry::new();
-        let shared = RemoteSharedTier::new(dead_addr(), local, meta, 3, &registry);
-        assert_eq!(shared.fetch_chain(&chain_of(3)), ChainFetch::Local);
-        let direct = || registry.snapshot().counter("tier.remote.direct_chains");
-        assert_eq!(direct(), Some(0), "the own log went to the daemon");
-        assert_eq!(shared.fetch_chain(&chain_of(4)), ChainFetch::Local);
-        assert_eq!(direct(), Some(1), "a foreign log did not go to the daemon");
+        let service = RemoteTierService::new(local, meta, 3, &registry);
+        let issued = || registry.snapshot().counter("tier.peer.reads_issued");
+        let served = |name: &str| owner.metrics().snapshot().counter(name);
+
+        let mut buf = [0u8; 32];
+        service.read_log(LogId(3), 64, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0x3C));
+        assert_eq!(issued(), Some(0), "the own log went to a peer");
+
+        service.read_log(LogId(4), 64, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0xB4));
+        assert_eq!(issued(), Some(1));
+        assert_eq!(served("tier.peer.reads_served"), Some(1));
+
+        assert!(service.read_log(LogId(4), 1 << 19, &mut buf).is_err());
+        assert_eq!(served("tier.peer.reads_refused"), Some(1));
+        assert!(
+            service.read_log(LogId(5), 64, &mut buf).is_err(),
+            "dead owner"
+        );
+        assert!(
+            service.read_log(LogId(9), 64, &mut buf).is_err(),
+            "no owner"
+        );
+        drop(service);
+        stop(owner, rpc);
+    }
+
+    /// A log the daemon has no copy of is read from its owner, and stays
+    /// with the owner for a while instead of asking the daemon again.
+    #[test]
+    fn a_log_the_daemon_lacks_is_read_from_its_owner() {
+        let daemon = spawn_daemon("127.0.0.1:0");
+        let (owner, rpc) = owner_process();
+        let meta = MetadataStore::new();
+        let owner_addr = rpc.local_addr().to_string();
+        meta.register_server(ServerId(4), owner_addr, 2, shadowfax::RangeSet::empty());
+        let registry = MetricsRegistry::new();
+        let daemon_addr = daemon.local_addr().to_string();
+        let local = SharedBlobTier::new(1 << 20);
+        let view = RemoteSharedTier::new(daemon_addr, local, meta, 3, &registry);
+        let counter = |name: &str| registry.snapshot().counter(name);
+
+        let mut buf = [0u8; 32];
+        for _ in 0..2 {
+            view.read_log(LogId(4), 64, &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 0xB4));
+        }
+        assert_eq!(counter("tier.remote.reads"), Some(0));
+        assert_eq!(
+            counter("tier.remote.errors"),
+            Some(1),
+            "asked the daemon twice"
+        );
+        assert_eq!(counter("tier.peer.reads_issued"), Some(2));
+        assert!(view.is_reachable(), "the daemon itself stays up");
+        drop(view);
+        stop(owner, rpc);
+        daemon.shutdown();
     }
 
     #[test]

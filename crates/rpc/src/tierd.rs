@@ -2,15 +2,14 @@
 //! tier, served over the length-prefixed wire codec.
 //!
 //! The paper's architecture (§3.3.2) assumes a shared remote tier any
-//! server can read spilled chains from directly.  Before this daemon the
-//! reproduction simulated that with N per-process
-//! [`SharedBlobTier`]s, so every cross-process chain read had to take the
-//! RPC chain-fetch path through the process hosting the log.  The daemon
-//! makes the tier real: every serving process mirrors its spill writes
-//! here ([`WireMsg::TierAppend`]), and any process reads any log back
-//! ([`WireMsg::TierRead`]) — which is exactly the capability multi-hop
-//! nested indirection chains need, since the walker can hop from log to
-//! log without a per-hop owner RPC.
+//! server can read spilled chains from directly.  Without this daemon each
+//! process holds only its own [`SharedBlobTier`] log, so a foreign log can
+//! be read only from the process hosting it, and only while that process
+//! is up.  The daemon makes the tier real: every serving process mirrors
+//! its spill writes here ([`WireMsg::TierAppend`]), and any process reads
+//! any log back ([`WireMsg::TierRead`]), even one whose owner is gone.
+//! Both answer a `TIER_READ` with the one handler of this module,
+//! `serve_tier_read`.
 //!
 //! Writes are guarded by per-log *leases* ([`WireMsg::TierLease`]): one
 //! writer per log at a time, the invariant the log-structured spill format
@@ -43,6 +42,43 @@ use crate::io_loop::{IoLoops, Served};
 /// Hard cap on one [`WireMsg::TierRead`]'s length: well under
 /// [`MAX_FRAME_BYTES`] so a reply frame can never exceed the codec limit.
 pub const MAX_TIER_READ_BYTES: u32 = 4 * 1024 * 1024;
+
+/// Answers one [`WireMsg::TierRead`] out of `tier`: the
+/// [`WireMsg::TierData`] reply, or the status and message it is refused
+/// with.  A read longer than [`MAX_TIER_READ_BYTES`], of a log `tier` does
+/// not hold, or past the log's written extent is refused with
+/// [`StatusCode::OutOfRange`].  The tier daemon answers every log with it,
+/// and a serving process the logs it hosts.
+pub(crate) fn serve_tier_read(
+    tier: &SharedBlobTier,
+    log: u64,
+    offset: u64,
+    len: u32,
+) -> Result<WireMsg, (StatusCode, String)> {
+    if len > MAX_TIER_READ_BYTES {
+        return Err((
+            StatusCode::OutOfRange,
+            format!("read of {len} bytes exceeds the {MAX_TIER_READ_BYTES}-byte cap"),
+        ));
+    }
+    let Ok(extent) = tier.written_extent_of(LogId(log)) else {
+        return Err((StatusCode::OutOfRange, format!("unknown tier log {log}")));
+    };
+    if offset.saturating_add(len as u64) > extent {
+        return Err((
+            StatusCode::OutOfRange,
+            format!("read [{offset}, +{len}) beyond log {log}'s written extent {extent}"),
+        ));
+    }
+    let mut data = vec![0u8; len as usize];
+    match tier.read_log(LogId(log), offset, &mut data) {
+        Ok(()) => Ok(WireMsg::TierData { log, offset, data }),
+        Err(e) => Err((
+            StatusCode::ControlFailed,
+            format!("read of log {log} at {offset} failed: {e}"),
+        )),
+    }
+}
 
 /// Tuning for a [`TierDaemon`].
 #[derive(Debug, Clone)]
@@ -153,45 +189,18 @@ impl TierState {
                 }
             }
             WireMsg::TierRead { log, offset, len } => {
-                if len > MAX_TIER_READ_BYTES {
-                    self.rejected_out_of_range.inc();
-                    return WireMsg::CtrlErr {
-                        status: StatusCode::OutOfRange,
-                        message: format!(
-                            "read of {len} bytes exceeds the {MAX_TIER_READ_BYTES}-byte cap"
-                        ),
-                    };
-                }
-                let extent = match self.tier.written_extent_of(LogId(log)) {
-                    Ok(extent) => extent,
-                    Err(_) => {
-                        self.rejected_out_of_range.inc();
-                        return WireMsg::CtrlErr {
-                            status: StatusCode::OutOfRange,
-                            message: format!("unknown tier log {log}"),
-                        };
-                    }
-                };
-                if offset.saturating_add(len as u64) > extent {
-                    self.rejected_out_of_range.inc();
-                    return WireMsg::CtrlErr {
-                        status: StatusCode::OutOfRange,
-                        message: format!(
-                            "read [{offset}, +{len}) beyond log {log}'s written extent {extent}"
-                        ),
-                    };
-                }
-                let mut data = vec![0u8; len as usize];
-                match self.tier.read_log(LogId(log), offset, &mut data) {
-                    Ok(()) => {
+                match serve_tier_read(&self.tier, log, offset, len) {
+                    Ok(data) => {
                         self.reads.inc();
                         self.read_bytes.add(len as u64);
-                        WireMsg::TierData { log, offset, data }
+                        data
                     }
-                    Err(e) => WireMsg::CtrlErr {
-                        status: StatusCode::ControlFailed,
-                        message: format!("read of log {log} at {offset} failed: {e}"),
-                    },
+                    Err((status, message)) => {
+                        if status == StatusCode::OutOfRange {
+                            self.rejected_out_of_range.inc();
+                        }
+                        WireMsg::CtrlErr { status, message }
+                    }
                 }
             }
             WireMsg::GetTierStatus => {

@@ -148,14 +148,14 @@ fn status_exit_codes_distinguish_unknown_cancelled_and_live() {
         "namespaced metrics missing the family: {stdout}"
     );
     assert!(
-        !stdout.contains("tier.chain.served"),
+        !stdout.contains("tier.peer.reads_served"),
         "namespaced metrics leaked another namespace: {stdout}"
     );
 
     // The remaining control-plane nouns answer through the tree.
     let (code, stdout, _) = cli(&addr, &["tier", "stats"]);
     assert_eq!(code, Some(0));
-    assert!(stdout.contains("chain fetches served"), "{stdout}");
+    assert!(stdout.contains("peer reads served"), "{stdout}");
     let (code, stdout, _) = cli(&addr, &["cluster", "layout"]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("server 0"), "{stdout}");

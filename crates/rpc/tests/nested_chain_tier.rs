@@ -19,16 +19,15 @@
 //!
 //! * **Phase A (tier up)** — every probed key resolves with the exact
 //!   preloaded value and **zero stuck pends** (`sv3.ops.pending` drains
-//!   to 0): server 3 walks the whole three-hop chain directly against the tier
-//!   daemon (`sv3.chain.tier_direct` > 0, `tier.remote.reads` > 0) and
-//!   never falls back to peer chain-fetch (`sv3.chain.remote_fetches`
-//!   stays 0).  Before this PR these reads pended forever.
+//!   to 0): server 3 walks the whole three-hop chain against the tier
+//!   daemon (`tier.remote.reads` > 0) and reads no log from its owner
+//!   (`tier.peer.reads_issued` stays 0).
 //! * **Phase B (tier killed)** — a disjoint probe set still resolves with
-//!   zero acknowledged-read misses: the tier outage demotes server 3 to
-//!   the view-tagged chain-fetch fallback (`sv3.chain.remote_fetches`
-//!   > 0), which follows the nested hops across processes.
+//!   zero acknowledged-read misses: with the daemon gone, server 3 reads
+//!   each hop's log from the process hosting it (`tier.peer.reads_issued`
+//!   > 0), across all three nested hops.
 //!
-//! The `TIER_REMOTE_COUNTERS` line is parsed into the CI job summary.
+//! The `TIER_READ_COUNTERS` line is parsed into the CI job summary.
 
 use std::time::Duration;
 
@@ -149,7 +148,7 @@ fn migrate(addr: &str, from: u32, to: u32, fraction: f64) {
 #[test]
 fn double_nested_chains_resolve_via_the_tier_and_via_fallback() {
     // Alongside partitioned_layout this is the CI proof that spill, tier
-    // mirroring, and chain fetches hold on the run-to-completion serving
+    // mirroring, and chain reads hold on the run-to-completion serving
     // path (the tier daemon runs its own reactor event loop).
     let mut cluster = ClusterSpec {
         name: "nested_chain_tier",
@@ -229,31 +228,23 @@ fn double_nested_chains_resolve_via_the_tier_and_via_fallback() {
 
     let mut ctrl3 = CtrlClient::connect(cluster.addr(3), Duration::from_secs(5)).expect("p3 ctrl");
     let sv3 = ctrl3.metrics_ns("sv3").expect("sv3 metrics");
-    let tier_remote = ctrl3
-        .metrics_ns("tier.remote")
-        .expect("tier.remote metrics");
-    let direct_a = sv3.counter("sv3.chain.tier_direct").unwrap_or(0);
-    let fallback_a = sv3.counter("sv3.chain.remote_fetches").unwrap_or(0);
+    let tier_reads = ctrl3.metrics_ns("tier.").expect("tier metrics");
     let stuck_a = sv3.gauge("sv3.ops.pending").unwrap_or(0);
-    let tier_reads_a = tier_remote.counter("tier.remote.reads").unwrap_or(0);
+    let daemon_reads_a = tier_reads.counter("tier.remote.reads").unwrap_or(0);
+    let peer_reads_a = tier_reads.counter("tier.peer.reads_issued").unwrap_or(0);
     assert!(
-        direct_a > 0,
-        "server 3 resolved no chains directly against the tier: {sv3:?}"
+        daemon_reads_a > 0,
+        "server 3 issued no TIER_READ traffic to the daemon: {tier_reads:?}"
     );
     assert_eq!(
-        fallback_a, 0,
-        "server 3 used the chain-fetch fallback while the tier was up"
+        peer_reads_a, 0,
+        "server 3 read logs from their owners while the tier was up"
     );
     // Ordinary below-head SSD reads may pend transiently; what the shared
-    // tier guarantees is that no read *stays* pending — before this PR the
-    // double-nested chains parked their reads here forever.
+    // tier guarantees is that no read *stays* pending.
     assert_eq!(
         stuck_a, 0,
         "reads are stuck pending at server 3 with the tier up"
-    );
-    assert!(
-        tier_reads_a > 0,
-        "server 3 issued no TIER_READ traffic: {tier_remote:?}"
     );
 
     // The daemon agrees it did the serving: every process mirrored spill
@@ -273,9 +264,8 @@ fn double_nested_chains_resolve_via_the_tier_and_via_fallback() {
 
     // Phase B, tier outage: kill the daemon mid-load and sweep the odd
     // keys (the even ones were materialized by Phase A's resolution).
-    // Every read must still be answered exactly — server 3 demotes to the
-    // view-tagged chain-fetch fallback, which follows both nested hops
-    // across the peer processes.
+    // Every read must still be answered exactly: server 3 reads each hop's
+    // log from the process hosting it, across both nested hops.
     cluster.kill_tier();
     for key in (0..KEYS).filter(|k| k % 2 == 1) {
         let value = client
@@ -289,31 +279,19 @@ fn double_nested_chains_resolve_via_the_tier_and_via_fallback() {
         );
     }
 
-    let sv3 = ctrl3.metrics_ns("sv3").expect("sv3 metrics after outage");
-    let tier_remote = ctrl3
-        .metrics_ns("tier.remote")
-        .expect("tier.remote metrics after outage");
-    let fallback_b = sv3.counter("sv3.chain.remote_fetches").unwrap_or(0);
-    let fallbacks_counted = tier_remote.counter("tier.remote.fallbacks").unwrap_or(0);
+    let tier_reads = ctrl3
+        .metrics_ns("tier.")
+        .expect("tier metrics after outage");
+    let peer_reads_b = tier_reads.counter("tier.peer.reads_issued").unwrap_or(0);
     assert!(
-        fallback_b > 0,
-        "server 3 never used the chain-fetch fallback after the tier died: {sv3:?}"
-    );
-    assert!(
-        fallbacks_counted > 0,
-        "the tier service never counted a fallback demotion: {tier_remote:?}"
+        peer_reads_b > 0,
+        "server 3 read no log from its owner after the tier died: {tier_reads:?}"
     );
 
     // One line for the CI job summary.
     println!(
-        "TIER_REMOTE_COUNTERS tier_direct={} tier_reads={} daemon_appends={} daemon_reads={} \
-         fallback_fetches={} fallback_demotions={} probed_on_s3={}",
-        direct_a,
-        tier_reads_a,
-        status.appends,
-        status.reads,
-        fallback_b,
-        fallbacks_counted,
-        probed_on_s3
+        "TIER_READ_COUNTERS daemon_reads={} daemon_appends={} daemon_served={} \
+         peer_reads_tier_up={} peer_reads_tier_down={} probed_on_s3={}",
+        daemon_reads_a, status.appends, status.reads, peer_reads_a, peer_reads_b, probed_on_s3
     );
 }

@@ -380,7 +380,7 @@ fn three_process_partitioned_cluster_routes_migrates_and_cancels() {
             snap.counters
         );
         assert!(
-            snap.counter("tier.chain.served").is_some(),
+            snap.counter("tier.peer.reads_served").is_some(),
             "process {i}: shared-tier counter family missing: {:?}",
             snap.counters
         );

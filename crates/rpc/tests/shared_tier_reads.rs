@@ -6,25 +6,25 @@
 //! Then 50% of the hash space migrates to the target process **after** the
 //! spill, under live read load.  The records in the migrating ranges that
 //! live below the head are shipped as *indirection records* naming the
-//! source's shared-tier log; the target can only resolve them by dialling
-//! the source with view-tagged `FetchChain` requests.
+//! source's shared-tier log; with no tier daemon, the target can only
+//! resolve them by reading that log from the source with `TIER_READ`
+//! frames, one hop of the chain at a time.
 //!
 //! Verified here:
 //!
 //! * **zero acknowledged-read misses** — every read the cluster acknowledges
 //!   (during the migration and in a full post-migration sweep) returns the
 //!   exact preloaded value; a `nil` for a preloaded key is a failure,
-//! * stale-view chain fetches are rejected with `StatusCode::StaleView` and
-//!   out-of-range addresses with `StatusCode::OutOfRange`,
-//! * the chain-fetch counters on both sides show the reads actually crossed
-//!   processes (printed as `CHAIN_FETCH_COUNTERS ...` for the CI summary).
+//! * reads past the log's written extent, or over the per-read cap, are
+//!   refused with `StatusCode::OutOfRange`, and the connection survives,
+//! * the peer-read counters on both sides show the reads actually crossed
+//!   processes (printed as `PEER_READ_COUNTERS ...` for the CI summary).
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use shadowfax::ChainFetchQuery;
 use shadowfax_net::{KvRequest, KvResponse, SessionConfig, StatusCode};
-use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig, RpcError};
+use shadowfax_rpc::{CtrlClient, RemoteClient, RemoteClientConfig, RpcError, MAX_TIER_READ_BYTES};
 
 mod util;
 use util::{ClusterSpec, ProcessSpec};
@@ -113,43 +113,29 @@ fn spilled_chains_are_served_across_processes_under_live_reads() {
         "filler did not drain"
     );
 
-    // Fault-injection probes against the chain-fetch protocol, before the
-    // migration: a view tag of 0 is older than any registered view and must
-    // be rejected as stale; an address beyond the log's written extent must
-    // be rejected as out of range.  Neither may kill the connection.
+    // Fault-injection probes against the source's `TIER_READ`, before the
+    // migration: a read beyond the log's written extent and one over the
+    // per-read cap must be refused as out of range.  Neither may kill the
+    // connection.
     let mut probe =
         CtrlClient::connect(cluster.addr(0), Duration::from_secs(5)).expect("probe ctrl");
-    match probe.fetch_chain(&ChainFetchQuery {
-        requester: 1,
-        view: 0,
-        log: 0,
-        address: 64,
-        max_records: 16,
-    }) {
-        Err(RpcError::Remote { status, .. }) => assert_eq!(status, StatusCode::StaleView),
-        other => panic!("stale-view fetch was not rejected: {other:?}"),
+    for (offset, len) in [(1 << 40, 64), (64, MAX_TIER_READ_BYTES + 1)] {
+        match probe.tier_read(0, offset, len) {
+            Err(RpcError::Remote { status, .. }) => assert_eq!(status, StatusCode::OutOfRange),
+            other => panic!("read of {len} bytes at {offset} was not refused: {other:?}"),
+        }
     }
-    match probe.fetch_chain(&ChainFetchQuery {
-        requester: 1,
-        view: 1,
-        log: 0,
-        address: 1 << 40,
-        max_records: 16,
-    }) {
-        Err(RpcError::Remote { status, .. }) => assert_eq!(status, StatusCode::OutOfRange),
-        other => panic!("out-of-range fetch was not rejected: {other:?}"),
-    }
-    // The connection survived both rejections and serves a valid fetch.
-    let reply = probe
-        .fetch_chain(&ChainFetchQuery {
-            requester: 1,
-            view: 1,
-            log: 0,
-            address: 64,
-            max_records: 4,
-        })
-        .expect("valid probe fetch after rejections");
-    assert_eq!(reply.address, 64);
+    // The connection survived both refusals and serves a valid read.
+    let data = probe
+        .tier_read(0, 64, 16)
+        .expect("valid probe read after refusals");
+    assert_eq!(data.len(), 16);
+    let source_peer = |probe: &mut CtrlClient, name: &str| {
+        let stats = probe.metrics_ns("tier.peer.").expect("source tier metrics");
+        let counter = stats.counter(&format!("tier.peer.{name}"));
+        counter.unwrap_or_else(|| panic!("no tier.peer.{name}: {:?}", stats.counters))
+    };
+    let probe_reads = source_peer(&mut probe, "reads_served");
 
     // Migrate 50% of the hash space to the target process — *after* the
     // spill — while keeping a pipelined read load running.  Every read that
@@ -242,33 +228,21 @@ fn spilled_chains_are_served_across_processes_under_live_reads() {
         "no preloaded key landed in the migrated half of the hash space"
     );
 
-    // The reads really crossed processes: the source served chain fetches,
-    // the target issued them, and the stale/out-of-range probes were
-    // counted.  Printed for the CI job summary.
-    let source_stats = ctrl.metrics_ns("tier.chain.").expect("source tier metrics");
-    let served = |name: &str| {
-        let counter = source_stats.counter(&format!("tier.chain.{name}"));
-        counter.unwrap_or_else(|| panic!("no tier.chain.{name}: {:?}", source_stats.counters))
-    };
+    // The reads really crossed processes: the source served peer reads
+    // beyond the probe's, the target issued them, and the two refused
+    // probes were counted.  Printed for the CI job summary.
+    let served = source_peer(&mut probe, "reads_served");
+    let refused = source_peer(&mut probe, "reads_refused");
     let mut target_ctrl =
         CtrlClient::connect(cluster.addr(1), Duration::from_secs(5)).expect("target ctrl");
-    let target_stats = target_ctrl.metrics_ns("sv").expect("target metrics");
-    let target_remote = target_stats.counter_family(".chain.remote_fetches");
+    let target_stats = target_ctrl
+        .metrics_ns("tier.peer.")
+        .expect("target metrics");
+    let issued = target_stats.counter("tier.peer.reads_issued").unwrap_or(0);
     println!(
-        "CHAIN_FETCH_COUNTERS source_served={} source_records={} target_remote={} \
-         stale_rejected={} range_rejected={}",
-        served("served"),
-        served("records_served"),
-        target_remote,
-        served("rejected_stale_view"),
-        served("rejected_out_of_range")
+        "PEER_READ_COUNTERS source_served={served} source_refused={refused} target_issued={issued}"
     );
-    assert!(served("served") >= 1, "source served no chain fetches");
-    assert!(
-        served("records_served") >= 1,
-        "source returned no chain records"
-    );
-    assert!(target_remote >= 1, "target resolved no chains remotely");
-    assert_eq!(served("rejected_stale_view"), 1);
-    assert_eq!(served("rejected_out_of_range"), 1);
+    assert!(served > probe_reads, "source served no peer reads");
+    assert!(issued >= 1, "target read no log from its owner");
+    assert_eq!(refused, 2);
 }

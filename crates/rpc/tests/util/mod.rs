@@ -268,7 +268,8 @@ pub struct ClusterSpec {
     /// The processes, in server-id order.
     pub processes: Vec<ProcessSpec>,
     /// Spawn a `shadowfax-tier` daemon and point every process at it with
-    /// `--tier` (the shared blob tier path; off keeps peer chain-fetch).
+    /// `--tier` (the shared blob tier path; off reads foreign logs from
+    /// their owners).
     pub tier: bool,
 }
 
@@ -360,7 +361,7 @@ impl ProcessCluster {
     }
 
     /// Kills the tier daemon now (tier-outage scenarios); the serving
-    /// processes keep running and demote to chain-fetch fallback.
+    /// processes keep running and read foreign logs from their owners.
     pub fn kill_tier(&mut self) {
         if let Some(tier) = &mut self.tier {
             tier.kill();

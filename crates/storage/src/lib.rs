@@ -32,4 +32,4 @@ pub use counters::{CounterSnapshot, DeviceCounters};
 pub use device::{Device, DeviceError, NullDevice, Result};
 pub use shared_tier::{LogId, SharedBlobTier, SharedTierHandle, TierSink};
 pub use sim_ssd::SimSsd;
-pub use tier_service::{ChainFetch, ChainFetchRequest, TierRecord, TierService};
+pub use tier_service::TierService;

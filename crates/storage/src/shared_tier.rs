@@ -135,8 +135,8 @@ impl SharedBlobTier {
     }
 
     /// Highest byte offset ever written to `log` plus one (the log's logical
-    /// size on the tier); used to reject chain fetches for addresses the log
-    /// has never covered.
+    /// size on the tier); used to refuse reads of bytes the log has never
+    /// covered.
     pub fn written_extent_of(&self, log: LogId) -> Result<u64> {
         Ok(self.log_device(log)?.written_extent())
     }

@@ -1,105 +1,35 @@
-//! The [`TierService`] seam: how record chains on the shared tier are read,
-//! whether the log lives in this process or in another one.
+//! The [`TierService`] seam: how spilled record chains on the shared tier
+//! are read, whether the log lives in this process or in another one.
 //!
 //! Indirection records shipped during migration name a `(log id, address)`
-//! location on the cluster-shared storage tier (paper §3.3.2).  When source
-//! and target share a process, the target resolves them with plain memory
-//! reads against [`SharedBlobTier`](crate::SharedBlobTier).  When the source
-//! runs in another OS process, its shared-tier log is not addressable here —
-//! the chain has to be fetched over the wire.  `TierService` abstracts over
-//! both:
+//! location on the cluster-shared storage tier (paper §3.3.2).  The layers
+//! above walk such a chain themselves, one hop at a time, with
+//! [`TierService::read_log`]; this seam only decides where the bytes come
+//! from:
 //!
-//! * the local [`SharedBlobTier`](crate::SharedBlobTier) implements it by
-//!   answering [`ChainFetch::Local`], telling the caller to walk the chain
-//!   itself with [`TierService::read_log`] (cheap in-memory reads);
-//! * the RPC layer provides a remote implementation that dials the process
-//!   hosting the log, issues a view-tagged `FetchChain` request, and hands
-//!   back the chain's records in one batch ([`ChainFetch::Records`]).
+//! * the local [`SharedBlobTier`](crate::SharedBlobTier) reads them from
+//!   memory (every log of an in-process cluster lives there);
+//! * the RPC layer reads a log another process hosts from a shared tier
+//!   daemon, or from the process hosting it, with `TIER_READ` frames.
 //!
-//! This crate knows nothing about the record format; chains are walked (and
-//! record bytes interpreted) by the layers above.  [`TierRecord`] is the
-//! lowest common denominator both sides agree on: a key, the log layer's
-//! record-flag bits, and the value payload.
+//! This crate knows nothing about the record format.  A read that fails
+//! means the bytes are not reachable right now, never that the record is
+//! absent: callers keep the operation pending.
 
 use crate::device::Result;
 use crate::shared_tier::{LogId, SharedBlobTier};
 
-/// One record fetched from a shared-tier log chain, as returned by a remote
-/// [`TierService`].  `flags` carries the log layer's record-flag bits
-/// verbatim (tombstone, indirection, ...); this crate does not interpret
-/// them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TierRecord {
-    /// The record key.
-    pub key: u64,
-    /// The record's flag bits, as stored in the log.
-    pub flags: u16,
-    /// The record's value payload.
-    pub value: Vec<u8>,
-}
-
-/// A request to resolve the chain rooted at `address` within `log`.
+/// Reads spilled record chains off the shared tier.
 ///
-/// `requester` and `view` make the fetch *view-tagged*: the process serving
-/// the log validates `view` against the view number its metadata store has
-/// recorded for `requester`, so a fetch from a dead migration epoch is
-/// rejected instead of silently served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainFetchRequest {
-    /// The shared-tier log the chain lives in.
-    pub log: LogId,
-    /// Byte offset of the chain's newest record within the log.
-    pub address: u64,
-    /// The key being resolved.
-    pub key: u64,
-    /// Cluster-wide id of the server asking.
-    pub requester: u64,
-    /// The requester's current serving view.
-    pub view: u64,
-}
-
-/// The outcome of [`TierService::fetch_chain`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChainFetch {
-    /// The log is served by this process: walk the chain yourself with
-    /// [`TierService::read_log`].
-    Local,
-    /// A remote service walked the chain and returned its records, newest
-    /// first, at most one per key (the newest version at or below the
-    /// requested address).  An empty vector means the chain holds no live
-    /// record at all.
-    Records(Vec<TierRecord>),
-    /// The fetch could not be completed (peer unreachable, fetch rejected).
-    /// The caller must treat the record as *not yet resolvable* — pending —
-    /// never as missing: reporting a miss for a record that exists on an
-    /// unreachable tier would break read guarantees.
-    Unavailable(String),
-}
-
-/// Resolves reads of spilled record chains against the shared tier.
-///
-/// See the module docs for the local/remote split.  Implementations must be
-/// callable from any dispatch thread.
+/// Implementations must be callable from any dispatch thread.
 pub trait TierService: Send + Sync {
-    /// Reads `buf.len()` bytes at `offset` of `log`.  Only meaningful for
-    /// logs this process hosts (i.e. after [`TierService::fetch_chain`]
-    /// answered [`ChainFetch::Local`]).
+    /// Reads `buf.len()` bytes at `offset` of `log`.
     fn read_log(&self, log: LogId, offset: u64, buf: &mut [u8]) -> Result<()>;
-
-    /// Resolves the chain named by `req`: either tells the caller to walk
-    /// locally, or returns the chain's records fetched from the process
-    /// hosting the log.
-    fn fetch_chain(&self, req: &ChainFetchRequest) -> ChainFetch;
 }
 
 impl TierService for SharedBlobTier {
     fn read_log(&self, log: LogId, offset: u64, buf: &mut [u8]) -> Result<()> {
         SharedBlobTier::read_log(self, log, offset, buf)
-    }
-
-    fn fetch_chain(&self, _req: &ChainFetchRequest) -> ChainFetch {
-        // Every log on an in-process tier is locally readable.
-        ChainFetch::Local
     }
 }
 
@@ -110,17 +40,8 @@ mod tests {
     #[test]
     fn shared_tier_is_a_local_service() {
         let tier = SharedBlobTier::new(1 << 20);
-        tier.handle(LogId(3));
         crate::Device::write(&tier.handle(LogId(3)), 128, &[0xCD; 32]).unwrap();
         let svc: &dyn TierService = tier.as_ref();
-        let req = ChainFetchRequest {
-            log: LogId(3),
-            address: 128,
-            key: 1,
-            requester: 0,
-            view: 1,
-        };
-        assert_eq!(svc.fetch_chain(&req), ChainFetch::Local);
         let mut buf = [0u8; 32];
         svc.read_log(LogId(3), 128, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0xCD));

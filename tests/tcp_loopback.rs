@@ -61,7 +61,7 @@ fn kv_operations_over_real_tcp() {
 #[test]
 fn retired_frame_kinds_are_answered_as_unknown_tags() {
     let (cluster, rpc, addr) = start_stack();
-    for tag in [0x2A, 0x2B, 0x42, 0x43, 0x7F] {
+    for tag in [0x2A, 0x2B, 0x40, 0x41, 0x42, 0x43, 0x7F] {
         let mut stream = TcpStream::connect(&addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
