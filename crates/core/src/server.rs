@@ -1169,13 +1169,19 @@ impl Server {
 /// (8 x 64 operations in flight: at most 1.02M ops/s; the benchmark's
 /// pipelined rows run at 0.81M-1.0M, 1-6% between quartiles).
 /// The tick is sized for slack, which is what absorbs a slow phase of the
-/// host.  On that host, serving 8 x 64 in-memory reads and RMWs takes about
-/// 130 us of it, 8 x 64 reads of a spilled log 240-290 us, and 8 x 64
-/// upserts into a spilling log 140-230 us, because an upsert's chain walk
-/// reads only headers and stops at the read-only address; a walk that
-/// copied every record down into the stable region made that pass
-/// 410-580 us, too close to this tick.  The price: a request that arrives
-/// just after a pass waits up to one tick, and a session needs
+/// host, and the spilled rows have little of it.  On that host, serving
+/// 8 x 64 in-memory reads and RMWs takes about 130 us of it.  A pass of
+/// 8 x 64 reads of a spilled log averages 385-435 us, and 7-20% of them
+/// overrun the tick.  One of 8 x 64 upserts into a spilling log averages
+/// 400-450 us, 13-24% over; a quarter of it is page flushes, about 52 us
+/// a page, most of it first-touch faults on the one buffer each page is
+/// copied into.  (Timed pass start to end-of-pass decision, three 10 s
+/// runs of each benchmark row; while every flushed page was copied three
+/// times the upsert pass averaged 500-560 us and 40-53% overran.)  An
+/// upsert's chain walk reads only headers and stops at the read-only
+/// address; a walk that copied every record down into the stable region
+/// made that pass 410-580 us on its own.  The price: a request that
+/// arrives just after a pass waits up to one tick, and a session needs
 /// `rate x PASS_TICK` operations in flight to reach `rate`.
 const PASS_TICK: Duration = Duration::from_micros(500);
 

@@ -12,6 +12,7 @@
 //! all record-granularity accesses are word-aligned.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One in-memory page frame.
 pub(crate) struct PageFrame {
@@ -101,11 +102,22 @@ impl PageFrame {
         &self.words[offset / 8]
     }
 
-    /// Copies the whole frame into a new buffer (flush path).
+    /// Copies the whole frame into a new buffer (scan and checkpoint).
     pub(crate) fn snapshot(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.page_size()];
         self.read(0, &mut out);
         out
+    }
+
+    /// Copies the whole frame, once, into a new immutable buffer the
+    /// devices share (flush path).
+    pub(crate) fn shared_snapshot(&self) -> Arc<[u8]> {
+        let mut page: Arc<[u8]> = std::iter::repeat_n(0, self.page_size()).collect();
+        self.read(
+            0,
+            Arc::get_mut(&mut page).expect("a new buffer is unshared"),
+        );
+        page
     }
 
     /// Overwrites the whole frame from `data` (recovery path).
@@ -168,6 +180,7 @@ mod tests {
         let g = PageFrame::new(1024, 1);
         g.restore(&snap);
         assert_eq!(g.snapshot(), data);
+        assert_eq!(&g.shared_snapshot()[..], &data[..]);
     }
 
     #[test]

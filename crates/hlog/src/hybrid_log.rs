@@ -441,14 +441,15 @@ impl HybridLog {
                 page,
                 "flush raced with frame recycling"
             );
-            let bytes = frame.snapshot();
+            // One copy of the frame backs both devices.
+            let bytes = frame.shared_snapshot();
             let offset = page << self.page_bits;
             self.ssd
-                .write(offset, &bytes)
+                .write_page(offset, Arc::clone(&bytes))
                 .expect("SSD write failed during page flush");
             if let Some(shared) = &self.shared {
                 shared
-                    .write(offset, &bytes)
+                    .write_page(offset, bytes)
                     .expect("shared tier write failed during page flush");
             }
             self.pages_flushed.fetch_add(1, Ordering::Relaxed);
@@ -668,15 +669,11 @@ impl HybridLog {
         if page_start >= tail {
             return None;
         }
-        if page_start >= self.head_address() || {
-            // The tail pages are only in memory.
-            let frame = &self.frames[(page % self.config.memory_pages) as usize];
-            frame.current_page() == page
-        } {
-            let frame = &self.frames[(page % self.config.memory_pages) as usize];
-            if frame.current_page() == page {
-                return Some(frame.snapshot());
-            }
+        // A page still in its frame (the tail pages are only there) is read
+        // from memory.
+        let frame = &self.frames[(page % self.config.memory_pages) as usize];
+        if frame.current_page() == page {
+            return Some(frame.snapshot());
         }
         if page_start < self.flushed_until_address() {
             let mut buf = vec![0u8; self.page_size];
@@ -949,6 +946,74 @@ mod tests {
         let tail_page_start = (log.tail_address().raw() >> 16) << 16;
         assert!(flushed.raw() >= tail_page_start);
         assert!(log.ssd().counters().snapshot().bytes_written > 0);
+    }
+
+    /// Every flushed page reads back, equal, from the SSD and from the
+    /// shared tier it was written through to, at the smallest shipped page
+    /// size and at the largest (one buffer spanning 16 device chunks).
+    #[test]
+    fn flushed_pages_read_back_from_both_devices() {
+        use crate::record::RecordView;
+        use shadowfax_storage::{LogId, SharedBlobTier};
+
+        for page_bits in [16u32, 20] {
+            let config = LogConfig {
+                page_bits,
+                memory_pages: 4,
+                mutable_pages: 2,
+                ..LogConfig::small_for_tests()
+            };
+            let epoch = Arc::new(EpochManager::new());
+            let tier = SharedBlobTier::new(1 << 28);
+            let log = HybridLog::new(
+                config,
+                Arc::new(SimSsd::new(1 << 28)),
+                Some(tier.handle(LogId(1))),
+                Arc::clone(&epoch),
+            );
+            let t = epoch.register();
+            // Ten pages' worth of records, so most of the log is evicted.
+            let value_len = 1000;
+            let records = (10usize << page_bits) / (value_len + RECORD_HEADER_BYTES);
+            let mut addrs = Vec::new();
+            for key in 0..records as u64 {
+                let value = vec![key as u8; value_len];
+                addrs.push(
+                    log.append(key, &value, INVALID_ADDRESS, 1, RecordFlags::empty(), &t)
+                        .unwrap(),
+                );
+            }
+            let flushed = log.flush_all_complete_pages(&t).raw();
+            let pages = flushed >> page_bits;
+            assert!(pages >= 8, "only {pages} pages flushed");
+            assert!(log.head_address().raw() > 0);
+            let shared = log.shared_tier().unwrap();
+            let mut on_ssd = vec![0u8; 1 << page_bits];
+            let mut on_tier = vec![0u8; 1 << page_bits];
+            for page in 0..pages {
+                let offset = page << page_bits;
+                log.ssd().read(offset, &mut on_ssd).unwrap();
+                shared.read(offset, &mut on_tier).unwrap();
+                assert!(on_ssd == on_tier, "page {page} differs between devices");
+            }
+            let mut checked = 0;
+            for (key, addr) in addrs.iter().enumerate() {
+                if addr.raw() + (value_len + RECORD_HEADER_BYTES) as u64 > flushed {
+                    break;
+                }
+                let mut bytes = vec![0u8; RECORD_HEADER_BYTES + value_len];
+                shared.read(addr.raw(), &mut bytes).unwrap();
+                let record = RecordView::parse(&bytes);
+                assert_eq!(record.key(), key as u64);
+                assert!(record.value().iter().all(|&b| b == key as u8));
+                checked += 1;
+            }
+            assert!(checked * 10 > records * 7, "{checked} of {records} checked");
+            assert_eq!(
+                log.ssd().counters().snapshot().bytes_written,
+                shared.counters().snapshot().bytes_written
+            );
+        }
     }
 
     #[test]

@@ -160,7 +160,8 @@ const MAX_LEASE_RETRIES: u32 = 2;
 #[derive(Default)]
 struct MirrorState {
     lease: Option<u64>,
-    queue: VecDeque<(u64, Vec<u8>)>,
+    /// Pending appends: the tier's own page buffers, held, not copied.
+    queue: VecDeque<(u64, Arc<[u8]>)>,
     queued_bytes: usize,
     abandoned: bool,
 }
@@ -409,15 +410,15 @@ impl RemoteSharedTier {
 }
 
 impl TierSink for RemoteSharedTier {
-    fn append(&self, log: LogId, offset: u64, data: &[u8]) {
+    fn append(&self, log: LogId, offset: u64, data: Arc<[u8]>) {
         let entry = self.mirror_entry(log.0);
         let mut state = entry.lock();
         if state.abandoned {
             self.errors.inc();
             return;
         }
-        state.queue.push_back((offset, data.to_vec()));
         state.queued_bytes += data.len();
+        state.queue.push_back((offset, data));
         self.drain_mirror(log.0, &mut state);
         if !state.queue.is_empty() && state.queued_bytes > MAX_MIRROR_QUEUE_BYTES {
             self.abandon(&mut state);

@@ -2,6 +2,7 @@
 //! back pages of record data.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::counters::DeviceCounters;
 
@@ -52,9 +53,19 @@ pub type Result<T> = std::result::Result<T, DeviceError>;
 /// and compaction).  Implementations must be safe to share across threads;
 /// writes to disjoint ranges may proceed concurrently.
 pub trait Device: Send + Sync {
-    /// Writes `data` at byte `offset`.  Blocks for the device's simulated
-    /// service time.
+    /// Writes `data` at byte `offset`.  Returns once the bytes are readable;
+    /// no device models a service time, so the call costs what the copy
+    /// costs.
     fn write(&self, offset: u64, data: &[u8]) -> Result<()>;
+
+    /// Writes the whole of `page` at byte `offset` (the flush path).  The
+    /// buffer is immutable once handed over: the caller never changes it,
+    /// and a device may keep it, rather than a copy, for as long as it
+    /// holds those bytes, so one flushed page can back several devices.
+    /// The default copies through [`Device::write`].
+    fn write_page(&self, offset: u64, page: Arc<[u8]>) -> Result<()> {
+        self.write(offset, &page)
+    }
 
     /// Reads `buf.len()` bytes starting at `offset` into `buf`.
     fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()>;

@@ -6,7 +6,9 @@
 //! that preserve the properties the system depends on:
 //!
 //! * [`SimSsd`] — an in-memory page store standing in for the local SSD.
-//!   Every access costs a memcpy: the device models no latency, IOPS or
+//!   A byte access costs a memcpy, and a flushed page handed over whole
+//!   ([`Device::write_page`]) is kept, not copied, so the SSD and the shared
+//!   tier hold one buffer per page.  The device models no latency, IOPS or
 //!   bandwidth, so it checks what was written, not how long the paper's SSD
 //!   would take (Table 1).
 //! * [`SharedBlobTier`] — a shared object store standing in for the remote

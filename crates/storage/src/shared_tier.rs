@@ -40,8 +40,10 @@ impl std::fmt::Display for LogId {
 /// the writer.  A sink must never fail the local write — delivery problems
 /// are the sink's to absorb (buffer, retry, or mark the daemon down).
 pub trait TierSink: Send + Sync {
-    /// Mirrors `data` written at `offset` of `log`.
-    fn append(&self, log: LogId, offset: u64, data: &[u8]);
+    /// Mirrors `data` written at `offset` of `log`.  The buffer is the one
+    /// the tier holds (see [`Device::write_page`]): immutable, and the sink
+    /// may keep it rather than copy it.
+    fn append(&self, log: LogId, offset: u64, data: Arc<[u8]>);
 }
 
 /// The cluster-shared blob tier: a namespace of per-log byte spaces.
@@ -112,15 +114,22 @@ impl SharedBlobTier {
         v
     }
 
-    /// Writes `data` at `offset` within `log`'s space, mirroring the bytes
-    /// to the installed [`TierSink`] (if any) after the local write lands.
-    /// Only a write that lands is counted.
+    /// Writes `data` at `offset` within `log`'s space: a copy of it goes
+    /// down [`SharedBlobTier::write_page`].
     pub fn write_log(&self, log: LogId, offset: u64, data: &[u8]) -> Result<()> {
-        self.ensure_log(log).write(offset, data)?;
-        self.counters.record_write(data.len());
+        self.write_page(log, offset, Arc::from(data))
+    }
+
+    /// Writes `page` at `offset` within `log`'s space, keeping the buffer
+    /// itself where it is chunk-aligned (see [`Device::write_page`]), then
+    /// hands the same buffer to the installed [`TierSink`] (if any).  Only
+    /// a write that lands is counted or mirrored.
+    pub fn write_page(&self, log: LogId, offset: u64, page: Arc<[u8]>) -> Result<()> {
+        self.ensure_log(log).write_page(offset, Arc::clone(&page))?;
+        self.counters.record_write(page.len());
         let sink = self.sink.read().clone();
         if let Some(sink) = sink {
-            sink.append(log, offset, data);
+            sink.append(log, offset, page);
         }
         Ok(())
     }
@@ -193,6 +202,10 @@ impl Device for SharedTierHandle {
         self.tier.write_log(self.log, offset, data)
     }
 
+    fn write_page(&self, offset: u64, page: Arc<[u8]>) -> Result<()> {
+        self.tier.write_page(self.log, offset, page)
+    }
+
     fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.tier.read_log(self.log, offset, buf)
     }
@@ -257,10 +270,11 @@ mod tests {
 
     #[test]
     fn sink_mirrors_every_write_after_it_lands_locally() {
-        struct Capture(std::sync::Mutex<Vec<(u64, u64, usize)>>);
+        type Appended = (u64, u64, Arc<[u8]>);
+        struct Capture(std::sync::Mutex<Vec<Appended>>);
         impl TierSink for Capture {
-            fn append(&self, log: LogId, offset: u64, data: &[u8]) {
-                self.0.lock().unwrap().push((log.0, offset, data.len()));
+            fn append(&self, log: LogId, offset: u64, data: Arc<[u8]>) {
+                self.0.lock().unwrap().push((log.0, offset, data));
             }
         }
         let tier = SharedBlobTier::new(1 << 20);
@@ -271,11 +285,23 @@ mod tests {
         tier.write_log(LogId(3), 128, &[3u8; 8]).unwrap();
         // A failed local write must not reach the sink.
         assert!(tier.write_log(LogId(1), u64::MAX - 4, &[0u8; 8]).is_err());
+        // A flushed page reaches the log and the sink as the one buffer.
+        let page: Arc<[u8]> = vec![4u8; 64 * 1024].into();
+        tier.handle(LogId(3))
+            .write_page(64 * 1024, Arc::clone(&page))
+            .unwrap();
+        let captured = capture.0.lock().unwrap();
+        let seen: Vec<(u64, u64, usize)> = captured
+            .iter()
+            .map(|(log, offset, data)| (*log, *offset, data.len()))
+            .collect();
         assert_eq!(
-            *capture.0.lock().unwrap(),
-            vec![(1, 64, 16), (3, 128, 8)],
+            seen,
+            vec![(1, 64, 16), (3, 128, 8), (3, 64 * 1024, 64 * 1024)],
             "the sink sees exactly the writes that landed after installation"
         );
+        assert!(Arc::ptr_eq(&captured[2].2, &page));
+        assert_eq!(Arc::strong_count(&page), 3, "test, log and sink");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! An in-memory stand-in for the local NVMe SSD.
 
+use std::sync::Arc;
+
 use parking_lot::RwLock;
 
 use crate::counters::DeviceCounters;
@@ -9,14 +11,49 @@ use crate::device::{Device, DeviceError, Result};
 /// implementation detail, not the HybridLog page size.
 const CHUNK_SIZE: usize = 64 * 1024;
 
+/// One chunk slot's bytes.
+enum Chunk {
+    /// Bytes this device alone holds; byte writes land in place.
+    Owned(Box<[u8]>),
+    /// The `CHUNK_SIZE` window at `start` of a page handed over by
+    /// [`Device::write_page`].  Other devices may hold the same buffer, so
+    /// it is never written: a byte write copies the window first.
+    Shared { page: Arc<[u8]>, start: usize },
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Owned(bytes) => bytes,
+            Chunk::Shared { page, start } => &page[*start..*start + CHUNK_SIZE],
+        }
+    }
+
+    /// The chunk's bytes for writing, copying a shared window into a chunk
+    /// of this device's own first (copy-on-write).
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        if let Chunk::Shared { .. } = self {
+            *self = Chunk::Owned(self.bytes().into());
+        }
+        match self {
+            Chunk::Owned(bytes) => bytes,
+            Chunk::Shared { .. } => unreachable!("the window was just copied"),
+        }
+    }
+}
+
 /// A simulated local SSD backed by RAM.
 ///
 /// The device stores data in fixed-size chunks allocated lazily, so sparse
 /// address spaces (the HybridLog only ever writes the stable region) do not
-/// consume memory for unwritten ranges.  Accesses cost what the copy costs:
-/// no latency, IOPS or bandwidth limit is modelled.
+/// consume memory for unwritten ranges; the chunk table itself grows only
+/// as far as the highest chunk written.  A chunk-aligned page handed over
+/// whole by [`Device::write_page`] is kept, not copied: its chunks are
+/// windows into the one buffer, which the shared tier may hold too.
+/// Accesses cost what the copy costs: no latency, IOPS or bandwidth limit
+/// is modelled.
 pub struct SimSsd {
-    chunks: RwLock<Vec<Option<Box<[u8]>>>>,
+    chunks: RwLock<Vec<Option<Chunk>>>,
     capacity: u64,
     counters: DeviceCounters,
     name: String,
@@ -35,9 +72,8 @@ impl std::fmt::Debug for SimSsd {
 impl SimSsd {
     /// Creates a device with `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
-        let n_chunks = (capacity as usize).div_ceil(CHUNK_SIZE);
         Self {
-            chunks: RwLock::new((0..n_chunks).map(|_| None).collect()),
+            chunks: RwLock::new(Vec::new()),
             capacity,
             counters: DeviceCounters::new(),
             name: "sim-ssd".to_string(),
@@ -69,23 +105,63 @@ impl SimSsd {
     }
 }
 
+/// Grows the chunk table to cover `len` bytes at `offset` (already checked
+/// against the capacity).
+fn cover(chunks: &mut Vec<Option<Chunk>>, offset: u64, len: usize) {
+    let end = (offset as usize + len).div_ceil(CHUNK_SIZE);
+    if chunks.len() < end {
+        chunks.resize_with(end, || None);
+    }
+}
+
 impl Device for SimSsd {
     fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.check_range(offset, data.len())?;
         let mut chunks = self.chunks.write();
+        cover(&mut chunks, offset, data.len());
         let mut remaining = data;
         let mut pos = offset as usize;
         while !remaining.is_empty() {
             let chunk_idx = pos / CHUNK_SIZE;
             let chunk_off = pos % CHUNK_SIZE;
             let n = remaining.len().min(CHUNK_SIZE - chunk_off);
-            let chunk =
-                chunks[chunk_idx].get_or_insert_with(|| vec![0u8; CHUNK_SIZE].into_boxed_slice());
+            let chunk = chunks[chunk_idx]
+                .get_or_insert_with(|| Chunk::Owned(vec![0u8; CHUNK_SIZE].into_boxed_slice()))
+                .bytes_mut();
             chunk[chunk_off..chunk_off + n].copy_from_slice(&remaining[..n]);
             remaining = &remaining[n..];
             pos += n;
         }
         self.counters.record_write(data.len());
+        Ok(())
+    }
+
+    fn write_page(&self, offset: u64, page: Arc<[u8]>) -> Result<()> {
+        let aligned =
+            (offset as usize).is_multiple_of(CHUNK_SIZE) && page.len().is_multiple_of(CHUNK_SIZE);
+        if !aligned {
+            return self.write(offset, &page);
+        }
+        self.check_range(offset, page.len())?;
+        let first = offset as usize / CHUNK_SIZE;
+        let mut windows: Vec<Option<Chunk>> = (0..page.len() / CHUNK_SIZE)
+            .map(|i| {
+                Some(Chunk::Shared {
+                    page: Arc::clone(&page),
+                    start: i * CHUNK_SIZE,
+                })
+            })
+            .collect();
+        // Only pointers move under the lock; the chunks the page replaces
+        // are freed after it is released.
+        {
+            let mut chunks = self.chunks.write();
+            cover(&mut chunks, offset, page.len());
+            for (slot, window) in chunks[first..].iter_mut().zip(windows.iter_mut()) {
+                std::mem::swap(slot, window);
+            }
+        }
+        self.counters.record_write(page.len());
         Ok(())
     }
 
@@ -98,10 +174,9 @@ impl Device for SimSsd {
             let chunk_idx = pos / CHUNK_SIZE;
             let chunk_off = pos % CHUNK_SIZE;
             let n = (buf.len() - filled).min(CHUNK_SIZE - chunk_off);
-            match &chunks[chunk_idx] {
-                Some(chunk) => {
-                    buf[filled..filled + n].copy_from_slice(&chunk[chunk_off..chunk_off + n])
-                }
+            match chunks.get(chunk_idx).and_then(Option::as_ref) {
+                Some(chunk) => buf[filled..filled + n]
+                    .copy_from_slice(&chunk.bytes()[chunk_off..chunk_off + n]),
                 None => {
                     return Err(DeviceError::UnwrittenRange {
                         offset,
@@ -198,10 +273,102 @@ mod tests {
 
     #[test]
     fn written_extent_tracks_highest_chunk() {
-        let dev = SimSsd::new(1 << 20);
+        let dev = SimSsd::new(1 << 30);
         assert_eq!(dev.written_extent(), 0);
+        assert!(dev.chunks.read().is_empty(), "no table before a write");
         dev.write((CHUNK_SIZE * 3) as u64, &[1u8; 10]).unwrap();
         assert_eq!(dev.written_extent(), (CHUNK_SIZE * 4) as u64);
+        assert_eq!(dev.chunks.read().len(), 4);
+        let mut beyond = [0u8; 8];
+        assert!(matches!(
+            dev.read((CHUNK_SIZE * 9) as u64, &mut beyond),
+            Err(DeviceError::UnwrittenRange { .. })
+        ));
+    }
+
+    fn pattern_page(len: usize, seed: u8) -> Arc<[u8]> {
+        (0..len).map(|i| (i % 251) as u8 ^ seed).collect()
+    }
+
+    fn read_back(dev: &SimSsd, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        dev.read(offset, &mut out).unwrap();
+        out
+    }
+
+    fn dev_counters(dev: &SimSsd) -> (u64, u64) {
+        let s = dev.counters().snapshot();
+        (s.writes, s.bytes_written)
+    }
+
+    /// A whole page handed to two devices is held once, and a byte write
+    /// over it on one device copies the window it lands in: the other
+    /// device and the page buffer keep their bytes.  Checked for a
+    /// one-window page and for a 1 MiB page spanning 16 windows.
+    #[test]
+    fn a_shared_page_is_held_once_and_copied_on_write() {
+        for windows in [1usize, 16] {
+            let len = windows * CHUNK_SIZE;
+            let offset = (2 * CHUNK_SIZE) as u64;
+            let page = pattern_page(len, 0x5A);
+            let original = page.to_vec();
+            let ssd = SimSsd::new(1 << 24);
+            let tier = SimSsd::new(1 << 24);
+            ssd.write_page(offset, Arc::clone(&page)).unwrap();
+            tier.write_page(offset, Arc::clone(&page)).unwrap();
+            assert_eq!(
+                Arc::strong_count(&page),
+                1 + 2 * windows,
+                "each device holds one reference per window, and no copy"
+            );
+            for dev in [&ssd, &tier] {
+                let chunks = dev.chunks.read();
+                for (i, chunk) in chunks[2..2 + windows].iter().enumerate() {
+                    let held = chunk.as_ref().unwrap().bytes().as_ptr();
+                    assert!(std::ptr::eq(held, page[i * CHUNK_SIZE..].as_ptr()));
+                }
+            }
+            assert!(read_back(&ssd, offset, len) == original);
+            assert_eq!(dev_counters(&ssd), (1, len as u64));
+
+            // A write straddling the first window's end: into the second
+            // window of a 1 MiB page, past the end of a 64 KiB one.
+            let patch_at = offset + CHUNK_SIZE as u64 - 100;
+            ssd.write(patch_at, &[0xEE; 200]).unwrap();
+            let mut expected = original.clone();
+            expected[CHUNK_SIZE - 100..(CHUNK_SIZE + 100).min(len)].fill(0xEE);
+            let copied = windows.min(2);
+            assert!(read_back(&ssd, offset, len) == expected);
+            assert!(
+                read_back(&tier, offset, len) == original,
+                "the other device changed"
+            );
+            assert!(page[..] == original[..], "the shared buffer changed");
+            assert_eq!(Arc::strong_count(&page), 1 + 2 * windows - copied);
+
+            // Writing the page again over the copied windows re-adopts it.
+            ssd.write_page(offset, Arc::clone(&page)).unwrap();
+            assert!(read_back(&ssd, offset, len) == original);
+            assert_eq!(Arc::strong_count(&page), 1 + 2 * windows);
+        }
+    }
+
+    #[test]
+    fn an_unaligned_page_is_copied() {
+        let dev = SimSsd::new(1 << 20);
+        let page = pattern_page(CHUNK_SIZE, 3);
+        dev.write_page(4096, Arc::clone(&page)).unwrap();
+        assert_eq!(Arc::strong_count(&page), 1);
+        assert_eq!(read_back(&dev, 4096, CHUNK_SIZE), page.to_vec());
+        let short = pattern_page(4096, 9);
+        dev.write_page(0, Arc::clone(&short)).unwrap();
+        assert_eq!(Arc::strong_count(&short), 1);
+        assert_eq!(read_back(&dev, 0, 4096), short.to_vec());
+        assert_eq!(dev_counters(&dev), (2, (CHUNK_SIZE + 4096) as u64));
+        assert!(matches!(
+            dev.write_page(1 << 20, page),
+            Err(DeviceError::OutOfCapacity { .. })
+        ));
     }
 
     #[test]
